@@ -18,7 +18,9 @@ print("citers of P:", ", ".join(corpus.citations_of("P")))
 # follow the direction influence travels (cited -> citing).
 idg = build_idg(corpus, "P")
 print("\ninfluence edges:")
-for u, v in idg.edges():
+edges = [(idg.root, v) for v in idg.citers]
+edges += [(u, v) for v in idg.citers for u in sorted(idg.cited_within[v])]
+for u, v in edges:
     print(f"  {u} -> {v}")
 
 # Each citer gets exactly one parent: the root if it cites nothing else,

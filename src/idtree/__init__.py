@@ -42,7 +42,6 @@ from .metrics import (
     idi,
     idi_max,
     idi_min,
-    ideal_idi,
     influence_divergence,
     nid,
     nid_value,
@@ -85,7 +84,6 @@ __all__ = [
     "corpus_metrics",
     "corpus_stats",
     "fractional_gain_list",
-    "ideal_idi",
     "idi",
     "idi_max",
     "idi_min",

@@ -17,6 +17,7 @@ files, so repeated experiments skip re-parsing.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -81,7 +82,7 @@ def _write_run_config(out: Path, args) -> None:
     )
 
 
-def _ingest_with_cache(args, out: Path, *, force: bool = False, isolated_policy: str = "both"):
+def _ingest_with_cache(args, out: Path, *, force: bool = False):
     """Load the corpus via the content-addressed cache, re-ingesting if stale."""
     edges = _require_file(args.edges)
     meta = _require_file(args.meta)
@@ -91,14 +92,14 @@ def _ingest_with_cache(args, out: Path, *, force: bool = False, isolated_policy:
         cached = corpus_mod.load_cache(cache_path, expect_hash=digest)
         if cached is not None:
             return cached, None
-    corpus, report = corpus_mod.ingest_files(edges, meta, isolated_policy=isolated_policy)
+    corpus, report = corpus_mod.ingest_files(edges, meta)
     corpus_mod.save_cache(corpus, cache_path, source_hash=digest)
     return corpus, report
 
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
-    corpus, report = _ingest_with_cache(args, out, force=True, isolated_policy=args.isolated)
+    corpus, report = _ingest_with_cache(args, out, force=True)
     (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.to_json())
     _require_corpus_nonempty(corpus)
@@ -127,10 +128,7 @@ def cmd_metrics(args) -> int:
     )
     metrics_mod.write_metrics_csv(reports, out / "metrics.csv")
     if errors:
-        with open(out / "metrics_errors.csv", "w", encoding="utf-8") as fh:
-            fh.write("paper_id,error\n")
-            for pid, msg in errors:
-                fh.write(f"{pid},{msg}\n")
+        corpus_mod.write_csv(out / "metrics_errors.csv", ("paper_id", "error"), errors)
     print(f"wrote {len(reports)} rows to {out / 'metrics.csv'}"
           + (f" ({len(errors)} ids rejected)" if errors else ""))
     return 0
@@ -179,12 +177,13 @@ def cmd_eval_z(args) -> int:
 
 def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
     rows: list[tuple[str, str, int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for parts in reader:
+            lineno = reader.line_num
+            parts = [p.strip() for p in parts]
+            if parts in ([], [""]) or parts[0].startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected paper_id,venue,year")
             pid, venue, year_text = parts
@@ -230,10 +229,7 @@ def cmd_synth(args) -> int:
         corpus = synth.make_z_benchmark(seed=args.seed, t1=args.t1, t2=args.t2)
     elif args.kind == "planted-tot":
         corpus, awardees = synth.make_tot_benchmark(seed=args.seed)
-        with open(out / "awardees.csv", "w", encoding="utf-8") as fh:
-            fh.write("paper_id,venue,year\n")
-            for pid, venue, year in awardees:
-                fh.write(f"{pid},{venue},{year}\n")
+        corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
     else:
         spec = synth.ShapeSpec(args.kind, args.n, k=args.k, bias=args.bias, seed=args.seed)
         tree, corpus = synth.gen_shape(spec)
@@ -260,8 +256,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="clean raw files into a cached corpus")
     add_corpus_flags(p)
-    p.add_argument("--isolated", choices=["both", "either"], default="both",
-                   help="drop papers lacking both kinds of link (default) or either kind")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("metrics", help="per-paper tree metrics CSV")

@@ -16,22 +16,19 @@ Cleaning order (per edge, then globally):
 6. residual same-year cycles broken by dropping every edge that lies on a
    cycle (all such cycles live inside one publication year, so this is the
    "drop both directions" rule generalized to longer cycles),
-7. papers left without links are removed iteratively until a fixed point.
-
-Step 7 defaults to removing papers with no citations AND no references;
-pass ``isolated_policy="either"`` to remove papers missing either kind of
-link instead.
+7. papers left with no citations and no references are removed (such a
+   paper has no edge, so removing it strands no other paper).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import pickle
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -89,7 +86,8 @@ class CitationCorpus:
 
     Edges are (citing_id, cited_id) pairs.  Construction assumes the edge
     list is already clean (use `ingest` for raw streams); endpoints must
-    exist and citing papers may not predate the papers they cite.
+    exist, citing papers may not predate the papers they cite, and no
+    citation cycle may run within one year.
     """
 
     __slots__ = ("_records", "_citers", "_citer_years", "_refs", "_ids", "_n_edges")
@@ -103,18 +101,25 @@ class CitationCorpus:
         citers: dict[str, list[str]] = {pid: [] for pid in recs}
         refs: dict[str, set[str]] = {pid: set() for pid in recs}
         n_edges = 0
+        same_year: list[tuple[str, str]] = []
         for citing, cited in edges:
             if citing not in recs or cited not in recs:
                 raise CorpusError(f"edge ({citing!r}, {cited!r}) references unknown paper")
             if citing == cited:
                 raise CorpusError(f"self-citation: {citing!r}")
-            if recs[citing].year < recs[cited].year:
+            citing_year, cited_year = recs[citing].year, recs[cited].year
+            if citing_year < cited_year:
                 raise CorpusError(f"forward citation: {citing!r} -> {cited!r}")
+            if citing_year == cited_year:
+                same_year.append((citing, cited))
             if cited in refs[citing]:
                 raise CorpusError(f"duplicate edge ({citing!r}, {cited!r})")
             refs[citing].add(cited)
             citers[cited].append(citing)
             n_edges += 1
+        cyclic = _edges_on_cycles(same_year) if same_year else set()
+        if cyclic:
+            raise CorpusError(f"same-year citation cycle through edge {min(cyclic)!r}")
         self._records = recs
         self._refs = {pid: frozenset(rs) for pid, rs in refs.items()}
         self._ids = tuple(sorted(recs))
@@ -322,22 +327,14 @@ def _edges_on_cycles(edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
     return {(u, v) for u, v in edges if comp[u] == comp[v] and comp_size[comp[u]] > 1}
 
 
-def ingest(
-    edges: Iterable,
-    records: Iterable,
-    *,
-    isolated_policy: str = "both",
-) -> tuple[CitationCorpus, IngestReport]:
+def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestReport]:
     """Build a clean corpus from raw edge and metadata streams.
 
     `records` yields `PaperRecord`s or dicts with ``id``/``year``/``venue``
     keys; `edges` yields (citing_id, cited_id) pairs.  Malformed items and
     edges touching papers without metadata are rejected and counted, never
-    fatal.  `isolated_policy` is ``"both"`` (drop papers with no citations
-    and no references) or ``"either"`` (drop papers missing either kind).
+    fatal.
     """
-    if isolated_policy not in ("both", "either"):
-        raise ValueError(f"isolated_policy must be 'both' or 'either', got {isolated_policy!r}")
     report = IngestReport()
 
     recs: dict[str, PaperRecord] = {}
@@ -379,58 +376,25 @@ def ingest(
         report.dropped_cycle = len(cyclic)
         kept = [e for e in kept if e not in cyclic]
 
-    # Iterative removal of papers without links; removing a paper deletes
-    # its edges, which can strand neighbours (matters under "either").
-    cit_count: dict[str, int] = defaultdict(int)
-    ref_count: dict[str, int] = defaultdict(int)
-    out_adj: dict[str, list[str]] = defaultdict(list)
-    in_adj: dict[str, list[str]] = defaultdict(list)
-    for citing, cited in kept:
-        ref_count[citing] += 1
-        cit_count[cited] += 1
-        out_adj[citing].append(cited)
-        in_adj[cited].append(citing)
-
-    if isolated_policy == "both":
-        def _dropped(p: str) -> bool:
-            return cit_count[p] == 0 and ref_count[p] == 0
-    else:
-        def _dropped(p: str) -> bool:
-            return cit_count[p] == 0 or ref_count[p] == 0
-
-    alive = set(recs)
-    pending = deque(sorted(recs))
-    queued = set(pending)
-    while pending:
-        p = pending.popleft()
-        queued.discard(p)
-        if p not in alive or not _dropped(p):
-            continue
-        alive.discard(p)
-        report.dropped_isolated += 1
-        for v in out_adj[p]:
-            if v in alive:
-                cit_count[v] -= 1
-                if v not in queued:
-                    pending.append(v)
-                    queued.add(v)
-        for u in in_adj[p]:
-            if u in alive:
-                ref_count[u] -= 1
-                if u not in queued:
-                    pending.append(u)
-                    queued.add(u)
-
-    final_edges = [(u, v) for u, v in kept if u in alive and v in alive]
-    report.papers_kept = len(alive)
-    report.edges_kept = len(final_edges)
-    corpus = CitationCorpus((recs[p] for p in sorted(alive)), final_edges)
+    linked = {p for edge in kept for p in edge}
+    report.dropped_isolated = len(recs) - len(linked)
+    report.papers_kept = len(linked)
+    report.edges_kept = len(kept)
+    corpus = CitationCorpus((recs[p] for p in sorted(linked)), kept)
     return corpus, report
 
 
 # ---------------------------------------------------------------------------
-# File formats: tab-separated edge lists and JSON-lines metadata.
+# File formats: tab-separated edge lists, JSON-lines metadata, CSV outputs.
 # ---------------------------------------------------------------------------
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV; fields holding a comma or quote are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
 
 def read_edge_file(path) -> Iterator[tuple[str, ...]]:
     """Yield raw field tuples from a `citing<TAB>cited` file.
@@ -475,8 +439,8 @@ def write_metadata_file(corpus: CitationCorpus, path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def ingest_files(edge_path, meta_path, **kwargs) -> tuple[CitationCorpus, IngestReport]:
-    return ingest(read_edge_file(edge_path), read_metadata_file(meta_path), **kwargs)
+def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
+    return ingest(read_edge_file(edge_path), read_metadata_file(meta_path))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +451,12 @@ CACHE_FORMAT = 1
 
 
 def file_digest(*paths) -> str:
+    """SHA-256 over the files' bytes, each followed by a NUL; read in 1 MiB blocks."""
     h = hashlib.sha256()
     for path in paths:
-        h.update(Path(path).read_bytes())
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                h.update(block)
         h.update(b"\x00")
     return h.hexdigest()
 

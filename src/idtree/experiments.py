@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing as mp
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus
-from .metrics import MetricsReport, corpus_metrics, paper_metrics
+from .corpus import CitationCorpus, write_csv
+from .metrics import MetricsReport, corpus_metrics, paper_metrics, parallel_map
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
-TIE_MODES = ("resolved", "discard-ties")
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,13 @@ def _count_inversions(seq: Sequence[int]) -> int:
     return sort(list(seq))[1]
 
 
-def kendall_tau_distance(a, b, *, tie_mode: str = "resolved") -> float:
+def kendall_tau_distance(a, b) -> float:
     """Normalized Kendall tau distance between two rankings of one set.
 
     Counts discordant pairs over m(m-1)/2; 0 for identical orders, 1 for
-    exact reversals, 0 when m < 2.  ``"resolved"`` treats both inputs as
-    strict orders (ties must have been broken upstream).  ``"discard-ties"``
-    needs scored `RankedList`s and drops pairs tied in either list from
-    both numerator and denominator.
+    exact reversals, 0 when m < 2.  Both inputs are strict orders: ties
+    must have been broken upstream, as `RankedList` does.
     """
-    if tie_mode not in TIE_MODES:
-        raise ValueError(f"tie_mode must be one of {TIE_MODES}, got {tie_mode!r}")
     ids_a = _ranked_ids(a)
     ids_b = _ranked_ids(b)
     if set(ids_a) != set(ids_b):
@@ -124,30 +118,9 @@ def kendall_tau_distance(a, b, *, tie_mode: str = "resolved") -> float:
     m = len(ids_a)
     if m < 2:
         return 0.0
-    if tie_mode == "resolved":
-        pos_b = {pid: i for i, pid in enumerate(ids_b)}
-        discordant = _count_inversions([pos_b[pid] for pid in ids_a])
-        return discordant / (m * (m - 1) / 2)
-    if not isinstance(a, RankedList) or not isinstance(b, RankedList):
-        raise ValueError("discard-ties mode requires scored RankedList inputs")
-    score_a = dict(a.items)
-    score_b = dict(b.items)
-    ids = sorted(ids_a)
-    discordant = comparable = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            da = score_a[ids[i]] - score_a[ids[j]]
-            db = score_b[ids[i]] - score_b[ids[j]]
-            if da == 0 or db == 0:
-                continue
-            if a.direction == "asc":
-                da = -da
-            if b.direction == "asc":
-                db = -db
-            comparable += 1
-            if da * db < 0:
-                discordant += 1
-    return discordant / comparable if comparable else 0.0
+    pos_b = {pid: i for i, pid in enumerate(ids_b)}
+    discordant = _count_inversions([pos_b[pid] for pid in ids_a])
+    return discordant / (m * (m - 1) / 2)
 
 
 def mean_reciprocal_rank(ranks: Iterable[int]) -> float:
@@ -285,17 +258,9 @@ def venue_groups(view) -> dict[tuple[str, int], list[str]]:
     return dict(groups)
 
 
-_VENUE_CTX: tuple | None = None
-
-
-def _init_venue_worker(ctx: tuple) -> None:
-    global _VENUE_CTX
-    _VENUE_CTX = ctx
-
-
-def _venue_z_job(item: tuple[str, int, list[str]]):
+def _venue_z_job(ctx: tuple, item: tuple[str, int, list[str]]):
     venue, year, members = item
-    corpus, t1, t2, tie, seed, gain_mode, min_venue_size = _VENUE_CTX
+    corpus, t1, t2, tie, seed, gain_mode, min_venue_size = ctx
     snap1 = corpus.snapshot(year + t1)
     eligible = [p for p in members if snap1.citation_count(p) > 0]
     if len(eligible) < min_venue_size:
@@ -340,13 +305,7 @@ def z_experiment(
         if year_range[0] <= year <= year_range[1]
     ]
     ctx = (corpus, t1, t2, tie, seed, gain_mode, min_venue_size)
-    if jobs <= 1 or len(items) < 2:
-        _init_venue_worker(ctx)
-        outcomes = [_venue_z_job(item) for item in items]
-    else:
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        with mp.get_context(method).Pool(jobs, initializer=_init_venue_worker, initargs=(ctx,)) as pool:
-            outcomes = pool.map(_venue_z_job, items)
+    outcomes = parallel_map(_venue_z_job, items, jobs, ctx)
     results: list[VenueExperiment] = []
     skipped: list[tuple[str, int, str]] = []
     for kind, payload in outcomes:
@@ -512,35 +471,25 @@ def corpus_stats(
 # ---------------------------------------------------------------------------
 
 def write_venues_csv(report: ZReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("venue,year,n_papers,z_nid,z_cite,z_diff\n")
-        for v in report.venues:
-            fh.write(
-                f"{v.venue},{v.year},{len(v.paper_ids)},{v.z_nid!r},{v.z_cite!r},{v.z_diff!r}\n"
-            )
+    write_csv(path, ("venue", "year", "n_papers", "z_nid", "z_cite", "z_diff"), (
+        (v.venue, v.year, len(v.paper_ids), v.z_nid, v.z_cite, v.z_diff) for v in report.venues
+    ))
 
 
 def write_tot_csv(report: ToTReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("paper_id,venue,year,cohort_size,rank_cite,rank_nid\n")
-        for c in report.cases:
-            fh.write(
-                f"{c.paper_id},{c.venue},{c.year},{c.cohort_size},{c.rank_cite},{c.rank_nid}\n"
-            )
+    write_csv(path, ("paper_id", "venue", "year", "cohort_size", "rank_cite", "rank_nid"), (
+        (c.paper_id, c.venue, c.year, c.cohort_size, c.rank_cite, c.rank_nid) for c in report.cases
+    ))
 
 
 def write_histogram_csv(hist: Mapping[int, int], path, value_name: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{value_name},count\n")
-        for value in sorted(hist):
-            fh.write(f"{value},{hist[value]}\n")
+    write_csv(path, (value_name, "count"), sorted(hist.items()))
 
 
 def write_scatter_csv(reports: Iterable[MetricsReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("paper_id,n,d,b,idi,nid\n")
-        for r in reports:
-            fh.write(f"{r.paper_id},{r.n},{r.depth},{r.breadth},{r.idi},{r.nid!r}\n")
+    write_csv(path, ("paper_id", "n", "d", "b", "idi", "nid"), (
+        (r.paper_id, r.n, r.depth, r.breadth, r.idi, r.nid) for r in reports
+    ))
 
 
 def _json_safe(value):

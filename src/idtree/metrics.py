@@ -11,17 +11,16 @@ breadth are both ceil(sqrt(n)).
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing as mp
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError
+from .corpus import CorpusError, write_csv
 from .tree import InfluenceTree, build_idg, build_idt
 
-CSV_HEADER = "paper_id,n,d,b,idi,idi_min,idi_max,id,nid"
+CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
 
 
 def idi(tree: InfluenceTree) -> int:
@@ -32,37 +31,24 @@ def idi(tree: InfluenceTree) -> int:
     return sum(d for v, d in tree.depth.items() if v != tree.root and v not in internal)
 
 
-def _require_positive(n: int) -> None:
+def _require_positive(n: int) -> int:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"citation count must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def idi_min(n: int) -> int:
-    """Smallest achievable IDI for n citers: n itself."""
-    _require_positive(n)
-    return int(n)
+    """Smallest achievable IDI for n citers: n itself, the ideal layout's value."""
+    return _require_positive(n)
 
 
 def idi_max(n: int) -> int:
-    """Largest achievable IDI for n citers: (1 + k)(n - k) at k ~ (n-1)/2.
+    """Largest achievable IDI for n citers: floor((n + 1)^2 / 4).
 
-    The expression is symmetric about k = (n-1)/2, so rounding half-values
-    up or down gives the same product; both are evaluated and checked.
+    This is (1 + k)(n - k) at k = floor((n - 1) / 2), a chain of k citers
+    fanning out into the other n - k at its end.
     """
-    _require_positive(n)
-    k_lo = (n - 1) // 2
-    k_hi = (n - 1) - k_lo
-    lo = (1 + k_lo) * (n - k_lo)
-    hi = (1 + k_hi) * (n - k_hi)
-    if lo != hi:
-        raise AssertionError(f"rounding asymmetry at n={n}: {lo} != {hi}")
-    return lo
-
-
-def ideal_idi(n: int) -> int:
-    """IDI of the ideal layout (all branches unified): n."""
-    _require_positive(n)
-    return int(n)
+    return (_require_positive(n) + 1) ** 2 // 4
 
 
 def optimal_shape(n: int) -> tuple[int, int]:
@@ -74,25 +60,23 @@ def optimal_shape(n: int) -> tuple[int, int]:
     return (k, k)
 
 
-def divergence_value(n: int, idi_value: int) -> int:
-    _require_positive(n)
-    return int(idi_value) - ideal_idi(n)
-
-
 def influence_divergence(tree: InfluenceTree) -> int:
-    """How far the tree's IDI sits above the ideal value; 0 for empty trees."""
+    """How far the tree's IDI sits above the ideal value n; 0 for empty trees."""
     if not tree.parent:
         return 0
-    return divergence_value(tree.n, idi(tree))
+    return idi(tree) - tree.n
+
+
+def _nid(n: int, idi_value: int, idi_hi: int) -> float:
+    span = idi_hi - n
+    if span == 0:
+        return 0.0
+    return (idi_value - n) / span
 
 
 def nid_value(n: int, idi_value: int) -> float:
     """Normalized divergence in [0, 1]; 0 by convention when n <= 2."""
-    _require_positive(n)
-    span = idi_max(n) - idi_min(n)
-    if span == 0:
-        return 0.0
-    return (int(idi_value) - ideal_idi(n)) / span
+    return _nid(_require_positive(n), int(idi_value), idi_max(n))
 
 
 def nid(tree: InfluenceTree) -> float:
@@ -116,30 +100,6 @@ class MetricsReport:
     divergence: int
     nid: float
 
-    def to_dict(self) -> dict:
-        return {
-            "paper_id": self.paper_id,
-            "n": self.n,
-            "d": self.depth,
-            "b": self.breadth,
-            "idi": self.idi,
-            "idi_min": self.idi_min,
-            "idi_max": self.idi_max,
-            "id": self.divergence,
-            "nid": self.nid,
-        }
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.paper_id},{self.n},{self.depth},{self.breadth},"
-            f"{self.idi},{self.idi_min},{self.idi_max},{self.divergence},{self.nid!r}"
-        )
-
-
-def _paper_rng(seed: int, paper_id: str) -> np.random.Generator:
-    # Stable per-paper stream: identical across runs, orders, and processes.
-    return np.random.default_rng([seed] + list(paper_id.encode("utf-8")))
-
 
 def paper_metrics(
     view,
@@ -153,37 +113,51 @@ def paper_metrics(
     n = idg.n
     if n == 0:
         return None
-    rng = _paper_rng(seed, paper_id) if tie == "random" else None
+    # Stable per-paper seed, identical across runs, orders and processes;
+    # build_idt only turns it into a generator on the first real tie.
+    rng = [seed, *paper_id.encode("utf-8")] if tie == "random" else None
     tree = build_idt(idg, tie=tie, rng=rng)
     depths = [tree.depth[v] for v in tree.parent]
     d = max(depths)
     b = max(np.bincount(depths)[1:])
     value = idi(tree)
-    report = MetricsReport(
-        paper_id, n, int(d), int(b), value,
-        idi_min(n), idi_max(n), divergence_value(n, value), nid_value(n, value),
-    )
-    if not report.idi_min <= report.idi <= report.idi_max:
-        raise AssertionError(f"IDI {report.idi} outside bounds for n={n}")
-    return report
+    hi = idi_max(n)
+    if not n <= value <= hi:
+        raise AssertionError(f"IDI {value} outside bounds for n={n}")
+    return MetricsReport(paper_id, n, int(d), int(b), value, n, hi, value - n, _nid(n, value, hi))
 
 
-_WORKER_CTX: tuple | None = None
+_CTX: tuple | None = None
 
 
-def _init_worker(view, tie: str, seed: int) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = (view, tie, seed)
+def _set_ctx(ctx: tuple) -> None:
+    global _CTX
+    _CTX = ctx
 
 
-def _metrics_chunk(ids: list[str]) -> list[MetricsReport]:
-    view, tie, seed = _WORKER_CTX
-    out = []
-    for pid in ids:
-        report = paper_metrics(view, pid, tie=tie, seed=seed)
-        if report is not None:
-            out.append(report)
-    return out
+def _call(item):
+    fn, ctx = _CTX
+    return fn(ctx, item)
+
+
+def parallel_map(fn, items: list, jobs: int, ctx: tuple) -> list:
+    """`[fn(ctx, item) for item in items]`, spread over `jobs` processes.
+
+    `ctx` reaches the workers once, through a module global (inherited on
+    `fork`), not once per item.  Small inputs run serially.  The result
+    order is the item order, so it matches a serial run.
+    """
+    _set_ctx((fn, ctx))
+    if jobs <= 1 or len(items) < 2 * jobs:
+        return [_call(item) for item in items]
+    method = "fork" if "fork" in mp.get_all_start_methods() else None
+    with mp.get_context(method).Pool(jobs, initializer=_set_ctx, initargs=((fn, ctx),)) as pool:
+        return pool.map(_call, items)
+
+
+def _score(ctx: tuple, paper_id: str) -> MetricsReport | None:
+    view, tie, seed = ctx
+    return paper_metrics(view, paper_id, tie=tie, seed=seed)
 
 
 def corpus_metrics(
@@ -196,31 +170,16 @@ def corpus_metrics(
 ) -> list[MetricsReport]:
     """Metrics for every paper with at least one citation, sorted by id.
 
-    With `jobs` > 1 papers are chunked across worker processes; the merge
-    order is fixed by the sorted id list, so results match a serial run.
+    With `jobs` > 1 the papers are spread over worker processes; the
+    result matches a serial run.
     """
     ids = sorted(paper_ids) if paper_ids is not None else list(view.paper_ids)
-    if jobs <= 1 or len(ids) < 2 * jobs:
-        _init_worker(view, tie, seed)
-        return _metrics_chunk(ids)
-    n_chunks = jobs * 4
-    size = max(1, math.ceil(len(ids) / n_chunks))
-    chunks = [ids[i : i + size] for i in range(0, len(ids), size)]
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    ctx = mp.get_context(method)
-    with ctx.Pool(jobs, initializer=_init_worker, initargs=(view, tie, seed)) as pool:
-        parts = pool.map(_metrics_chunk, chunks)
-    return [report for part in parts for report in part]
+    reports = parallel_map(_score, ids, jobs, (view, tie, seed))
+    return [report for report in reports if report is not None]
 
 
 def write_metrics_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for report in reports:
-            fh.write(report.csv_row() + "\n")
-
-
-def write_metrics_json(reports, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, CSV_HEADER, (
+        (r.paper_id, r.n, r.depth, r.breadth, r.idi, r.idi_min, r.idi_max, r.divergence, r.nid)
+        for r in reports
+    ))

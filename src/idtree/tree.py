@@ -20,7 +20,7 @@ import heapq
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,17 +46,6 @@ class InfluenceGraph:
     def n(self) -> int:
         return len(self.citers)
 
-    def nodes(self) -> tuple[str, ...]:
-        return (self.root,) + self.citers
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Influence edges (u, v) meaning v cites u, root edges first."""
-        for v in self.citers:
-            yield (self.root, v)
-        for v in self.citers:
-            for u in sorted(self.cited_within[v]):
-                yield (u, v)
-
 
 @dataclass(frozen=True)
 class InfluenceTree:
@@ -73,9 +62,6 @@ class InfluenceTree:
     @property
     def n(self) -> int:
         return len(self.parent)
-
-    def nodes(self) -> tuple[str, ...]:
-        return (self.root,) + tuple(sorted(self.parent))
 
     def children_map(self) -> dict[str, list[str]]:
         children: dict[str, list[str]] = defaultdict(list)
@@ -229,23 +215,22 @@ def _validate_order(idg: InfluenceGraph, order: Iterable[str]) -> list[str]:
 def build_idt(
     idg: InfluenceGraph,
     tie: str = "min-id",
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | Sequence[int] | None = None,
     order: Iterable[str] | None = None,
 ) -> InfluenceTree:
     """Build the dispersion tree of an influence graph.
 
     Each citer is attached beneath the deepest of the citers it cites, or
     beneath the root when it cites none.  `tie` picks among equally deep
-    candidates: ``"min-id"`` (deterministic) or ``"random"`` (seeded via
-    `rng`, consulted only on actual ties, so seeded runs stay reproducible).  `order` overrides the default
+    candidates: ``"min-id"`` (deterministic) or ``"random"``, drawing from
+    ``np.random.default_rng(rng)``, which is made on the first actual tie
+    so seeded runs stay reproducible.  `order` overrides the default
     processing order and must place every cited citer before its citing
     one; any such order yields the same tree under ``"min-id"``.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     gen: np.random.Generator | None = None
-    if tie == "random":
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     sequence = _validate_order(idg, order) if order is not None else _topological_order(idg)
 
     parent: dict[str, str] = {}
@@ -259,9 +244,11 @@ def build_idt(
         else:
             best = max(depth[u] for u in cand)
             top = sorted(u for u in cand if depth[u] == best)
-            if len(top) == 1 or gen is None:
+            if len(top) == 1 or tie == "min-id":
                 p = top[0]
             else:
+                if gen is None:
+                    gen = np.random.default_rng(rng)
                 p = top[int(gen.integers(0, len(top)))]
         parent[v] = p
         depth[v] = depth[p] + 1

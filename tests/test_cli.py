@@ -1,11 +1,12 @@
 """End-to-end command-line runs, exit codes, and output files."""
 
+import csv
 import json
 
 import pytest
 
 from idtree.cli import main
-from idtree.corpus import write_edge_file, write_metadata_file
+from idtree.corpus import write_csv, write_edge_file, write_metadata_file
 from idtree.synth import ShapeSpec, gen_shape
 
 
@@ -75,17 +76,14 @@ class TestIngest:
         assert rc == 2
         assert "no papers" in capsys.readouterr().err
 
-    def test_isolated_policy_flag(self, tmp_path):
-        edges = tmp_path / "edges.tsv"
-        meta = tmp_path / "meta.jsonl"
-        edges.write_text("b\ta\nc\tb\n")
-        meta.write_text(
-            "\n".join(json.dumps({"id": p, "year": y})
-                      for p, y in [("a", 2000), ("b", 2001), ("c", 2002)]) + "\n"
-        )
-        rc = run("ingest", "--edges", str(edges), "--meta", str(meta),
-                 "--out", str(tmp_path / "x"), "--isolated", "either")
-        assert rc == 2  # the chain fully unravels under 'either'
+    def test_metrics_after_ingest_matches_fresh_out(self, tmp_path, toy_files):
+        edges, meta = toy_files
+        flags = ("--edges", str(edges), "--meta", str(meta), "--tie", "random", "--seed", "1")
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert run("ingest", "--edges", str(edges), "--meta", str(meta), "--out", str(used)) == 0
+        assert run("metrics", *flags, "--out", str(used)) == 0
+        assert run("metrics", *flags, "--out", str(fresh)) == 0
+        assert (used / "metrics.csv").read_bytes() == (fresh / "metrics.csv").read_bytes()
 
 
 class TestUsageErrors:
@@ -270,6 +268,29 @@ class TestEvalToT:
                  "--meta", str(fixture / "meta.jsonl"),
                  "--awardees", str(bad), "--out", str(tmp_path / "run"))
         assert rc == 2
+
+
+class TestCsvQuoting:
+    def test_commas_in_ids_and_venues(self, tmp_path):
+        # the cited id holds a comma, and so does the venue of its cohort
+        venue = "Conf, Vol 1-2000"
+        papers = [("a,b", 2000, venue), ("x", 2000, venue), ("c1", 2001, None), ("c2", 2002, None)]
+        edges, meta, awardees = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "aw.csv"
+        edges.write_text("c1\ta,b\nc1\tx\nc2\ta,b\nc2\tc1\n", encoding="utf-8")
+        meta.write_text("".join(
+            json.dumps({"id": pid, "year": year, **({"venue": v} if v else {})}) + "\n"
+            for pid, year, v in papers
+        ), encoding="utf-8")
+        write_csv(awardees, ("paper_id", "venue", "year"), [("a,b", venue, 2000)])
+        flags = ("--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "run"))
+        assert run("metrics", *flags) == 0
+        assert run("eval-z", *flags, "--years", "2000:2000", "--t1", "1", "--t2", "2") == 0
+        assert run("eval-tot", *flags, "--awardees", str(awardees), "--pct", "1", "--t2", "2") == 0
+        for name, first in (("metrics.csv", "a,b"), ("venues.csv", venue), ("tot_cases.csv", "a,b")):
+            with open(tmp_path / "run" / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), name
+            assert rows[0][0] == first
 
 
 class TestSynthCommand:

@@ -1,16 +1,21 @@
 """Ingest hygiene rules, snapshots, and corpus invariants."""
 
+import hashlib
 from graphlib import TopologicalSorter
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from idtree.corpus import (
     CitationCorpus,
+    CorpusError,
     PaperRecord,
     UnknownPaperError,
+    _edges_on_cycles,
     file_digest,
     ingest,
     ingest_files,
@@ -113,23 +118,11 @@ class TestIngestRules:
         assert corpus.n_edges == 1
 
     def test_isolated_papers_dropped_to_fixed_point(self):
-        # 'both' keeps any linked paper; metadata-only papers go.
+        # any linked paper stays; metadata-only papers go.
         recs = _recs(a=2000, b=2001, c=2002, lone=1999)
         corpus, report = ingest([("b", "a"), ("c", "b")], recs)
         assert report.dropped_isolated == 1
         assert "lone" not in corpus
-
-    def test_either_policy_cascades(self):
-        # Chain a <- b <- c: dropping 'a' (no references) strands b, then c.
-        recs = _recs(a=2000, b=2001, c=2002)
-        corpus, report = ingest([("b", "a"), ("c", "b")], recs, isolated_policy="either")
-        assert report.papers_kept == 0
-        assert report.dropped_isolated == 3
-        assert len(corpus) == 0
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ingest([], [], isolated_policy="sometimes")
 
 
 class TestCorpusQueries:
@@ -163,6 +156,15 @@ class TestCorpusQueries:
             CitationCorpus(recs, [("b", "a"), ("b", "a")])  # duplicate
         with pytest.raises(Exception):
             CitationCorpus(recs, [("b", "ghost")])  # unknown
+
+    def test_constructor_rejects_same_year_cycle(self):
+        # u and v cite each other and P: ingest would drop the pair, the
+        # constructor refuses it rather than fail later in build_idt
+        recs = _recs(P=2000, u=2001, v=2001)
+        with pytest.raises(CorpusError, match="cycle"):
+            CitationCorpus(recs, [("u", "P"), ("v", "P"), ("u", "v"), ("v", "u")])
+        corpus = CitationCorpus(recs, [("u", "P"), ("v", "P"), ("u", "v")])
+        assert corpus.n_edges == 3
 
 
 class TestSnapshots:
@@ -248,9 +250,22 @@ def test_ingest_invariants_hold(stream):
         + report.dropped_forward + report.dropped_cycle + report.dropped_unknown
         + report.malformed_edges
     )
-    # isolated-paper removal can drop further edges beyond the per-rule counts
-    assert accounted >= report.edges_in
+    assert accounted == report.edges_in
     assert report.papers_kept + report.dropped_isolated + report.malformed_papers == report.papers_in
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30))
+def test_edges_on_cycles_matches_strong_components(pairs):
+    # oracle: an edge lies on a cycle iff its two ends share a strongly
+    # connected component
+    edges = sorted({(f"n{u}", f"n{v}") for u, v in pairs if u != v})
+    rows = [int(u[1:]) for u, _ in edges]
+    cols = [int(v[1:]) for _, v in edges]
+    graph = scipy.sparse.coo_matrix(([1] * len(edges), (rows, cols)), shape=(8, 8))
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    expected = {(u, v) for (u, v), i, j in zip(edges, rows, cols) if labels[i] == labels[j]}
+    assert _edges_on_cycles(edges) == expected
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -324,6 +339,16 @@ class TestCache:
         assert loaded is not None
         assert loaded.paper_ids == toy.paper_ids
         assert list(loaded.edges()) == list(toy.edges())
+
+    def test_file_digest_streams_the_concatenation(self, tmp_path):
+        # blocks of 1 MiB: a file larger than one block, an empty one, a small one
+        parts = [bytes(range(256)) * 5000, b"", b"b\ta\n"]
+        paths = []
+        for i, data in enumerate(parts):
+            paths.append(tmp_path / f"f{i}")
+            paths[-1].write_bytes(data)
+        expected = hashlib.sha256(b"".join(data + b"\x00" for data in parts)).hexdigest()
+        assert file_digest(*paths) == expected
 
     def test_stale_or_missing_cache_returns_none(self, tmp_path, toy):
         cache = tmp_path / "corpus.cache"

@@ -95,16 +95,6 @@ class TestKendall:
         with pytest.raises(ValueError):
             kendall_tau_distance(["a", "a"], ["a", "a"])
 
-    def test_discard_ties_mode(self):
-        a = RankedList.from_scores({"x": 3.0, "y": 3.0, "z": 1.0}, "desc")
-        b = RankedList.from_scores({"x": 1.0, "y": 2.0, "z": 3.0}, "desc")
-        # (x, y) tied in a -> discarded; (x, z) and (y, z) both discordant
-        assert kendall_tau_distance(a, b, tie_mode="discard-ties") == 1.0
-        with pytest.raises(ValueError):
-            kendall_tau_distance(["a", "b"], ["a", "b"], tie_mode="discard-ties")
-        with pytest.raises(ValueError):
-            kendall_tau_distance(a, b, tie_mode="half")
-
 
 class TestRankedList:
     def test_orders_and_breaks_ties_by_id(self):

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from idtree.corpus import CorpusError
 from idtree.metrics import (
     corpus_metrics,
-    divergence_value,
-    ideal_idi,
     idi,
     idi_max,
     idi_min,
@@ -96,7 +94,7 @@ class TestBounds:
             assert idi_max(n) >= idi_min(n) == n
             assert (idi_max(n) == idi_min(n)) == (n <= 2)
 
-    @pytest.mark.parametrize("fn", [idi_min, idi_max, ideal_idi, optimal_shape])
+    @pytest.mark.parametrize("fn", [idi_min, idi_max, optimal_shape])
     def test_domain_errors(self, fn):
         for bad in (0, -1):
             with pytest.raises(ValueError):
@@ -137,13 +135,14 @@ class TestOptimalShape:
 
 class TestIdealIdi:
     def test_returns_n(self):
-        assert ideal_idi(5) == 5
-        assert ideal_idi(1) == 1
+        # wherever the ideal layout exists, its IDI is the lower bound n
+        for n in [1] + list(range(3, 60)):
+            assert idi(ideal_tree(n)) == idi_min(n) == n
 
     def test_constructed_ideal_trees_attain_it(self):
         for n in (9, 16):
             tree = ideal_tree(n)
-            assert idi(tree) == ideal_idi(n) == n
+            assert idi(tree) == idi_min(n) == n
             assert nid(tree) == 0.0
 
 
@@ -180,7 +179,7 @@ class TestDivergence:
         for _ in range(200):
             n = int(rng.integers(1, 40))
             tree = random_tree(n, rng)
-            assert divergence_value(n, idi(tree)) >= 0
+            assert influence_divergence(tree) == idi(tree) - n >= 0
 
 
 class TestReconfigurationInvariance:
@@ -223,13 +222,20 @@ class TestReconfigurationInvariance:
 
 
 class TestReports:
-    def test_toy_report_row(self, toy):
+    def test_toy_report_row(self, toy, tmp_path):
         report = paper_metrics(toy, "P", tie="random", seed=1)
-        assert report.csv_row() == "P,5,3,2,5,5,9,0,0.0"
-        assert report.to_dict() == {
-            "paper_id": "P", "n": 5, "d": 3, "b": 2,
-            "idi": 5, "idi_min": 5, "idi_max": 9, "id": 0, "nid": 0.0,
-        }
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv([report], path)
+        assert path.read_bytes() == b"paper_id,n,d,b,idi,idi_min,idi_max,id,nid\nP,5,3,2,5,5,9,0,0.0\n"
+
+    def test_tie_generator_made_only_on_a_tie(self, toy, monkeypatch):
+        # of the toy's cited papers only P has a depth tie (p4 under p1 or p2)
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(seed) or default_rng(seed))
+        reports = corpus_metrics(toy, tie="random", seed=1)
+        assert len(reports) == 4
+        assert made == [[1, *b"P"]]
 
     def test_uncited_paper_returns_none(self, toy):
         assert paper_metrics(toy.snapshot(2000), "P") is None
