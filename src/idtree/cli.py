@@ -115,7 +115,7 @@ def cmd_metrics(args) -> int:
     errors: list[tuple[str, str]] = []
     if args.ids:
         requested = []
-        for pid in args.ids.split(","):
+        for pid in next(csv.reader([args.ids], skipinitialspace=True)):
             pid = pid.strip()
             if not pid:
                 continue
@@ -261,7 +261,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("metrics", help="per-paper tree metrics CSV")
     add_corpus_flags(p)
     add_tree_flags(p)
-    p.add_argument("--ids", help="comma-separated paper ids (default: all)")
+    p.add_argument("--ids", help='comma-separated paper ids; quote one holding a comma: \'"a,b",c\' (default: all)')
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_metrics)
 

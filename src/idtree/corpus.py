@@ -29,7 +29,7 @@ import pickle
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class CorpusError(Exception):
@@ -84,52 +84,35 @@ class IngestReport:
 class CitationCorpus:
     """Immutable deduplicated citation DAG over a set of papers.
 
-    Edges are (citing_id, cited_id) pairs.  Construction assumes the edge
-    list is already clean (use `ingest` for raw streams); endpoints must
-    exist, citing papers may not predate the papers they cite, and no
-    citation cycle may run within one year.
+    Edges are (citing_id, cited_id) pairs.  The constructor applies rules 1-6
+    of `ingest` and raises `CorpusError`, naming each nonzero counter, on
+    anything `ingest` would drop; papers without edges are allowed.
     """
 
     __slots__ = ("_records", "_citers", "_citer_years", "_refs", "_ids", "_n_edges")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
-        recs: dict[str, PaperRecord] = {}
-        for rec in records:
-            if rec.id in recs:
-                raise CorpusError(f"duplicate paper id: {rec.id!r}")
-            recs[rec.id] = rec
+        recs, kept, report = _screen(records, edges)
+        dirty = [f"{k}={v}" for k, v in report.to_dict().items()
+                 if v and k.startswith(("dropped_", "malformed_"))]
+        if dirty:
+            raise CorpusError(f"corpus input is not clean ({', '.join(dirty)}); use ingest")
+        self._index(recs, kept)
+
+    def _index(self, recs: dict[str, PaperRecord], edges: list[tuple[str, str]]) -> None:
         citers: dict[str, list[str]] = {pid: [] for pid in recs}
-        refs: dict[str, set[str]] = {pid: set() for pid in recs}
-        n_edges = 0
-        same_year: list[tuple[str, str]] = []
+        refs: dict[str, list[str]] = {pid: [] for pid in recs}
         for citing, cited in edges:
-            if citing not in recs or cited not in recs:
-                raise CorpusError(f"edge ({citing!r}, {cited!r}) references unknown paper")
-            if citing == cited:
-                raise CorpusError(f"self-citation: {citing!r}")
-            citing_year, cited_year = recs[citing].year, recs[cited].year
-            if citing_year < cited_year:
-                raise CorpusError(f"forward citation: {citing!r} -> {cited!r}")
-            if citing_year == cited_year:
-                same_year.append((citing, cited))
-            if cited in refs[citing]:
-                raise CorpusError(f"duplicate edge ({citing!r}, {cited!r})")
-            refs[citing].add(cited)
+            refs[citing].append(cited)
             citers[cited].append(citing)
-            n_edges += 1
-        cyclic = _edges_on_cycles(same_year) if same_year else set()
-        if cyclic:
-            raise CorpusError(f"same-year citation cycle through edge {min(cyclic)!r}")
         self._records = recs
         self._refs = {pid: frozenset(rs) for pid, rs in refs.items()}
         self._ids = tuple(sorted(recs))
-        self._n_edges = n_edges
-        self._citers = {}
-        self._citer_years = {}
-        for pid, lst in citers.items():
+        self._n_edges = len(edges)
+        for lst in citers.values():
             lst.sort(key=lambda c: (recs[c].year, c))
-            self._citers[pid] = tuple(lst)
-            self._citer_years[pid] = tuple(recs[c].year for c in lst)
+        self._citers = {pid: tuple(lst) for pid, lst in citers.items()}
+        self._citer_years = {pid: tuple(recs[c].year for c in lst) for pid, lst in citers.items()}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -247,7 +230,7 @@ class CorpusSnapshot:
 def _coerce_record(item) -> PaperRecord | None:
     if isinstance(item, PaperRecord):
         pid, year, venue = item.id, item.year, item.venue
-    elif isinstance(item, Mapping):
+    elif isinstance(item, dict):
         pid, year, venue = item.get("id"), item.get("year"), item.get("venue")
     else:
         return None
@@ -261,7 +244,7 @@ def _coerce_record(item) -> PaperRecord | None:
 
 
 def _coerce_edge(item) -> tuple[str, str] | None:
-    if not isinstance(item, Sequence) or isinstance(item, str) or len(item) != 2:
+    if not isinstance(item, (tuple, list)) or len(item) != 2:
         return None
     citing, cited = item
     if not isinstance(citing, str) or not isinstance(cited, str) or not citing or not cited:
@@ -327,13 +310,11 @@ def _edges_on_cycles(edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
     return {(u, v) for u, v in edges if comp[u] == comp[v] and comp_size[comp[u]] > 1}
 
 
-def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestReport]:
-    """Build a clean corpus from raw edge and metadata streams.
+def _screen(records: Iterable, edges: Iterable) -> tuple[dict[str, PaperRecord], list[tuple[str, str]], IngestReport]:
+    """Rules 1-6: the records by id, the edges that pass, and their counters.
 
-    `records` yields `PaperRecord`s or dicts with ``id``/``year``/``venue``
-    keys; `edges` yields (citing_id, cited_id) pairs.  Malformed items and
-    edges touching papers without metadata are rejected and counted, never
-    fatal.
+    Kept edges hold the records' own id strings, so a corpus built from them
+    keeps one string per paper.
     """
     report = IngestReport()
 
@@ -362,25 +343,38 @@ def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestRe
             report.dropped_dup += 1
             continue
         seen.add(edge)
-        if citing not in recs or cited not in recs:
+        citing_rec, cited_rec = recs.get(citing), recs.get(cited)
+        if citing_rec is None or cited_rec is None:
             report.dropped_unknown += 1
             continue
-        if recs[citing].year < recs[cited].year:
+        if citing_rec.year < cited_rec.year:
             report.dropped_forward += 1
             continue
-        kept.append(edge)
+        kept.append((citing_rec.id, cited_rec.id))
 
     same_year = [(u, v) for u, v in kept if recs[u].year == recs[v].year]
     cyclic = _edges_on_cycles(same_year) if same_year else set()
     if cyclic:
         report.dropped_cycle = len(cyclic)
         kept = [e for e in kept if e not in cyclic]
+    return recs, kept, report
 
+
+def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestReport]:
+    """Build a clean corpus from raw edge and metadata streams.
+
+    `records` yields `PaperRecord`s or dicts with ``id``/``year``/``venue``
+    keys; `edges` yields (citing_id, cited_id) pairs.  Malformed items and
+    edges touching papers without metadata are rejected and counted, never
+    fatal.
+    """
+    recs, kept, report = _screen(records, edges)
     linked = {p for edge in kept for p in edge}
     report.dropped_isolated = len(recs) - len(linked)
     report.papers_kept = len(linked)
     report.edges_kept = len(kept)
-    corpus = CitationCorpus((recs[p] for p in sorted(linked)), kept)
+    corpus = CitationCorpus.__new__(CitationCorpus)
+    corpus._index({p: recs[p] for p in sorted(linked)}, kept)
     return corpus, report
 
 
@@ -447,7 +441,7 @@ def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 def file_digest(*paths) -> str:
@@ -462,18 +456,18 @@ def file_digest(*paths) -> str:
 
 
 def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
-    payload = {
-        "format": CACHE_FORMAT,
-        "source_hash": source_hash,
-        "records": [(r.id, r.year, r.venue) for r in (corpus.record(p) for p in corpus.paper_ids)],
-        "edges": list(corpus.edges()),
-    }
+    """Pickle the built corpus with the digest of the files it came from."""
+    payload = {"format": CACHE_FORMAT, "source_hash": source_hash, "corpus": corpus}
     with open(path, "wb") as fh:
         pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
-    """Load a cached corpus; returns None when missing, stale, or unreadable."""
+    """Load a cached corpus; returns None when missing, stale, or unreadable.
+
+    The corpus comes back as it was saved, without a second screening: like
+    any pickle, the file is trusted to hold what `save_cache` wrote.
+    """
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
@@ -483,5 +477,5 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
         return None
     if expect_hash is not None and payload.get("source_hash") != expect_hash:
         return None
-    records = (PaperRecord(pid, year, venue) for pid, year, venue in payload["records"])
-    return CitationCorpus(records, payload["edges"])
+    corpus = payload.get("corpus")
+    return corpus if isinstance(corpus, CitationCorpus) else None

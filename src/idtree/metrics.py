@@ -130,7 +130,7 @@ def paper_metrics(
 _CTX: tuple | None = None
 
 
-def _set_ctx(ctx: tuple) -> None:
+def _set_ctx(ctx: tuple | None) -> None:
     global _CTX
     _CTX = ctx
 
@@ -144,15 +144,19 @@ def parallel_map(fn, items: list, jobs: int, ctx: tuple) -> list:
     """`[fn(ctx, item) for item in items]`, spread over `jobs` processes.
 
     `ctx` reaches the workers once, through a module global (inherited on
-    `fork`), not once per item.  Small inputs run serially.  The result
-    order is the item order, so it matches a serial run.
+    `fork`), not once per item, and is released on return.  Small inputs
+    run serially.  The result order is the item order, so it matches a
+    serial run.
     """
     _set_ctx((fn, ctx))
-    if jobs <= 1 or len(items) < 2 * jobs:
-        return [_call(item) for item in items]
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    with mp.get_context(method).Pool(jobs, initializer=_set_ctx, initargs=((fn, ctx),)) as pool:
-        return pool.map(_call, items)
+    try:
+        if jobs <= 1 or len(items) < 2 * jobs:
+            return [_call(item) for item in items]
+        method = "fork" if "fork" in mp.get_all_start_methods() else None
+        with mp.get_context(method).Pool(jobs, initializer=_set_ctx, initargs=((fn, ctx),)) as pool:
+            return pool.map(_call, items)
+    finally:
+        _set_ctx(None)
 
 
 def _score(ctx: tuple, paper_id: str) -> MetricsReport | None:

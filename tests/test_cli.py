@@ -146,6 +146,20 @@ class TestMetrics:
         errors = (out / "metrics_errors.csv").read_text().splitlines()
         assert errors[1] == "ghost,unknown paper id"
 
+    @pytest.mark.parametrize("ids", ['"a,b",c', 'c, "a,b"'])
+    def test_quoted_id_with_comma(self, tmp_path, ids):
+        # the cited id holds a comma; CSV quoting keeps it one id
+        edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+        edges.write_text("c\ta,b\n", encoding="utf-8")
+        meta.write_text('{"id": "a,b", "year": 2000}\n{"id": "c", "year": 2001}\n', encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("metrics", "--edges", str(edges), "--meta", str(meta),
+                   "--out", str(out), "--ids", ids) == 0
+        with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["a,b"]
+        assert not (out / "metrics_errors.csv").exists()
+
     def test_deterministic_and_parallel_identical(self, tmp_path):
         out_fixture = tmp_path / "fx"
         assert run("synth", "--kind", "random", "--n-papers", "2000",

@@ -1,6 +1,7 @@
 """Ingest hygiene rules, snapshots, and corpus invariants."""
 
 import hashlib
+import pickle
 from graphlib import TopologicalSorter
 
 import numpy as np
@@ -109,12 +110,13 @@ class TestIngestRules:
             {"id": "d", "year": "2000"},       # year not an int
             "not a record",
         ]
-        edges = [("b", "a"), ("b",), ("b", "a", "x"), ("", "a"), 17]
+        edges = [("b", "a"), ("b",), ("b", "a", "x"), ("", "a"), 17, "ba", ["b", "a"]]
         corpus, report = ingest(edges, records)
         assert report.malformed_papers == 5
-        assert report.malformed_edges == 4
+        assert report.malformed_edges == 5
+        assert report.dropped_dup == 1  # the list edge is read as ("b", "a")
         assert report.papers_in == 7
-        assert report.edges_in == 5
+        assert report.edges_in == 7
         assert corpus.n_edges == 1
 
     def test_isolated_papers_dropped_to_fixed_point(self):
@@ -148,14 +150,18 @@ class TestCorpusQueries:
             naive = sorted(c for c, cited in edge_list if cited == pid)
             assert sorted(corpus.citations_of(pid)) == naive
 
-    def test_constructor_rejects_dirty_edges(self):
-        recs = _recs(a=2000, b=2001)
-        with pytest.raises(Exception):
-            CitationCorpus(recs, [("a", "b")])  # forward
-        with pytest.raises(Exception):
-            CitationCorpus(recs, [("b", "a"), ("b", "a")])  # duplicate
-        with pytest.raises(Exception):
-            CitationCorpus(recs, [("b", "ghost")])  # unknown
+    @pytest.mark.parametrize("extra_recs, edges, counter", [
+        ([PaperRecord("a", 2003)], [("b", "a")], "malformed_papers=1"),  # duplicate id
+        ([], [("b", "b")], "dropped_self=1"),
+        ([], [("b", "a"), ("b", "a")], "dropped_dup=1"),
+        ([], [("b", "ghost")], "dropped_unknown=1"),
+        ([], [("a", "b")], "dropped_forward=1"),
+        ([PaperRecord("c", 2001)], [("b", "c"), ("c", "b")], "dropped_cycle=2"),
+    ], ids=["duplicate-id", "self", "duplicate", "unknown", "forward", "cycle"])
+    def test_constructor_rejects_dirty_edges(self, extra_recs, edges, counter):
+        # the constructor refuses exactly what ingest would drop, by counter
+        with pytest.raises(CorpusError, match=counter):
+            CitationCorpus(_recs(a=2000, b=2001) + extra_recs, edges)
 
     def test_constructor_rejects_same_year_cycle(self):
         # u and v cite each other and P: ingest would drop the pair, the
@@ -339,6 +345,11 @@ class TestCache:
         assert loaded is not None
         assert loaded.paper_ids == toy.paper_ids
         assert list(loaded.edges()) == list(toy.edges())
+        assert loaded.n_edges == toy.n_edges
+        for pid in toy.paper_ids:
+            assert loaded.record(pid) == toy.record(pid)
+            assert loaded.citations_of(pid) == toy.citations_of(pid)
+            assert loaded.references_of(pid) == toy.references_of(pid)
 
     def test_file_digest_streams_the_concatenation(self, tmp_path):
         # blocks of 1 MiB: a file larger than one block, an empty one, a small one
@@ -356,4 +367,17 @@ class TestCache:
         save_cache(toy, cache, source_hash="aaa")
         assert load_cache(cache, expect_hash="bbb") is None
         cache.write_bytes(b"garbage")
+        assert load_cache(cache) is None
+
+    def test_format_1_cache_reads_as_stale(self, tmp_path, toy):
+        # format 1 held records and edges to rebuild from; it is re-ingested
+        cache = tmp_path / "corpus.cache"
+        payload = {
+            "format": 1,
+            "source_hash": "aaa",
+            "records": [(r.id, r.year, r.venue) for r in map(toy.record, toy.paper_ids)],
+            "edges": list(toy.edges()),
+        }
+        cache.write_bytes(pickle.dumps(payload))
+        assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None

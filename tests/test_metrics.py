@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtree import metrics as metrics_mod
 from idtree.corpus import CorpusError
 from idtree.metrics import (
     corpus_metrics,
@@ -243,6 +244,11 @@ class TestReports:
     def test_corpus_metrics_sorted_and_filtered(self, toy):
         reports = corpus_metrics(toy)
         assert [r.paper_id for r in reports] == ["P", "p1", "p2", "p3"]
+
+    def test_context_released_after_run(self, toy):
+        # the pool context holds the corpus; kept, two corpora would live at once
+        corpus_metrics(toy)
+        assert metrics_mod._CTX is None
 
     def test_parallel_matches_serial(self, tmp_path):
         corpus = gen_random_corpus(800, years=(1990, 2010), seed=5)
