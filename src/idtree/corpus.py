@@ -89,7 +89,7 @@ class CitationCorpus:
     anything `ingest` would drop; papers without edges are allowed.
     """
 
-    __slots__ = ("_records", "_citers", "_citer_years", "_refs", "_ids", "_n_edges")
+    __slots__ = ("_records", "_citers", "_citer_years", "_refs", "_ids", "_n_edges", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
         recs, kept, report = _screen(records, edges)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +27,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CitationCorpus, write_csv
-from .metrics import MetricsReport, corpus_metrics, paper_metrics, parallel_map
+# `paper_metrics` is not called here, but bench/tracer.py wraps this module's
+# name for it, so it stays imported.
+from .metrics import MetricsReport, corpus_metrics, paper_metrics, parallel_map, snapshot_nid  # noqa: F401
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -80,28 +83,14 @@ def _ranked_ids(ranking) -> tuple[str, ...]:
 
 
 def _count_inversions(seq: Sequence[int]) -> int:
-    def sort(lst: list[int]) -> tuple[list[int], int]:
-        if len(lst) <= 1:
-            return lst, 0
-        mid = len(lst) // 2
-        left, inv_l = sort(lst[:mid])
-        right, inv_r = sort(lst[mid:])
-        merged: list[int] = []
-        inv = inv_l + inv_r
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
-
-    return sort(list(seq))[1]
+    """Pairs i < j with seq[i] > seq[j]: each item counts the larger ones seen before it."""
+    seen: list[int] = []
+    inversions = 0
+    for x in seq:
+        i = bisect_right(seen, x)
+        inversions += len(seen) - i
+        seen.insert(i, x)
+    return inversions
 
 
 def kendall_tau_distance(a, b) -> float:
@@ -150,14 +139,13 @@ def rank_by_measure(
     scores: dict[str, float] = {}
     excluded: list[str] = []
     for pid in sorted(set(paper_ids)):
-        if view.citation_count(pid) == 0:
+        n = view.citation_count(pid)
+        if n == 0:
             excluded.append(pid)
-            continue
-        if measure == "citations":
-            scores[pid] = float(view.citation_count(pid))
+        elif measure == "citations":
+            scores[pid] = float(n)
         else:
-            report = paper_metrics(view, pid, tie=tie, seed=seed)
-            scores[pid] = report.nid
+            scores[pid] = snapshot_nid(view, pid, n, tie=tie, seed=seed)
     direction = "desc" if measure == "citations" else "asc"
     return RankedList.from_scores(scores, direction), excluded
 
@@ -399,9 +387,7 @@ def tot_experiment(
         if pid not in competitors:
             competitors.append(pid)
         ranked_cite = RankedList.from_scores({p: float(counts[p]) for p in competitors}, "desc")
-        nid_scores = {
-            p: paper_metrics(snap, p, tie=tie, seed=seed).nid for p in competitors
-        }
+        nid_scores = {p: snapshot_nid(snap, p, counts[p], tie=tie, seed=seed) for p in competitors}
         ranked_nid = RankedList.from_scores(nid_scores, "asc")
         cases.append(
             ToTCase(

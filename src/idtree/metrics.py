@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,44 @@ class MetricsReport:
     nid: float
 
 
+def _build_tree(idg, tie: str, seed: int) -> InfluenceTree:
+    # Stable per-paper seed, identical across runs, orders and processes;
+    # build_idt only turns it into a generator on the first real tie.
+    rng = [seed, *idg.root.encode("utf-8")] if tie == "random" else None
+    return build_idt(idg, tie=tie, rng=rng)
+
+
+def _sweep(tree: InfluenceTree) -> tuple[list[int], list[int]]:
+    """IDI after each citer is attached, and the citer count of each level.
+
+    `tree.parent` must be in build order, as `build_idt` makes it.  A citer
+    v hung under a node without children yet (a leaf, or the root before
+    its first child) adds 1 to the IDI: v takes over its parent's branch.
+    Under a node that already has children, v starts a new branch and adds
+    depth[v].
+    """
+    prefix: list[int] = []
+    levels: list[int] = []
+    parents: set[str] = set()
+    value = 0
+    for v, p in tree.parent.items():
+        d = tree.depth[v]
+        if d > len(levels):
+            levels.append(0)
+        levels[d - 1] += 1
+        value += d if p in parents else 1
+        parents.add(p)
+        prefix.append(value)
+    return prefix, levels
+
+
+def _checked_max(n: int, value: int) -> int:
+    hi = idi_max(n)
+    if not n <= value <= hi:
+        raise AssertionError(f"IDI {value} outside bounds for n={n}")
+    return hi
+
+
 def paper_metrics(
     view,
     paper_id: str,
@@ -113,18 +152,33 @@ def paper_metrics(
     n = idg.n
     if n == 0:
         return None
-    # Stable per-paper seed, identical across runs, orders and processes;
-    # build_idt only turns it into a generator on the first real tie.
-    rng = [seed, *paper_id.encode("utf-8")] if tie == "random" else None
-    tree = build_idt(idg, tie=tie, rng=rng)
-    depths = [tree.depth[v] for v in tree.parent]
-    d = max(depths)
-    b = max(np.bincount(depths)[1:])
-    value = idi(tree)
-    hi = idi_max(n)
-    if not n <= value <= hi:
-        raise AssertionError(f"IDI {value} outside bounds for n={n}")
-    return MetricsReport(paper_id, n, int(d), int(b), value, n, hi, value - n, _nid(n, value, hi))
+    prefix, levels = _sweep(_build_tree(idg, tie, seed))
+    value = prefix[-1]
+    hi = _checked_max(n, value)
+    return MetricsReport(paper_id, n, len(levels), max(levels), value, n, hi, value - n, _nid(n, value, hi))
+
+
+# corpus -> (tie, seed) -> paper id -> IDI after each citer of its full tree.
+# Weakly keyed, so an entry goes with its corpus and never into its pickle.
+_TIMELINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def snapshot_nid(view, paper_id: str, n: int, *, tie: str = "min-id", seed: int = 0) -> float:
+    """NID of `paper_id` in a corpus or snapshot view where it has `n` >= 1 citers.
+
+    The paper's tree in a snapshot is its full tree cut to the first n
+    citers under either tie policy: citers are attached in (year, id) order
+    and never cite a later year, and tie draws come in the same order.  So
+    each paper's full tree is built once per corpus, and a snapshot's IDI
+    is its running IDI after n citers.
+    """
+    base = getattr(view, "base", view)
+    papers = _TIMELINES.setdefault(base, {}).setdefault((tie, seed), {})
+    prefix = papers.get(paper_id)
+    if prefix is None:
+        prefix = papers[paper_id] = tuple(_sweep(_build_tree(build_idg(base, paper_id), tie, seed))[0])
+    value = prefix[n - 1]
+    return _nid(n, value, _checked_max(n, value))
 
 
 _CTX: tuple | None = None

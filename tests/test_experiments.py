@@ -57,7 +57,7 @@ class TestKendall:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            m = int(rng.integers(2, 33))
+            m = int(rng.integers(2, 201))
             items = [f"e{i}" for i in range(m)]
             a = list(rng.permutation(items))
             b = list(rng.permutation(items))
@@ -238,6 +238,35 @@ class TestFractionalGain:
     def test_bad_horizons(self, toy):
         with pytest.raises(ValueError):
             fractional_gain_list(["P"], toy, 2000, 10, 5)
+
+
+class TestTimelineMemo:
+    def test_random_ties_same_cold_warm_fresh_and_parallel(self, monkeypatch):
+        def make():
+            return gen_random_corpus(1500, years=(1990, 2005), mean_refs=3, followup=0.5, seed=13)
+
+        corpus = make()
+        awardees = [
+            (max(members, key=lambda p: (corpus.citation_count(p), p)), venue, year)
+            for (venue, year), members in sorted(venue_groups(corpus).items())
+            if year <= 1995
+        ]
+
+        def run(c, jobs=1):
+            return (
+                z_experiment(c, (1992, 1998), 2, 6, tie="random", seed=5, jobs=jobs),
+                tot_experiment(c, awardees, pct=0.25, horizon=8, tie="random", seed=5),
+            )
+
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(seed) or default_rng(seed))
+        cold = run(corpus)
+        assert made, "no tree of the corpus has a depth tie"
+        assert len(cold[0].venues) > 4 and cold[1].cases
+        assert run(corpus) == cold
+        assert run(make()) == cold
+        assert run(corpus, jobs=2) == cold
 
 
 class TestZExperiment:

@@ -1,5 +1,9 @@
 """IDI, its analytical bounds, and the NID metric."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,7 @@ from idtree.metrics import (
     nid_value,
     optimal_shape,
     paper_metrics,
+    snapshot_nid,
     write_metrics_csv,
 )
 from idtree.synth import (
@@ -259,3 +264,33 @@ class TestReports:
         write_metrics_csv(serial, a)
         write_metrics_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSnapshotTimeline:
+    @pytest.mark.parametrize("tie,seed", [("min-id", 0), ("random", 1), ("random", 2)])
+    @settings(max_examples=12, deadline=None)
+    @given(corpus_seed=st.integers(0, 10_000))
+    def test_prefix_matches_snapshot_rebuild(self, tie, seed, corpus_seed):
+        # a snapshot's tree is the full tree cut after its n-th citer
+        corpus = gen_random_corpus(300, years=(1990, 2002), mean_refs=3, followup=0.5, seed=corpus_seed)
+        for pid in corpus.paper_ids:
+            for year in sorted({corpus.year(c) for c in corpus.citations_of(pid)}):
+                snap = corpus.snapshot(year)
+                expected = paper_metrics(snap, pid, tie=tie, seed=seed).nid
+                assert snapshot_nid(snap, pid, snap.citation_count(pid), tie=tie, seed=seed) == expected
+
+    def test_entry_freed_with_its_corpus_and_never_pickled(self):
+        corpus = gen_random_corpus(300, years=(1990, 2005), seed=4)
+        blob = pickle.dumps(corpus)
+        cited = [p for p in corpus.paper_ids if corpus.citation_count(p)]
+        for pid in cited:
+            snapshot_nid(corpus, pid, corpus.citation_count(pid))
+        assert len(metrics_mod._TIMELINES[corpus][("min-id", 0)]) == len(cited)
+        assert pickle.dumps(corpus) == blob
+        gc.collect()  # so only this corpus can leave the memo below
+        entries = len(metrics_mod._TIMELINES)
+        ref = weakref.ref(corpus)
+        del corpus
+        gc.collect()
+        assert ref() is None
+        assert len(metrics_mod._TIMELINES) == entries - 1
