@@ -114,15 +114,10 @@ def cmd_metrics(args) -> int:
     requested = None
     errors: list[tuple[str, str]] = []
     if args.ids:
-        requested = []
-        for pid in next(csv.reader([args.ids], skipinitialspace=True)):
-            pid = pid.strip()
-            if not pid:
-                continue
-            if corpus.has_paper(pid):
-                requested.append(pid)
-            else:
-                errors.append((pid, "unknown paper id"))
+        # each id once, in id order, whether scored or rejected
+        ids = sorted({pid.strip() for pid in next(csv.reader([args.ids], skipinitialspace=True))} - {""})
+        requested = [pid for pid in ids if corpus.has_paper(pid)]
+        errors = [(pid, "unknown paper id") for pid in ids if not corpus.has_paper(pid)]
     reports = metrics_mod.corpus_metrics(
         corpus, requested, tie=args.tie, seed=args.seed, jobs=args.jobs
     )
@@ -262,13 +257,13 @@ def _build_parser() -> _Parser:
     add_corpus_flags(p)
     add_tree_flags(p)
     p.add_argument("--ids", help='comma-separated paper ids; quote one holding a comma: \'"a,b",c\' (default: all)')
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the work is not split")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("stats", help="corpus-wide distribution statistics")
     add_corpus_flags(p)
     add_tree_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the work is not split")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval-z", help="venue z-score experiment")

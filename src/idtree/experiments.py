@@ -436,7 +436,10 @@ def corpus_stats(
     seed: int = 0,
     jobs: int = 1,
 ) -> StatsReport:
-    """Depth/breadth histograms and metric correlations for a whole corpus."""
+    """Depth/breadth histograms and metric correlations for a whole corpus.
+
+    `jobs` is accepted for compatibility and does not split the work.
+    """
     reports = corpus_metrics(corpus, tie=tie, seed=seed, jobs=jobs)
     n_uncited = len(corpus) - len(reports)
     depth_hist = dict(sorted(Counter(r.depth for r in reports).items()))

@@ -15,11 +15,12 @@ import math
 import multiprocessing as mp
 import weakref
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import CorpusError, write_csv
-from .tree import InfluenceTree, build_idg, build_idt
+from .tree import TIE_POLICIES, InfluenceTree, build_idg, build_idt
 
 CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
 
@@ -213,9 +214,110 @@ def parallel_map(fn, items: list, jobs: int, ctx: tuple) -> list:
         _set_ctx(None)
 
 
-def _score(ctx: tuple, paper_id: str) -> MetricsReport | None:
-    view, tie, seed = ctx
-    return paper_metrics(view, paper_id, tie=tie, seed=seed)
+# Candidate pairs tested at once by the triangle search: bounds its scratch
+# arrays to a few MiB whatever the corpus size.
+_BLOCK = 1 << 17
+
+
+def _segments(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start of each run of equal values in a sorted array."""
+    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+
+
+def _dispersion(view, ids: list[str]):
+    """Min-id dispersion trees of every paper in `ids` (sorted, distinct), at once.
+
+    Returns the cited papers of `ids` in order with their citer count n,
+    depth, breadth, min-id IDI and whether some citer has two or more
+    equally deep candidate parents (the papers whose tree a random tie
+    policy can change).  `paper_metrics` gives the same values per paper.
+
+    Citation edges (v, x) are numbered by the sorted key v * N + x over the
+    papers involved, numbered in id order.  A triangle is a pair of edges
+    (v, P) and (v, u) with (u, P) an edge too: u is then a candidate parent
+    of v in P's tree.  A citer's depth is one more than its deepest
+    candidate's (1 without one), its parent is the smallest-id candidate
+    one level up, and IDI sums the depths of citers nobody picked.
+    """
+    citing: set[str] = set()
+    for pid in ids:
+        citing.update(view.citations_of(pid))
+    extra = citing.difference(ids)
+    nodes = sorted(extra.union(ids)) if extra else ids
+    size = len(nodes)
+    index = {pid: i for i, pid in enumerate(nodes)}
+    wanted = np.zeros(size, bool)
+    wanted[[index[pid] for pid in ids]] = True
+    refs = [view.references_of(v) for v in citing]
+    src = np.repeat(np.array([index[v] for v in citing], np.int64), [len(r) for r in refs])
+    dst = np.fromiter(map(index.get, chain.from_iterable(refs), repeat(-1)), np.int64, len(src))
+    del index, citing, refs
+    keys = np.sort((src * size + dst)[dst >= 0])   # -1: a reference outside the papers involved
+    del src, dst
+
+    first = keys // size * size   # key of (v, 0): v's run of edges starts at or after it
+    dst = (keys - first).astype(np.int32)
+    lo = np.searchsorted(keys, first).astype(np.int32)
+    partners = np.searchsorted(keys, first + size).astype(np.int32) - lo - 1
+    del first
+    # Expand each (v, P) into its pairs with v's other edges (v, u), block
+    # by block; probe for (u, P) by its key.
+    child = np.flatnonzero(wanted[dst] & (partners > 0)).astype(np.int32)
+    counts = partners[child].astype(np.int64)
+    ends = np.cumsum(counts)
+    tri_child, tri_parent = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    start = 0
+    while start < len(child):
+        stop = max(int(np.searchsorted(ends, ends[start] - counts[start] + _BLOCK, "right")), start + 1)
+        k = counts[start:stop]
+        e1 = np.repeat(child[start:stop], k)
+        e2 = lo[e1] + (np.arange(len(e1), dtype=np.int32) - np.repeat((np.cumsum(k) - k).astype(np.int32), k))
+        e2 += e2 >= e1
+        probe = dst[e2].astype(np.int64) * size + dst[e1]
+        pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1).astype(np.int32)
+        hit = keys[pos] == probe
+        tri_child.append(e1[hit])
+        tri_parent.append(pos[hit])
+        start = stop
+    del lo, partners, child, counts, ends
+
+    depth = np.ones(len(keys), np.int32)
+    into = wanted[dst]
+    leaf = into.copy()
+    tied = np.zeros(size, bool)
+    tri_child = np.concatenate(tri_child)   # sorted: blocks go by child edge
+    tri_parent = np.concatenate(tri_parent)
+    if len(tri_child):
+        heads = _segments(tri_child)
+        kids = tri_child[heads]
+        while True:
+            deeper = np.maximum.reduceat(depth[tri_parent], heads) + 1
+            if np.array_equal(deeper, depth[kids]):
+                break
+            depth[kids] = deeper
+        # Candidates one level up: the first (smallest u, so smallest key)
+        # is the parent, and two or more make a tie.
+        up = depth[tri_parent] == depth[tri_child] - 1
+        tri_child, tri_parent = tri_child[up], tri_parent[up]
+        heads = _segments(tri_child)
+        leaf[tri_parent[heads]] = False
+        tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
+
+    paper, level = dst[into], depth[into]
+    n = np.bincount(paper, minlength=size)
+    idi_sum = np.bincount(dst[leaf], weights=depth[leaf], minlength=size).astype(np.int64)  # exact below 2**53
+    deepest = np.zeros(size, np.int64)
+    widest = np.zeros(size, np.int64)
+    if len(paper):
+        # one cell per (paper, level), counted; the stride is the deepest level + 1
+        stride = int(level.max()) + 1
+        cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
+        heads = _segments(cells // stride)
+        owner = cells[heads] // stride
+        deepest[owner] = np.maximum.reduceat(cells % stride, heads)
+        widest[owner] = np.maximum.reduceat(width, heads)
+    rows = np.flatnonzero(wanted & (n > 0))
+    return [nodes[i] for i in rows.tolist()], n[rows], deepest[rows], widest[rows], idi_sum[rows], tied[rows]
 
 
 def corpus_metrics(
@@ -226,14 +328,31 @@ def corpus_metrics(
     seed: int = 0,
     jobs: int = 1,
 ) -> list[MetricsReport]:
-    """Metrics for every paper with at least one citation, sorted by id.
+    """Metrics for every paper with at least one citation, once each, sorted by id.
 
-    With `jobs` > 1 the papers are spread over worker processes; the
-    result matches a serial run.
+    All trees are scored together by `_dispersion`; under ``tie="random"``
+    only the papers with a depth tie are rebuilt one by one through
+    `paper_metrics`, which draws their ties.  `jobs` is accepted for
+    compatibility and does not split the work.
     """
-    ids = sorted(paper_ids) if paper_ids is not None else list(view.paper_ids)
-    reports = parallel_map(_score, ids, jobs, (view, tie, seed))
-    return [report for report in reports if report is not None]
+    if tie not in TIE_POLICIES:
+        raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
+    ids = sorted(set(paper_ids)) if paper_ids is not None else list(view.paper_ids)
+    cited, n, depth, breadth, value, tied = _dispersion(view, ids)
+    hi = (n + 1) ** 2 // 4
+    bad = np.flatnonzero((value < n) | (value > hi))
+    if len(bad):
+        i = bad[0]
+        raise AssertionError(f"IDI {value[i]} outside bounds for n={n[i]}")
+    reports = [
+        MetricsReport(pid, c, d, b, v, c, h, v - c, _nid(c, v, h))
+        for pid, c, d, b, v, h in zip(cited, n.tolist(), depth.tolist(), breadth.tolist(),
+                                      value.tolist(), hi.tolist())
+    ]
+    if tie == "random":
+        for i in np.flatnonzero(tied).tolist():
+            reports[i] = paper_metrics(view, cited[i], tie=tie, seed=seed)
+    return reports
 
 
 def write_metrics_csv(reports, path) -> None:

@@ -146,6 +146,16 @@ class TestMetrics:
         errors = (out / "metrics_errors.csv").read_text().splitlines()
         assert errors[1] == "ghost,unknown paper id"
 
+    def test_repeated_ids_reported_once_in_id_order(self, tmp_path, toy_files):
+        edges, meta = toy_files
+        out = tmp_path / "run"
+        assert run("metrics", "--edges", str(edges), "--meta", str(meta),
+                   "--out", str(out), "--ids", "p1,P,ghost,P,ghost,aaa") == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["P", "p1"]
+        errors = (out / "metrics_errors.csv").read_text().splitlines()[1:]
+        assert errors == ["aaa,unknown paper id", "ghost,unknown paper id"]
+
     @pytest.mark.parametrize("ids", ['"a,b",c', 'c, "a,b"'])
     def test_quoted_id_with_comma(self, tmp_path, ids):
         # the cited id holds a comma; CSV quoting keeps it one id

@@ -1,8 +1,11 @@
 """IDI, its analytical bounds, and the NID metric."""
 
+import dataclasses
 import gc
+import json
 import pickle
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtree import metrics as metrics_mod
-from idtree.corpus import CorpusError
+from idtree.corpus import CitationCorpus, CorpusError, PaperRecord
+from idtree.experiments import z_experiment
 from idtree.metrics import (
     corpus_metrics,
     idi,
@@ -30,6 +34,7 @@ from idtree.synth import (
     enumerate_trees,
     gen_random_corpus,
     ideal_tree,
+    make_z_benchmark,
     random_tree,
     star_tree,
 )
@@ -250,9 +255,9 @@ class TestReports:
         reports = corpus_metrics(toy)
         assert [r.paper_id for r in reports] == ["P", "p1", "p2", "p3"]
 
-    def test_context_released_after_run(self, toy):
+    def test_context_released_after_run(self):
         # the pool context holds the corpus; kept, two corpora would live at once
-        corpus_metrics(toy)
+        assert len(z_experiment(make_z_benchmark(seed=0), jobs=2).venues) >= 4  # enough to fork
         assert metrics_mod._CTX is None
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -264,6 +269,62 @@ class TestReports:
         write_metrics_csv(serial, a)
         write_metrics_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _per_paper(view, ids, tie, seed):
+    reports = (paper_metrics(view, pid, tie=tie, seed=seed) for pid in sorted(set(ids)))
+    return [r for r in reports if r is not None]
+
+
+class TestDispersionKernel:
+    """`corpus_metrics` scores all trees at once; `paper_metrics` is the oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_papers=st.integers(300, 800), corpus_seed=st.integers(0, 10_000), data=st.data())
+    def test_matches_per_paper_trees(self, n_papers, corpus_seed, data):
+        corpus = gen_random_corpus(n_papers, years=(1990, 2005), mean_refs=3, followup=0.5, seed=corpus_seed)
+        subset = data.draw(st.lists(st.sampled_from(corpus.paper_ids), max_size=80))  # repeats allowed
+        snapshot = corpus.snapshot(data.draw(st.integers(1990, 2005)))
+        for view, requested in ((corpus, None), (snapshot, None), (corpus, subset)):
+            ids = view.paper_ids if requested is None else requested
+            for tie, seed in (("min-id", 0), ("random", 1), ("random", 2)):
+                assert corpus_metrics(view, requested, tie=tie, seed=seed) == _per_paper(view, ids, tie, seed)
+            # flagged as tied exactly where the per-paper build draws a tie
+            drawn = []
+            default_rng = np.random.default_rng
+            with mock.patch.object(np.random, "default_rng",
+                                   lambda seed=None: drawn.append(bytes(seed[1:]).decode()) or default_rng(seed)):
+                _per_paper(view, ids, "random", 1)
+            cited, *_, tied = metrics_mod._dispersion(view, sorted(set(ids)))
+            assert sorted(drawn) == [pid for pid, flag in zip(cited, tied.tolist()) if flag]
+
+    def test_requested_papers_all_uncited(self):
+        corpus = gen_random_corpus(300, years=(1990, 2005), seed=4)
+        uncited = [p for p in corpus.paper_ids if not corpus.citation_count(p)]
+        assert uncited
+        assert corpus_metrics(corpus, uncited, tie="random", seed=1) == []
+        assert corpus_metrics(corpus, []) == []
+        assert corpus_metrics(corpus.snapshot(1989)) == []  # a view without papers
+
+    def test_unknown_tie_policy_rejected(self, toy):
+        with pytest.raises(ValueError, match="tie must be one of"):
+            corpus_metrics(toy, tie="max-id")
+
+    def test_isolated_papers(self, toy):
+        records = [toy.record(p) for p in toy.paper_ids] + [PaperRecord(p, 2001) for p in ("a0", "p35", "zz")]
+        corpus = CitationCorpus(records, toy.edges())
+        for tie in ("min-id", "random"):
+            reports = corpus_metrics(corpus, tie=tie, seed=1)
+            assert reports == _per_paper(corpus, corpus.paper_ids, tie, 1) == corpus_metrics(toy, tie=tie, seed=1)
+
+    @pytest.mark.parametrize("tie", ["min-id", "random"])
+    def test_report_fields_are_plain_values(self, tie):
+        corpus = gen_random_corpus(500, years=(1990, 2005), mean_refs=3, followup=0.5, seed=6)
+        reports = corpus_metrics(corpus, tie=tie, seed=1)
+        assert reports
+        for r in reports:
+            assert [type(v) for v in dataclasses.astuple(r)] == [str, int, int, int, int, int, int, int, float]
+            json.dumps(dataclasses.asdict(r))
 
 
 class TestSnapshotTimeline:
