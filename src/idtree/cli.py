@@ -118,9 +118,7 @@ def cmd_metrics(args) -> int:
         ids = sorted({pid.strip() for pid in next(csv.reader([args.ids], skipinitialspace=True))} - {""})
         requested = [pid for pid in ids if corpus.has_paper(pid)]
         errors = [(pid, "unknown paper id") for pid in ids if not corpus.has_paper(pid)]
-    reports = metrics_mod.corpus_metrics(
-        corpus, requested, tie=args.tie, seed=args.seed, jobs=args.jobs
-    )
+    reports = metrics_mod.corpus_metrics(corpus, requested, tie=args.tie, seed=args.seed)
     metrics_mod.write_metrics_csv(reports, out / "metrics.csv")
     if errors:
         corpus_mod.write_csv(out / "metrics_errors.csv", ("paper_id", "error"), errors)
@@ -133,7 +131,7 @@ def cmd_stats(args) -> int:
     out = _out_dir(args)
     corpus, _ = _ingest_with_cache(args, out)
     _require_corpus_nonempty(corpus)
-    stats = exp.corpus_stats(corpus, tie=args.tie, seed=args.seed, jobs=args.jobs)
+    stats = exp.corpus_stats(corpus, tie=args.tie, seed=args.seed)
     exp.write_histogram_csv(stats.depth_hist, out / "depth_hist.csv", "depth")
     exp.write_histogram_csv(stats.breadth_hist, out / "breadth_hist.csv", "breadth")
     exp.write_scatter_csv(stats.reports, out / "scatter.csv")
@@ -154,8 +152,7 @@ def cmd_eval_z(args) -> int:
     corpus, _ = _ingest_with_cache(args, out)
     _require_corpus_nonempty(corpus)
     report = exp.z_experiment(
-        corpus, args.years, args.t1, args.t2,
-        tie=args.tie, seed=args.seed, gain_mode=args.gain, jobs=args.jobs,
+        corpus, args.years, args.t1, args.t2, tie=args.tie, seed=args.seed, gain_mode=args.gain
     )
     exp.write_venues_csv(report, out / "venues.csv")
     exp.write_summary_json(report.to_summary_dict(), out / "z_summary.json")
@@ -257,13 +254,11 @@ def _build_parser() -> _Parser:
     add_corpus_flags(p)
     add_tree_flags(p)
     p.add_argument("--ids", help='comma-separated paper ids; quote one holding a comma: \'"a,b",c\' (default: all)')
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the work is not split")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("stats", help="corpus-wide distribution statistics")
     add_corpus_flags(p)
     add_tree_flags(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the work is not split")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("eval-z", help="venue z-score experiment")
@@ -275,7 +270,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t2", type=int, default=10, help="gain horizon in years")
     p.add_argument("--gain", choices=["fractional", "absolute"], default="fractional",
                    help="citation gain scoring mode")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (one venue each)")
     p.set_defaults(func=cmd_eval_z)
 
     p = sub.add_parser("eval-tot", help="award ranking experiment")
@@ -315,15 +309,14 @@ def main(argv=None) -> int:
         if getattr(args, "t1", None) is not None and getattr(args, "t2", None) is not None:
             if args.t1 >= args.t2:
                 raise UsageError(f"--t1 must be smaller than --t2 (got {args.t1} >= {args.t2})")
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("--jobs must be >= 1")
         return args.func(args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except (CorpusError, OSError) as err:
+    except (CorpusError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as err:
+        # the library rejects out-of-range flag values with ValueError
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

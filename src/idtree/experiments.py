@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import CitationCorpus, write_csv
 # `paper_metrics` is not called here, but bench/tracer.py wraps this module's
 # name for it, so it stays imported.
-from .metrics import MetricsReport, corpus_metrics, paper_metrics, parallel_map, snapshot_nid  # noqa: F401
+from .metrics import MetricsReport, corpus_metrics, paper_metrics, snapshot_nid  # noqa: F401
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -246,24 +246,6 @@ def venue_groups(view) -> dict[tuple[str, int], list[str]]:
     return dict(groups)
 
 
-def _venue_z_job(ctx: tuple, item: tuple[str, int, list[str]]):
-    venue, year, members = item
-    corpus, t1, t2, tie, seed, gain_mode, min_venue_size = ctx
-    snap1 = corpus.snapshot(year + t1)
-    eligible = [p for p in members if snap1.citation_count(p) > 0]
-    if len(eligible) < min_venue_size:
-        return ("skip", (venue, year, f"only {len(eligible)} papers with citations at t1"))
-    ranked_nid, _ = rank_by_measure(eligible, "nid", snap1, tie=tie, seed=seed)
-    ranked_cite, _ = rank_by_measure(eligible, "citations", snap1, tie=tie, seed=seed)
-    gains, _ = fractional_gain_list(eligible, corpus, year, t1, t2, mode=gain_mode)
-    experiment = VenueExperiment(
-        venue, year, tuple(sorted(eligible)), t1, t2,
-        kendall_tau_distance(ranked_nid, gains),
-        kendall_tau_distance(ranked_cite, gains),
-    )
-    return ("ok", experiment)
-
-
 def z_experiment(
     corpus: CitationCorpus,
     year_range: tuple[int, int] = (1995, 2000),
@@ -273,34 +255,36 @@ def z_experiment(
     tie: str = "min-id",
     seed: int = 0,
     gain_mode: str = "fractional",
-    min_venue_size: int = 2,
-    jobs: int = 1,
 ) -> ZReport:
     """Run the venue z-score experiment over venues published in the range.
 
     For each venue: papers are ranked by NID and by citation count on the
     snapshot t1 years after publication, and each ranking's Kendall
     distance from the (t1, t2] gain ranking becomes that venue's z score.
-    Venues with fewer than `min_venue_size` eligible papers are skipped
-    and reported.  Venues are independent; with `jobs` > 1 they are spread
-    over worker processes and merged back in sorted order.
+    Venues with fewer than two eligible papers are skipped and reported.
     """
+    if t1 < 0:
+        raise ValueError(f"t1 must be >= 0, got {t1}")
     if t1 >= t2:
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
-    items = [
-        (venue, year, members)
-        for (venue, year), members in sorted(venue_groups(corpus).items())
-        if year_range[0] <= year <= year_range[1]
-    ]
-    ctx = (corpus, t1, t2, tie, seed, gain_mode, min_venue_size)
-    outcomes = parallel_map(_venue_z_job, items, jobs, ctx)
     results: list[VenueExperiment] = []
     skipped: list[tuple[str, int, str]] = []
-    for kind, payload in outcomes:
-        if kind == "ok":
-            results.append(payload)
-        else:
-            skipped.append(payload)
+    for (venue, year), members in sorted(venue_groups(corpus).items()):
+        if not year_range[0] <= year <= year_range[1]:
+            continue
+        snap1 = corpus.snapshot(year + t1)
+        eligible = [p for p in members if snap1.citation_count(p) > 0]
+        if len(eligible) < 2:
+            skipped.append((venue, year, f"only {len(eligible)} papers with citations at t1"))
+            continue
+        ranked_nid, _ = rank_by_measure(eligible, "nid", snap1, tie=tie, seed=seed)
+        ranked_cite, _ = rank_by_measure(eligible, "citations", snap1, tie=tie, seed=seed)
+        gains, _ = fractional_gain_list(eligible, corpus, year, t1, t2, mode=gain_mode)
+        results.append(VenueExperiment(
+            venue, year, tuple(sorted(eligible)), t1, t2,
+            kendall_tau_distance(ranked_nid, gains),
+            kendall_tau_distance(ranked_cite, gains),
+        ))
     return ZReport(tuple(results), tuple(skipped), t1, t2)
 
 
@@ -365,6 +349,8 @@ def tot_experiment(
     """
     if not 0 < pct <= 1:
         raise ValueError(f"pct must be in (0, 1], got {pct}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     groups = venue_groups(corpus)
     cases: list[ToTCase] = []
     skipped: list[tuple[str, str]] = []
@@ -434,13 +420,9 @@ def corpus_stats(
     *,
     tie: str = "min-id",
     seed: int = 0,
-    jobs: int = 1,
 ) -> StatsReport:
-    """Depth/breadth histograms and metric correlations for a whole corpus.
-
-    `jobs` is accepted for compatibility and does not split the work.
-    """
-    reports = corpus_metrics(corpus, tie=tie, seed=seed, jobs=jobs)
+    """Depth/breadth histograms and metric correlations for a whole corpus."""
+    reports = corpus_metrics(corpus, tie=tie, seed=seed)
     n_uncited = len(corpus) - len(reports)
     depth_hist = dict(sorted(Counter(r.depth for r in reports).items()))
     breadth_hist = dict(sorted(Counter(r.breadth for r in reports).items()))

@@ -12,7 +12,6 @@ breadth are both ceil(sqrt(n)).
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import weakref
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -182,38 +181,6 @@ def snapshot_nid(view, paper_id: str, n: int, *, tie: str = "min-id", seed: int 
     return _nid(n, value, _checked_max(n, value))
 
 
-_CTX: tuple | None = None
-
-
-def _set_ctx(ctx: tuple | None) -> None:
-    global _CTX
-    _CTX = ctx
-
-
-def _call(item):
-    fn, ctx = _CTX
-    return fn(ctx, item)
-
-
-def parallel_map(fn, items: list, jobs: int, ctx: tuple) -> list:
-    """`[fn(ctx, item) for item in items]`, spread over `jobs` processes.
-
-    `ctx` reaches the workers once, through a module global (inherited on
-    `fork`), not once per item, and is released on return.  Small inputs
-    run serially.  The result order is the item order, so it matches a
-    serial run.
-    """
-    _set_ctx((fn, ctx))
-    try:
-        if jobs <= 1 or len(items) < 2 * jobs:
-            return [_call(item) for item in items]
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        with mp.get_context(method).Pool(jobs, initializer=_set_ctx, initargs=((fn, ctx),)) as pool:
-            return pool.map(_call, items)
-    finally:
-        _set_ctx(None)
-
-
 # Candidate pairs tested at once by the triangle search: bounds its scratch
 # arrays to a few MiB whatever the corpus size.
 _BLOCK = 1 << 17
@@ -332,8 +299,8 @@ def corpus_metrics(
 
     All trees are scored together by `_dispersion`; under ``tie="random"``
     only the papers with a depth tie are rebuilt one by one through
-    `paper_metrics`, which draws their ties.  `jobs` is accepted for
-    compatibility and does not split the work.
+    `paper_metrics`, which draws their ties.  `jobs` is ignored; it stays
+    because ``bench/workloads.py`` times a second round with ``jobs=2``.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")

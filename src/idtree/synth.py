@@ -174,33 +174,30 @@ def make_shape(spec: ShapeSpec) -> InfluenceTree:
     raise ValueError(f"unknown shape kind {spec.kind!r}; expected one of {SHAPE_KINDS}")
 
 
-def corpus_for_tree(
-    tree: InfluenceTree,
-    base_year: int = 2000,
-    venue: str | None = None,
-) -> CitationCorpus:
+def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
     """Minimal corpus that rebuilds exactly this tree.
 
-    Every citer cites the root and (when distinct) its parent, and is dated
-    `base_year` + depth, so parents always precede children and each citer
-    has at most one in-tree candidate: reconstruction is tie-free.
+    The root is dated 2000.  Every citer cites the root and (when distinct)
+    its parent, and is dated 2000 + depth, so parents always precede
+    children and each citer has at most one in-tree candidate:
+    reconstruction is tie-free.  No paper has a venue.
     """
     if not tree.parent:
         raise ValueError("cannot derive a corpus for an empty tree")
-    records = [PaperRecord(tree.root, base_year, venue)]
+    records = [PaperRecord(tree.root, 2000)]
     edges: list[tuple[str, str]] = []
     for v in sorted(tree.parent):
-        records.append(PaperRecord(v, base_year + tree.depth[v], venue))
+        records.append(PaperRecord(v, 2000 + tree.depth[v]))
         edges.append((v, tree.root))
         if tree.parent[v] != tree.root:
             edges.append((v, tree.parent[v]))
     return CitationCorpus(records, edges)
 
 
-def gen_shape(spec: ShapeSpec, base_year: int = 2000, venue: str | None = None) -> tuple[InfluenceTree, CitationCorpus]:
+def gen_shape(spec: ShapeSpec) -> tuple[InfluenceTree, CitationCorpus]:
     """Build a named shape plus a corpus that round-trips to it."""
     tree = make_shape(spec)
-    return tree, corpus_for_tree(tree, base_year, venue)
+    return tree, corpus_for_tree(tree)
 
 
 def toy_corpus() -> CitationCorpus:
@@ -357,7 +354,6 @@ def gen_random_corpus(
     mean_refs: float = 3.0,
     bias: float = 0.0,
     followup: float = 0.0,
-    n_series: int = 20,
     seed: int = 0,
 ) -> CitationCorpus:
     """Random acyclic corpus: papers get uniform years and cite older work.
@@ -379,7 +375,7 @@ def gen_random_corpus(
     width = len(str(n_papers - 1)) if n_papers > 1 else 1
     year_lo, year_hi = years
     paper_years = rng.integers(year_lo, year_hi + 1, size=n_papers)
-    series = rng.integers(0, n_series, size=n_papers)
+    series = rng.integers(0, 20, size=n_papers)   # venue series S000..S019
     ref_counts = rng.poisson(mean_refs, size=n_papers)
     ids = [f"p{i:0{width}d}" for i in range(n_papers)]
     records = [

@@ -20,7 +20,7 @@ import heapq
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -200,23 +200,10 @@ def _topological_order(idg: InfluenceGraph) -> list[str]:
     return order
 
 
-def _validate_order(idg: InfluenceGraph, order: Iterable[str]) -> list[str]:
-    order = list(order)
-    if sorted(order) != sorted(idg.citers):
-        raise ValueError("order must be a permutation of the citer set")
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        for u in idg.cited_within[v]:
-            if pos[u] > pos[v]:
-                raise ValueError(f"order places {v!r} before its cited paper {u!r}")
-    return order
-
-
 def build_idt(
     idg: InfluenceGraph,
     tie: str = "min-id",
     rng: np.random.Generator | int | Sequence[int] | None = None,
-    order: Iterable[str] | None = None,
 ) -> InfluenceTree:
     """Build the dispersion tree of an influence graph.
 
@@ -224,18 +211,15 @@ def build_idt(
     beneath the root when it cites none.  `tie` picks among equally deep
     candidates: ``"min-id"`` (deterministic) or ``"random"``, drawing from
     ``np.random.default_rng(rng)``, which is made on the first actual tie
-    so seeded runs stay reproducible.  `order` overrides the default
-    processing order and must place every cited citer before its citing
-    one; any such order yields the same tree under ``"min-id"``.
+    so seeded runs stay reproducible.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     gen: np.random.Generator | None = None
-    sequence = _validate_order(idg, order) if order is not None else _topological_order(idg)
 
     parent: dict[str, str] = {}
     depth: dict[str, int] = {idg.root: 0}
-    for v in sequence:
+    for v in _topological_order(idg):
         cand = idg.cited_within[v]
         if not cand:
             p = idg.root

@@ -14,6 +14,14 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    root = tmp_path_factory.mktemp("planted")
+    for kind in ("planted-z", "planted-tot"):
+        assert run("synth", "--kind", kind, "--out", str(root / kind)) == 0
+    return root
+
+
 @pytest.fixture
 def toy_files(tmp_path):
     out = tmp_path / "toy"
@@ -106,13 +114,41 @@ class TestUsageErrors:
         assert run("metrics", "--edges", str(edges), "--meta", str(meta),
                    "--out", str(tmp_path / "x"), "--tie", "coin") == 1
 
-    def test_bad_jobs(self, toy_files, tmp_path):
-        edges, meta = toy_files
-        assert run("metrics", "--edges", str(edges), "--meta", str(meta),
-                   "--out", str(tmp_path / "x"), "--jobs", "0") == 1
-
     def test_unknown_subcommand(self):
         assert run("flatten") == 1
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval-tot", ["--pct", "0"], "pct must be in (0, 1], got 0.0"),
+        ("eval-tot", ["--pct", "nan"], "pct must be in (0, 1], got nan"),
+        ("eval-tot", ["--t2", "-1"], "horizon must be >= 0, got -1"),
+        ("eval-z", ["--t1", "-3", "--t2", "2"], "t1 must be >= 0, got -3"),
+        ("synth", ["--kind", "ideal", "--n", "2"], "no equal depth/breadth layout exists for n=2"),
+        ("synth", ["--kind", "star", "--n", "0"], "star needs n >= 1"),
+        ("synth", ["--kind", "broom", "--n", "5", "--k", "9"], "broom handle length must be in [0, 4], got 9"),
+        ("synth", ["--kind", "random", "--n-papers", "0"], "n_papers must be >= 1"),
+        ("synth", ["--kind", "random", "--bias", "2"], "bias must be in [0, 1]"),
+        ("synth", ["--kind", "planted-z", "--t1", "1", "--t2", "3"], "shape depth exceeds t1"),
+    ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "ideal-n-2", "star-n-0",
+            "broom-k-9", "random-n-0", "random-bias-2", "planted-z-t1-1"])
+    def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
+        # the library's range checks reach the user as usage errors
+        argv = [command, *flags, "--out", str(tmp_path / "x")]
+        if command != "synth":
+            fixture = planted / ("planted-z" if command == "eval-z" else "planted-tot")
+            argv += ["--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl")]
+        if command == "eval-tot":
+            argv += ["--awardees", str(planted / "planted-tot" / "awardees.csv")]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert message in err
+
+    def test_undecodable_input_is_data_error(self, tmp_path, toy_files, capsys):
+        _, meta = toy_files
+        edges = tmp_path / "edges.tsv"
+        edges.write_bytes(b"p1\tP\n\xff\xfe\n")
+        assert run("metrics", "--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMetrics:
@@ -170,19 +206,18 @@ class TestMetrics:
         assert [row[0] for row in rows] == ["a,b"]
         assert not (out / "metrics_errors.csv").exists()
 
-    def test_deterministic_and_parallel_identical(self, tmp_path):
+    def test_deterministic(self, tmp_path):
         out_fixture = tmp_path / "fx"
         assert run("synth", "--kind", "random", "--n-papers", "2000",
                    "--years", "1980:2005", "--seed", "3", "--out", str(out_fixture)) == 0
         edges, meta = out_fixture / "edges.tsv", out_fixture / "meta.jsonl"
         outs = []
-        for name, jobs in (("r1", "1"), ("r2", "1"), ("r3", "2")):
+        for name in ("r1", "r2"):
             out = tmp_path / name
             assert run("metrics", "--edges", str(edges), "--meta", str(meta),
-                       "--out", str(out), "--tie", "random", "--seed", "9",
-                       "--jobs", jobs) == 0
+                       "--out", str(out), "--tie", "random", "--seed", "9") == 0
             outs.append((out / "metrics.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
 
     def test_cache_invalidated_on_input_change(self, tmp_path, toy_files):
         edges, meta = toy_files

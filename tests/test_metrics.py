@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from idtree import metrics as metrics_mod
 from idtree.corpus import CitationCorpus, CorpusError, PaperRecord
-from idtree.experiments import z_experiment
 from idtree.metrics import (
     corpus_metrics,
     idi,
@@ -34,7 +33,6 @@ from idtree.synth import (
     enumerate_trees,
     gen_random_corpus,
     ideal_tree,
-    make_z_benchmark,
     random_tree,
     star_tree,
 )
@@ -254,11 +252,6 @@ class TestReports:
     def test_corpus_metrics_sorted_and_filtered(self, toy):
         reports = corpus_metrics(toy)
         assert [r.paper_id for r in reports] == ["P", "p1", "p2", "p3"]
-
-    def test_context_released_after_run(self):
-        # the pool context holds the corpus; kept, two corpora would live at once
-        assert len(z_experiment(make_z_benchmark(seed=0), jobs=2).venues) >= 4  # enough to fork
-        assert metrics_mod._CTX is None
 
     def test_parallel_matches_serial(self, tmp_path):
         corpus = gen_random_corpus(800, years=(1990, 2010), seed=5)

@@ -120,42 +120,6 @@ class TestBuildTree:
         b = build_idt(idg, tie="random", rng=np.random.default_rng(5))
         assert a == b
 
-    def test_insertion_order_robustness(self, small_random_corpus):
-        # Any order placing cited citers first yields the same min-id tree.
-        corpus = small_random_corpus
-        rng = np.random.default_rng(2)
-        for pid in corpus.paper_ids[::23]:
-            idg = build_idg(corpus, pid)
-            if idg.n < 3:
-                continue
-            reference = build_idt(idg)
-            for _ in range(3):
-                priority = {v: rng.random() for v in idg.citers}
-                remaining = {v: len(idg.cited_within[v]) for v in idg.citers}
-                dependents = {v: [] for v in idg.citers}
-                for v in idg.citers:
-                    for u in idg.cited_within[v]:
-                        dependents[u].append(v)
-                ready = sorted((v for v in idg.citers if remaining[v] == 0),
-                               key=priority.get)
-                order = []
-                while ready:
-                    v = ready.pop(0)
-                    order.append(v)
-                    for w in dependents[v]:
-                        remaining[w] -= 1
-                        if remaining[w] == 0:
-                            ready.append(w)
-                    ready.sort(key=priority.get)
-                assert build_idt(idg, order=order) == reference
-
-    def test_invalid_order_rejected(self, toy):
-        idg = build_idg(toy, "P")
-        with pytest.raises(ValueError):
-            build_idt(idg, order=["p1", "p2", "p3", "p4"])  # not a permutation
-        with pytest.raises(ValueError):
-            build_idt(idg, order=["p5", "p4", "p3", "p2", "p1"])  # p5 before p3
-
     def test_parent_legality_and_depth_maximality(self, small_random_corpus):
         corpus = small_random_corpus
         for pid in corpus.paper_ids[::9]:
