@@ -209,7 +209,8 @@ def cmd_eval_tot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
+    # build first, so that a bad value leaves no --out behind
+    awardees = tree = None
     if args.kind == "toy":
         corpus = synth.toy_corpus()
     elif args.kind == "random":
@@ -221,10 +222,13 @@ def cmd_synth(args) -> int:
         corpus = synth.make_z_benchmark(seed=args.seed, t1=args.t1, t2=args.t2)
     elif args.kind == "planted-tot":
         corpus, awardees = synth.make_tot_benchmark(seed=args.seed)
-        corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
     else:
         spec = synth.ShapeSpec(args.kind, args.n, k=args.k, bias=args.bias, seed=args.seed)
         tree, corpus = synth.gen_shape(spec)
+    out = _out_dir(args)
+    if awardees is not None:
+        corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
+    if tree is not None:
         (out / "tree.json").write_text(tree.to_json() + "\n", encoding="utf-8")
     corpus_mod.write_edge_file(corpus, out / "edges.tsv")
     corpus_mod.write_metadata_file(corpus, out / "meta.jsonl")
@@ -302,13 +306,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Refuse out-of-range horizons and fractions before a command creates --out."""
+    t1, t2 = getattr(args, "t1", None), getattr(args, "t2", None)
+    if t1 is not None and t2 is not None and t1 >= t2:
+        raise UsageError(f"--t1 must be smaller than --t2 (got {t1} >= {t2})")
+    if t1 is not None and t1 < 0:
+        raise UsageError(f"t1 must be >= 0, got {t1}")
+    if t2 is not None and t2 < 0:   # only eval-tot has --t2 without --t1: its horizon
+        raise UsageError(f"horizon must be >= 0, got {t2}")
+    pct = getattr(args, "pct", None)
+    if pct is not None and not 0 < pct <= 1:
+        raise UsageError(f"pct must be in (0, 1], got {pct}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "t1", None) is not None and getattr(args, "t2", None) is not None:
-            if args.t1 >= args.t2:
-                raise UsageError(f"--t1 must be smaller than --t2 (got {args.t1} >= {args.t2})")
+        _check_ranges(args)
         return args.func(args)
     except (CorpusError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

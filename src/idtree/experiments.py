@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+import weakref
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CitationCorpus, write_csv
-# `paper_metrics` is not called here, but bench/tracer.py wraps this module's
-# name for it, so it stays imported.
-from .metrics import MetricsReport, corpus_metrics, paper_metrics, snapshot_nid  # noqa: F401
+from .metrics import MetricsReport, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -86,9 +86,9 @@ def _count_inversions(seq: Sequence[int]) -> int:
     """Pairs i < j with seq[i] > seq[j]: each item counts the larger ones seen before it."""
     seen: list[int] = []
     inversions = 0
-    for x in seq:
+    for k, x in enumerate(seq):
         i = bisect_right(seen, x)
-        inversions += len(seen) - i
+        inversions += k - i
         seen.insert(i, x)
     return inversions
 
@@ -132,7 +132,8 @@ def rank_by_measure(
     """Rank papers by citations (descending) or NID (ascending) in a view.
 
     Papers without citations in the view have no tree and are excluded;
-    they come back in the second return value.
+    they come back in the second return value.  Each NID comes from the
+    paper's own tree in the view, built here.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
@@ -145,7 +146,7 @@ def rank_by_measure(
         elif measure == "citations":
             scores[pid] = float(n)
         else:
-            scores[pid] = snapshot_nid(view, pid, n, tie=tie, seed=seed)
+            scores[pid] = paper_metrics(view, pid, tie=tie, seed=seed).nid
     direction = "desc" if measure == "citations" else "asc"
     return RankedList.from_scores(scores, direction), excluded
 
@@ -232,18 +233,40 @@ class ZReport:
         return out
 
 
-def venue_groups(view) -> dict[tuple[str, int], list[str]]:
-    """Group paper ids by (venue, year); papers without a venue are skipped.
+# corpus -> its venue editions (see `_editions`).  Weakly keyed, like the
+# tables of `metrics.paper_years`.
+_EDITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    The venue string already identifies one series+year edition, so adding
-    the year to the key only guards against inconsistent metadata.
+
+def _editions(corpus: CitationCorpus) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+    """The corpus's (venue, year) editions in sorted order, and their papers.
+
+    Returns the keys, then the offsets of each edition's run in the last
+    array, which holds the positions in `corpus.paper_ids` of the editions'
+    papers, each run in id order.  Papers without a venue are in none.  The
+    venue string already identifies one series+year edition, so the year in
+    the key only guards against inconsistent metadata.  Built once per
+    corpus.
     """
-    groups: dict[tuple[str, int], list[str]] = defaultdict(list)
-    for pid in view.paper_ids:
-        rec = view.record(pid)
-        if rec.venue is not None:
-            groups[(rec.venue, rec.year)].append(pid)
-    return dict(groups)
+    found = _EDITIONS.get(corpus)
+    if found is None:
+        groups: dict[tuple[str, int], list[int]] = defaultdict(list)
+        for i, rec in enumerate(map(corpus.record, corpus.paper_ids)):
+            if rec.venue is not None:
+                groups[(rec.venue, rec.year)].append(i)
+        keys = sorted(groups)
+        sizes = [len(groups[key]) for key in keys]
+        members = np.fromiter(chain.from_iterable(groups[key] for key in keys), np.int64, sum(sizes))
+        found = _EDITIONS[corpus] = (keys, np.r_[0, np.cumsum(sizes, dtype=np.int64)], members)
+    return found
+
+
+def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
+    lo = offsets[picks]
+    sizes = offsets[picks + 1] - lo
+    pick = np.repeat(np.arange(len(picks)), sizes)
+    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
 
 def z_experiment(
@@ -262,29 +285,51 @@ def z_experiment(
     snapshot t1 years after publication, and each ranking's Kendall
     distance from the (t1, t2] gain ranking becomes that venue's z score.
     Venues with fewer than two eligible papers are skipped and reported.
+
+    Counts and NIDs come from `metrics.paper_years`, for every member of
+    every venue at once; each ranking is one sort by (venue, score, id),
+    as `rank_by_measure` and `fractional_gain_list` rank one venue.
     """
     if t1 < 0:
         raise ValueError(f"t1 must be >= 0, got {t1}")
     if t1 >= t2:
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
+    if gain_mode not in GAIN_MODES:
+        raise ValueError(f"mode must be one of {GAIN_MODES}, got {gain_mode!r}")
+    keys, offsets, members = _editions(corpus)
+    picks = np.array([k for k, (_, year) in enumerate(keys) if year_range[0] <= year <= year_range[1]], np.int64)
+    at, edition = _runs(offsets, picks)
+    rows = members[at]
+    year = np.array([keys[k][1] for k in picks.tolist()], np.int64)[edition]
+    table = paper_years(corpus, rows)
+    c1, nid = table.nids(corpus, rows, year + t1, tie=tie, seed=seed)
+    c2 = table.counts(rows, year + t2)
+    cited = c1 > 0
+    rows, edition, c1, c2, nid = rows[cited], edition[cited], c1[cited], c2[cited], nid[cited]
+    gain = (c2 - c1) / c1 if gain_mode == "fractional" else (c2 - c1).astype(np.float64)
+    # `rows` are positions in id order, so they break score ties by id
+    gain_rank = np.empty(len(rows), np.int64)
+    gain_rank[np.lexsort((rows, -gain, edition))] = np.arange(len(rows))
+    by_nid = gain_rank[np.lexsort((rows, nid, edition))].tolist()
+    by_cite = gain_rank[np.lexsort((rows, -c1, edition))].tolist()
+    ids = corpus.paper_ids
+    rows = rows.tolist()
     results: list[VenueExperiment] = []
     skipped: list[tuple[str, int, str]] = []
-    for (venue, year), members in sorted(venue_groups(corpus).items()):
-        if not year_range[0] <= year <= year_range[1]:
-            continue
-        snap1 = corpus.snapshot(year + t1)
-        eligible = [p for p in members if snap1.citation_count(p) > 0]
-        if len(eligible) < 2:
-            skipped.append((venue, year, f"only {len(eligible)} papers with citations at t1"))
-            continue
-        ranked_nid, _ = rank_by_measure(eligible, "nid", snap1, tie=tie, seed=seed)
-        ranked_cite, _ = rank_by_measure(eligible, "citations", snap1, tie=tie, seed=seed)
-        gains, _ = fractional_gain_list(eligible, corpus, year, t1, t2, mode=gain_mode)
-        results.append(VenueExperiment(
-            venue, year, tuple(sorted(eligible)), t1, t2,
-            kendall_tau_distance(ranked_nid, gains),
-            kendall_tau_distance(ranked_cite, gains),
-        ))
+    lo = 0
+    for k, m in zip(picks.tolist(), np.bincount(edition, minlength=len(picks)).tolist()):
+        venue, year = keys[k]
+        hi = lo + m
+        if m < 2:
+            skipped.append((venue, year, f"only {m} papers with citations at t1"))
+        else:
+            pairs = m * (m - 1) / 2
+            results.append(VenueExperiment(
+                venue, year, tuple(map(ids.__getitem__, rows[lo:hi])), t1, t2,
+                _count_inversions(by_nid[lo:hi]) / pairs,
+                _count_inversions(by_cite[lo:hi]) / pairs,
+            ))
+        lo = hi
     return ZReport(tuple(results), tuple(skipped), t1, t2)
 
 
@@ -345,42 +390,63 @@ def tot_experiment(
     The competitor set is the top ceil(pct * cohort) papers by citation
     count `horizon` years after publication, with the awardee force-included
     if it fell below the cut.  Ranks are computed by citations (descending)
-    and by NID (ascending) at the same horizon.
+    and by NID (ascending) at the same horizon, for all awardees at once
+    from `metrics.paper_years`.
     """
     if not 0 < pct <= 1:
         raise ValueError(f"pct must be in (0, 1], got {pct}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    groups = venue_groups(corpus)
+    keys, offsets, members = _editions(corpus)
+    edition = {key: k for k, key in enumerate(keys)}
+    ids = corpus.paper_ids
+    awardees = sorted(set(awardees))
+    reasons: dict[int, str] = {}
+    found: list[tuple[int, int]] = []   # (edition, position of the awardee)
+    for i, (pid, venue, year) in enumerate(awardees):
+        k = edition.get((venue, year))
+        if k is None:
+            reasons[i] = f"no papers for venue {venue!r} in {year}"
+        elif not corpus.has_paper(pid) or keys[k] != (corpus.record(pid).venue, corpus.record(pid).year):
+            reasons[i] = f"awardee not in venue cohort {venue!r} {year}"
+        else:
+            found.append((k, bisect_left(ids, pid)))
+    picks, awardee = np.array(found, np.int64).reshape(-1, 2).T
+    at, case = _runs(offsets, picks)
+    rows = members[at]
+    cutoff = np.array([keys[k][1] + horizon for k in picks.tolist()], np.int64)
+    table = paper_years(corpus, rows)
+    counts = table.counts(rows, cutoff[case])
+    # each cohort by citations; `rows` are positions in id order, so they break ties by id
+    order = np.lexsort((rows, -counts, case))
+    rows, case, counts = rows[order], case[order], counts[order]
+    mine = rows == awardee[case]   # one per case, in case order
+    cited = counts[mine] > 0
+    sizes = offsets[picks + 1] - offsets[picks]
+    rank = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[case]
+    top_k = np.array([math.ceil(pct * size) for size in sizes.tolist()], np.int64)
+    # every competitor outranks an awardee that is only force-included
+    rank_cite = np.minimum(rank[mine], top_k) + 1
+    rival = mine | ((rank < top_k[case]) & (counts > 0))
+    rows, case, mine = rows[rival], case[rival], mine[rival]
+    _, nid = table.nids(corpus, rows, cutoff[case], tie=tie, seed=seed)
+    own_nid, own_row = nid[mine][case], rows[mine][case]
+    ahead = (nid < own_nid) | ((nid == own_nid) & (rows < own_row))
+    rank_nid = np.bincount(case[ahead], minlength=len(picks)) + 1
+    bounds = np.r_[0, np.cumsum(np.bincount(case, minlength=len(picks)))].tolist()
+    results = zip(bounds, bounds[1:], sizes.tolist(), cited.tolist(), rank_cite.tolist(), rank_nid.tolist())
+    rows = rows.tolist()
     cases: list[ToTCase] = []
     skipped: list[tuple[str, str]] = []
-    for pid, venue, year in sorted(set(awardees)):
-        cohort = groups.get((venue, year))
-        if cohort is None:
-            skipped.append((pid, f"no papers for venue {venue!r} in {year}"))
+    for i, (pid, venue, year) in enumerate(awardees):
+        if i in reasons:
+            skipped.append((pid, reasons[i]))
             continue
-        if pid not in cohort:
-            skipped.append((pid, f"awardee not in venue cohort {venue!r} {year}"))
-            continue
-        snap = corpus.snapshot(year + horizon)
-        counts = {p: snap.citation_count(p) for p in cohort}
-        if counts[pid] == 0:
+        lo, hi, size, ok, by_cite, by_nid = next(results)
+        if not ok:
             skipped.append((pid, f"awardee has no citations at horizon {year + horizon}"))
-            continue
-        by_cite = sorted(cohort, key=lambda p: (-counts[p], p))
-        top_k = math.ceil(pct * len(cohort))
-        competitors = [p for p in by_cite[:top_k] if counts[p] > 0]
-        if pid not in competitors:
-            competitors.append(pid)
-        ranked_cite = RankedList.from_scores({p: float(counts[p]) for p in competitors}, "desc")
-        nid_scores = {p: snapshot_nid(snap, p, counts[p], tie=tie, seed=seed) for p in competitors}
-        ranked_nid = RankedList.from_scores(nid_scores, "asc")
-        cases.append(
-            ToTCase(
-                pid, venue, year, len(cohort), tuple(ranked_cite.ids),
-                ranked_cite.rank_of(pid), ranked_nid.rank_of(pid),
-            )
-        )
+        else:
+            cases.append(ToTCase(pid, venue, year, size, tuple(map(ids.__getitem__, rows[lo:hi])), by_cite, by_nid))
     return ToTReport(tuple(cases), tuple(skipped), horizon, pct)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -158,27 +159,114 @@ def paper_metrics(
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, hi, value - n, _nid(n, value, hi))
 
 
-# corpus -> (tie, seed) -> paper id -> IDI after each citer of its full tree.
-# Weakly keyed, so an entry goes with its corpus and never into its pickle.
+# corpus -> its PaperYears.  Weakly keyed, so a table goes with its corpus
+# and never into its pickle.
 _TIMELINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def snapshot_nid(view, paper_id: str, n: int, *, tie: str = "min-id", seed: int = 0) -> float:
-    """NID of `paper_id` in a corpus or snapshot view where it has `n` >= 1 citers.
+class PaperYears:
+    """Citation counts and NIDs of a corpus's papers at any cutoff year.
 
-    The paper's tree in a snapshot is its full tree cut to the first n
-    citers under either tie policy: citers are attached in (year, id) order
-    and never cite a later year, and tie draws come in the same order.  So
-    each paper's full tree is built once per corpus, and a snapshot's IDI
-    is its running IDI after n citers.
+    Papers are numbered by their position in `corpus.paper_ids`.  Under
+    min-id ties a paper's tree in a snapshot is its full tree cut to the
+    citers published by the cutoff: a citer's candidate parents are citers
+    it cites, so none is younger than it and its depth and parent stay the
+    same.  Citer v is then a leaf of P's snapshot tree from v's year until
+    the year of its first child, so IDI(P, Y) is a running sum over P's
+    citers in year order: +depth(v) at v's year, -depth(v) at the year of
+    its first child.  Under random ties the papers with a depth tie take
+    the IDI after their n-th citer from their full tree, built once per
+    seed: the snapshot tree draws the same ties in the same order.
+
+    The table covers the papers it was built for; `paper_years` rebuilds it
+    over the union when asked for more.  It holds no reference to its
+    corpus, which is passed in where one is needed.
     """
-    base = getattr(view, "base", view)
-    papers = _TIMELINES.setdefault(base, {}).setdefault((tie, seed), {})
-    prefix = papers.get(paper_id)
-    if prefix is None:
-        prefix = papers[paper_id] = tuple(_sweep(_build_tree(build_idg(base, paper_id), tie, seed))[0])
-    value = prefix[n - 1]
-    return _nid(n, value, _checked_max(n, value))
+
+    def __init__(self, corpus):
+        self.ids = corpus.paper_ids
+        # a citation into P by a citer of year Y has the key
+        # P * stride + Y - first_year + 1, strictly inside P's stride
+        self.first_year, self.stride = 0, 2
+        self.covered = np.zeros(len(self.ids), bool)
+        self.tied = np.zeros(len(self.ids), bool)
+        self.keys = np.empty(0, np.int64)
+        self.offsets = np.zeros(len(self.ids) + 1, np.int64)
+        self.idi_sums = np.zeros(1, np.int64)
+        self.drawn: dict[int, dict[int, list[int]]] = {}
+
+    def build(self, corpus, rows: np.ndarray) -> None:
+        """Tabulate the papers at positions `rows` (sorted, distinct), replacing the table."""
+        nodes, citer, paper, depth, parent, tied = _edge_trees(corpus, [self.ids[i] for i in rows.tolist()])
+        pos = np.fromiter(map(bisect_left, repeat(self.ids), nodes), np.int64, len(nodes))
+        year = np.fromiter(map(corpus.year, nodes), np.int64, len(nodes))
+        if len(nodes):
+            self.first_year, self.stride = int(year.min()), int(year.max() - year.min()) + 2
+        keys = pos[paper] * self.stride + (year[citer] - self.first_year + 1)
+        # a citation's first child is its child of smallest key, so of the earliest year
+        child = np.flatnonzero(parent >= 0)
+        never = np.iinfo(np.int64).max
+        first = np.full(len(keys), never)
+        np.minimum.at(first, parent[child], keys[child])
+        gone = np.flatnonzero(first < never)
+        self.keys = np.sort(keys)
+        # +depth where a citer comes in, -depth where its first child does
+        at = np.searchsorted(self.keys, np.r_[keys, first[gone]])
+        delta = np.bincount(at, weights=np.r_[depth, -depth[gone]], minlength=len(keys))
+        self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
+        self.offsets = np.searchsorted(self.keys, np.arange(len(self.ids) + 1, dtype=np.int64) * self.stride)
+        self.covered[:] = False
+        self.covered[rows] = True
+        self.tied[:] = False
+        self.tied[pos[np.flatnonzero(tied)]] = True
+
+    def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
+        """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
+        cut = np.clip(np.asarray(years, np.int64) - self.first_year + 1, 0, self.stride - 1)
+        end = np.searchsorted(self.keys, rows * self.stride + cut, "right")
+        start = self.offsets[rows]
+        return end - start, self.idi_sums[end] - self.idi_sums[start]
+
+    def counts(self, rows: np.ndarray, years) -> np.ndarray:
+        """Citers of papers `rows` published in or before `years` (one per row, or one for all)."""
+        return self._at(rows, years)[0]
+
+    def nids(self, corpus, rows: np.ndarray, years, *, tie: str = "min-id", seed: int = 0):
+        """Citer counts and NIDs of papers `rows` at cutoff `years`; NID is NaN where the count is 0."""
+        if tie not in TIE_POLICIES:
+            raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
+        n, value = self._at(rows, years)
+        if tie == "random":
+            drawn = self.drawn.setdefault(seed, {})
+            for i in np.flatnonzero(self.tied[rows] & (n > 0)).tolist():
+                row = int(rows[i])
+                if row not in drawn:
+                    drawn[row] = _sweep(_build_tree(build_idg(corpus, self.ids[row]), tie, seed))[0]
+                value[i] = drawn[row][n[i] - 1]
+        hi = (n + 1) ** 2 // 4
+        bad = np.flatnonzero((n > 0) & ((value < n) | (value > hi)))
+        if len(bad):
+            i = bad[0]
+            raise AssertionError(f"IDI {value[i]} outside bounds for n={n[i]}")
+        span = hi - n
+        nid = np.divide(value - n, span, out=np.zeros(len(n)), where=span > 0)
+        nid[n == 0] = np.nan
+        return n, nid
+
+
+def paper_years(corpus, rows) -> PaperYears:
+    """The corpus's `PaperYears`, first built or extended so it covers positions `rows`.
+
+    A table built earlier for the same corpus is kept and reused; asked for
+    papers it lacks, it is rebuilt over those and the ones it had.
+    """
+    table = _TIMELINES.get(corpus)
+    if table is None:
+        table = _TIMELINES[corpus] = PaperYears(corpus)
+    rows = np.asarray(rows, np.int64)
+    if not table.covered[rows].all():
+        table.build(corpus, np.union1d(np.flatnonzero(table.covered), rows))
+    return table
 
 
 # Candidate pairs tested at once by the triangle search: bounds its scratch
@@ -191,20 +279,22 @@ def _segments(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
 
 
-def _dispersion(view, ids: list[str]):
+def _edge_trees(view, ids: list[str]):
     """Min-id dispersion trees of every paper in `ids` (sorted, distinct), at once.
 
-    Returns the cited papers of `ids` in order with their citer count n,
-    depth, breadth, min-id IDI and whether some citer has two or more
-    equally deep candidate parents (the papers whose tree a random tie
-    policy can change).  `paper_metrics` gives the same values per paper.
+    Returns `nodes`, the papers involved in id order, and per citation into
+    a paper of `ids`, in (citer, cited) order: the citer's and the cited
+    paper's node, the citer's depth, and the citation of its parent (-1
+    under the root).  Last comes a flag per node: some citer of it has two
+    or more equally deep candidate parents, so a random tie policy can
+    change its tree.
 
     Citation edges (v, x) are numbered by the sorted key v * N + x over the
     papers involved, numbered in id order.  A triangle is a pair of edges
     (v, P) and (v, u) with (u, P) an edge too: u is then a candidate parent
     of v in P's tree.  A citer's depth is one more than its deepest
-    candidate's (1 without one), its parent is the smallest-id candidate
-    one level up, and IDI sums the depths of citers nobody picked.
+    candidate's (1 without one), and its parent is the smallest-id
+    candidate one level up.
     """
     citing: set[str] = set()
     for pid in ids:
@@ -249,8 +339,7 @@ def _dispersion(view, ids: list[str]):
     del lo, partners, child, counts, ends
 
     depth = np.ones(len(keys), np.int32)
-    into = wanted[dst]
-    leaf = into.copy()
+    parent = np.full(len(keys), -1, np.int32)
     tied = np.zeros(size, bool)
     tri_child = np.concatenate(tri_child)   # sorted: blocks go by child edge
     tri_parent = np.concatenate(tri_parent)
@@ -267,12 +356,30 @@ def _dispersion(view, ids: list[str]):
         up = depth[tri_parent] == depth[tri_child] - 1
         tri_child, tri_parent = tri_child[up], tri_parent[up]
         heads = _segments(tri_child)
-        leaf[tri_parent[heads]] = False
+        parent[tri_child[heads]] = tri_parent[heads]
         tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
 
-    paper, level = dst[into], depth[into]
+    into = np.flatnonzero(wanted[dst])   # a parent's citation goes into the same paper
+    renumber = np.cumsum(wanted[dst]) - 1
+    parent = parent[into]
+    parent[parent >= 0] = renumber[parent[parent >= 0]]
+    return nodes, (keys[into] // size).astype(np.int32), dst[into], depth[into], parent, tied
+
+
+def _dispersion(view, ids: list[str]):
+    """Per-paper scores of the min-id trees of every paper in `ids` (sorted, distinct).
+
+    Returns the cited papers of `ids` in order with their citer count n,
+    depth, breadth, min-id IDI and depth-tie flag (see `_edge_trees`); IDI
+    sums the depths of the citers nobody picked as parent.
+    `paper_metrics` gives the same values per paper.
+    """
+    nodes, _, paper, level, parent, tied = _edge_trees(view, ids)
+    size = len(nodes)
+    leaf = np.ones(len(paper), bool)
+    leaf[parent[parent >= 0]] = False
     n = np.bincount(paper, minlength=size)
-    idi_sum = np.bincount(dst[leaf], weights=depth[leaf], minlength=size).astype(np.int64)  # exact below 2**53
+    idi_sum = np.bincount(paper[leaf], weights=level[leaf], minlength=size).astype(np.int64)  # exact below 2**53
     deepest = np.zeros(size, np.int64)
     widest = np.zeros(size, np.int64)
     if len(paper):
@@ -283,7 +390,7 @@ def _dispersion(view, ids: list[str]):
         owner = cells[heads] // stride
         deepest[owner] = np.maximum.reduceat(cells % stride, heads)
         widest[owner] = np.maximum.reduceat(width, heads)
-    rows = np.flatnonzero(wanted & (n > 0))
+    rows = np.flatnonzero(n)
     return [nodes[i] for i in rows.tolist()], n[rows], deepest[rows], widest[rows], idi_sum[rows], tied[rows]
 
 

@@ -24,6 +24,8 @@ def test_tracer_records_the_benchmark_calls(toy):
     try:
         metrics.corpus_metrics(toy, tie="random", seed=11, jobs=2)
         experiments.z_experiment(make_z_benchmark(seed=0))
+        # z_experiment and tot_experiment do not call rank_by_measure, so its wrap is proved here
+        experiments.rank_by_measure(["P"], "nid", toy)
         corpus, awardees = make_tot_benchmark()
         experiments.tot_experiment(corpus, awardees)
     finally:

@@ -131,7 +131,7 @@ class TestUsageErrors:
     ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "ideal-n-2", "star-n-0",
             "broom-k-9", "random-n-0", "random-bias-2", "planted-z-t1-1"])
     def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
-        # the library's range checks reach the user as usage errors
+        # the library's range checks reach the user as usage errors, before --out is made
         argv = [command, *flags, "--out", str(tmp_path / "x")]
         if command != "synth":
             fixture = planted / ("planted-z" if command == "eval-z" else "planted-tot")
@@ -142,6 +142,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert message in err
+        assert not (tmp_path / "x").exists()
 
     def test_undecodable_input_is_data_error(self, tmp_path, toy_files, capsys):
         _, meta = toy_files

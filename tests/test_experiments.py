@@ -1,14 +1,25 @@
 """Rank distance, venue experiments, award ranking, and corpus statistics."""
 
+import gc
 import itertools
+import math
+import pickle
+import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from idtree import experiments as experiments_mod
+from idtree import metrics as metrics_mod
 from idtree.corpus import PaperRecord, ingest
 from idtree.experiments import (
     RankedList,
+    ToTCase,
+    ToTReport,
+    VenueExperiment,
+    ZReport,
     corpus_stats,
     fractional_gain_list,
     kendall_tau_distance,
@@ -16,7 +27,6 @@ from idtree.experiments import (
     pearson,
     rank_by_measure,
     tot_experiment,
-    venue_groups,
     z_experiment,
 )
 from idtree.synth import (
@@ -248,7 +258,7 @@ class TestTimelineMemo:
         corpus = make()
         awardees = [
             (max(members, key=lambda p: (corpus.citation_count(p), p)), venue, year)
-            for (venue, year), members in sorted(venue_groups(corpus).items())
+            for (venue, year), members in sorted(_groups(corpus).items())
             if year <= 1995
         ]
 
@@ -266,6 +276,165 @@ class TestTimelineMemo:
         assert len(cold[0].venues) > 4 and cold[1].cases
         assert run(corpus) == cold
         assert run(make()) == cold
+
+
+def _groups(corpus):
+    """Paper ids by (venue, year), one paper at a time."""
+    groups = defaultdict(list)
+    for pid in corpus.paper_ids:
+        rec = corpus.record(pid)
+        if rec.venue is not None:
+            groups[(rec.venue, rec.year)].append(pid)
+    return groups
+
+
+def _per_venue_z(corpus, year_range, t1, t2, tie, seed, gain_mode):
+    """The z experiment one venue at a time, from per-list rankings: the oracle."""
+    results, skipped = [], []
+    for (venue, year), members in sorted(_groups(corpus).items()):
+        if not year_range[0] <= year <= year_range[1]:
+            continue
+        snap1 = corpus.snapshot(year + t1)
+        eligible = [p for p in members if snap1.citation_count(p) > 0]
+        if len(eligible) < 2:
+            skipped.append((venue, year, f"only {len(eligible)} papers with citations at t1"))
+            continue
+        ranked_nid, _ = rank_by_measure(eligible, "nid", snap1, tie=tie, seed=seed)
+        ranked_cite, _ = rank_by_measure(eligible, "citations", snap1, tie=tie, seed=seed)
+        gains, _ = fractional_gain_list(eligible, corpus, year, t1, t2, mode=gain_mode)
+        results.append(VenueExperiment(
+            venue, year, tuple(sorted(eligible)), t1, t2,
+            kendall_tau_distance(ranked_nid, gains),
+            kendall_tau_distance(ranked_cite, gains),
+        ))
+    return ZReport(tuple(results), tuple(skipped), t1, t2)
+
+
+def _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed):
+    """The award experiment one awardee at a time: the oracle."""
+    groups = _groups(corpus)
+    cases, skipped = [], []
+    for pid, venue, year in sorted(set(awardees)):
+        cohort = groups.get((venue, year))
+        if cohort is None:
+            skipped.append((pid, f"no papers for venue {venue!r} in {year}"))
+            continue
+        if pid not in cohort:
+            skipped.append((pid, f"awardee not in venue cohort {venue!r} {year}"))
+            continue
+        snap = corpus.snapshot(year + horizon)
+        counts = {p: snap.citation_count(p) for p in cohort}
+        if counts[pid] == 0:
+            skipped.append((pid, f"awardee has no citations at horizon {year + horizon}"))
+            continue
+        by_cite = sorted(cohort, key=lambda p: (-counts[p], p))
+        competitors = [p for p in by_cite[:math.ceil(pct * len(cohort))] if counts[p] > 0]
+        if pid not in competitors:
+            competitors.append(pid)
+        ranked_cite, _ = rank_by_measure(competitors, "citations", snap)
+        ranked_nid, _ = rank_by_measure(competitors, "nid", snap, tie=tie, seed=seed)
+        cases.append(ToTCase(pid, venue, year, len(cohort), ranked_cite.ids,
+                             ranked_cite.rank_of(pid), ranked_nid.rank_of(pid)))
+    return ToTReport(tuple(cases), tuple(skipped), horizon, pct)
+
+
+def _awardees(corpus, first, last):
+    """Per edition of the years `first`..`last`: its most cited paper and its first paper; plus three misfits."""
+    picked = [("ghost", "S000-1995", 1995), ("p0000", "NOWHERE-1995", 1995)]
+    for (venue, year), members in sorted(_groups(corpus).items()):
+        if first <= year <= last:
+            picked.append((max(members, key=lambda p: (corpus.citation_count(p), p)), venue, year))
+            picked.append((members[0], venue, year))
+    other = next(p for p in corpus.paper_ids if corpus.record(p).venue not in (None, "S000-1995"))
+    picked.append((other, "S000-1995", 1995))   # a paper of another venue
+    return picked
+
+
+class TestTablesMatchPerVenueOracle:
+    """`z_experiment` and `tot_experiment` read the paper-year tables; per-list rankings are the oracle."""
+
+    @pytest.mark.parametrize("tie,seed", [("min-id", 0), ("random", 5)])
+    @pytest.mark.parametrize("corpus_seed", [13, 21])
+    def test_z_experiment(self, corpus_seed, tie, seed):
+        corpus = gen_random_corpus(1500, years=(1990, 2005), mean_refs=5, followup=0.8, seed=corpus_seed)
+        # the last two ranges reach past the corpus's last year at t2, and at t1 too
+        for year_range, t1, t2 in (((1991, 1998), 2, 6), ((1999, 2005), 1, 4), ((2003, 2010), 3, 9)):
+            for gain_mode in ("fractional", "absolute"):
+                want = _per_venue_z(corpus, year_range, t1, t2, tie, seed, gain_mode)
+                got = z_experiment(corpus, year_range, t1, t2, tie=tie, seed=seed, gain_mode=gain_mode)
+                assert got == want
+                assert want.venues
+
+    @pytest.mark.parametrize("tie,seed", [("min-id", 0), ("random", 5)])
+    @pytest.mark.parametrize("corpus_seed", [13, 21])
+    def test_tot_experiment(self, corpus_seed, tie, seed):
+        corpus = gen_random_corpus(1500, years=(1990, 2005), mean_refs=5, followup=0.8, seed=corpus_seed)
+        awardees = _awardees(corpus, 1990, 2003)
+        for pct, horizon in ((0.25, 3), (0.05, 8), (1.0, 12)):
+            want = _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed)
+            got = tot_experiment(corpus, awardees, pct=pct, horizon=horizon, tie=tie, seed=seed)
+            assert got == want
+            assert want.cases and len({reason.split()[1] for _, reason in want.skipped}) == 3
+
+    def test_no_awardee_found(self, toy):
+        report = tot_experiment(toy, [("P", "NOWHERE-2000", 2000)])
+        assert report.cases == () and len(report.skipped) == 1
+
+    def test_unknown_tie_policy_and_gain_mode_rejected(self, toy):
+        with pytest.raises(ValueError, match="tie must be one of"):
+            z_experiment(toy, tie="max-id")
+        with pytest.raises(ValueError, match="tie must be one of"):
+            tot_experiment(toy, [("P", "TOY-2000", 2000)], tie="max-id")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            z_experiment(toy, gain_mode="relative")
+
+
+class TestTableMemo:
+    @staticmethod
+    def _corpus():
+        return gen_random_corpus(1500, years=(1990, 2005), mean_refs=3, followup=0.5, seed=17)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The id lists handed to the dispersion kernel."""
+        seen = []
+        kernel = metrics_mod._edge_trees
+        monkeypatch.setattr(metrics_mod, "_edge_trees", lambda view, ids: seen.append(list(ids)) or kernel(view, ids))
+        return seen
+
+    def test_one_build_per_round(self, builds):
+        corpus = self._corpus()
+        for t1 in range(1, 6):
+            z_experiment(corpus, (1991, 1999), t1, t1 + 5)
+        tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10)
+        assert len(builds) == 1
+
+    def test_one_shot_builds_only_the_venues_asked_for(self, builds):
+        corpus = self._corpus()
+        z_experiment(corpus, (1994, 1995), 2, 5)
+        members = [p for p in corpus.paper_ids
+                   if corpus.record(p).venue is not None and 1994 <= corpus.year(p) <= 1995]
+        assert builds == [members]
+        # a later call that needs more papers rebuilds over both sets
+        z_experiment(corpus, (1996, 1996), 2, 5)
+        more = [p for p in corpus.paper_ids
+                if corpus.record(p).venue is not None and 1994 <= corpus.year(p) <= 1996]
+        assert builds[1:] == [more]
+
+    def test_memo_freed_with_its_corpus_and_never_pickled(self):
+        corpus = self._corpus()
+        blob = pickle.dumps(corpus)
+        z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
+        tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
+        assert corpus in metrics_mod._TIMELINES and corpus in experiments_mod._EDITIONS
+        assert pickle.dumps(corpus) == blob
+        gc.collect()  # so only this corpus can leave the memos below
+        entries = len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)
+        ref = weakref.ref(corpus)
+        del corpus
+        gc.collect()
+        assert ref() is None
+        assert (len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)) == (entries[0] - 1, entries[1] - 1)
 
 
 class TestZExperiment:
@@ -326,8 +495,8 @@ class TestZExperiment:
             PaperRecord("cx", 2001), PaperRecord("cy", 2002),
         ]
         corpus, _ = ingest([("cx", "x"), ("cy", "y")], records)
-        groups = venue_groups(corpus)
-        assert set(groups) == {("JCDL-2000", 2000), ("JCDL-2001", 2001)}
+        keys, _, _ = experiments_mod._editions(corpus)
+        assert set(keys) == {("JCDL-2000", 2000), ("JCDL-2001", 2001)}
 
     def test_bad_horizons(self):
         with pytest.raises(ValueError):

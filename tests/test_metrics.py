@@ -24,7 +24,6 @@ from idtree.metrics import (
     nid_value,
     optimal_shape,
     paper_metrics,
-    snapshot_nid,
     write_metrics_csv,
 )
 from idtree.synth import (
@@ -321,26 +320,60 @@ class TestDispersionKernel:
 
 
 class TestSnapshotTimeline:
+    """`paper_years` reads counts and NIDs at any cutoff; rebuilding each snapshot's trees is the oracle."""
+
     @pytest.mark.parametrize("tie,seed", [("min-id", 0), ("random", 1), ("random", 2)])
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=10, deadline=None)
     @given(corpus_seed=st.integers(0, 10_000))
     def test_prefix_matches_snapshot_rebuild(self, tie, seed, corpus_seed):
-        # a snapshot's tree is the full tree cut after its n-th citer
+        # a snapshot's tree is the full tree cut to the citers published by the cutoff
         corpus = gen_random_corpus(300, years=(1990, 2002), mean_refs=3, followup=0.5, seed=corpus_seed)
-        for pid in corpus.paper_ids:
-            for year in sorted({corpus.year(c) for c in corpus.citations_of(pid)}):
-                snap = corpus.snapshot(year)
-                expected = paper_metrics(snap, pid, tie=tie, seed=seed).nid
-                assert snapshot_nid(snap, pid, snap.citation_count(pid), tie=tie, seed=seed) == expected
+        ids = corpus.paper_ids
+        rows = np.arange(len(ids))
+        table = metrics_mod.paper_years(corpus, rows)
+        cited, *_, tied = metrics_mod._dispersion(corpus, list(ids))
+        flagged = {ids[i] for i in np.flatnonzero(table.tied)}
+        assert flagged == {pid for pid, flag in zip(cited, tied.tolist()) if flag}
+        first, last = corpus.year_range()
+        for cutoff in range(first - 1, last + 2):   # each paper from a year before it appears
+            snap = corpus.snapshot(cutoff)
+            n, nids = table.nids(corpus, rows, cutoff, tie=tie, seed=seed)
+            for pid, count, value in zip(ids, n.tolist(), nids.tolist()):
+                report = paper_metrics(snap, pid, tie=tie, seed=seed) if snap.has_paper(pid) else None
+                if report is None:
+                    assert count == 0 and np.isnan(value)
+                else:
+                    assert (count, value) == (report.n, report.nid)
+            # a paper with a depth tie in a snapshot has one in the corpus
+            snap_cited, *_, snap_tied = metrics_mod._dispersion(snap, list(snap.paper_ids))
+            assert {pid for pid, flag in zip(snap_cited, snap_tied.tolist()) if flag} <= flagged
+
+    def test_extended_table_matches_a_whole_build(self):
+        corpus = gen_random_corpus(400, years=(1990, 2005), mean_refs=3, followup=0.5, seed=8)
+        rows = np.arange(len(corpus))
+        a, b = rows[::3], rows[1::5]
+        table = metrics_mod.paper_years(corpus, a)
+        assert np.array_equal(np.flatnonzero(table.covered), a)
+        assert metrics_mod.paper_years(corpus, b) is table
+        both = np.union1d(a, b)
+        assert np.array_equal(np.flatnonzero(table.covered), both)
+        whole = metrics_mod.PaperYears(corpus)
+        whole.build(corpus, rows)
+        for cutoff in range(1989, 2007):
+            for tie in ("min-id", "random"):
+                got = table.nids(corpus, both, cutoff, tie=tie, seed=3)
+                want = whole.nids(corpus, both, cutoff, tie=tie, seed=3)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1], equal_nan=True)
 
     def test_entry_freed_with_its_corpus_and_never_pickled(self):
-        corpus = gen_random_corpus(300, years=(1990, 2005), seed=4)
+        corpus = gen_random_corpus(300, years=(1990, 2005), mean_refs=3, followup=0.5, seed=4)
         blob = pickle.dumps(corpus)
-        cited = [p for p in corpus.paper_ids if corpus.citation_count(p)]
-        for pid in cited:
-            snapshot_nid(corpus, pid, corpus.citation_count(pid))
-        assert len(metrics_mod._TIMELINES[corpus][("min-id", 0)]) == len(cited)
+        rows = np.arange(len(corpus))
+        table = metrics_mod.paper_years(corpus, rows)
+        table.nids(corpus, rows, 2005, tie="random", seed=1)
+        assert metrics_mod._TIMELINES[corpus] is table and table.covered.all()
         assert pickle.dumps(corpus) == blob
+        del table
         gc.collect()  # so only this corpus can leave the memo below
         entries = len(metrics_mod._TIMELINES)
         ref = weakref.ref(corpus)
