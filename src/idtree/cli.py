@@ -221,10 +221,12 @@ def cmd_synth(args) -> int:
     elif args.kind == "planted-z":
         corpus = synth.make_z_benchmark(seed=args.seed, t1=args.t1, t2=args.t2)
     elif args.kind == "planted-tot":
-        corpus, awardees = synth.make_tot_benchmark(seed=args.seed)
+        corpus, awardees = synth.make_tot_benchmark()
     else:
-        spec = synth.ShapeSpec(args.kind, args.n, k=args.k, bias=args.bias, seed=args.seed)
-        tree, corpus = synth.gen_shape(spec)
+        builders = {"star": synth.star_tree, "chain": synth.chain_tree, "ideal": synth.ideal_tree,
+                    "broom": lambda n: synth.broom_tree(n, args.k)}
+        tree = builders[args.kind](args.n)
+        corpus = synth.corpus_for_tree(tree)
     out = _out_dir(args)
     if awardees is not None:
         corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
@@ -290,7 +292,7 @@ def _build_parser() -> _Parser:
                             "star", "chain", "broom", "ideal"])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n", type=int, default=9, help="citer count for shape kinds")
-    p.add_argument("--k", type=int, default=None, help="shape knob (broom handle length)")
+    p.add_argument("--k", type=int, default=None, help="broom handle length (broom only)")
     p.add_argument("--n-papers", type=int, default=1000, help="paper count for random corpora")
     p.add_argument("--years", type=_parse_years, default=(1980, 2010),
                    help="publication year range for random corpora")
@@ -307,7 +309,10 @@ def _build_parser() -> _Parser:
 
 
 def _check_ranges(args) -> None:
-    """Refuse out-of-range horizons and fractions before a command creates --out."""
+    """Refuse out-of-range seeds, horizons and fractions before a command creates --out."""
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     t1, t2 = getattr(args, "t1", None), getattr(args, "t2", None)
     if t1 is not None and t2 is not None and t1 >= t2:
         raise UsageError(f"--t1 must be smaller than --t2 (got {t1} >= {t2})")

@@ -106,7 +106,7 @@ class CitationCorpus:
             refs[citing].append(cited)
             citers[cited].append(citing)
         self._records = recs
-        self._refs = {pid: frozenset(rs) for pid, rs in refs.items()}
+        self._refs = {pid: tuple(sorted(rs)) for pid, rs in refs.items()}
         self._ids = tuple(sorted(recs))
         self._n_edges = len(edges)
         for lst in citers.values():
@@ -150,8 +150,8 @@ class CitationCorpus:
     def citation_count(self, paper_id: str) -> int:
         return len(self.citations_of(paper_id))
 
-    def references_of(self, paper_id: str) -> frozenset[str]:
-        """Ids of papers that `paper_id` cites."""
+    def references_of(self, paper_id: str) -> tuple[str, ...]:
+        """Ids of papers that `paper_id` cites, sorted."""
         try:
             return self._refs[paper_id]
         except KeyError:
@@ -160,7 +160,7 @@ class CitationCorpus:
     def edges(self) -> Iterator[tuple[str, str]]:
         """All (citing, cited) pairs in sorted order."""
         for citing in self._ids:
-            for cited in sorted(self._refs[citing]):
+            for cited in self._refs[citing]:
                 yield (citing, cited)
 
     def year_range(self) -> tuple[int, int]:
@@ -217,14 +217,9 @@ class CorpusSnapshot:
         years = self.base._citer_years[paper_id]
         return bisect_right(years, self.cutoff_year)
 
-    def references_of(self, paper_id: str) -> frozenset[str]:
+    def references_of(self, paper_id: str) -> tuple[str, ...]:
         self.record(paper_id)
         return self.base.references_of(paper_id)
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        for citing, cited in self.base.edges():
-            if self.base.year(citing) <= self.cutoff_year:
-                yield (citing, cited)
 
 
 def _coerce_record(item) -> PaperRecord | None:
@@ -441,7 +436,7 @@ def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def file_digest(*paths) -> str:

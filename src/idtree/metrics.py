@@ -141,6 +141,17 @@ def _checked_max(n: int, value: int) -> int:
     return hi
 
 
+def _checked_nids(n: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_checked_max` and `_nid` over arrays: the IDI maxima and the NIDs (0 where n = 0)."""
+    hi = (n + 1) ** 2 // 4
+    bad = np.flatnonzero((value < n) | (value > hi))
+    if len(bad):
+        i = bad[0]
+        raise AssertionError(f"IDI {value[i]} outside bounds for n={n[i]}")
+    span = hi - n
+    return hi, np.divide(value - n, span, out=np.zeros(len(n)), where=span > 0)
+
+
 def paper_metrics(
     view,
     paper_id: str,
@@ -243,13 +254,7 @@ class PaperYears:
                 if row not in drawn:
                     drawn[row] = _sweep(_build_tree(build_idg(corpus, self.ids[row]), tie, seed))[0]
                 value[i] = drawn[row][n[i] - 1]
-        hi = (n + 1) ** 2 // 4
-        bad = np.flatnonzero((n > 0) & ((value < n) | (value > hi)))
-        if len(bad):
-            i = bad[0]
-            raise AssertionError(f"IDI {value[i]} outside bounds for n={n[i]}")
-        span = hi - n
-        nid = np.divide(value - n, span, out=np.zeros(len(n)), where=span > 0)
+        nid = _checked_nids(n, value)[1]   # an uncited paper has IDI 0, inside its bounds
         nid[n == 0] = np.nan
         return n, nid
 
@@ -413,15 +418,11 @@ def corpus_metrics(
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     ids = sorted(set(paper_ids)) if paper_ids is not None else list(view.paper_ids)
     cited, n, depth, breadth, value, tied = _dispersion(view, ids)
-    hi = (n + 1) ** 2 // 4
-    bad = np.flatnonzero((value < n) | (value > hi))
-    if len(bad):
-        i = bad[0]
-        raise AssertionError(f"IDI {value[i]} outside bounds for n={n[i]}")
+    hi, nid = _checked_nids(n, value)
     reports = [
-        MetricsReport(pid, c, d, b, v, c, h, v - c, _nid(c, v, h))
-        for pid, c, d, b, v, h in zip(cited, n.tolist(), depth.tolist(), breadth.tolist(),
-                                      value.tolist(), hi.tolist())
+        MetricsReport(pid, c, d, b, v, c, h, v - c, x)
+        for pid, c, d, b, v, h, x in zip(cited, n.tolist(), depth.tolist(), breadth.tolist(),
+                                         value.tolist(), hi.tolist(), nid.tolist())
     ]
     if tie == "random":
         for i in np.flatnonzero(tied).tolist():

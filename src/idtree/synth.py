@@ -1,10 +1,11 @@
 """Synthetic trees, corpora, and brute-force oracles.
 
 Everything here is deterministic given a seed.  Shape builders return a
-dispersion tree together with a minimal citation corpus that reproduces it
-exactly when run back through `build_idg` + `build_idt`: every citer cites
-the root paper plus its tree parent, and years increase with depth, so the
-reconstruction never faces a depth tie.
+dispersion tree rooted at paper "P", and `corpus_for_tree` a minimal
+citation corpus that reproduces it exactly when run back through
+`build_idg` + `build_idt`: every citer cites the root paper plus its tree
+parent, and years increase with depth, so the reconstruction never faces a
+depth tie.
 
 `enumerate_trees` streams every rooted tree with n non-root nodes up to
 isomorphism and backs the exact bound checks; `random_parent_matrix` plus
@@ -17,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +26,31 @@ from .tree import InfluenceTree, tree_from_parent_map
 
 ENUMERATION_CAP = 9
 
-SHAPE_KINDS = ("star", "chain", "broom", "ideal", "random")
-
 
 def _node_ids(n: int) -> list[str]:
     width = max(2, len(str(n)))
     return [f"v{i:0{width}d}" for i in range(1, n + 1)]
 
 
-def star_tree(n: int, root: str = "P") -> InfluenceTree:
+def star_tree(n: int) -> InfluenceTree:
     """All n citers attached directly to the root: depth 1, breadth n."""
     if n < 1:
         raise ValueError("star needs n >= 1")
-    return tree_from_parent_map(root, {v: root for v in _node_ids(n)})
+    return tree_from_parent_map("P", {v: "P" for v in _node_ids(n)})
 
 
-def chain_tree(n: int, root: str = "P") -> InfluenceTree:
+def chain_tree(n: int) -> InfluenceTree:
     """Single unified branch of length n: depth n, breadth 1."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
     ids = _node_ids(n)
-    parent = {ids[0]: root}
+    parent = {ids[0]: "P"}
     for prev, cur in itertools.pairwise(ids):
         parent[cur] = prev
-    return tree_from_parent_map(root, parent)
+    return tree_from_parent_map("P", parent)
 
 
-def broom_tree(n: int, k: int | None = None, root: str = "P") -> InfluenceTree:
+def broom_tree(n: int, k: int | None = None) -> InfluenceTree:
     """Chain of k nodes whose last node fans out into the remaining n - k.
 
     With k ~ (n-1)/2 this shape attains the IDI maximum; k = 0 degenerates
@@ -66,13 +64,13 @@ def broom_tree(n: int, k: int | None = None, root: str = "P") -> InfluenceTree:
         raise ValueError(f"broom handle length must be in [0, {n - 1}], got {k}")
     ids = _node_ids(n)
     parent: dict[str, str] = {}
-    prev = root
+    prev = "P"
     for v in ids[:k]:
         parent[v] = prev
         prev = v
     for v in ids[k:]:
         parent[v] = prev
-    return tree_from_parent_map(root, parent)
+    return tree_from_parent_map("P", parent)
 
 
 def ideal_branch_sizes(n: int) -> list[int]:
@@ -101,77 +99,18 @@ def ideal_branch_sizes(n: int) -> list[int]:
     return sizes
 
 
-def ideal_tree(n: int, k: int | None = None, r: int | None = None, root: str = "P") -> InfluenceTree:
-    """Star of unified chains with depth = breadth = ceil(sqrt(n)).
-
-    Pass `k` (branch length) and `r` (branch count) for an explicit k x r
-    layout; then k * r must equal n.
-    """
-    if (k is None) != (r is None):
-        raise ValueError("pass both k and r or neither")
-    if k is not None:
-        if n < 1 or k < 1 or r < 1 or k * r != n:
-            raise ValueError(f"ideal layout {k}x{r} does not hold {n} nodes")
-        sizes = [k] * r
-    else:
-        sizes = ideal_branch_sizes(n)
+def ideal_tree(n: int) -> InfluenceTree:
+    """Star of unified chains with depth = breadth = ceil(sqrt(n))."""
+    sizes = ideal_branch_sizes(n)
     ids = iter(_node_ids(n))
     parent: dict[str, str] = {}
     for size in sizes:
-        prev = root
+        prev = "P"
         for _ in range(size):
             v = next(ids)
             parent[v] = prev
             prev = v
-    return tree_from_parent_map(root, parent)
-
-
-def random_tree(n: int, rng: np.random.Generator, bias: float = 0.0, root: str = "P") -> InfluenceTree:
-    """Random recursive tree; each node picks a parent among earlier nodes.
-
-    `bias` > 0 weights candidates by (child count + 1) ** bias, producing
-    bushier, heavier-tailed shapes; 0 is uniform attachment.
-    """
-    if n < 1:
-        raise ValueError("random tree needs n >= 1")
-    ids = [root] + _node_ids(n)
-    child_counts = np.zeros(n + 1, dtype=np.float64)
-    parent: dict[str, str] = {}
-    for i in range(1, n + 1):
-        if bias == 0.0:
-            j = int(rng.integers(0, i))
-        else:
-            weights = (child_counts[:i] + 1.0) ** bias
-            j = int(rng.choice(i, p=weights / weights.sum()))
-        parent[ids[i]] = ids[j]
-        child_counts[j] += 1
-    return tree_from_parent_map(root, parent)
-
-
-@dataclass(frozen=True)
-class ShapeSpec:
-    """Named tree shape: kind, node count, and kind-specific knobs."""
-
-    kind: str
-    n: int
-    k: int | None = None
-    r: int | None = None
-    bias: float = 0.0
-    seed: int | None = None
-
-
-def make_shape(spec: ShapeSpec) -> InfluenceTree:
-    if spec.kind == "star":
-        return star_tree(spec.n)
-    if spec.kind == "chain":
-        return chain_tree(spec.n)
-    if spec.kind == "broom":
-        return broom_tree(spec.n, spec.k)
-    if spec.kind == "ideal":
-        return ideal_tree(spec.n, spec.k, spec.r)
-    if spec.kind == "random":
-        return random_tree(spec.n, np.random.default_rng(spec.seed or 0), spec.bias)
-    raise ValueError(f"unknown shape kind {spec.kind!r}; expected one of {SHAPE_KINDS}")
+    return tree_from_parent_map("P", parent)
 
 
 def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
@@ -192,12 +131,6 @@ def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
         if tree.parent[v] != tree.root:
             edges.append((v, tree.parent[v]))
     return CitationCorpus(records, edges)
-
-
-def gen_shape(spec: ShapeSpec) -> tuple[InfluenceTree, CitationCorpus]:
-    """Build a named shape plus a corpus that round-trips to it."""
-    tree = make_shape(spec)
-    return tree, corpus_for_tree(tree)
 
 
 def toy_corpus() -> CitationCorpus:
@@ -268,7 +201,7 @@ def _forms(total_nodes: int) -> tuple:
     return result
 
 
-def _tree_from_form(form: tuple, root: str = "P") -> InfluenceTree:
+def _tree_from_form(form: tuple) -> InfluenceTree:
     n = _form_size(form) - 1
     ids = iter(_node_ids(n))
     parent: dict[str, str] = {}
@@ -279,23 +212,16 @@ def _tree_from_form(form: tuple, root: str = "P") -> InfluenceTree:
             parent[v] = parent_id
             walk(child, v)
 
-    walk(form, root)
-    return tree_from_parent_map(root, parent)
+    walk(form, "P")
+    return tree_from_parent_map("P", parent)
 
 
-def count_tree_shapes(n: int) -> int:
-    """Number of rooted trees with n non-root nodes, up to isomorphism."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return len(_forms(n + 1))
-
-
-def enumerate_trees(n: int, cap: int = ENUMERATION_CAP):
+def enumerate_trees(n: int):
     """Yield every rooted tree with n non-root nodes, one per iso class."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"enumeration requested for n={n} above cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"enumeration requested for n={n} above cap {ENUMERATION_CAP}")
     for form in _forms(n + 1):
         yield _tree_from_form(form)
 
@@ -336,12 +262,12 @@ def parent_matrix_stats(parents: np.ndarray) -> dict[str, np.ndarray]:
     return {"depth": d, "breadth": b, "idi": idi_values}
 
 
-def tree_from_parent_row(row: np.ndarray, root: str = "P") -> InfluenceTree:
+def tree_from_parent_row(row: np.ndarray) -> InfluenceTree:
     """Materialize one parent-matrix row as a real tree object."""
     n = len(row) - 1
-    ids = [root] + _node_ids(n)
+    ids = ["P"] + _node_ids(n)
     parent = {ids[i]: ids[int(row[i])] for i in range(1, n + 1)}
-    return tree_from_parent_map(root, parent)
+    return tree_from_parent_map("P", parent)
 
 
 # ---------------------------------------------------------------------------
@@ -449,49 +375,35 @@ def _attach_tree_citers(
             edges.append((cid, names[tree.parent[v]]))
 
 
-def make_z_benchmark(
-    seed: int = 0,
-    n_venues: int = 8,
-    papers_per_venue: int = 24,
-    base_citers: int = 9,
-    t1: int = 5,
-    t2: int = 10,
-    years: tuple[int, int] = (1995, 2000),
-    burst_good: int = 18,
-    burst_poor: int = 5,
-) -> CitationCorpus:
+def make_z_benchmark(seed: int = 0, t1: int = 5, t2: int = 10) -> CitationCorpus:
     """Planted corpus where tree shape at t1 predicts later citation gains.
 
-    Every venue paper has exactly `base_citers` citations at year + t1, so
-    citation counts carry no signal.  Half of each venue (chosen by a
-    seeded shuffle) has an ideal-shaped tree and receives `burst_good` new
-    citations in (t1, t2]; the other half has a maximally fragmented broom
-    tree and receives only `burst_poor`.  A shape-aware ranking therefore
-    matches the future-gain ranking, while a citation ranking is noise.
+    Eight venues, one per year from 1995 (1995 and 1996 twice), hold 24
+    papers each, and every one of them has exactly 9 citations at year + t1,
+    so citation counts carry no signal.  Half of each venue (chosen by a
+    seeded shuffle) has an ideal-shaped tree and receives 18 new citations
+    in (t1, t2]; the other half has a maximally fragmented broom tree and
+    receives only 5.  A shape-aware ranking therefore matches the
+    future-gain ranking, while a citation ranking is noise.
     """
-    if base_citers < 3:
-        raise ValueError("base_citers must be >= 3 so shapes differ")
     rng = np.random.default_rng(seed)
-    good_shape = ideal_tree(base_citers)
-    poor_shape = broom_tree(base_citers, k=t1 - 1)
+    good_shape = ideal_tree(9)
+    poor_shape = broom_tree(9, k=t1 - 1)
     if max(good_shape.depth.values()) > t1 or max(poor_shape.depth.values()) > t1:
         raise ValueError("shape depth exceeds t1; citers would be invisible at t1")
     records: list[PaperRecord] = []
     edges: list[tuple[str, str]] = []
-    span = years[1] - years[0] + 1
-    for j in range(n_venues):
-        year = years[0] + j % span
+    for j in range(8):
+        year = 1995 + j % 6
         venue = f"BM{j:02d}-{year}"
-        half = papers_per_venue // 2
-        flags = np.array([True] * half + [False] * (papers_per_venue - half))
+        flags = np.array([True] * 12 + [False] * 12)
         rng.shuffle(flags)
-        for idx in range(papers_per_venue):
+        for idx in range(24):
             pid = f"{venue}.p{idx:02d}"
             good = bool(flags[idx])
             records.append(PaperRecord(pid, year, venue))
             _attach_tree_citers(records, edges, pid, good_shape if good else poor_shape, year)
-            burst = burst_good if good else burst_poor
-            for b_idx in range(burst):
+            for b_idx in range(18 if good else 5):
                 bid = f"{pid}.x{b_idx:02d}"
                 records.append(PaperRecord(bid, year + t1 + 1 + b_idx % (t2 - t1)))
                 edges.append((bid, pid))
@@ -499,18 +411,14 @@ def make_z_benchmark(
     return corpus
 
 
-def make_tot_benchmark(
-    seed: int = 0,
-    year: int = 1998,
-    cohort_size: int = 40,
-) -> tuple[CitationCorpus, list[tuple[str, str, int]]]:
-    """Four award cohorts with known citation and shape ranks.
+def make_tot_benchmark() -> tuple[CitationCorpus, list[tuple[str, str, int]]]:
+    """Four award cohorts of 40 papers from 1998 with known citation and shape ranks.
 
     In two venues the awardee is both the top-cited paper and the only one
     with an ideal tree; in the other two a fragmented rival out-cites it.
     Citation-rank sequence is [1, 1, 2, 2], shape-rank is [1, 1, 1, 1].
     """
-    del seed  # layout is fully deterministic; kept for interface symmetry
+    year = 1998
     records: list[PaperRecord] = []
     edges: list[tuple[str, str]] = []
     awardees: list[tuple[str, str, int]] = []
@@ -525,7 +433,7 @@ def make_tot_benchmark(
         _attach_tree_citers(records, edges, awardee, ideal_tree(awardee_n), year)
         records.append(PaperRecord(rival, year, venue))
         _attach_tree_citers(records, edges, rival, broom_tree(rival_n, k=9), year)
-        for f_idx in range(cohort_size - 2):
+        for f_idx in range(38):
             pid = f"{venue}.f{f_idx:02d}"
             records.append(PaperRecord(pid, year, venue))
             _attach_tree_citers(records, edges, pid, star_tree(2 + f_idx % 9), year)

@@ -76,33 +76,12 @@ class InfluenceTree:
         internal = set(self.parent.values())
         return tuple(sorted(v for v in self.parent if v not in internal))
 
-    def to_json_dict(self) -> dict:
+    def to_json(self) -> str:
+        """The root and every node with its parent and depth, for inspection."""
         nodes = [{"id": self.root, "parent": None, "depth": 0}]
         for v in sorted(self.parent):
             nodes.append({"id": v, "parent": self.parent[v], "depth": self.depth[v]})
-        return {"root": self.root, "nodes": nodes}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "InfluenceTree":
-        data = json.loads(text)
-        root = data["root"]
-        parent: dict[str, str] = {}
-        for node in data["nodes"]:
-            if node["id"] == root:
-                continue
-            parent[node["id"]] = node["parent"]
-        tree = tree_from_parent_map(root, parent)
-        for node in data["nodes"]:
-            if tree.depth.get(node["id"]) != node["depth"]:
-                raise ValueError(f"inconsistent depth for node {node['id']!r}")
-        return tree
-
-    def to_edge_lines(self) -> list[str]:
-        """`parent<TAB>child` lines, sorted, for plain graph tooling."""
-        return [f"{self.parent[v]}\t{v}" for v in sorted(self.parent, key=lambda v: (self.parent[v], v))]
+        return json.dumps({"root": self.root, "nodes": nodes}, indent=2, sort_keys=True)
 
 
 def tree_from_parent_map(root: str, parent: Mapping[str, str]) -> InfluenceTree:
@@ -167,7 +146,7 @@ def build_idg(view, paper_id: str) -> InfluenceGraph:
     """
     citers = tuple(sorted(view.citations_of(paper_id)))
     citer_set = frozenset(citers)
-    cited_within = {v: view.references_of(v) & citer_set for v in citers}
+    cited_within = {v: citer_set.intersection(view.references_of(v)) for v in citers}
     years = {v: view.year(v) for v in citers}
     years[paper_id] = view.year(paper_id)
     return InfluenceGraph(paper_id, citers, cited_within, years)

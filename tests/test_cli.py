@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from idtree.cli import main
 from idtree.corpus import write_csv, write_edge_file, write_metadata_file
-from idtree.synth import ShapeSpec, gen_shape
+from idtree.synth import corpus_for_tree, star_tree
 
 
 def run(*argv):
@@ -48,6 +52,23 @@ class TestIngest:
         assert config["seed"] == 42
         assert config["tie"] == "random"
         assert config["command"] == "metrics"
+
+    def test_cache_bytes_independent_of_hash_seed(self, tmp_path, planted):
+        # the cache pickles the corpus; nothing in it may follow string hash order
+        fixture = planted / "planted-z"
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        caches = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash-{hash_seed}"
+            subprocess.run(
+                [sys.executable, "-m", "idtree.cli", "ingest", "--edges", str(fixture / "edges.tsv"),
+                 "--meta", str(fixture / "meta.jsonl"), "--out", str(out)],
+                env={**env, "PYTHONHASHSEED": hash_seed}, check=True, capture_output=True, timeout=300,
+            )
+            caches.append((out / "corpus.cache").read_bytes())
+        assert caches[0] == caches[1]
 
     def test_planted_forward_citations_counted(self, tmp_path):
         edges = tmp_path / "edges.tsv"
@@ -122,13 +143,16 @@ class TestUsageErrors:
         ("eval-tot", ["--pct", "nan"], "pct must be in (0, 1], got nan"),
         ("eval-tot", ["--t2", "-1"], "horizon must be >= 0, got -1"),
         ("eval-z", ["--t1", "-3", "--t2", "2"], "t1 must be >= 0, got -3"),
+        ("metrics", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("eval-z", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("synth", ["--kind", "ideal", "--n", "2"], "no equal depth/breadth layout exists for n=2"),
         ("synth", ["--kind", "star", "--n", "0"], "star needs n >= 1"),
         ("synth", ["--kind", "broom", "--n", "5", "--k", "9"], "broom handle length must be in [0, 4], got 9"),
         ("synth", ["--kind", "random", "--n-papers", "0"], "n_papers must be >= 1"),
         ("synth", ["--kind", "random", "--bias", "2"], "bias must be in [0, 1]"),
         ("synth", ["--kind", "planted-z", "--t1", "1", "--t2", "3"], "shape depth exceeds t1"),
-    ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "ideal-n-2", "star-n-0",
+    ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "metrics-negative-seed",
+            "z-negative-seed", "ideal-n-2", "star-n-0",
             "broom-k-9", "random-n-0", "random-bias-2", "planted-z-t1-1"])
     def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
         # the library's range checks reach the user as usage errors, before --out is made
@@ -163,7 +187,7 @@ class TestMetrics:
         assert lines[1] == "P,5,3,2,5,5,9,0,0.0"
 
     def test_large_star_fixture(self, tmp_path):
-        _, corpus = gen_shape(ShapeSpec("star", 100))
+        corpus = corpus_for_tree(star_tree(100))
         edges = tmp_path / "edges.tsv"
         meta = tmp_path / "meta.jsonl"
         write_edge_file(corpus, edges)

@@ -132,7 +132,7 @@ class TestCorpusQueries:
         corpus, _ = ingest([("b", "a")], _recs(a=2000, b=2001))
         assert corpus.citations_of("a") == ("b",)
         assert corpus.citations_of("b") == ()
-        assert corpus.references_of("b") == frozenset({"a"})
+        assert corpus.references_of("b") == ("a",)
 
     def test_citations_of_toy(self, toy):
         assert set(toy.citations_of("P")) == {"p1", "p2", "p3", "p4", "p5"}
@@ -379,5 +379,12 @@ class TestCache:
             "edges": list(toy.edges()),
         }
         cache.write_bytes(pickle.dumps(payload))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert load_cache(cache) is None
+
+    def test_format_2_cache_reads_as_stale(self, tmp_path, toy):
+        # format 2 pickled a corpus whose references were frozensets
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(pickle.dumps({"format": 2, "source_hash": "aaa", "corpus": toy}))
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None

@@ -1,8 +1,9 @@
-"""The experiment outputs stay byte-identical on seeded fixtures.
+"""The synth and experiment outputs stay byte-identical on seeded fixtures.
 
-Each case synthesizes a fixture with `idtree synth`, runs `idtree eval-z`
-(fractional and absolute gain) and `idtree eval-tot` on it under one tie
-policy, and compares the sha256 of every output file with a pinned value.
+Each synth case writes a fixture with `idtree synth` and compares the
+sha256 of every file it wrote with a pinned value.  Each experiment case
+synthesizes a fixture, runs `idtree eval-z` (fractional and absolute gain)
+and `idtree eval-tot` on it under one tie policy, and does the same.
 The random fixture has depth ties, so the two tie policies differ there.
 A change that moves any of these bytes has to say why and re-pin them.
 """
@@ -27,6 +28,89 @@ FIXTURES = {
         ["--years", "1990:2001", "--t1", "3", "--t2", "7"],
         ["--pct", "0.25", "--t2", "8"],
     ),
+}
+
+# synth case -> flags
+SYNTH = {
+    "toy": ["--kind", "toy"],
+    "planted-z": ["--kind", "planted-z"],
+    "planted-tot": ["--kind", "planted-tot"],
+    "random": ["--kind", "random", "--n-papers", "500", "--years", "1990:2000", "--followup", "0.5", "--seed", "3"],
+    **{f"{kind}-{n}": ["--kind", kind, "--n", n] for kind in ("star", "chain", "broom", "ideal") for n in ("9", "16")},
+    **{f"broom-{n}-k3": ["--kind", "broom", "--n", n, "--k", "3"] for n in ("9", "16")},
+}
+
+SYNTH_FILES = ("edges.tsv", "meta.jsonl", "tree.json", "awardees.csv")
+
+# sha256 of each file a synth case writes
+SYNTH_PINNED = {
+    "broom-16": {
+        "edges.tsv": "5d9751ff2e3475b635c11893cc5bc9d331224c11a9f12903e75c3e14a680fa15",
+        "meta.jsonl": "af7b50e93e5eabab5a3eb97d8cf128b81d184b0673d7aea358932b24c62f40aa",
+        "tree.json": "4a80074ce764750183710b9949901f7baee97d1c5adc9a7c66b658d263928e7b",
+    },
+    "broom-16-k3": {
+        "edges.tsv": "24e45c77e08edb91722c15a429b1b5dc96ee0563dd52efda454b5972c710b6f4",
+        "meta.jsonl": "a503e6a4c010e34e554c65196f4960f9271d34bebb55c99a710d2b1815d4e390",
+        "tree.json": "6ff47c2b62b3afc75b65a27327f48ee9f01124fff32849a16735c94cedd6d052",
+    },
+    "broom-9": {
+        "edges.tsv": "87e9f981367f0c6df719662be1902af96007c1ef1c104b78fe88bb8eb74e2e69",
+        "meta.jsonl": "638abea585111face180374c4da373d25d48dc765cd5e8c1d530252ec6e25ba2",
+        "tree.json": "4d527a60e3c5704fe40dfb27da6fd9a064de7ac0f5c6b4532d0550cf35003d46",
+    },
+    "broom-9-k3": {
+        "edges.tsv": "6583b3159e2dc812eb75c33c4864f6bebb3d4211724205599413b92110e6a64a",
+        "meta.jsonl": "3cf15bd874458d073ae13f756006c38d77d7e90c02c5fdca925e40141af38b08",
+        "tree.json": "e0679f439938370a2ccadc3f8afec114a2d56ad7f84b2022bbb9287247393385",
+    },
+    "chain-16": {
+        "edges.tsv": "158bdab566a61d48c19e1cbab65ed7dd5ed8f31df6e75b6377294944bba3eab4",
+        "meta.jsonl": "6c1a687275389b6afb2f505f842d37a20e10d54dbcde195c719ea5a84a7fe904",
+        "tree.json": "abd1a243a436c8c6bd82e61d4e38f12b0247e63b9338019435669c3234787141",
+    },
+    "chain-9": {
+        "edges.tsv": "e2c6ede627c7e0d24127c4098ecd8f5b48bc93be27e5a2bdcb93a17fb29e1e56",
+        "meta.jsonl": "a5f61ffd14cd7bda5d192b2fb37789a8539f9c445087938abfbcaf62288fd623",
+        "tree.json": "98e60e4c1edaf9f8e361a868192826a989de34a17ac2853d16cc82c40548112a",
+    },
+    "ideal-16": {
+        "edges.tsv": "e5c9da88a3a8889de2f3fc631a997bb78e10fd1753da813e6da203f20f59f551",
+        "meta.jsonl": "f9c724f8784866e017388c6d5ac754fa436778e5955b3ffae41af77d839d5a65",
+        "tree.json": "2f42df74fa280f2b8dca8259eebf265e1873a8ebde3bb2690581aaae56cf67d1",
+    },
+    "ideal-9": {
+        "edges.tsv": "34c16aac626c5b378415b24011022e1f496b412b1c95227dd54cd397f5e06196",
+        "meta.jsonl": "bc20ae435a042660f8541fe3581aafb47d263f4c258d5d56db4f4a8c49dd30a3",
+        "tree.json": "49708401d2fffaf10899ee9e801a24a703d68a7ee356f85c8b7ca93a6cb7e055",
+    },
+    "planted-tot": {
+        "edges.tsv": "26161cc1199dcb80ddb2a5beaf834aa493fd64eb13216381504718909fc2a6f0",
+        "meta.jsonl": "66d9ef53ab384d04e15586fca5d4624c7e53f991d891fc17bb84408ca5920a0f",
+        "awardees.csv": "caa8b18f9e7d49e6b59f48860ea61f9ba5bd58a358773f4dae2170b548ebb5f5",
+    },
+    "planted-z": {
+        "edges.tsv": "c208e441a58ccfb51dc37b1ca2af90a264194da6982d5a6e17557a7579182492",
+        "meta.jsonl": "e65355294b06ced8cc7fa18d0649fa1eb543b943df167b3adc4754e335fd7c13",
+    },
+    "random": {
+        "edges.tsv": "194c1442b9a097fd6203be0f00c933ad17dc41f6f1407e12bad2ff8ca9c1eabe",
+        "meta.jsonl": "1d2045764bda8cd544c49ff9e6efffc71a0f7cc09c29cfc2709a4f42a607701c",
+    },
+    "star-16": {
+        "edges.tsv": "2321b65b5e0b1b1393a91aa8498ebc4109fd9eeb8713ea1f82ca9ab6f5b4ff96",
+        "meta.jsonl": "2e23854b2114ac40c4e913ea0443f284b2d70971c4b884e8822b8e35015eef8b",
+        "tree.json": "ebea7040a79e9f24673b1e485263b2a2b337e96a81331c0de0bb27890abd33bb",
+    },
+    "star-9": {
+        "edges.tsv": "e1e9f918c01288a5f3fdcb2bee54df316fc186d18ed250a6ebbf7708b50bf692",
+        "meta.jsonl": "4bd3f04cf953d2f7b4aeb8bb825ce41b9cd14e6ec676e0a5e1bb1efa8d38809d",
+        "tree.json": "642636fa41d303910a44a60f4be628ce3f251b237902d6208c203242c36d1eb9",
+    },
+    "toy": {
+        "edges.tsv": "17ff46a4c1185ad64c763d0dbc5972a83c60cfeacc8e37469ae426cdcdd65286",
+        "meta.jsonl": "3b5ffc1044e82cd642c787251026fc9d0e4cdd4afca896c32bc313334ee23c86",
+    },
 }
 
 RUNS = {
@@ -179,3 +263,11 @@ def root(tmp_path_factory):
 @pytest.mark.parametrize("fixture_name", sorted(FIXTURES))
 def test_outputs_match_pinned_digests(root, fixture_name, tie):
     assert output_digests(root, fixture_name, tie) == PINNED[fixture_name, tie]
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH))
+def test_synth_outputs_match_pinned_digests(tmp_path, case):
+    assert main(["synth", *SYNTH[case], "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in SYNTH_FILES if (tmp_path / name).exists()}
+    assert digests == SYNTH_PINNED[case]

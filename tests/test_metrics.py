@@ -32,8 +32,9 @@ from idtree.synth import (
     enumerate_trees,
     gen_random_corpus,
     ideal_tree,
-    random_tree,
+    random_parent_matrix,
     star_tree,
+    tree_from_parent_row,
 )
 from idtree.tree import InfluenceTree, tree_from_parent_map, tree_stats
 
@@ -111,7 +112,7 @@ class TestBounds:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 60), st.integers(0, 10_000))
     def test_random_trees_within_bounds(self, n, seed):
-        tree = random_tree(n, np.random.default_rng(seed))
+        tree = tree_from_parent_row(random_parent_matrix(n, 1, np.random.default_rng(seed))[0])
         value = idi(tree)
         assert idi_min(n) <= value <= idi_max(n)
         assert 0.0 <= nid_value(n, value) <= 1.0
@@ -186,7 +187,7 @@ class TestDivergence:
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(1, 40))
-            tree = random_tree(n, rng)
+            tree = tree_from_parent_row(random_parent_matrix(n, 1, rng)[0])
             assert influence_divergence(tree) == idi(tree) - n >= 0
 
 

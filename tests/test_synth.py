@@ -8,17 +8,13 @@ from idtree.corpus import write_edge_file, write_metadata_file
 from idtree.experiments import corpus_stats
 from idtree.metrics import idi, idi_max, nid
 from idtree.synth import (
-    ShapeSpec,
     broom_tree,
     chain_tree,
     corpus_for_tree,
-    count_tree_shapes,
     enumerate_trees,
     gen_random_corpus,
-    gen_shape,
     ideal_branch_sizes,
     ideal_tree,
-    make_shape,
     make_tot_benchmark,
     make_z_benchmark,
     parent_matrix_stats,
@@ -36,7 +32,8 @@ KNOWN_SHAPE_COUNTS = [1, 2, 4, 9, 20, 48]
 
 class TestShapes:
     def test_star(self):
-        tree, corpus = gen_shape(ShapeSpec("star", 5))
+        tree = star_tree(5)
+        corpus = corpus_for_tree(tree)
         stats = tree_stats(tree)
         assert (stats.depth, stats.breadth) == (1, 5)
         assert idi(tree) == 5
@@ -49,7 +46,7 @@ class TestShapes:
         assert idi(tree) == 6
 
     def test_broom_attains_idi_max(self):
-        tree, _ = gen_shape(ShapeSpec("broom", 5, k=2))
+        tree = broom_tree(5, k=2)
         assert idi(tree) == 9 == idi_max(5)
         # default handle length also attains the maximum
         for n in (3, 8, 17, 40):
@@ -60,23 +57,13 @@ class TestShapes:
         assert tree_stats(broom_tree(5, k=4)).depth == 5
 
     def test_ideal_square(self):
-        tree, _ = gen_shape(ShapeSpec("ideal", 9))
+        tree = ideal_tree(9)
         stats = tree_stats(tree)
         assert (stats.depth, stats.breadth) == (3, 3)
         assert nid(tree) == 0.0
         assert all(b.unified for b in stats.branches)
 
-    def test_ideal_explicit_layout(self):
-        tree = ideal_tree(12, k=4, r=3)
-        stats = tree_stats(tree)
-        assert (stats.depth, stats.breadth) == (4, 3)
-        assert idi(tree) == 12
-
     def test_ideal_errors(self):
-        with pytest.raises(ValueError):
-            ideal_tree(12, k=4, r=4)  # 16 != 12
-        with pytest.raises(ValueError):
-            ideal_tree(12, k=4)  # k without r
         with pytest.raises(ValueError):
             ideal_tree(2)  # no equal depth/breadth layout exists
         with pytest.raises(ValueError):
@@ -90,14 +77,14 @@ class TestShapes:
             assert len(sizes) == k  # breadth equals depth
             assert all(1 <= s <= k for s in sizes)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_shape(ShapeSpec("spiral", 5))
-
     def test_shape_errors_on_empty(self):
         for builder in (star_tree, chain_tree, broom_tree, ideal_tree):
             with pytest.raises(ValueError):
                 builder(0)
+
+
+def _random_tree(n, seed):
+    return tree_from_parent_row(random_parent_matrix(n, 1, np.random.default_rng(seed))[0])
 
 
 class TestRoundTrip:
@@ -105,24 +92,24 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ["star", "chain", "broom", "ideal"])
     def test_named_shapes(self, kind):
+        builder = {"star": star_tree, "chain": chain_tree, "broom": broom_tree, "ideal": ideal_tree}[kind]
         sizes = [n for n in range(1, 101) if not (kind == "ideal" and n == 2)]
         for n in sizes:
-            tree, corpus = gen_shape(ShapeSpec(kind, n))
-            rebuilt = build_idt(build_idg(corpus, tree.root))
+            tree = builder(n)
+            rebuilt = build_idt(build_idg(corpus_for_tree(tree), tree.root))
             assert rebuilt == tree, f"{kind} n={n}"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_shapes(self, seed):
         for n in (1, 7, 33, 100):
-            for bias in (0.0, 1.5):
-                tree, corpus = gen_shape(ShapeSpec("random", n, bias=bias, seed=seed))
-                rebuilt = build_idt(build_idg(corpus, tree.root))
-                assert rebuilt == tree
+            tree = _random_tree(n, seed)
+            rebuilt = build_idt(build_idg(corpus_for_tree(tree), tree.root))
+            assert rebuilt == tree
 
     def test_round_trip_independent_of_tie_policy(self):
         # citers cite root + parent only, so reconstruction never hits a tie
-        tree, corpus = gen_shape(ShapeSpec("random", 50, seed=9))
-        idg = build_idg(corpus, tree.root)
+        tree = _random_tree(50, 9)
+        idg = build_idg(corpus_for_tree(tree), tree.root)
         assert build_idt(idg, tie="random", rng=np.random.default_rng(0)) == tree
 
     def test_empty_tree_rejected(self):
@@ -134,7 +121,7 @@ class TestRoundTrip:
 
 class TestEnumeration:
     def test_counts_match_known_sequence(self):
-        assert [count_tree_shapes(n) for n in range(1, 7)] == KNOWN_SHAPE_COUNTS
+        assert [len(list(enumerate_trees(n))) for n in range(1, 7)] == KNOWN_SHAPE_COUNTS
 
     def test_two_node_shapes(self):
         shapes = {
@@ -161,7 +148,7 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             list(enumerate_trees(10))
-        assert count_tree_shapes(1) == 1
+        assert len(list(enumerate_trees(1))) == 1
         with pytest.raises(ValueError):
             list(enumerate_trees(0))
 
@@ -191,7 +178,7 @@ class TestToyCorpus:
         corpus = toy_corpus()
         assert corpus.paper_ids == ("P", "p1", "p2", "p3", "p4", "p5")
         assert corpus.year("P") == 2000
-        assert corpus.references_of("p4") == frozenset({"P", "p1", "p2"})
+        assert corpus.references_of("p4") == ("P", "p1", "p2")
         assert corpus.citation_count("P") == 5
 
 
@@ -282,7 +269,7 @@ class TestPlantedBenchmarks:
 
     def test_z_benchmark_depth_guard(self):
         with pytest.raises(ValueError):
-            make_z_benchmark(base_citers=100, t1=3)  # shapes would outlive t1
+            make_z_benchmark(t1=2, t2=5)  # the ideal tree of 9 citers is 3 deep
 
     def test_tot_benchmark_layout(self):
         corpus, awardees = make_tot_benchmark()

@@ -1,5 +1,7 @@
 """Influence graph and dispersion tree construction."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,22 +222,14 @@ class TestTreeStats:
 
 class TestSerialization:
     def test_json_round_trip(self, toy):
+        # tree.json names every node's parent and depth, so the tree can be rebuilt from it
         tree = build_idt(build_idg(toy, "P"))
-        again = InfluenceTree.from_json(tree.to_json())
+        data = json.loads(tree.to_json())
+        nodes = {node["id"]: node for node in data["nodes"]}
+        again = tree_from_parent_map(data["root"], {v: node["parent"] for v, node in nodes.items()
+                                                    if v != data["root"]})
         assert again == tree
-
-    def test_json_depth_validation(self):
-        text = (
-            '{"root": "P", "nodes": ['
-            '{"id": "P", "parent": null, "depth": 0},'
-            '{"id": "a", "parent": "P", "depth": 2}]}'
-        )
-        with pytest.raises(ValueError):
-            InfluenceTree.from_json(text)
-
-    def test_edge_lines(self):
-        tree = tree_from_parent_map("P", {"a": "P", "b": "a"})
-        assert tree.to_edge_lines() == ["P\ta", "a\tb"]
+        assert {v: node["depth"] for v, node in nodes.items()} == tree.depth
 
     def test_parent_map_validation(self):
         with pytest.raises(ValueError):
