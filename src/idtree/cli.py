@@ -115,7 +115,7 @@ def cmd_metrics(args) -> int:
     errors: list[tuple[str, str]] = []
     if args.ids:
         # each id once, in id order, whether scored or rejected
-        ids = sorted({pid.strip() for pid in next(csv.reader([args.ids], skipinitialspace=True))} - {""})
+        ids = sorted(set(next(csv.reader([args.ids], skipinitialspace=True))) - {""})
         requested = [pid for pid in ids if corpus.has_paper(pid)]
         errors = [(pid, "unknown paper id") for pid in ids if not corpus.has_paper(pid)]
     reports = metrics_mod.corpus_metrics(corpus, requested, tie=args.tie, seed=args.seed)

@@ -25,11 +25,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import pickle
-from bisect import bisect_right
+import operator
 from collections import defaultdict
 from dataclasses import asdict, dataclass
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+# Years are stored as int32; a record dated outside this range is malformed.
+YEAR_MIN, YEAR_MAX = -2**31, 2**31 - 1
 
 
 class CorpusError(Exception):
@@ -84,12 +89,21 @@ class IngestReport:
 class CitationCorpus:
     """Immutable deduplicated citation DAG over a set of papers.
 
-    Edges are (citing_id, cited_id) pairs.  The constructor applies rules 1-6
-    of `ingest` and raises `CorpusError`, naming each nonzero counter, on
-    anything `ingest` would drop; papers without edges are allowed.
+    Papers are numbered once, in sorted-id order: a paper's row is its
+    position in `paper_ids`.  Per row the corpus stores `years` (int32) and
+    `venues`, a code into the sorted `venue_names` (-1 for no venue).  Edges
+    are (citing, cited) pairs, kept as two CSR layouts (an offset array plus
+    an index array of rows): `citer_offsets`/`citers`, each paper's citers
+    ordered by (year, row), and `ref_offsets`/`refs`, its references in row
+    order.  The methods taking id strings are views of these arrays.
+
+    The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
+    naming each nonzero counter, on anything `ingest` would drop; papers
+    without edges are allowed.
     """
 
-    __slots__ = ("_records", "_citers", "_citer_years", "_refs", "_ids", "_n_edges", "__weakref__")
+    __slots__ = ("_ids", "_rows", "years", "venues", "venue_names",
+                 "citer_offsets", "citers", "ref_offsets", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
         recs, kept, report = _screen(records, edges)
@@ -97,28 +111,46 @@ class CitationCorpus:
                  if v and k.startswith(("dropped_", "malformed_"))]
         if dirty:
             raise CorpusError(f"corpus input is not clean ({', '.join(dirty)}); use ingest")
-        self._index(recs, kept)
+        self._fill(*_arrays(recs, kept))
 
-    def _index(self, recs: dict[str, PaperRecord], edges: list[tuple[str, str]]) -> None:
-        citers: dict[str, list[str]] = {pid: [] for pid in recs}
-        refs: dict[str, list[str]] = {pid: [] for pid in recs}
-        for citing, cited in edges:
-            refs[citing].append(cited)
-            citers[cited].append(citing)
-        self._records = recs
-        self._refs = {pid: tuple(sorted(rs)) for pid, rs in refs.items()}
-        self._ids = tuple(sorted(recs))
-        self._n_edges = len(edges)
-        for lst in citers.values():
-            lst.sort(key=lambda c: (recs[c].year, c))
-        self._citers = {pid: tuple(lst) for pid, lst in citers.items()}
-        self._citer_years = {pid: tuple(recs[c].year for c in lst) for pid, lst in citers.items()}
+    def _fill(self, ids: Sequence[str], venue_names: Sequence[str], years: np.ndarray,
+              venues: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+        """The array constructor: papers `ids` (sorted) and edges `src` -> `dst` (rows).
+
+        Raises `CorpusError` unless the arrays make a clean corpus, as
+        `load_cache` relies on: every edge in range, distinct, no
+        self-citation, none forward in time and none on a same-year cycle.
+        """
+        n = len(ids)
+        if not (all(isinstance(s, str) for s in chain(ids, venue_names))
+                and all(all(map(operator.lt, names, names[1:])) for names in (ids, venue_names))
+                and all(a.dtype == np.int32 and a.shape == (m,)
+                        for a, m in ((years, n), (venues, n), (src, len(src)), (dst, len(src))))
+                and ((venues >= -1) & (venues < len(venue_names))).all()
+                and ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all()):
+            raise CorpusError("corpus arrays are inconsistent")
+        key = np.sort(src.astype(np.int64) * n + dst)
+        src, dst = (key // n).astype(np.int32), (key % n).astype(np.int32)
+        same = years[src] == years[dst]
+        if ((key[1:] == key[:-1]).any() or (src == dst).any() or (years[src] < years[dst]).any()
+                or _edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))):
+            raise CorpusError("corpus edges are not clean")
+        self._ids, self.venue_names = tuple(ids), tuple(venue_names)
+        self._rows = dict(zip(self._ids, range(n)))
+        self.years, self.venues, self.refs = years, venues, dst
+        self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
+        self.citers = src[np.lexsort((src, years[src], dst))]
+        self.citer_offsets = np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
+        for a in (self.years, self.venues, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
-    def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self._records
+    def has_paper(self, paper_id: str) -> bool:
+        return paper_id in self._rows
+
+    __contains__ = has_paper
 
     @property
     def paper_ids(self) -> tuple[str, ...]:
@@ -126,48 +158,50 @@ class CitationCorpus:
 
     @property
     def n_edges(self) -> int:
-        return self._n_edges
+        return len(self.refs)
 
-    def has_paper(self, paper_id: str) -> bool:
-        return paper_id in self._records
-
-    def record(self, paper_id: str) -> PaperRecord:
+    def row(self, paper_id: str) -> int:
+        """The paper's row: its position in `paper_ids`."""
         try:
-            return self._records[paper_id]
+            return self._rows[paper_id]
         except KeyError:
             raise UnknownPaperError(paper_id) from None
 
+    def _names(self, rows: np.ndarray) -> tuple[str, ...]:
+        return tuple(map(self._ids.__getitem__, rows.tolist()))
+
+    @staticmethod
+    def _slice(offsets: np.ndarray, index: np.ndarray, row: int) -> np.ndarray:
+        return index[offsets[row]:offsets[row + 1]]
+
+    def record(self, paper_id: str) -> PaperRecord:
+        row = self.row(paper_id)
+        code = int(self.venues[row])
+        return PaperRecord(self._ids[row], int(self.years[row]), self.venue_names[code] if code >= 0 else None)
+
     def year(self, paper_id: str) -> int:
-        return self.record(paper_id).year
+        return int(self.years[self.row(paper_id)])
 
     def citations_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers citing `paper_id`, ordered by (year, id)."""
-        try:
-            return self._citers[paper_id]
-        except KeyError:
-            raise UnknownPaperError(paper_id) from None
+        return self._names(self._slice(self.citer_offsets, self.citers, self.row(paper_id)))
 
     def citation_count(self, paper_id: str) -> int:
-        return len(self.citations_of(paper_id))
+        return len(self._slice(self.citer_offsets, self.citers, self.row(paper_id)))
 
     def references_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers that `paper_id` cites, sorted."""
-        try:
-            return self._refs[paper_id]
-        except KeyError:
-            raise UnknownPaperError(paper_id) from None
+        return self._names(self._slice(self.ref_offsets, self.refs, self.row(paper_id)))
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All (citing, cited) pairs in sorted order."""
-        for citing in self._ids:
-            for cited in self._refs[citing]:
-                yield (citing, cited)
+        citing = np.repeat(np.arange(len(self._ids)), np.diff(self.ref_offsets))
+        return zip(self._names(citing), self._names(self.refs))
 
     def year_range(self) -> tuple[int, int]:
-        if not self._records:
+        if not self._ids:
             raise CorpusError("empty corpus has no year range")
-        years = [r.year for r in self._records.values()]
-        return min(years), max(years)
+        return int(self.years.min()), int(self.years.max())
 
     def snapshot(self, cutoff_year: int) -> "CorpusSnapshot":
         """View restricted to papers and citing activity up to `cutoff_year`."""
@@ -188,38 +222,53 @@ class CorpusSnapshot:
         self.base = base
         self.cutoff_year = cutoff_year
 
-    def __contains__(self, paper_id: str) -> bool:
-        return self.has_paper(paper_id)
-
     def has_paper(self, paper_id: str) -> bool:
-        return self.base.has_paper(paper_id) and self.base.year(paper_id) <= self.cutoff_year
+        return paper_id in self.base and self.base.year(paper_id) <= self.cutoff_year
+
+    __contains__ = has_paper
 
     @property
     def paper_ids(self) -> tuple[str, ...]:
-        return tuple(p for p in self.base.paper_ids if self.base.year(p) <= self.cutoff_year)
+        return tuple(compress(self.base.paper_ids, self.base.years <= self.cutoff_year))
+
+    def row(self, paper_id: str) -> int:
+        row = self.base.row(paper_id)
+        if self.base.years[row] > self.cutoff_year:
+            raise UnknownPaperError(paper_id)
+        return row
 
     def record(self, paper_id: str) -> PaperRecord:
-        rec = self.base.record(paper_id)
-        if rec.year > self.cutoff_year:
-            raise UnknownPaperError(paper_id)
-        return rec
+        self.row(paper_id)
+        return self.base.record(paper_id)
 
     def year(self, paper_id: str) -> int:
         return self.record(paper_id).year
 
+    def _citers(self, paper_id: str) -> np.ndarray:
+        citers = self.base._slice(self.base.citer_offsets, self.base.citers, self.row(paper_id))
+        return citers[:np.searchsorted(self.base.years[citers], self.cutoff_year, "right")]
+
     def citations_of(self, paper_id: str) -> tuple[str, ...]:
-        self.record(paper_id)
-        years = self.base._citer_years[paper_id]
-        return self.base._citers[paper_id][: bisect_right(years, self.cutoff_year)]
+        return self.base._names(self._citers(paper_id))
 
     def citation_count(self, paper_id: str) -> int:
-        self.record(paper_id)
-        years = self.base._citer_years[paper_id]
-        return bisect_right(years, self.cutoff_year)
+        return len(self._citers(paper_id))
 
     def references_of(self, paper_id: str) -> tuple[str, ...]:
-        self.record(paper_id)
+        self.row(paper_id)
         return self.base.references_of(paper_id)
+
+
+def _arrays(recs: dict[str, PaperRecord], edges: list[tuple[str, str]]):
+    """`CitationCorpus._fill`'s arguments for the papers `recs` and the edges between them."""
+    ids = sorted(recs)
+    rows = dict(zip(ids, range(len(ids))))
+    names = sorted({rec.venue for rec in recs.values()} - {None})
+    codes = dict(zip(names, range(len(names))))
+    years = np.fromiter((recs[pid].year for pid in ids), np.int32, len(ids))
+    venues = np.fromiter((codes.get(recs[pid].venue, -1) for pid in ids), np.int32, len(ids))
+    pairs = np.fromiter(map(rows.__getitem__, chain.from_iterable(edges)), np.int32, 2 * len(edges))
+    return ids, names, years, venues, pairs[0::2], pairs[1::2]
 
 
 def _coerce_record(item) -> PaperRecord | None:
@@ -231,7 +280,7 @@ def _coerce_record(item) -> PaperRecord | None:
         return None
     if not isinstance(pid, str) or not pid:
         return None
-    if isinstance(year, bool) or not isinstance(year, int):
+    if isinstance(year, bool) or not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
         return None
     if venue is not None and not isinstance(venue, str):
         return None
@@ -247,62 +296,43 @@ def _coerce_edge(item) -> tuple[str, str] | None:
     return (citing, cited)
 
 
-def _edges_on_cycles(edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
-    """Edges lying on a directed cycle: both endpoints in one nontrivial SCC."""
-    adj: dict[str, list[str]] = defaultdict(list)
-    nodes: set[str] = set()
+def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
+    """Edges lying on a directed cycle: both ends in one strongly connected component.
+
+    Kosaraju: after a depth-first pass, each node not yet placed, last finished
+    first, takes into its component every unplaced node that reaches it."""
+    succ: dict = defaultdict(list)
+    pred: dict = defaultdict(list)
     for u, v in edges:
-        adj[u].append(v)
-        nodes.add(u)
-        nodes.add(v)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    comp: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    n_comp = 0
-    comp_size: dict[int, int] = {}
-    for start in sorted(nodes):
-        if start in index:
+        succ[u].append(v)
+        pred[v].append(u)
+    finished: list = []
+    seen: set = set()
+    for start in list(succ):
+        if start in seen:
             continue
-        work = [(start, iter(adj[start]))]
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                size = 0
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comp
-                    size += 1
-                    if w == node:
-                        break
-                comp_size[n_comp] = size
-                n_comp += 1
-    return {(u, v) for u, v in edges if comp[u] == comp[v] and comp_size[comp[u]] > 1}
+        seen.add(start)
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            node, it = stack[-1]
+            nxt = next((w for w in it if w not in seen), None)
+            if nxt is None:
+                stack.pop()
+                finished.append(node)
+            else:
+                seen.add(nxt)
+                stack.append((nxt, iter(succ[nxt])))
+    comp: dict = {}
+    for root in reversed(finished):
+        if root not in comp:
+            comp[root] = root
+            todo = [root]
+            while todo:
+                for w in pred[todo.pop()]:
+                    if w not in comp:
+                        comp[w] = root
+                        todo.append(w)
+    return {(u, v) for u, v in edges if comp[u] == comp[v]}
 
 
 def _screen(records: Iterable, edges: Iterable) -> tuple[dict[str, PaperRecord], list[tuple[str, str]], IngestReport]:
@@ -369,7 +399,7 @@ def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestRe
     report.papers_kept = len(linked)
     report.edges_kept = len(kept)
     corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._index({p: recs[p] for p in sorted(linked)}, kept)
+    corpus._fill(*_arrays({p: recs[p] for p in linked}, kept))
     return corpus, report
 
 
@@ -436,7 +466,7 @@ def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def file_digest(*paths) -> str:
@@ -451,26 +481,31 @@ def file_digest(*paths) -> str:
 
 
 def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
-    """Pickle the built corpus with the digest of the files it came from."""
-    payload = {"format": CACHE_FORMAT, "source_hash": source_hash, "corpus": corpus}
+    """Write the corpus and the digest of its files as five `np.save` arrays:
+    a JSON header (format, digest, ids, venue names) as ASCII bytes, the
+    years, the venue codes, and the citing and the cited row of each edge."""
+    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash,
+                       "ids": corpus.paper_ids, "venues": corpus.venue_names})
+    citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
     with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8), corpus.years, corpus.venues, citing, corpus.refs):
+            np.save(fh, a, allow_pickle=False)
 
 
 def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
-    """Load a cached corpus; returns None when missing, stale, or unreadable.
+    """Load a cached corpus; returns None when missing, stale, damaged or of another format.
 
-    The corpus comes back as it was saved, without a second screening: like
-    any pickle, the file is trusted to hold what `save_cache` wrote.
+    Nothing in the file is unpickled: the arrays go through the constructor
+    `ingest` uses, whose checks refuse any that do not make a clean corpus.
     """
     try:
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError):
-        return None
-    if not isinstance(payload, dict) or payload.get("format") != CACHE_FORMAT:
-        return None
-    if expect_hash is not None and payload.get("source_hash") != expect_hash:
-        return None
-    corpus = payload.get("corpus")
-    return corpus if isinstance(corpus, CitationCorpus) else None
+            head = json.loads(np.load(fh, allow_pickle=False).tobytes())
+            arrays = [np.load(fh, allow_pickle=False) for _ in range(4)]
+        if head["format"] != CACHE_FORMAT or expect_hash not in (None, head["source_hash"]):
+            return None
+        corpus = CitationCorpus.__new__(CitationCorpus)
+        corpus._fill(head["ids"], head["venues"], *arrays)
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
+        return None  # whatever a damaged or foreign file makes the parse raise
+    return corpus

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
-from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CitationCorpus, write_csv
-from .metrics import MetricsReport, corpus_metrics, paper_metrics, paper_years
+from .metrics import MetricsReport, _runs, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -233,40 +231,26 @@ class ZReport:
         return out
 
 
-# corpus -> its venue editions (see `_editions`).  Weakly keyed, like the
-# tables of `metrics.paper_years`.
-_EDITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _editions(corpus: CitationCorpus) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The corpus's (venue, year) editions in sorted order, and their papers.
 
-    Returns the keys, then the offsets of each edition's run in the last
-    array, which holds the positions in `corpus.paper_ids` of the editions'
-    papers, each run in id order.  Papers without a venue are in none.  The
-    venue string already identifies one series+year edition, so the year in
-    the key only guards against inconsistent metadata.  Built once per
-    corpus.
+    Returns each edition's venue code and year, then the offsets of each
+    edition's run in the last array: the rows of the editions' papers, each
+    run in id order.  Papers without a venue are in none.  The venue string
+    already identifies one series+year edition, so the year in the key only
+    guards against inconsistent metadata.
     """
-    found = _EDITIONS.get(corpus)
-    if found is None:
-        groups: dict[tuple[str, int], list[int]] = defaultdict(list)
-        for i, rec in enumerate(map(corpus.record, corpus.paper_ids)):
-            if rec.venue is not None:
-                groups[(rec.venue, rec.year)].append(i)
-        keys = sorted(groups)
-        sizes = [len(groups[key]) for key in keys]
-        members = np.fromiter(chain.from_iterable(groups[key] for key in keys), np.int64, sum(sizes))
-        found = _EDITIONS[corpus] = (keys, np.r_[0, np.cumsum(sizes, dtype=np.int64)], members)
-    return found
+    rows = np.flatnonzero(corpus.venues >= 0)
+    members = rows[np.lexsort((rows, corpus.years[rows], corpus.venues[rows]))]
+    code, year = corpus.venues[members], corpus.years[members]
+    heads = np.flatnonzero(np.r_[True, (code[1:] != code[:-1]) | (year[1:] != year[:-1])])
+    return code[heads], year[heads].astype(np.int64), np.r_[heads, len(members)], members
 
 
-def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
-    lo = offsets[picks]
-    sizes = offsets[picks + 1] - lo
-    pick = np.repeat(np.arange(len(picks)), sizes)
-    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
+def _clip(corpus: CitationCorpus, horizon: int) -> int:
+    """`horizon` capped at the corpus's span of years; exact, since a cutoff
+    at or past the last year already counts every citation."""
+    return min(horizon, int(corpus.years.max()) - int(corpus.years.min())) if len(corpus) else 0
 
 
 def z_experiment(
@@ -296,14 +280,14 @@ def z_experiment(
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
     if gain_mode not in GAIN_MODES:
         raise ValueError(f"mode must be one of {GAIN_MODES}, got {gain_mode!r}")
-    keys, offsets, members = _editions(corpus)
-    picks = np.array([k for k, (_, year) in enumerate(keys) if year_range[0] <= year <= year_range[1]], np.int64)
+    codes, years, offsets, members = _editions(corpus)
+    picks = np.flatnonzero((years >= year_range[0]) & (years <= year_range[1]))
     at, edition = _runs(offsets, picks)
     rows = members[at]
-    year = np.array([keys[k][1] for k in picks.tolist()], np.int64)[edition]
+    year = years[picks][edition]
     table = paper_years(corpus, rows)
-    c1, nid = table.nids(corpus, rows, year + t1, tie=tie, seed=seed)
-    c2 = table.counts(rows, year + t2)
+    c1, nid = table.nids(corpus, rows, year + _clip(corpus, t1), tie=tie, seed=seed)
+    c2 = table.counts(rows, year + _clip(corpus, t2))
     cited = c1 > 0
     rows, edition, c1, c2, nid = rows[cited], edition[cited], c1[cited], c2[cited], nid[cited]
     gain = (c2 - c1) / c1 if gain_mode == "fractional" else (c2 - c1).astype(np.float64)
@@ -318,7 +302,7 @@ def z_experiment(
     skipped: list[tuple[str, int, str]] = []
     lo = 0
     for k, m in zip(picks.tolist(), np.bincount(edition, minlength=len(picks)).tolist()):
-        venue, year = keys[k]
+        venue, year = corpus.venue_names[codes[k]], int(years[k])
         hi = lo + m
         if m < 2:
             skipped.append((venue, year, f"only {m} papers with citations at t1"))
@@ -397,24 +381,24 @@ def tot_experiment(
         raise ValueError(f"pct must be in (0, 1], got {pct}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    keys, offsets, members = _editions(corpus)
-    edition = {key: k for k, key in enumerate(keys)}
+    codes, years, offsets, members = _editions(corpus)
+    edition = {(corpus.venue_names[c], y): k for k, (c, y) in enumerate(zip(codes.tolist(), years.tolist()))}
     ids = corpus.paper_ids
     awardees = sorted(set(awardees))
     reasons: dict[int, str] = {}
-    found: list[tuple[int, int]] = []   # (edition, position of the awardee)
+    found: list[tuple[int, int]] = []   # (edition, row of the awardee)
     for i, (pid, venue, year) in enumerate(awardees):
         k = edition.get((venue, year))
         if k is None:
             reasons[i] = f"no papers for venue {venue!r} in {year}"
-        elif not corpus.has_paper(pid) or keys[k] != (corpus.record(pid).venue, corpus.record(pid).year):
+        elif not corpus.has_paper(pid) or (corpus.record(pid).venue, corpus.year(pid)) != (venue, year):
             reasons[i] = f"awardee not in venue cohort {venue!r} {year}"
         else:
-            found.append((k, bisect_left(ids, pid)))
+            found.append((k, corpus.row(pid)))
     picks, awardee = np.array(found, np.int64).reshape(-1, 2).T
     at, case = _runs(offsets, picks)
     rows = members[at]
-    cutoff = np.array([keys[k][1] + horizon for k in picks.tolist()], np.int64)
+    cutoff = years[picks] + _clip(corpus, horizon)
     table = paper_years(corpus, rows)
     counts = table.counts(rows, cutoff[case])
     # each cohort by citations; `rows` are positions in id order, so they break ties by id

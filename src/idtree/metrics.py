@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusError, write_csv
+from .corpus import YEAR_MAX, CorpusError, CorpusSnapshot, write_csv
 from .tree import TIE_POLICIES, InfluenceTree, build_idg, build_idt
 
 CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
@@ -69,16 +67,11 @@ def influence_divergence(tree: InfluenceTree) -> int:
     return idi(tree) - tree.n
 
 
-def _nid(n: int, idi_value: int, idi_hi: int) -> float:
-    span = idi_hi - n
-    if span == 0:
-        return 0.0
-    return (idi_value - n) / span
-
-
 def nid_value(n: int, idi_value: int) -> float:
     """Normalized divergence in [0, 1]; 0 by convention when n <= 2."""
-    return _nid(_require_positive(n), int(idi_value), idi_max(n))
+    n = _require_positive(n)
+    span = idi_max(n) - n
+    return (int(idi_value) - n) / span if span else 0.0
 
 
 def nid(tree: InfluenceTree) -> float:
@@ -134,15 +127,11 @@ def _sweep(tree: InfluenceTree) -> tuple[list[int], list[int]]:
     return prefix, levels
 
 
-def _checked_max(n: int, value: int) -> int:
-    hi = idi_max(n)
-    if not n <= value <= hi:
-        raise AssertionError(f"IDI {value} outside bounds for n={n}")
-    return hi
-
-
 def _checked_nids(n: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_checked_max` and `_nid` over arrays: the IDI maxima and the NIDs (0 where n = 0)."""
+    """The IDI maxima and the NIDs (0 where n = 0) of citer counts `n` and IDIs `value`.
+
+    Raises AssertionError on an IDI outside its bounds.
+    """
     hi = (n + 1) ** 2 // 4
     bad = np.flatnonzero((value < n) | (value > hi))
     if len(bad):
@@ -166,23 +155,21 @@ def paper_metrics(
         return None
     prefix, levels = _sweep(_build_tree(idg, tie, seed))
     value = prefix[-1]
-    hi = _checked_max(n, value)
-    return MetricsReport(paper_id, n, len(levels), max(levels), value, n, hi, value - n, _nid(n, value, hi))
+    hi, nid = _checked_nids(np.array([n]), np.array([value]))
+    return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
 
 
-# corpus -> its PaperYears.  Weakly keyed, so a table goes with its corpus
-# and never into its pickle.
+# corpus -> its PaperYears.  Weakly keyed, so a table is freed with its corpus.
 _TIMELINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class PaperYears:
     """Citation counts and NIDs of a corpus's papers at any cutoff year.
 
-    Papers are numbered by their position in `corpus.paper_ids`.  Under
-    min-id ties a paper's tree in a snapshot is its full tree cut to the
-    citers published by the cutoff: a citer's candidate parents are citers
-    it cites, so none is younger than it and its depth and parent stay the
-    same.  Citer v is then a leaf of P's snapshot tree from v's year until
+    Papers are the corpus's rows.  Under min-id ties a paper's tree in a
+    snapshot is its full tree cut to the citers published by the cutoff: a
+    citer's candidate parents are citers it cites, so none is younger than
+    it and its depth and parent stay the same.  Citer v is then a leaf of P's snapshot tree from v's year until
     the year of its first child, so IDI(P, Y) is a running sum over P's
     citers in year order: +depth(v) at v's year, -depth(v) at the year of
     its first child.  Under random ties the papers with a depth tie take
@@ -195,25 +182,23 @@ class PaperYears:
     """
 
     def __init__(self, corpus):
-        self.ids = corpus.paper_ids
+        n = len(corpus)
         # a citation into P by a citer of year Y has the key
-        # P * stride + Y - first_year + 1, strictly inside P's stride
-        self.first_year, self.stride = 0, 2
-        self.covered = np.zeros(len(self.ids), bool)
-        self.tied = np.zeros(len(self.ids), bool)
+        # P * stride + Y - first_year + 1, strictly inside P's stride;
+        # int32 years keep the stride below 2**32 + 2
+        self.first_year, last = corpus.year_range() if n else (0, 0)
+        self.stride = last - self.first_year + 2
+        self.covered = np.zeros(n, bool)
+        self.tied = np.zeros(n, bool)
         self.keys = np.empty(0, np.int64)
-        self.offsets = np.zeros(len(self.ids) + 1, np.int64)
+        self.offsets = np.zeros(n + 1, np.int64)
         self.idi_sums = np.zeros(1, np.int64)
         self.drawn: dict[int, dict[int, list[int]]] = {}
 
     def build(self, corpus, rows: np.ndarray) -> None:
-        """Tabulate the papers at positions `rows` (sorted, distinct), replacing the table."""
-        nodes, citer, paper, depth, parent, tied = _edge_trees(corpus, [self.ids[i] for i in rows.tolist()])
-        pos = np.fromiter(map(bisect_left, repeat(self.ids), nodes), np.int64, len(nodes))
-        year = np.fromiter(map(corpus.year, nodes), np.int64, len(nodes))
-        if len(nodes):
-            self.first_year, self.stride = int(year.min()), int(year.max() - year.min()) + 2
-        keys = pos[paper] * self.stride + (year[citer] - self.first_year + 1)
+        """Tabulate the papers at `rows` (sorted, distinct), replacing the table."""
+        citer, paper, depth, parent, self.tied = _edge_trees(corpus, rows)
+        keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
         # a citation's first child is its child of smallest key, so of the earliest year
         child = np.flatnonzero(parent >= 0)
         never = np.iinfo(np.int64).max
@@ -225,11 +210,9 @@ class PaperYears:
         at = np.searchsorted(self.keys, np.r_[keys, first[gone]])
         delta = np.bincount(at, weights=np.r_[depth, -depth[gone]], minlength=len(keys))
         self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
-        self.offsets = np.searchsorted(self.keys, np.arange(len(self.ids) + 1, dtype=np.int64) * self.stride)
+        self.offsets = np.searchsorted(self.keys, np.arange(len(self.covered) + 1, dtype=np.int64) * self.stride)
         self.covered[:] = False
         self.covered[rows] = True
-        self.tied[:] = False
-        self.tied[pos[np.flatnonzero(tied)]] = True
 
     def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
         """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
@@ -252,7 +235,7 @@ class PaperYears:
             for i in np.flatnonzero(self.tied[rows] & (n > 0)).tolist():
                 row = int(rows[i])
                 if row not in drawn:
-                    drawn[row] = _sweep(_build_tree(build_idg(corpus, self.ids[row]), tie, seed))[0]
+                    drawn[row] = _sweep(_build_tree(build_idg(corpus, corpus.paper_ids[row]), tie, seed))[0]
                 value[i] = drawn[row][n[i] - 1]
         nid = _checked_nids(n, value)[1]   # an uncited paper has IDI 0, inside its bounds
         nid[n == 0] = np.nan
@@ -260,7 +243,7 @@ class PaperYears:
 
 
 def paper_years(corpus, rows) -> PaperYears:
-    """The corpus's `PaperYears`, first built or extended so it covers positions `rows`.
+    """The corpus's `PaperYears`, first built or extended so it covers `rows`.
 
     A table built earlier for the same corpus is kept and reused; asked for
     papers it lacks, it is rebuilt over those and the ones it had.
@@ -284,38 +267,41 @@ def _segments(sorted_keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
 
 
-def _edge_trees(view, ids: list[str]):
-    """Min-id dispersion trees of every paper in `ids` (sorted, distinct), at once.
+def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
+    lo = offsets[picks]
+    sizes = offsets[picks + 1] - lo
+    pick = np.repeat(np.arange(len(picks)), sizes)
+    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
-    Returns `nodes`, the papers involved in id order, and per citation into
-    a paper of `ids`, in (citer, cited) order: the citer's and the cited
-    paper's node, the citer's depth, and the citation of its parent (-1
-    under the root).  Last comes a flag per node: some citer of it has two
-    or more equally deep candidate parents, so a random tie policy can
-    change its tree.
 
-    Citation edges (v, x) are numbered by the sorted key v * N + x over the
-    papers involved, numbered in id order.  A triangle is a pair of edges
-    (v, P) and (v, u) with (u, P) an edge too: u is then a candidate parent
-    of v in P's tree.  A citer's depth is one more than its deepest
-    candidate's (1 without one), and its parent is the smallest-id
-    candidate one level up.
+def _edge_trees(corpus, rows: np.ndarray, cutoff: int = YEAR_MAX):
+    """Min-id dispersion trees of the papers at `rows` (sorted, distinct), at once.
+
+    Only citers published by `cutoff` count, as in a snapshot.  Returns,
+    per citation into a paper of `rows`, in (citer, cited) order: the
+    citer's and the cited paper's row, the citer's depth, and the citation
+    of its parent (-1 under the root).  Last comes a flag per row of the
+    corpus: some citer of it has two or more equally deep candidate
+    parents, so a random tie policy can change its tree.
+
+    Citation edges (v, x) are numbered by the key v * N + x over the
+    corpus's N rows; the edges of the citers, taken from the reference CSR
+    in row order, come out sorted.  A triangle is a pair of edges (v, P)
+    and (v, u) with (u, P) an edge too: u is then a candidate parent of v in
+    P's tree.  A citer's depth is one more than its deepest candidate's (1
+    without one), and its parent is the smallest-id candidate one level up.
     """
-    citing: set[str] = set()
-    for pid in ids:
-        citing.update(view.citations_of(pid))
-    extra = citing.difference(ids)
-    nodes = sorted(extra.union(ids)) if extra else ids
-    size = len(nodes)
-    index = {pid: i for i, pid in enumerate(nodes)}
-    wanted = np.zeros(size, bool)
-    wanted[[index[pid] for pid in ids]] = True
-    refs = [view.references_of(v) for v in citing]
-    src = np.repeat(np.array([index[v] for v in citing], np.int64), [len(r) for r in refs])
-    dst = np.fromiter(map(index.get, chain.from_iterable(refs), repeat(-1)), np.int64, len(src))
-    del index, citing, refs
-    keys = np.sort((src * size + dst)[dst >= 0])   # -1: a reference outside the papers involved
-    del src, dst
+    size = len(corpus)
+    citer = corpus.citers[_runs(corpus.citer_offsets, rows)[0]]
+    citing = np.unique(citer[corpus.years[citer] <= cutoff])
+    wanted, involved = np.zeros(size, bool), np.zeros(size, bool)
+    wanted[rows] = involved[rows] = True
+    involved[citing] = True
+    at, pick = _runs(corpus.ref_offsets, citing)
+    dst = corpus.refs[at]
+    keys = (citing[pick].astype(np.int64) * size + dst)[involved[dst]]   # only references among the papers involved
+    del citer, citing, involved, at, pick, dst
 
     first = keys // size * size   # key of (v, 0): v's run of edges starts at or after it
     dst = (keys - first).astype(np.int32)
@@ -368,19 +354,22 @@ def _edge_trees(view, ids: list[str]):
     renumber = np.cumsum(wanted[dst]) - 1
     parent = parent[into]
     parent[parent >= 0] = renumber[parent[parent >= 0]]
-    return nodes, (keys[into] // size).astype(np.int32), dst[into], depth[into], parent, tied
+    return (keys[into] // size).astype(np.int32), dst[into], depth[into], parent, tied
 
 
-def _dispersion(view, ids: list[str]):
-    """Per-paper scores of the min-id trees of every paper in `ids` (sorted, distinct).
+def _dispersion(view, paper_ids=None):
+    """Per-paper scores of the min-id trees of the papers `paper_ids` (all the view's when None).
 
-    Returns the cited papers of `ids` in order with their citer count n,
-    depth, breadth, min-id IDI and depth-tie flag (see `_edge_trees`); IDI
-    sums the depths of the citers nobody picked as parent.
-    `paper_metrics` gives the same values per paper.
+    Returns the cited ones in id order with their citer count n, depth,
+    breadth, min-id IDI and depth-tie flag (see `_edge_trees`); IDI sums
+    the depths of the citers nobody picked as parent.  `paper_metrics`
+    gives the same values per paper.
     """
-    nodes, _, paper, level, parent, tied = _edge_trees(view, ids)
-    size = len(nodes)
+    corpus, cutoff = (view.base, view.cutoff_year) if isinstance(view, CorpusSnapshot) else (view, YEAR_MAX)
+    rows = (np.flatnonzero(corpus.years <= cutoff) if paper_ids is None
+            else np.unique(np.fromiter(map(view.row, paper_ids), np.int64)))
+    _, paper, level, parent, tied = _edge_trees(corpus, rows, cutoff)
+    size = len(corpus)
     leaf = np.ones(len(paper), bool)
     leaf[parent[parent >= 0]] = False
     n = np.bincount(paper, minlength=size)
@@ -396,7 +385,7 @@ def _dispersion(view, ids: list[str]):
         deepest[owner] = np.maximum.reduceat(cells % stride, heads)
         widest[owner] = np.maximum.reduceat(width, heads)
     rows = np.flatnonzero(n)
-    return [nodes[i] for i in rows.tolist()], n[rows], deepest[rows], widest[rows], idi_sum[rows], tied[rows]
+    return list(map(corpus.paper_ids.__getitem__, rows.tolist())), n[rows], deepest[rows], widest[rows], idi_sum[rows], tied[rows]
 
 
 def corpus_metrics(
@@ -416,8 +405,7 @@ def corpus_metrics(
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
-    ids = sorted(set(paper_ids)) if paper_ids is not None else list(view.paper_ids)
-    cited, n, depth, breadth, value, tied = _dispersion(view, ids)
+    cited, n, depth, breadth, value, tied = _dispersion(view, paper_ids)
     hi, nid = _checked_nids(n, value)
     reports = [
         MetricsReport(pid, c, d, b, v, c, h, v - c, x)

@@ -1,3 +1,6 @@
+import pickle
+from pathlib import Path
+
 import pytest
 
 from idtree.corpus import write_edge_file, write_metadata_file
@@ -27,3 +30,23 @@ def corpus_files(tmp_path):
         return edges, meta
 
     return write
+
+
+class _Touch:
+    """Unpickling this creates the file `path`."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def __reduce__(self):
+        return (Path.touch, (self.path,))
+
+
+@pytest.fixture
+def planted_pickle():
+    """Pickled cache payload of format `fmt` whose unpickling creates the file `marker`."""
+
+    def make(marker, fmt, source_hash):
+        return pickle.dumps({"format": fmt, "source_hash": source_hash, "corpus": _Touch(marker)})
+
+    return make

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from idtree.cli import main
-from idtree.corpus import write_csv, write_edge_file, write_metadata_file
+from idtree.corpus import file_digest, load_cache, write_csv, write_edge_file, write_metadata_file
 from idtree.synth import corpus_for_tree, star_tree
 
 
@@ -54,7 +54,7 @@ class TestIngest:
         assert config["command"] == "metrics"
 
     def test_cache_bytes_independent_of_hash_seed(self, tmp_path, planted):
-        # the cache pickles the corpus; nothing in it may follow string hash order
+        # nothing in the cache (ids, venue names, arrays) may follow string hash order
         fixture = planted / "planted-z"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -69,6 +69,38 @@ class TestIngest:
             )
             caches.append((out / "corpus.cache").read_bytes())
         assert caches[0] == caches[1]
+
+    @pytest.mark.parametrize("fmt", [3, 4])
+    def test_planted_pickle_in_out_is_not_run(self, tmp_path, toy_files, planted_pickle, fmt):
+        # a pickle in --out, even one claiming the right digest, is stale: the command re-ingests
+        edges, meta = toy_files
+        flags = ("--edges", str(edges), "--meta", str(meta))
+        out, marker = tmp_path / "run", tmp_path / "PWNED"
+        out.mkdir()
+        (out / "corpus.cache").write_bytes(planted_pickle(marker, fmt, file_digest(edges, meta)))
+        assert run("metrics", *flags, "--out", str(out)) == 0
+        assert not marker.exists()
+        assert load_cache(out / "corpus.cache", expect_hash=file_digest(edges, meta)) is not None
+        assert run("metrics", *flags, "--out", str(tmp_path / "fresh")) == 0
+        assert (out / "metrics.csv").read_bytes() == (tmp_path / "fresh" / "metrics.csv").read_bytes()
+
+    def test_year_outside_int32_is_malformed(self, tmp_path, planted):
+        # a citer dated 10**20 of a scored venue paper is rejected at ingest, not a crash in eval-z
+        fixture = planted / "planted-z"
+        meta_lines = (fixture / "meta.jsonl").read_text(encoding="utf-8").splitlines()
+        cited = next(rec["id"] for rec in map(json.loads, meta_lines)
+                     if rec.get("venue") and 1995 <= rec["year"] <= 2000)
+        edges, meta = tmp_path / "edges.tsv", tmp_path / "meta.jsonl"
+        edges.write_text((fixture / "edges.tsv").read_text(encoding="utf-8") + f"huge\t{cited}\n", encoding="utf-8")
+        meta.write_text("\n".join(meta_lines) + '\n{"id": "huge", "year": 100000000000000000000}\n', encoding="utf-8")
+        out, clean = tmp_path / "run", tmp_path / "clean"
+        assert run("ingest", "--edges", str(edges), "--meta", str(meta), "--out", str(out)) == 0
+        report = json.loads((out / "ingest_report.json").read_text())
+        assert (report["malformed_papers"], report["dropped_unknown"]) == (1, 1)
+        assert run("eval-z", "--edges", str(edges), "--meta", str(meta), "--out", str(out)) == 0
+        assert run("eval-z", "--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
+                   "--out", str(clean)) == 0
+        assert (out / "venues.csv").read_bytes() == (clean / "venues.csv").read_bytes()
 
     def test_planted_forward_citations_counted(self, tmp_path):
         edges = tmp_path / "edges.tsv"
@@ -231,6 +263,19 @@ class TestMetrics:
         assert [row[0] for row in rows] == ["a,b"]
         assert not (out / "metrics_errors.csv").exists()
 
+    def test_ids_taken_verbatim(self, tmp_path):
+        # "x " and "x" are two papers; only empty fields are dropped
+        edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+        edges.write_text("c\tx \nc\tx\n", encoding="utf-8")
+        meta.write_text("".join(json.dumps({"id": pid, "year": year}) + "\n"
+                                for pid, year in (("x ", 2000), ("x", 2000), ("c", 2001))), encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("metrics", "--edges", str(edges), "--meta", str(meta),
+                   "--out", str(out), "--ids", '"x ",, ghost ') == 0
+        with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+            assert [row[0] for row in list(csv.reader(fh))[1:]] == ["x "]
+        assert (out / "metrics_errors.csv").read_text().splitlines()[1:] == ["ghost ,unknown paper id"]
+
     def test_deterministic(self, tmp_path):
         out_fixture = tmp_path / "fx"
         assert run("synth", "--kind", "random", "--n-papers", "2000",
@@ -323,6 +368,38 @@ class TestEvalZ:
                  "--out", str(tmp_path / "run"), "--years", "2000:2000")
         assert rc == 2
         assert "no venue" in capsys.readouterr().err
+
+
+def _year_span(fixture: Path) -> int:
+    years = [json.loads(line)["year"] for line in (fixture / "meta.jsonl").read_text(encoding="utf-8").splitlines()]
+    return max(years) - min(years)
+
+
+class TestHugeHorizons:
+    """A cutoff at or past the corpus's last year counts every citation, so any
+    longer horizon gives the outputs of a horizon equal to the span of years."""
+
+    @staticmethod
+    def _output(planted, out, command, *flags):
+        fixture = planted / ("planted-z" if command == "eval-z" else "planted-tot")
+        argv = [command, "--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
+                "--out", str(out), *flags]
+        if command == "eval-tot":
+            argv += ["--awardees", str(fixture / "awardees.csv"), "--pct", "0.25"]
+        assert run(*argv) == 0
+        return (out / ("venues.csv" if command == "eval-z" else "tot_cases.csv")).read_bytes()
+
+    def test_eval_z(self, tmp_path, planted):
+        span = _year_span(planted / "planted-z")
+        at_span = self._output(planted, tmp_path / "a", "eval-z", "--t1", "5", "--t2", str(span))
+        assert self._output(planted, tmp_path / "b", "eval-z", "--t2", "99999999999999999999") == at_span
+        both_at_span = self._output(planted, tmp_path / "c", "eval-z", "--t1", str(span), "--t2", str(span + 1))
+        assert self._output(planted, tmp_path / "d", "eval-z", "--t1", "9223372036854775000",
+                            "--t2", "9223372036854775800") == both_at_span
+
+    def test_eval_tot(self, tmp_path, planted):
+        at_span = self._output(planted, tmp_path / "a", "eval-tot", "--t2", str(_year_span(planted / "planted-tot")))
+        assert self._output(planted, tmp_path / "b", "eval-tot", "--t2", "99999999999999999999") == at_span
 
 
 class TestEvalToT:

@@ -1,7 +1,9 @@
 """Ingest hygiene rules, snapshots, and corpus invariants."""
 
 import hashlib
+import json
 import pickle
+import time
 from graphlib import TopologicalSorter
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from idtree.corpus import (
+    CACHE_FORMAT,
     CitationCorpus,
     CorpusError,
     PaperRecord,
@@ -118,6 +121,17 @@ class TestIngestRules:
         assert report.papers_in == 7
         assert report.edges_in == 7
         assert corpus.n_edges == 1
+
+    def test_year_outside_int32_is_malformed(self):
+        # years are stored as int32: a record dated outside it is rejected, not a crash later
+        records = [{"id": pid, "year": year} for pid, year in
+                   [("a", -2**31), ("b", 2**31 - 1), ("c", 2**31), ("d", -2**31 - 1), ("e", 10**20)]]
+        edges = [("b", "a"), ("c", "a"), ("e", "a"), ("b", "d")]
+        corpus, report = ingest(edges, records)
+        assert report.malformed_papers == 3
+        assert report.dropped_unknown == 3
+        assert list(corpus.edges()) == [("b", "a")]
+        assert corpus.year_range() == (-2**31, 2**31 - 1)
 
     def test_isolated_papers_dropped_to_fixed_point(self):
         # any linked paper stays; metadata-only papers go.
@@ -388,3 +402,82 @@ class TestCache:
         cache.write_bytes(pickle.dumps({"format": 2, "source_hash": "aaa", "corpus": toy}))
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None
+
+    def test_format_3_cache_reads_as_stale(self, tmp_path, toy):
+        # format 3 pickled the corpus object
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(pickle.dumps({"format": 3, "source_hash": "aaa", "corpus": toy}))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert load_cache(cache) is None
+
+    @pytest.mark.parametrize("fmt", [3, CACHE_FORMAT])
+    def test_planted_pickle_is_never_run(self, tmp_path, planted_pickle, fmt):
+        marker = tmp_path / "PWNED"
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(planted_pickle(marker, fmt, "aaa"))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert not marker.exists()
+
+    def test_truncated_cache_reads_as_stale(self, tmp_path, toy):
+        cache = tmp_path / "corpus.cache"
+        save_cache(toy, cache, source_hash="aaa")
+        data = cache.read_bytes()
+        for cut in (0, 10, 200, len(data) // 2, len(data) - 1):
+            cache.write_bytes(data[:cut])
+            assert load_cache(cache, expect_hash="aaa") is None, cut
+
+    # Arrays of the toy cache: header, years, venue codes, citing rows, cited rows.
+    # Its edges run (p1, P), (p2, P), (p3, P), ... with P at row 0; p1 and p2 share a year.
+    @pytest.mark.parametrize("damage", [
+        lambda a: a[4].__setitem__(0, 6),
+        lambda a: a[3].__setitem__(0, -1),
+        lambda a: a[4].__setitem__(0, 1),
+        lambda a: a[3].__setitem__(1, 1),
+        lambda a: (a[3].__setitem__(0, 0), a[4].__setitem__(0, 1)),
+        lambda a: (a[4].__setitem__(0, 2), a[4].__setitem__(1, 1)),
+        lambda a: a[2].__setitem__(0, 1),
+        lambda a: a.__setitem__(1, a[1].astype(np.int64)),
+        lambda a: a.__setitem__(4, a[4][:-1]),
+        lambda a: a.__setitem__(0, _header(a[0], ids=["p5", "p4", "p3", "p2", "p1", "P"])),
+        lambda a: a.__setitem__(0, _header(a[0], ids=[1, 2, 3, 4, 5, 6])),
+        lambda a: a.__setitem__(0, _header(a[0], format=3)),
+    ], ids=["row-out-of-range", "negative-row", "self-citation", "duplicate", "forward",
+            "same-year-cycle", "venue-code-out-of-range", "years-not-int32", "edge-arrays-unequal",
+            "ids-unsorted", "ids-not-strings", "other-format"])
+    def test_damaged_cache_reads_as_stale(self, tmp_path, toy, damage):
+        cache = tmp_path / "corpus.cache"
+        save_cache(toy, cache, source_hash="aaa")
+        with open(cache, "rb") as fh:
+            arrays = [np.load(fh) for _ in range(5)]
+        damage(arrays)
+        with open(cache, "wb") as fh:
+            for a in arrays:
+                np.save(fh, a)
+        assert load_cache(cache, expect_hash="aaa") is None
+
+    def test_odd_ids_round_trip(self, tmp_path):
+        odd = ["a,b", 'q"uote', "nul\x00", "nul\x00\x00", "new\nline", "tab\tx", "ünï", "日本", "sur\ud800", " sp "]
+        records = [PaperRecord("root", 2000, "V,\"1\x00")] + [PaperRecord(pid, 2001, pid) for pid in odd]
+        corpus, _ = ingest([(pid, "root") for pid in odd], records)
+        cache = tmp_path / "corpus.cache"
+        save_cache(corpus, cache, source_hash="aaa")
+        loaded = load_cache(cache, expect_hash="aaa")
+        assert loaded is not None
+        assert loaded.paper_ids == corpus.paper_ids and set(odd) <= set(loaded.paper_ids)
+        assert list(loaded.edges()) == list(corpus.edges())
+        assert [loaded.record(p) for p in loaded.paper_ids] == [corpus.record(p) for p in corpus.paper_ids]
+
+    def test_cache_bytes_independent_of_clock(self, tmp_path, toy, monkeypatch):
+        blobs = []
+        for now in (1.0, 2e9):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            cache = tmp_path / f"at-{now}.cache"
+            save_cache(toy, cache, source_hash="aaa")
+            blobs.append(cache.read_bytes())
+        assert blobs[0] == blobs[1]
+
+
+def _header(array: np.ndarray, **changes) -> np.ndarray:
+    head = json.loads(array.tobytes())
+    head.update(changes)
+    return np.frombuffer(json.dumps(head).encode("ascii"), np.uint8)

@@ -396,10 +396,15 @@ class TestTableMemo:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The id lists handed to the dispersion kernel."""
+        """The papers handed to the dispersion kernel, as id lists."""
         seen = []
         kernel = metrics_mod._edge_trees
-        monkeypatch.setattr(metrics_mod, "_edge_trees", lambda view, ids: seen.append(list(ids)) or kernel(view, ids))
+
+        def spy(corpus, rows, *args):
+            seen.append([corpus.paper_ids[i] for i in rows.tolist()])
+            return kernel(corpus, rows, *args)
+
+        monkeypatch.setattr(metrics_mod, "_edge_trees", spy)
         return seen
 
     def test_one_build_per_round(self, builds):
@@ -426,15 +431,15 @@ class TestTableMemo:
         blob = pickle.dumps(corpus)
         z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
         tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
-        assert corpus in metrics_mod._TIMELINES and corpus in experiments_mod._EDITIONS
+        assert corpus in metrics_mod._TIMELINES
         assert pickle.dumps(corpus) == blob
-        gc.collect()  # so only this corpus can leave the memos below
-        entries = len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)
+        gc.collect()  # so only this corpus can leave the memo below
+        entries = len(metrics_mod._TIMELINES)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert (len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)) == (entries[0] - 1, entries[1] - 1)
+        assert len(metrics_mod._TIMELINES) == entries - 1
 
 
 class TestZExperiment:
@@ -495,8 +500,9 @@ class TestZExperiment:
             PaperRecord("cx", 2001), PaperRecord("cy", 2002),
         ]
         corpus, _ = ingest([("cx", "x"), ("cy", "y")], records)
-        keys, _, _ = experiments_mod._editions(corpus)
-        assert set(keys) == {("JCDL-2000", 2000), ("JCDL-2001", 2001)}
+        codes, years, _, _ = experiments_mod._editions(corpus)
+        keys = {(corpus.venue_names[c], y) for c, y in zip(codes.tolist(), years.tolist())}
+        assert keys == {("JCDL-2000", 2000), ("JCDL-2001", 2001)}
 
     def test_bad_horizons(self):
         with pytest.raises(ValueError):
