@@ -122,6 +122,8 @@ def cmd_metrics(args) -> int:
     metrics_mod.write_metrics_csv(reports, out / "metrics.csv")
     if errors:
         corpus_mod.write_csv(out / "metrics_errors.csv", ("paper_id", "error"), errors)
+    else:
+        (out / "metrics_errors.csv").unlink(missing_ok=True)   # an earlier run's list
     print(f"wrote {len(reports)} rows to {out / 'metrics.csv'}"
           + (f" ({len(errors)} ids rejected)" if errors else ""))
     return 0
@@ -173,13 +175,13 @@ def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
         reader = csv.reader(fh)
         for parts in reader:
             lineno = reader.line_num
-            parts = [p.strip() for p in parts]
-            if parts in ([], [""]) or parts[0].startswith("#"):
+            # ids and venues are taken verbatim: "a " and "a" are two papers
+            if [p.strip() for p in parts] in ([], [""]) or parts[0].lstrip().startswith("#"):
                 continue
             if len(parts) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected paper_id,venue,year")
             pid, venue, year_text = parts
-            if lineno == 1 and not year_text.lstrip("-").isdigit():
+            if lineno == 1 and not year_text.strip().lstrip("-").isdigit():
                 continue  # header row
             try:
                 rows.append((pid, venue, int(year_text)))
@@ -228,10 +230,15 @@ def cmd_synth(args) -> int:
         tree = builders[args.kind](args.n)
         corpus = synth.corpus_for_tree(tree)
     out = _out_dir(args)
+    # a kind without awardees or a tree removes the file an earlier run left
     if awardees is not None:
         corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
+    else:
+        (out / "awardees.csv").unlink(missing_ok=True)
     if tree is not None:
         (out / "tree.json").write_text(tree.to_json() + "\n", encoding="utf-8")
+    else:
+        (out / "tree.json").unlink(missing_ok=True)
     corpus_mod.write_edge_file(corpus, out / "edges.tsv")
     corpus_mod.write_metadata_file(corpus, out / "meta.jsonl")
     print(f"wrote {len(corpus)} papers, {corpus.n_edges} edges to {out}")

@@ -6,9 +6,10 @@ with no metadata, and papers that end up with no links at all.  `ingest`
 funnels everything through a fixed cleaning order and returns an immutable
 `CitationCorpus` plus an `IngestReport` with one counter per rule.
 
-Cleaning order (per edge, then globally):
+Rule 1 runs while parsing, which gives each id an int code as it is read;
+rules 2-7 then run in order as numpy passes over the codes of all edges:
 
-1. malformed records are rejected and counted,
+1. malformed and repeated records are rejected and counted,
 2. self-citations dropped,
 3. exact duplicate edges dropped (before any year screening),
 4. edges touching a paper without metadata dropped,
@@ -26,6 +27,7 @@ import csv
 import hashlib
 import json
 import operator
+from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain, compress
@@ -106,12 +108,12 @@ class CitationCorpus:
                  "citer_offsets", "citers", "ref_offsets", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
-        recs, kept, report = _screen(records, edges)
+        report, arrays = _clean(records, edges, prune=False)
         dirty = [f"{k}={v}" for k, v in report.to_dict().items()
                  if v and k.startswith(("dropped_", "malformed_"))]
         if dirty:
             raise CorpusError(f"corpus input is not clean ({', '.join(dirty)}); use ingest")
-        self._fill(*_arrays(recs, kept))
+        self._fill(*arrays)
 
     def _fill(self, ids: Sequence[str], venue_names: Sequence[str], years: np.ndarray,
               venues: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
@@ -259,19 +261,7 @@ class CorpusSnapshot:
         return self.base.references_of(paper_id)
 
 
-def _arrays(recs: dict[str, PaperRecord], edges: list[tuple[str, str]]):
-    """`CitationCorpus._fill`'s arguments for the papers `recs` and the edges between them."""
-    ids = sorted(recs)
-    rows = dict(zip(ids, range(len(ids))))
-    names = sorted({rec.venue for rec in recs.values()} - {None})
-    codes = dict(zip(names, range(len(names))))
-    years = np.fromiter((recs[pid].year for pid in ids), np.int32, len(ids))
-    venues = np.fromiter((codes.get(recs[pid].venue, -1) for pid in ids), np.int32, len(ids))
-    pairs = np.fromiter(map(rows.__getitem__, chain.from_iterable(edges)), np.int32, 2 * len(edges))
-    return ids, names, years, venues, pairs[0::2], pairs[1::2]
-
-
-def _coerce_record(item) -> PaperRecord | None:
+def _coerce_record(item) -> tuple[str, int, str | None] | None:
     if isinstance(item, PaperRecord):
         pid, year, venue = item.id, item.year, item.venue
     elif isinstance(item, dict):
@@ -284,16 +274,7 @@ def _coerce_record(item) -> PaperRecord | None:
         return None
     if venue is not None and not isinstance(venue, str):
         return None
-    return PaperRecord(pid, year, venue)
-
-
-def _coerce_edge(item) -> tuple[str, str] | None:
-    if not isinstance(item, (tuple, list)) or len(item) != 2:
-        return None
-    citing, cited = item
-    if not isinstance(citing, str) or not isinstance(cited, str) or not citing or not cited:
-        return None
-    return (citing, cited)
+    return pid, year, venue
 
 
 def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
@@ -335,54 +316,76 @@ def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
     return {(u, v) for u, v in edges if comp[u] == comp[v]}
 
 
-def _screen(records: Iterable, edges: Iterable) -> tuple[dict[str, PaperRecord], list[tuple[str, str]], IngestReport]:
-    """Rules 1-6: the records by id, the edges that pass, and their counters.
-
-    Kept edges hold the records' own id strings, so a corpus built from them
-    keeps one string per paper.
-    """
+def _read(records: Iterable, edges: Iterable):
+    """Rule 1, while parsing: each id gets an int code as it is read, the n records
+    0..n-1 in first-seen order and ids that only edges name from n on.  Returns the
+    report so far, every code's id, each record's year and venue code (-1 for none),
+    the venue names by code, and the codes of both ends of each edge, interleaved."""
     report = IngestReport()
-
-    recs: dict[str, PaperRecord] = {}
+    codes: dict[str, int] = {}
+    venue_codes: dict[str, int] = {}
+    years, venues, ends = array("q"), array("q"), array("q")
     for item in records:
         report.papers_in += 1
         rec = _coerce_record(item)
-        if rec is None or rec.id in recs:
+        if rec is None or rec[0] in codes:
             report.malformed_papers += 1
             continue
-        recs[rec.id] = rec
-
-    kept: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+        pid, year, venue = rec
+        codes[pid] = len(codes)
+        years.append(year)
+        venues.append(-1 if venue is None else venue_codes.setdefault(venue, len(venue_codes)))
+    code, push = codes.setdefault, ends.append
     for item in edges:
-        report.edges_in += 1
-        edge = _coerce_edge(item)
-        if edge is None:
-            report.malformed_edges += 1
-            continue
-        citing, cited = edge
-        if citing == cited:
-            report.dropped_self += 1
-            continue
-        if edge in seen:
-            report.dropped_dup += 1
-            continue
-        seen.add(edge)
-        citing_rec, cited_rec = recs.get(citing), recs.get(cited)
-        if citing_rec is None or cited_rec is None:
-            report.dropped_unknown += 1
-            continue
-        if citing_rec.year < cited_rec.year:
-            report.dropped_forward += 1
-            continue
-        kept.append((citing_rec.id, cited_rec.id))
+        if isinstance(item, (tuple, list)) and len(item) == 2:
+            citing, cited = item
+            if isinstance(citing, str) and isinstance(cited, str) and citing and cited:
+                push(code(citing, len(codes)))
+                push(code(cited, len(codes)))
+                continue
+        report.malformed_edges += 1
+    report.edges_in = report.malformed_edges + len(ends) // 2
+    return (report, list(codes), np.frombuffer(years, np.int64), np.frombuffer(venues, np.int64),
+            list(venue_codes), np.frombuffer(ends, np.int64))
 
-    same_year = [(u, v) for u, v in kept if recs[u].year == recs[v].year]
-    cyclic = _edges_on_cycles(same_year) if same_year else set()
-    if cyclic:
-        report.dropped_cycle = len(cyclic)
-        kept = [e for e in kept if e not in cyclic]
-    return recs, kept, report
+
+def _clean(records: Iterable, edges: Iterable, prune: bool):
+    """Rules 1-6, and rule 7 if `prune`: the report and `CitationCorpus._fill`'s arguments."""
+    report, ids, years, venues, venue_names, ends = _read(records, edges)
+    n, span = len(years), len(ids)
+    src, dst = ends[0::2], ends[1::2]
+    other = src != dst
+    report.dropped_self = len(src) - int(other.sum())
+    # rule 3 runs before rule 4, so repeats of an edge to an unknown id count as duplicates
+    key = np.sort(src[other] * span + dst[other])
+    key = key[np.diff(key, prepend=-1) != 0]
+    report.dropped_dup = len(src) - report.dropped_self - len(key)
+    src, dst = np.divmod(key, span)
+    known = (src < n) & (dst < n)
+    src, dst = src[known], dst[known]
+    report.dropped_unknown = len(key) - len(src)
+    back = years[src] >= years[dst]
+    report.dropped_forward = len(src) - int(back.sum())
+    src, dst = src[back], dst[back]
+    same = np.flatnonzero(years[src] == years[dst])
+    pairs = list(zip(src[same].tolist(), dst[same].tolist()))
+    cyclic = _edges_on_cycles(pairs)
+    on = same[[pair in cyclic for pair in pairs]]
+    src, dst, report.dropped_cycle = np.delete(src, on), np.delete(dst, on), len(on)
+    linked = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) if prune else np.ones(n)
+    # renumber the kept papers, and their venues, into sorted-id order
+    keep = np.array(sorted(np.flatnonzero(linked).tolist(), key=ids.__getitem__), np.int64)
+    report.dropped_isolated = n - len(keep)
+    row = np.empty(n, np.int64)
+    row[keep] = np.arange(len(keep))
+    codes = venues[keep]
+    used = sorted(np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(venue_names))).tolist(),
+                  key=venue_names.__getitem__)
+    venue_row = np.full(len(venue_names) + 1, -1, np.int64)   # the last slot maps -1 to -1
+    venue_row[used] = np.arange(len(used))
+    report.papers_kept, report.edges_kept = len(keep), len(src)
+    return report, ([ids[c] for c in keep.tolist()], [venue_names[c] for c in used],
+                    *(a.astype(np.int32) for a in (years[keep], venue_row[codes], row[src], row[dst])))
 
 
 def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestReport]:
@@ -393,13 +396,9 @@ def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestRe
     edges touching papers without metadata are rejected and counted, never
     fatal.
     """
-    recs, kept, report = _screen(records, edges)
-    linked = {p for edge in kept for p in edge}
-    report.dropped_isolated = len(recs) - len(linked)
-    report.papers_kept = len(linked)
-    report.edges_kept = len(kept)
+    report, arrays = _clean(records, edges, prune=True)
     corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._fill(*_arrays({p: recs[p] for p in linked}, kept))
+    corpus._fill(*arrays)
     return corpus, report
 
 

@@ -276,6 +276,15 @@ class TestMetrics:
             assert [row[0] for row in list(csv.reader(fh))[1:]] == ["x "]
         assert (out / "metrics_errors.csv").read_text().splitlines()[1:] == ["ghost ,unknown paper id"]
 
+    def test_no_stale_error_list(self, tmp_path, toy_files):
+        # a run that rejects no id removes the list an earlier run wrote
+        edges, meta = toy_files
+        flags = ("--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "run"))
+        assert run("metrics", *flags, "--ids", "P,nosuch") == 0
+        assert (tmp_path / "run" / "metrics_errors.csv").exists()
+        assert run("metrics", *flags, "--ids", "P") == 0
+        assert not (tmp_path / "run" / "metrics_errors.csv").exists()
+
     def test_deterministic(self, tmp_path):
         out_fixture = tmp_path / "fx"
         assert run("synth", "--kind", "random", "--n-papers", "2000",
@@ -420,6 +429,21 @@ class TestEvalToT:
         assert lines[0] == "paper_id,venue,year,cohort_size,rank_cite,rank_nid"
         assert len(lines) == 5
 
+    def test_awardee_ids_taken_verbatim(self, tmp_path):
+        # "a " and "a" are two papers of one edition; "a " has two citations, "a" one
+        edges, meta, awardees = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "aw.csv"
+        edges.write_text("c1\ta \nc1\ta\nc2\ta \n", encoding="utf-8")
+        meta.write_text("".join(json.dumps(rec) + "\n" for rec in (
+            {"id": "a ", "year": 2000, "venue": "V"}, {"id": "a", "year": 2000, "venue": "V"},
+            {"id": "c1", "year": 2001}, {"id": "c2", "year": 2002})), encoding="utf-8")
+        awardees.write_text('paper_id,venue,year\n\n  # comment\n   \n"a ",V,2000\na,V,2000\n', encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("eval-tot", "--edges", str(edges), "--meta", str(meta), "--awardees", str(awardees),
+                   "--out", str(out), "--pct", "1", "--t2", "2") == 0
+        with open(out / "tot_cases.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(row[0], row[4]) for row in rows] == [("a", "2"), ("a ", "1")]
+
     def test_malformed_awardees_exit_2(self, tmp_path):
         fixture = tmp_path / "fx"
         assert run("synth", "--kind", "planted-tot", "--out", str(fixture)) == 0
@@ -462,6 +486,15 @@ class TestSynthCommand:
         assert tree["root"] == "P"
         assert len(tree["nodes"]) == 10
         assert (out / "edges.tsv").exists() and (out / "meta.jsonl").exists()
+
+    @pytest.mark.parametrize("kind, extra", [("ideal", "tree.json"), ("planted-tot", "awardees.csv")])
+    def test_no_stale_extra_file(self, tmp_path, kind, extra):
+        # a kind that writes no tree or awardees removes the one an earlier kind wrote
+        out = tmp_path / "fx"
+        assert run("synth", "--kind", kind, "--out", str(out)) == 0
+        assert (out / extra).exists()
+        assert run("synth", "--kind", "toy", "--out", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["edges.tsv", "meta.jsonl", "run_config.json"]
 
     def test_random_corpus_reproducible(self, tmp_path):
         blobs = []

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pickle
+import re
 import time
 from graphlib import TopologicalSorter
 
@@ -29,6 +30,7 @@ from idtree.corpus import (
     write_edge_file,
     write_metadata_file,
 )
+from reference import reference_construct, reference_ingest
 
 
 def _recs(**years):
@@ -133,6 +135,17 @@ class TestIngestRules:
         assert list(corpus.edges()) == [("b", "a")]
         assert corpus.year_range() == (-2**31, 2**31 - 1)
 
+    def test_rules_run_self_then_duplicate_then_unknown_then_forward(self):
+        # a repeated self-citation counts only as self, also when its id is
+        # unknown; a repeated edge counts once as a duplicate and once under
+        # the later rule that drops it
+        edges = [("a", "a"), ("a", "a"), ("g", "g"), ("b", "g"), ("b", "g"),
+                 ("a", "b"), ("a", "b"), ("b", "a")]
+        corpus, report = ingest(edges, _recs(a=2000, b=2001))
+        assert (report.dropped_self, report.dropped_dup, report.dropped_unknown,
+                report.dropped_forward) == (3, 2, 1, 1)
+        assert list(corpus.edges()) == [("b", "a")]
+
     def test_isolated_papers_dropped_to_fixed_point(self):
         # any linked paper stays; metadata-only papers go.
         recs = _recs(a=2000, b=2001, c=2002, lone=1999)
@@ -228,18 +241,75 @@ class TestSnapshots:
 
 # Hypothesis: arbitrary messy streams still produce corpora holding every invariant.
 _IDS = [f"h{i}" for i in range(10)]
+_GHOSTS = ["g0", "g1", "h"]     # named by edges, never by a record
+_VENUES = ["V-2000", "V-2001", "W-2000"]
+_BAD_RECORDS = [{"id": "h1"}, {"id": "", "year": 2000}, {"id": "h2", "year": "2000"}, "h3",
+                {"id": 7, "year": 2000}, {"id": "h4", "year": True}, {"id": "h5", "year": 2**31},
+                {"id": "h6", "year": 2001, "venue": 5}]
+_BAD_EDGES = [("h0",), ("h0", "h1", "h2"), ("", "h0"), ("h1", ""), 17, "h1h0", ("h1", 0)]
 
 
 @st.composite
 def raw_streams(draw):
+    """Records (`PaperRecord`s and dicts, some malformed or repeated, some with
+    venues) and edges (some malformed, some to unknown ids, some repeated)."""
     n = draw(st.integers(2, 10))
     ids = _IDS[:n]
-    years = draw(st.lists(st.integers(2000, 2003), min_size=n, max_size=n))
-    records = [{"id": ids[i], "year": years[i]} for i in range(n)]
-    edges = draw(
-        st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=40)
-    )
-    return records, edges
+    records = []
+    for pid in ids:
+        year = draw(st.integers(2000, 2003))
+        venue = draw(st.none() | st.sampled_from(_VENUES))
+        if draw(st.booleans()):
+            records.append(PaperRecord(pid, year, venue))
+        else:
+            records.append({"id": pid, "year": year, **({} if venue is None else {"venue": venue})})
+    records += draw(st.lists(st.sampled_from(_BAD_RECORDS), max_size=3))
+    records += draw(st.lists(st.builds(PaperRecord, st.sampled_from(ids), st.integers(2000, 2003)), max_size=2))
+    ends = st.sampled_from(ids + _GHOSTS[:draw(st.integers(0, len(_GHOSTS)))])
+    edges = draw(st.lists(st.tuples(ends, ends) | st.lists(ends, min_size=2, max_size=2), max_size=40))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    edges += draw(st.lists(st.sampled_from(_BAD_EDGES), max_size=3))
+    return draw(st.permutations(records)), draw(st.permutations(edges))
+
+
+def _layout(corpus):
+    """Everything a corpus stores: ids, venue names and its arrays."""
+    return (corpus.paper_ids, corpus.venue_names,
+            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.refs,
+                                    corpus.citer_offsets, corpus.citers)))
+
+
+def _filled(*arrays):
+    corpus = CitationCorpus.__new__(CitationCorpus)
+    corpus._fill(*arrays)
+    return corpus
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw_streams())
+def test_ingest_matches_per_edge_reference(stream):
+    records, edges = stream
+    corpus, report = ingest(edges, records)
+    expected_report, arrays = reference_ingest(edges, records)
+    assert report == expected_report
+    assert _layout(corpus) == _layout(_filled(*arrays))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw_streams(), st.booleans())
+def test_constructor_rejects_what_the_reference_rejects(stream, linked_only):
+    records, edges = stream
+    if linked_only:
+        # the ingested streams are clean, so the constructor takes them
+        corpus, _ = ingest(edges, records)
+        records, edges = [corpus.record(p) for p in corpus.paper_ids], list(corpus.edges())
+    dirty, arrays = reference_construct(records, edges)
+    if dirty:
+        with pytest.raises(CorpusError, match=re.escape(f"({', '.join(dirty)})")):
+            CitationCorpus(records, edges)
+    else:
+        assert _layout(CitationCorpus(records, edges)) == _layout(_filled(*arrays))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
