@@ -9,7 +9,6 @@ predictor of future influence.
 from .corpus import (
     CitationCorpus,
     CorpusError,
-    CorpusSnapshot,
     IngestReport,
     PaperRecord,
     UnknownPaperError,
@@ -65,7 +64,6 @@ __all__ = [
     "BranchInfo",
     "CitationCorpus",
     "CorpusError",
-    "CorpusSnapshot",
     "IngestReport",
     "InfluenceGraph",
     "InfluenceTree",

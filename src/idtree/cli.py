@@ -83,7 +83,8 @@ def _write_run_config(out: Path, args) -> None:
 
 
 def _ingest_with_cache(args, out: Path, *, force: bool = False):
-    """Load the corpus via the content-addressed cache, re-ingesting if stale."""
+    """Load the corpus via the content-addressed cache, re-ingesting if stale; an
+    ingest rewrites `ingest_report.json` too, so it always describes the cache."""
     edges = _require_file(args.edges)
     meta = _require_file(args.meta)
     digest = corpus_mod.file_digest(edges, meta)
@@ -94,13 +95,13 @@ def _ingest_with_cache(args, out: Path, *, force: bool = False):
             return cached, None
     corpus, report = corpus_mod.ingest_files(edges, meta)
     corpus_mod.save_cache(corpus, cache_path, source_hash=digest)
+    (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return corpus, report
 
 
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
     corpus, report = _ingest_with_cache(args, out, force=True)
-    (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(report.to_json())
     _require_corpus_nonempty(corpus)
     print(f"corpus cached at {out / CACHE_NAME}: {len(corpus)} papers, {corpus.n_edges} edges")

@@ -1,4 +1,4 @@
-"""Citation corpus ingestion, hygiene rules, and time-sliced views.
+"""Citation corpus ingestion, hygiene rules, and snapshots by year.
 
 Raw bibliographic edge streams are messy: duplicate rows, self-citations,
 citations pointing forward in time (preprints citing later work), papers
@@ -44,7 +44,7 @@ class CorpusError(Exception):
 
 
 class UnknownPaperError(CorpusError):
-    """Requested paper id is absent from the corpus or view."""
+    """Requested paper id is absent from the corpus."""
 
     def __init__(self, paper_id: str):
         super().__init__(f"unknown paper id: {paper_id!r}")
@@ -205,60 +205,18 @@ class CitationCorpus:
             raise CorpusError("empty corpus has no year range")
         return int(self.years.min()), int(self.years.max())
 
-    def snapshot(self, cutoff_year: int) -> "CorpusSnapshot":
-        """View restricted to papers and citing activity up to `cutoff_year`."""
-        return CorpusSnapshot(self, cutoff_year)
+    def snapshot(self, year: int) -> CitationCorpus:
+        """The corpus of the papers published by `year` and the citations among them.
 
-
-class CorpusSnapshot:
-    """Time-sliced read-only view of a corpus.
-
-    Contains papers published in or before the cutoff year and edges whose
-    citing paper falls within the cutoff (the cited side then does too,
-    because retained citations never point forward in time).
-    """
-
-    __slots__ = ("base", "cutoff_year")
-
-    def __init__(self, base: CitationCorpus, cutoff_year: int):
-        self.base = base
-        self.cutoff_year = cutoff_year
-
-    def has_paper(self, paper_id: str) -> bool:
-        return paper_id in self.base and self.base.year(paper_id) <= self.cutoff_year
-
-    __contains__ = has_paper
-
-    @property
-    def paper_ids(self) -> tuple[str, ...]:
-        return tuple(compress(self.base.paper_ids, self.base.years <= self.cutoff_year))
-
-    def row(self, paper_id: str) -> int:
-        row = self.base.row(paper_id)
-        if self.base.years[row] > self.cutoff_year:
-            raise UnknownPaperError(paper_id)
-        return row
-
-    def record(self, paper_id: str) -> PaperRecord:
-        self.row(paper_id)
-        return self.base.record(paper_id)
-
-    def year(self, paper_id: str) -> int:
-        return self.record(paper_id).year
-
-    def _citers(self, paper_id: str) -> np.ndarray:
-        citers = self.base._slice(self.base.citer_offsets, self.base.citers, self.row(paper_id))
-        return citers[:np.searchsorted(self.base.years[citers], self.cutoff_year, "right")]
-
-    def citations_of(self, paper_id: str) -> tuple[str, ...]:
-        return self.base._names(self._citers(paper_id))
-
-    def citation_count(self, paper_id: str) -> int:
-        return len(self._citers(paper_id))
-
-    def references_of(self, paper_id: str) -> tuple[str, ...]:
-        self.row(paper_id)
-        return self.base.references_of(paper_id)
+        A kept paper keeps all its references, since none points forward in time."""
+        kept = self.years <= year
+        row = np.cumsum(kept, dtype=np.int32) - 1   # each kept paper's row in the snapshot
+        citing = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.ref_offsets))
+        edge = kept[citing]
+        snap = CitationCorpus.__new__(CitationCorpus)
+        snap._fill(list(compress(self._ids, kept)), self.venue_names, self.years[kept], self.venues[kept],
+                   row[citing[edge]], row[self.refs[edge]])
+        return snap
 
 
 def _coerce_record(item) -> tuple[str, int, str | None] | None:

@@ -122,29 +122,29 @@ def mean_reciprocal_rank(ranks: Iterable[int]) -> float:
 def rank_by_measure(
     paper_ids: Iterable[str],
     measure: str,
-    view,
+    corpus,
     *,
     tie: str = "min-id",
     seed: int = 0,
 ) -> tuple[RankedList, list[str]]:
-    """Rank papers by citations (descending) or NID (ascending) in a view.
+    """Rank papers by citations (descending) or NID (ascending) in a corpus.
 
-    Papers without citations in the view have no tree and are excluded;
-    they come back in the second return value.  Each NID comes from the
-    paper's own tree in the view, built here.
+    Papers without citations have no tree and are excluded; they come back
+    in the second return value.  Each NID comes from the paper's own tree,
+    built here.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     scores: dict[str, float] = {}
     excluded: list[str] = []
     for pid in sorted(set(paper_ids)):
-        n = view.citation_count(pid)
+        n = corpus.citation_count(pid)
         if n == 0:
             excluded.append(pid)
         elif measure == "citations":
             scores[pid] = float(n)
         else:
-            scores[pid] = paper_metrics(view, pid, tie=tie, seed=seed).nid
+            scores[pid] = paper_metrics(corpus, pid, tie=tie, seed=seed).nid
     direction = "desc" if measure == "citations" else "asc"
     return RankedList.from_scores(scores, direction), excluded
 
@@ -168,17 +168,15 @@ def fractional_gain_list(
         raise ValueError(f"mode must be one of {GAIN_MODES}, got {mode!r}")
     if t1 >= t2:
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
-    snap1 = corpus.snapshot(pub_year + t1)
-    snap2 = corpus.snapshot(pub_year + t2)
     scores: dict[str, float] = {}
     excluded: list[str] = []
     for pid in sorted(set(paper_ids)):
-        c1 = snap1.citation_count(pid)
+        years = list(map(corpus.year, corpus.citations_of(pid)))   # in year order
+        c1 = bisect_right(years, pub_year + t1)
         if c1 == 0:
             excluded.append(pid)
             continue
-        c2 = snap2.citation_count(pid)
-        gain = c2 - c1
+        gain = bisect_right(years, pub_year + t2) - c1
         scores[pid] = gain / c1 if mode == "fractional" else float(gain)
     return RankedList.from_scores(scores, "desc"), excluded
 

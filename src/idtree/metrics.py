@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import YEAR_MAX, CorpusError, CorpusSnapshot, write_csv
+from .corpus import CorpusError, write_csv
 from .tree import TIE_POLICIES, InfluenceTree, build_idg, build_idt
 
 CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
@@ -142,14 +142,14 @@ def _checked_nids(n: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def paper_metrics(
-    view,
+    corpus,
     paper_id: str,
     *,
     tie: str = "min-id",
     seed: int = 0,
 ) -> MetricsReport | None:
-    """Metrics for one paper under a view; None when it has no citations."""
-    idg = build_idg(view, paper_id)
+    """Metrics for one paper of a corpus; None when it has no citations."""
+    idg = build_idg(corpus, paper_id)
     n = idg.n
     if n == 0:
         return None
@@ -275,14 +275,13 @@ def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
 
-def _edge_trees(corpus, rows: np.ndarray, cutoff: int = YEAR_MAX):
+def _edge_trees(corpus, rows: np.ndarray):
     """Min-id dispersion trees of the papers at `rows` (sorted, distinct), at once.
 
-    Only citers published by `cutoff` count, as in a snapshot.  Returns,
-    per citation into a paper of `rows`, in (citer, cited) order: the
-    citer's and the cited paper's row, the citer's depth, and the citation
-    of its parent (-1 under the root).  Last comes a flag per row of the
-    corpus: some citer of it has two or more equally deep candidate
+    Returns, per citation into a paper of `rows`, in (citer, cited) order:
+    the citer's and the cited paper's row, the citer's depth, and the
+    citation of its parent (-1 under the root).  Last comes a flag per row
+    of the corpus: some citer of it has two or more equally deep candidate
     parents, so a random tie policy can change its tree.
 
     Citation edges (v, x) are numbered by the key v * N + x over the
@@ -294,7 +293,8 @@ def _edge_trees(corpus, rows: np.ndarray, cutoff: int = YEAR_MAX):
     """
     size = len(corpus)
     citer = corpus.citers[_runs(corpus.citer_offsets, rows)[0]]
-    citing = np.unique(citer[corpus.years[citer] <= cutoff])
+    citing = np.sort(citer)
+    citing = citing[np.diff(citing, prepend=-1) != 0]
     wanted, involved = np.zeros(size, bool), np.zeros(size, bool)
     wanted[rows] = involved[rows] = True
     involved[citing] = True
@@ -357,18 +357,17 @@ def _edge_trees(corpus, rows: np.ndarray, cutoff: int = YEAR_MAX):
     return (keys[into] // size).astype(np.int32), dst[into], depth[into], parent, tied
 
 
-def _dispersion(view, paper_ids=None):
-    """Per-paper scores of the min-id trees of the papers `paper_ids` (all the view's when None).
+def _dispersion(corpus, paper_ids=None):
+    """Per-paper scores of the min-id trees of the papers `paper_ids` (all the corpus's when None).
 
     Returns the cited ones in id order with their citer count n, depth,
     breadth, min-id IDI and depth-tie flag (see `_edge_trees`); IDI sums
     the depths of the citers nobody picked as parent.  `paper_metrics`
     gives the same values per paper.
     """
-    corpus, cutoff = (view.base, view.cutoff_year) if isinstance(view, CorpusSnapshot) else (view, YEAR_MAX)
-    rows = (np.flatnonzero(corpus.years <= cutoff) if paper_ids is None
-            else np.unique(np.fromiter(map(view.row, paper_ids), np.int64)))
-    _, paper, level, parent, tied = _edge_trees(corpus, rows, cutoff)
+    rows = (np.arange(len(corpus)) if paper_ids is None
+            else np.unique(np.fromiter(map(corpus.row, paper_ids), np.int64)))
+    _, paper, level, parent, tied = _edge_trees(corpus, rows)
     size = len(corpus)
     leaf = np.ones(len(paper), bool)
     leaf[parent[parent >= 0]] = False
@@ -389,7 +388,7 @@ def _dispersion(view, paper_ids=None):
 
 
 def corpus_metrics(
-    view,
+    corpus,
     paper_ids=None,
     *,
     tie: str = "min-id",
@@ -405,7 +404,7 @@ def corpus_metrics(
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
-    cited, n, depth, breadth, value, tied = _dispersion(view, paper_ids)
+    cited, n, depth, breadth, value, tied = _dispersion(corpus, paper_ids)
     hi, nid = _checked_nids(n, value)
     reports = [
         MetricsReport(pid, c, d, b, v, c, h, v - c, x)
@@ -414,7 +413,7 @@ def corpus_metrics(
     ]
     if tie == "random":
         for i in np.flatnonzero(tied).tolist():
-            reports[i] = paper_metrics(view, cited[i], tie=tie, seed=seed)
+            reports[i] = paper_metrics(corpus, cited[i], tie=tie, seed=seed)
     return reports
 
 

@@ -139,16 +139,16 @@ class TreeStats:
     branches: tuple[BranchInfo, ...] | None = None
 
 
-def build_idg(view, paper_id: str) -> InfluenceGraph:
-    """Influence graph of `paper_id` under a corpus or snapshot view.
+def build_idg(corpus, paper_id: str) -> InfluenceGraph:
+    """Influence graph of `paper_id` in a corpus.
 
-    A paper with no citations in the view yields a valid single-node graph.
+    A paper with no citations yields a valid single-node graph.
     """
-    citers = tuple(sorted(view.citations_of(paper_id)))
+    citers = tuple(sorted(corpus.citations_of(paper_id)))
     citer_set = frozenset(citers)
-    cited_within = {v: citer_set.intersection(view.references_of(v)) for v in citers}
-    years = {v: view.year(v) for v in citers}
-    years[paper_id] = view.year(paper_id)
+    cited_within = {v: citer_set.intersection(corpus.references_of(v)) for v in citers}
+    years = {v: corpus.year(v) for v in citers}
+    years[paper_id] = corpus.year(paper_id)
     return InfluenceGraph(paper_id, citers, cited_within, years)
 
 

@@ -26,6 +26,10 @@ def test_tracer_records_the_benchmark_calls(toy):
         experiments.z_experiment(make_z_benchmark(seed=0))
         # z_experiment and tot_experiment do not call rank_by_measure, so its wrap is proved here
         experiments.rank_by_measure(["P"], "nid", toy)
+        # nor do they take snapshots, gains or Kendall distances
+        toy.snapshot(2001)
+        gains, _ = experiments.fractional_gain_list(["P", "p1"], toy, 2000, 1, 3)
+        experiments.kendall_tau_distance(gains, gains)
         corpus, awardees = make_tot_benchmark()
         experiments.tot_experiment(corpus, awardees)
     finally:
@@ -37,4 +41,7 @@ def test_tracer_records_the_benchmark_calls(toy):
         "experiments.z_experiment",
         "experiments.rank_by_measure",
         "experiments.tot_experiment",
+        "corpus.snapshot",
+        "experiments.fractional_gain",
+        "experiments.kendall",
     } <= names

@@ -137,14 +137,24 @@ class TestIngest:
         assert rc == 2
         assert "no papers" in capsys.readouterr().err
 
-    def test_metrics_after_ingest_matches_fresh_out(self, tmp_path, toy_files):
+    def test_metrics_after_ingest_matches_fresh_out(self, tmp_path, toy_files, planted):
+        # after an ingest of the same files (a cache hit) or of other ones (a re-ingest),
+        # --out holds what a fresh --out gets, ingest_report.json included
         edges, meta = toy_files
         flags = ("--edges", str(edges), "--meta", str(meta), "--tie", "random", "--seed", "1")
-        used, fresh = tmp_path / "used", tmp_path / "fresh"
-        assert run("ingest", "--edges", str(edges), "--meta", str(meta), "--out", str(used)) == 0
-        assert run("metrics", *flags, "--out", str(used)) == 0
+        fresh = tmp_path / "fresh"
         assert run("metrics", *flags, "--out", str(fresh)) == 0
-        assert (used / "metrics.csv").read_bytes() == (fresh / "metrics.csv").read_bytes()
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_config.json"}
+
+        assert "ingest_report.json" in outputs(fresh)
+        other = planted / "planted-tot"
+        for name, first in (("same", (edges, meta)), ("other", (other / "edges.tsv", other / "meta.jsonl"))):
+            used = tmp_path / name
+            assert run("ingest", "--edges", str(first[0]), "--meta", str(first[1]), "--out", str(used)) == 0
+            assert run("metrics", *flags, "--out", str(used)) == 0
+            assert outputs(used) == outputs(fresh), name
 
 
 class TestUsageErrors:

@@ -30,6 +30,7 @@ from idtree.corpus import (
     write_edge_file,
     write_metadata_file,
 )
+from idtree.synth import gen_random_corpus, toy_corpus
 from reference import reference_construct, reference_ingest
 
 
@@ -237,6 +238,34 @@ class TestSnapshots:
             c2 = set(s2.citations_of(pid)) if s2.has_paper(pid) else set()
             c1 = set(s1.citations_of(pid)) if s1.has_paper(pid) else set()
             assert c1 <= c2 <= all_cits
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_papers=st.one_of(st.just(0), st.integers(20, 150)), corpus_seed=st.integers(0, 10_000),
+           data=st.data())
+    def test_snapshot_is_the_corpus_of_the_papers_by_then(self, n_papers, corpus_seed, data):
+        # n_papers = 0 stands for the toy corpus
+        corpus = (toy_corpus() if not n_papers else
+                  gen_random_corpus(n_papers, years=(1990, 2000), mean_refs=3, followup=0.5, seed=corpus_seed))
+        records = [corpus.record(pid) for pid in corpus.paper_ids]
+        edges = list(corpus.edges())
+        first, last = corpus.year_range()
+        for cutoff in range(first - 1, last + 2):   # from a year before the first paper
+            snap = corpus.snapshot(cutoff)
+            want = CitationCorpus([r for r in records if r.year <= cutoff],
+                                  [(u, v) for u, v in edges if corpus.year(u) <= cutoff])
+            _assert_same_corpus(snap, want)
+            assert snap.venue_names == corpus.venue_names
+            other = data.draw(st.integers(first - 1, last + 1))
+            _assert_same_corpus(snap.snapshot(other), corpus.snapshot(min(cutoff, other)))
+
+
+def _assert_same_corpus(a, b):
+    assert a.paper_ids == b.paper_ids
+    assert list(a.edges()) == list(b.edges())
+    for pid in a.paper_ids:
+        assert a.record(pid) == b.record(pid)
+        assert a.citations_of(pid) == b.citations_of(pid)
+        assert a.references_of(pid) == b.references_of(pid)
 
 
 # Hypothesis: arbitrary messy streams still produce corpora holding every invariant.

@@ -1,5 +1,6 @@
 """Rank distance, venue experiments, award ranking, and corpus statistics."""
 
+import functools
 import gc
 import itertools
 import math
@@ -290,11 +291,12 @@ def _groups(corpus):
 
 def _per_venue_z(corpus, year_range, t1, t2, tie, seed, gain_mode):
     """The z experiment one venue at a time, from per-list rankings: the oracle."""
+    snapshot = functools.cache(corpus.snapshot)   # one per cutoff
     results, skipped = [], []
     for (venue, year), members in sorted(_groups(corpus).items()):
         if not year_range[0] <= year <= year_range[1]:
             continue
-        snap1 = corpus.snapshot(year + t1)
+        snap1 = snapshot(year + t1)
         eligible = [p for p in members if snap1.citation_count(p) > 0]
         if len(eligible) < 2:
             skipped.append((venue, year, f"only {len(eligible)} papers with citations at t1"))
@@ -313,6 +315,7 @@ def _per_venue_z(corpus, year_range, t1, t2, tie, seed, gain_mode):
 def _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed):
     """The award experiment one awardee at a time: the oracle."""
     groups = _groups(corpus)
+    snapshot = functools.cache(corpus.snapshot)   # one per cutoff
     cases, skipped = [], []
     for pid, venue, year in sorted(set(awardees)):
         cohort = groups.get((venue, year))
@@ -322,7 +325,7 @@ def _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed):
         if pid not in cohort:
             skipped.append((pid, f"awardee not in venue cohort {venue!r} {year}"))
             continue
-        snap = corpus.snapshot(year + horizon)
+        snap = snapshot(year + horizon)
         counts = {p: snap.citation_count(p) for p in cohort}
         if counts[pid] == 0:
             skipped.append((pid, f"awardee has no citations at horizon {year + horizon}"))
