@@ -28,9 +28,10 @@ import hashlib
 import json
 import operator
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -104,7 +105,7 @@ class CitationCorpus:
     without edges are allowed.
     """
 
-    __slots__ = ("_ids", "_rows", "years", "venues", "venue_names",
+    __slots__ = ("_ids", "years", "venues", "venue_names",
                  "citer_offsets", "citers", "ref_offsets", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
@@ -124,7 +125,7 @@ class CitationCorpus:
         self-citation, none forward in time and none on a same-year cycle.
         """
         n = len(ids)
-        if not (all(isinstance(s, str) for s in chain(ids, venue_names))
+        if not (all(map(isinstance, chain(ids, venue_names), repeat(str)))
                 and all(all(map(operator.lt, names, names[1:])) for names in (ids, venue_names))
                 and all(a.dtype == np.int32 and a.shape == (m,)
                         for a, m in ((years, n), (venues, n), (src, len(src)), (dst, len(src))))
@@ -138,10 +139,9 @@ class CitationCorpus:
                 or _edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))):
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
-        self._rows = dict(zip(self._ids, range(n)))
         self.years, self.venues, self.refs = years, venues, dst
         self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
-        self.citers = src[np.lexsort((src, years[src], dst))]
+        self.citers = sort_by_year(years, dst, src).astype(np.int32)
         self.citer_offsets = np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
         for a in (self.years, self.venues, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
             a.flags.writeable = False
@@ -150,7 +150,8 @@ class CitationCorpus:
         return len(self._ids)
 
     def has_paper(self, paper_id: str) -> bool:
-        return paper_id in self._rows
+        row = bisect_left(self._ids, paper_id) if isinstance(paper_id, str) else len(self)
+        return self._ids[row:row + 1] == (paper_id,)
 
     __contains__ = has_paper
 
@@ -163,11 +164,11 @@ class CitationCorpus:
         return len(self.refs)
 
     def row(self, paper_id: str) -> int:
-        """The paper's row: its position in `paper_ids`."""
-        try:
-            return self._rows[paper_id]
-        except KeyError:
-            raise UnknownPaperError(paper_id) from None
+        """The paper's row: its position in `paper_ids`, found by bisection."""
+        row = bisect_left(self._ids, paper_id) if isinstance(paper_id, str) else len(self)
+        if self._ids[row:row + 1] != (paper_id,):
+            raise UnknownPaperError(paper_id)
+        return row
 
     def _names(self, rows: np.ndarray) -> tuple[str, ...]:
         return tuple(map(self._ids.__getitem__, rows.tolist()))
@@ -217,6 +218,16 @@ class CitationCorpus:
         snap._fill(list(compress(self._ids, kept)), self.venue_names, self.years[kept], self.venues[kept],
                    row[citing[edge]], row[self.refs[edge]])
         return snap
+
+
+def sort_by_year(years: np.ndarray, group: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`rows` ordered by (`group`, year of the row, row): one sort of the int64 keys
+    ``group * n + rank``, where `rank` orders the n rows by (year, row)."""
+    n = len(years)
+    order = np.argsort(years, kind="stable")
+    rank = np.empty(n, np.int64)
+    rank[order] = np.arange(n)
+    return order[np.sort(group.astype(np.int64) * n + rank[rows]) % n]
 
 
 def _coerce_record(item) -> tuple[str, int, str | None] | None:
@@ -407,11 +418,10 @@ def write_edge_file(corpus: CitationCorpus, path) -> None:
 
 def write_metadata_file(corpus: CitationCorpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for pid in corpus.paper_ids:
-            rec = corpus.record(pid)
-            obj: dict = {"id": rec.id, "year": rec.year}
-            if rec.venue is not None:
-                obj["venue"] = rec.venue
+        for pid, year, code in zip(corpus.paper_ids, corpus.years.tolist(), corpus.venues.tolist()):
+            obj: dict = {"id": pid, "year": year}
+            if code >= 0:
+                obj["venue"] = corpus.venue_names[code]
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus, write_csv
+from .corpus import CitationCorpus, sort_by_year, write_csv
 from .metrics import MetricsReport, _runs, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
@@ -239,9 +239,9 @@ def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
     guards against inconsistent metadata.
     """
     rows = np.flatnonzero(corpus.venues >= 0)
-    members = rows[np.lexsort((rows, corpus.years[rows], corpus.venues[rows]))]
+    members = sort_by_year(corpus.years, corpus.venues[rows], rows)
     code, year = corpus.venues[members], corpus.years[members]
-    heads = np.flatnonzero(np.r_[True, (code[1:] != code[:-1]) | (year[1:] != year[:-1])])
+    heads = np.flatnonzero(np.r_[len(members) > 0, (code[1:] != code[:-1]) | (year[1:] != year[:-1])])
     return code[heads], year[heads].astype(np.int64), np.r_[heads, len(members)], members
 
 

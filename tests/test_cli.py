@@ -388,6 +388,18 @@ class TestEvalZ:
         assert rc == 2
         assert "no venue" in capsys.readouterr().err
 
+    def test_corpus_without_venues_exit_2(self, tmp_path, capsys):
+        # no paper has a venue, so there is no edition to score or to rank in
+        edges, meta, awardees = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "aw.csv"
+        edges.write_text("b\ta\n", encoding="utf-8")
+        meta.write_text('{"id": "a", "year": 2000}\n{"id": "b", "year": 2001}\n', encoding="utf-8")
+        awardees.write_text("paper_id,venue,year\na,V-2000,2000\n", encoding="utf-8")
+        corpus = ["--edges", str(edges), "--meta", str(meta)]
+        assert run("eval-z", *corpus, "--out", str(tmp_path / "z")) == 2
+        assert "no venue" in capsys.readouterr().err
+        assert run("eval-tot", *corpus, "--awardees", str(awardees), "--out", str(tmp_path / "tot")) == 2
+        assert "no award case" in capsys.readouterr().err
+
 
 def _year_span(fixture: Path) -> int:
     years = [json.loads(line)["year"] for line in (fixture / "meta.jsonl").read_text(encoding="utf-8").splitlines()]

@@ -16,6 +16,8 @@ from scipy.sparse.csgraph import connected_components
 
 from idtree.corpus import (
     CACHE_FORMAT,
+    YEAR_MAX,
+    YEAR_MIN,
     CitationCorpus,
     CorpusError,
     PaperRecord,
@@ -30,6 +32,7 @@ from idtree.corpus import (
     write_edge_file,
     write_metadata_file,
 )
+from idtree.experiments import _editions
 from idtree.synth import gen_random_corpus, toy_corpus
 from reference import reference_construct, reference_ingest
 
@@ -171,6 +174,21 @@ class TestCorpusQueries:
         with pytest.raises(UnknownPaperError):
             toy.snapshot(2005).citations_of("nope")
 
+    @pytest.mark.parametrize("ids", [["a", "ab", "b", "ünï", "日本"], []], ids=["odd-ids", "empty"])
+    def test_lookups_match_a_dict(self, ids):
+        # a prefix of another id, non-ASCII ids, absent ids before the first,
+        # between two and after the last; an id that is no str is never present
+        corpus = CitationCorpus([PaperRecord(pid, 2000) for pid in ids], [])
+        rows = dict(zip(ids, range(len(ids))))
+        absent = ["", "0", "aa", "abc", "ü", "ünïx", "日", "日本語", "\U0010ffff", 5, None, b"a", ("a",)]
+        for pid in ids + absent:
+            assert corpus.has_paper(pid) == (pid in corpus) == (pid in rows), pid
+            if pid in rows:
+                assert corpus.row(pid) == rows[pid]
+            else:
+                with pytest.raises(UnknownPaperError):
+                    corpus.row(pid)
+
     def test_citations_match_naive_edge_scan(self, small_random_corpus):
         corpus = small_random_corpus
         edge_list = list(corpus.edges())
@@ -257,6 +275,46 @@ class TestSnapshots:
             assert snap.venue_names == corpus.venue_names
             other = data.draw(st.integers(first - 1, last + 1))
             _assert_same_corpus(snap.snapshot(other), corpus.snapshot(min(cutoff, other)))
+
+
+_EXTREME_YEARS = [YEAR_MIN, YEAR_MIN + 1, 1999, 2000, YEAR_MAX - 1, YEAR_MAX]
+
+
+@st.composite
+def year_heavy_streams(draw):
+    """Records over few years, the int32 extremes among them, so many papers
+    share a year; ids are named in random order; edges between any two."""
+    n = draw(st.integers(1, 30))
+    names = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    records = [PaperRecord(pid, draw(st.sampled_from(_EXTREME_YEARS)), draw(st.none() | st.sampled_from(_VENUES)))
+               for pid in names]
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=80))
+    return records, edges
+
+
+def _assert_citers_match_lexsort(corpus):
+    n, years, dst = len(corpus), corpus.years, corpus.refs
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(corpus.ref_offsets))
+    assert corpus.citers.dtype == np.int32
+    assert corpus.citers.tolist() == src[np.lexsort((src, years[src], dst))].tolist()
+    assert corpus.citer_offsets.tolist() == np.searchsorted(np.sort(dst), np.arange(n + 1)).tolist()
+    rows = np.flatnonzero(corpus.venues >= 0)
+    assert _editions(corpus)[3].tolist() == rows[np.lexsort((rows, years[rows], corpus.venues[rows]))].tolist()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(year_heavy_streams())
+def test_citer_order_matches_lexsort_reference(tmp_path, stream):
+    # citers are ordered by (cited, citer year, citer row) however the corpus
+    # was built: by ingest, by load_cache and by snapshot
+    corpus, _ = ingest(stream[1], stream[0])
+    cache = tmp_path / "corpus.cache"
+    save_cache(corpus, cache)
+    loaded = load_cache(cache)
+    assert loaded is not None
+    for built in (corpus, loaded, *map(corpus.snapshot, sorted(set(corpus.years.tolist())))):
+        _assert_citers_match_lexsort(built)
 
 
 def _assert_same_corpus(a, b):

@@ -3,7 +3,8 @@
 Each synth case writes a fixture with `idtree synth` and compares the
 sha256 of every file it wrote with a pinned value.  Each experiment case
 synthesizes a fixture, runs `idtree eval-z` (fractional and absolute gain)
-and `idtree eval-tot` on it under one tie policy, and does the same.
+and `idtree eval-tot` on it under one tie policy, and does the same, for
+the `corpus.cache` each run writes too.
 The random fixture has depth ties, so the two tie policies differ there.
 A change that moves any of these bytes has to say why and re-pin them.
 """
@@ -15,7 +16,8 @@ from collections import Counter
 
 import pytest
 
-from idtree.cli import main
+from idtree.cli import CACHE_NAME, main
+from idtree.corpus import load_cache
 
 # fixture -> (synth flags, eval-z flags, eval-tot flags)
 FIXTURES = {
@@ -212,6 +214,16 @@ PINNED = {
 }
 
 
+# sha256 of the cache (format 4) that every run on a fixture writes: only the
+# input files key it, so it is the same for each run and tie policy
+CACHE_PINNED = {
+    "planted-tot": "2ac1a55008c818fb4e6591176b6cda036cf7ed4a52978f7a0124ad6387208aa3",
+    "planted-z": "3887d27ab6c59aa170b824d2f2bc7f364c6540c68a19a53234e7b8ae9d2362a8",
+    "random": "36dbe7410344c9956ca445f44bf9ef0d2ed9f8f16305aba67058fabf01965200",
+    "toy": "a7e013900f5fd199de2eb501db1567bd5ac91e8bf9c5c5459c7afdd1ee367eac",
+}
+
+
 def _write_awardees(fixture) -> None:
     """Each venue edition's most cited paper (smallest id on ties), and one unknown venue."""
     with open(fixture / "edges.tsv", encoding="utf-8") as fh:
@@ -263,6 +275,10 @@ def root(tmp_path_factory):
 @pytest.mark.parametrize("fixture_name", sorted(FIXTURES))
 def test_outputs_match_pinned_digests(root, fixture_name, tie):
     assert output_digests(root, fixture_name, tie) == PINNED[fixture_name, tie]
+    for run in RUNS:
+        cache = root / f"{fixture_name}-{tie}-{run}" / CACHE_NAME
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_PINNED[fixture_name], run
+        assert load_cache(cache) is not None, run
 
 
 @pytest.mark.parametrize("case", sorted(SYNTH))
