@@ -16,7 +16,8 @@ corpus = gen_random_corpus(
 print(f"corpus: {len(corpus)} papers, {corpus.n_edges} edges")
 
 stats = corpus_stats(corpus)
-print(f"papers with trees: {len(stats.reports)} (uncited: {stats.n_uncited})")
+reports = stats.reports   # one column per metric, one row per cited paper
+print(f"papers with trees: {len(reports)} (uncited: {stats.n_uncited})")
 
 print("\ndepth frequency:")
 for depth, count in stats.depth_hist.items():
@@ -25,12 +26,7 @@ for depth, count in stats.depth_hist.items():
 print("\nbreadth frequency (log-ish buckets):")
 edges = [1, 2, 3, 5, 10, 20, 50, 100, 10**9]
 labels = ["1", "2", "3-4", "5-9", "10-19", "20-49", "50-99", "100+"]
-counts = np.zeros(len(labels), dtype=int)
-for breadth, cnt in stats.breadth_hist.items():
-    for i in range(len(labels)):
-        if breadth < edges[i + 1]:
-            counts[i] += cnt
-            break
+counts = np.bincount(np.searchsorted(edges, reports.breadth, "right") - 1, minlength=len(labels))
 for label, cnt in zip(labels, counts):
     print(f"  {label:>6}: {cnt}")
 
@@ -40,11 +36,9 @@ for name, rho in sorted(stats.correlations.items()):
 
 # NID against citations: bucket papers by citation count and average.
 print("\nmean NID by citation count:")
-buckets = {}
-for r in stats.reports:
-    buckets.setdefault(min(r.n, 50) // 10, []).append(r.nid)
-for bucket in sorted(buckets):
-    values = buckets[bucket]
+buckets = np.minimum(reports.n, 50) // 10
+for bucket in np.unique(buckets).tolist():
+    values = reports.nid[buckets == bucket]
     lo, hi = bucket * 10, bucket * 10 + 9
     label = f"{lo}-{hi}" if bucket < 5 else f"{lo}+"
     print(f"  n in {label:>6}: mean nid {np.mean(values):.3f}  ({len(values)} papers)")

@@ -36,6 +36,7 @@ from .experiments import (
     z_experiment,
 )
 from .metrics import (
+    CorpusMetrics,
     MetricsReport,
     corpus_metrics,
     idi,
@@ -64,6 +65,7 @@ __all__ = [
     "BranchInfo",
     "CitationCorpus",
     "CorpusError",
+    "CorpusMetrics",
     "IngestReport",
     "InfluenceGraph",
     "InfluenceTree",

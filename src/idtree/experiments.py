@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CitationCorpus, sort_by_year, write_csv
-from .metrics import MetricsReport, _runs, corpus_metrics, paper_metrics, paper_years
+from .metrics import CorpusMetrics, _runs, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -440,11 +439,17 @@ def tot_experiment(
 class StatsReport:
     """Distribution summary over every paper with at least one citation."""
 
-    reports: tuple[MetricsReport, ...]
+    reports: CorpusMetrics
     depth_hist: dict[int, int]
     breadth_hist: dict[int, int]
     correlations: dict[str, float]
     n_uncited: int
+
+
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    """{value: count}, in value order."""
+    keys, counts = np.unique(values, return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def pearson(x, y) -> float:
@@ -471,18 +476,13 @@ def corpus_stats(
 ) -> StatsReport:
     """Depth/breadth histograms and metric correlations for a whole corpus."""
     reports = corpus_metrics(corpus, tie=tie, seed=seed)
-    n_uncited = len(corpus) - len(reports)
-    depth_hist = dict(sorted(Counter(r.depth for r in reports).items()))
-    breadth_hist = dict(sorted(Counter(r.breadth for r in reports).items()))
-    cites = [r.n for r in reports]
-    depths = [r.depth for r in reports]
-    breadths = [r.breadth for r in reports]
+    cites, depths, breadths = reports.n, reports.depth, reports.breadth
     correlations = {
-        "breadth_vs_citations": pearson(breadths, cites) if reports else float("nan"),
-        "depth_vs_citations": pearson(depths, cites) if reports else float("nan"),
-        "depth_vs_breadth": pearson(depths, breadths) if reports else float("nan"),
+        "breadth_vs_citations": pearson(breadths, cites),
+        "depth_vs_citations": pearson(depths, cites),
+        "depth_vs_breadth": pearson(depths, breadths),
     }
-    return StatsReport(tuple(reports), depth_hist, breadth_hist, correlations, n_uncited)
+    return StatsReport(reports, _histogram(depths), _histogram(breadths), correlations, len(corpus) - len(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +505,9 @@ def write_histogram_csv(hist: Mapping[int, int], path, value_name: str) -> None:
     write_csv(path, (value_name, "count"), sorted(hist.items()))
 
 
-def write_scatter_csv(reports: Iterable[MetricsReport], path) -> None:
-    write_csv(path, ("paper_id", "n", "d", "b", "idi", "nid"), (
-        (r.paper_id, r.n, r.depth, r.breadth, r.idi, r.nid) for r in reports
+def write_scatter_csv(reports: CorpusMetrics, path) -> None:
+    write_csv(path, ("paper_id", "n", "d", "b", "idi", "nid"), zip(
+        reports.paper_ids, *(c.tolist() for c in (reports.n, reports.depth, reports.breadth, reports.idi, reports.nid))
     ))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
@@ -94,6 +95,35 @@ class MetricsReport:
     idi_max: int
     divergence: int
     nid: float
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusMetrics:
+    """`MetricsReport` fields of many papers as columns, one row per paper in id order.
+
+    `idi_min` is `n` and the divergence `idi - n`, so neither is stored.
+    Iterating yields the rows as `MetricsReport`s of plain Python values.
+    """
+
+    paper_ids: list[str]
+    n: np.ndarray
+    depth: np.ndarray
+    breadth: np.ndarray
+    idi: np.ndarray
+    idi_max: np.ndarray
+    nid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.paper_ids)
+
+    def rows(self):
+        """The CSV rows, in `CSV_HEADER` order."""
+        n, value = self.n, self.idi
+        columns = (n, self.depth, self.breadth, value, n, self.idi_max, value - n, self.nid)
+        return zip(self.paper_ids, *(c.tolist() for c in columns))
+
+    def __iter__(self):
+        return starmap(MetricsReport, self.rows())
 
 
 def _build_tree(idg, tie: str, seed: int) -> InfluenceTree:
@@ -292,24 +322,30 @@ def _edge_trees(corpus, rows: np.ndarray):
     without one), and its parent is the smallest-id candidate one level up.
     """
     size = len(corpus)
-    citer = corpus.citers[_runs(corpus.citer_offsets, rows)[0]]
-    citing = np.sort(citer)
-    citing = citing[np.diff(citing, prepend=-1) != 0]
     wanted, involved = np.zeros(size, bool), np.zeros(size, bool)
-    wanted[rows] = involved[rows] = True
-    involved[citing] = True
+    wanted[rows] = True
+    involved[corpus.citers[_runs(corpus.citer_offsets, rows)[0]]] = True
+    citing = np.flatnonzero(involved)
+    involved |= wanted
     at, pick = _runs(corpus.ref_offsets, citing)
     dst = corpus.refs[at]
     keys = (citing[pick].astype(np.int64) * size + dst)[involved[dst]]   # only references among the papers involved
-    del citer, citing, involved, at, pick, dst
+    del citing, involved, at, pick
 
-    first = keys // size * size   # key of (v, 0): v's run of edges starts at or after it
-    dst = (keys - first).astype(np.int32)
-    lo = np.searchsorted(keys, first).astype(np.int32)
-    partners = np.searchsorted(keys, first + size).astype(np.int32) - lo - 1
-    del first
+    # each citer's edges are one run of keys: lo is its start, partners its length - 1
+    citing = keys // size
+    dst = (keys - citing * size).astype(np.int32)
+    heads = _segments(citing)
+    sizes = np.diff(np.r_[heads, len(keys)])
+    lo = np.repeat(heads.astype(np.int32), sizes)
+    partners = np.repeat(sizes.astype(np.int32) - 1, sizes)
+    year = corpus.years[dst]
+    del citing, heads, sizes
     # Expand each (v, P) into its pairs with v's other edges (v, u), block
-    # by block; probe for (u, P) by its key.
+    # by block, and probe for (u, P) by its key.  Only a u published no
+    # earlier than P can cite it, so the other pairs are dropped unprobed;
+    # the probes are searched in key order and their hits put back in
+    # (v, P), u order.
     child = np.flatnonzero(wanted[dst] & (partners > 0)).astype(np.int32)
     counts = partners[child].astype(np.int64)
     ends = np.cumsum(counts)
@@ -321,13 +357,18 @@ def _edge_trees(corpus, rows: np.ndarray):
         e1 = np.repeat(child[start:stop], k)
         e2 = lo[e1] + (np.arange(len(e1), dtype=np.int32) - np.repeat((np.cumsum(k) - k).astype(np.int32), k))
         e2 += e2 >= e1
+        keep = year[e2] >= year[e1]
+        e1, e2 = e1[keep], e2[keep]
         probe = dst[e2].astype(np.int64) * size + dst[e1]
+        order = np.argsort(probe)
+        probe = probe[order]
         pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1).astype(np.int32)
-        hit = keys[pos] == probe
-        tri_child.append(e1[hit])
+        hit = np.flatnonzero(keys[pos] == probe)
+        hit = hit[np.argsort(order[hit])]
+        tri_child.append(e1[order[hit]])
         tri_parent.append(pos[hit])
         start = stop
-    del lo, partners, child, counts, ends
+    del lo, partners, year, child, counts, ends
 
     depth = np.ones(len(keys), np.int32)
     parent = np.full(len(keys), -1, np.int32)
@@ -394,31 +435,25 @@ def corpus_metrics(
     tie: str = "min-id",
     seed: int = 0,
     jobs: int = 1,
-) -> list[MetricsReport]:
-    """Metrics for every paper with at least one citation, once each, sorted by id.
+) -> CorpusMetrics:
+    """Metrics for every paper with at least one citation, once each, as columns sorted by id.
 
     All trees are scored together by `_dispersion`; under ``tie="random"``
     only the papers with a depth tie are rebuilt one by one through
-    `paper_metrics`, which draws their ties.  `jobs` is ignored; it stays
-    because ``bench/workloads.py`` times a second round with ``jobs=2``.
+    `paper_metrics`, which draws their ties, and their IDI and NID are
+    written back into the columns.  `jobs` is ignored; it stays because
+    ``bench/workloads.py`` times a second round with ``jobs=2``.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     cited, n, depth, breadth, value, tied = _dispersion(corpus, paper_ids)
     hi, nid = _checked_nids(n, value)
-    reports = [
-        MetricsReport(pid, c, d, b, v, c, h, v - c, x)
-        for pid, c, d, b, v, h, x in zip(cited, n.tolist(), depth.tolist(), breadth.tolist(),
-                                         value.tolist(), hi.tolist(), nid.tolist())
-    ]
     if tie == "random":
         for i in np.flatnonzero(tied).tolist():
-            reports[i] = paper_metrics(corpus, cited[i], tie=tie, seed=seed)
-    return reports
+            report = paper_metrics(corpus, cited[i], tie=tie, seed=seed)
+            value[i], nid[i] = report.idi, report.nid
+    return CorpusMetrics(cited, n, depth, breadth, value, hi, nid)
 
 
-def write_metrics_csv(reports, path) -> None:
-    write_csv(path, CSV_HEADER, (
-        (r.paper_id, r.n, r.depth, r.breadth, r.idi, r.idi_min, r.idi_max, r.divergence, r.nid)
-        for r in reports
-    ))
+def write_metrics_csv(result: CorpusMetrics, path) -> None:
+    write_csv(path, CSV_HEADER, result.rows())

@@ -17,12 +17,13 @@ tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
 
-def test_tracer_records_the_benchmark_calls(toy):
+def test_tracer_records_the_benchmark_calls(toy, tmp_path):
     original = metrics.corpus_metrics
     tr = tracer.Tracer()
     tr.install()
     try:
-        metrics.corpus_metrics(toy, tie="random", seed=11, jobs=2)
+        result = metrics.corpus_metrics(toy, tie="random", seed=11, jobs=2)
+        metrics.write_metrics_csv(result, tmp_path / "metrics.csv")
         experiments.z_experiment(make_z_benchmark(seed=0))
         # z_experiment and tot_experiment do not call rank_by_measure, so its wrap is proved here
         experiments.rank_by_measure(["P"], "nid", toy)
@@ -35,9 +36,13 @@ def test_tracer_records_the_benchmark_calls(toy):
     finally:
         tr.uninstall()
     assert metrics.corpus_metrics is original
+    # the benchmark counts rows with len() and its oracle test iterates the result
+    assert tr.counts["metrics.rows"] == len(result) == 4
+    assert list(result) == [metrics.paper_metrics(toy, pid, tie="random", seed=11) for pid in result.paper_ids]
     names = {span[0] for span in tr.spans}
     assert {
         "metrics.corpus_metrics_jobs2",
+        "metrics.write_csv",
         "experiments.z_experiment",
         "experiments.rank_by_measure",
         "experiments.tot_experiment",

@@ -2,9 +2,9 @@
 
 Each synth case writes a fixture with `idtree synth` and compares the
 sha256 of every file it wrote with a pinned value.  Each experiment case
-synthesizes a fixture, runs `idtree eval-z` (fractional and absolute gain)
-and `idtree eval-tot` on it under one tie policy, and does the same, for
-the `corpus.cache` each run writes too.
+synthesizes a fixture, runs `idtree metrics`, `idtree stats`, `idtree eval-z`
+(fractional and absolute gain) and `idtree eval-tot` on it under one tie
+policy, and does the same, for the `corpus.cache` each run writes too.
 The random fixture has depth ties, so the two tie policies differ there.
 A change that moves any of these bytes has to say why and re-pin them.
 """
@@ -116,6 +116,8 @@ SYNTH_PINNED = {
 }
 
 RUNS = {
+    "metrics": ("metrics.csv",),
+    "stats": ("depth_hist.csv", "breadth_hist.csv", "scatter.csv", "stats_summary.json"),
     "eval-z": ("venues.csv", "z_summary.json"),
     "eval-z-absolute": ("venues.csv", "z_summary.json"),
     "eval-tot": ("tot_cases.csv", "tot_summary.json"),
@@ -124,6 +126,13 @@ RUNS = {
 # sha256 of each output file, and the exit code of each run
 PINNED = {
     ("planted-tot", "min-id"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "9d3f79b4fa6884b896898628beb48086b9ae1cc6d1258a647fb5293b1b16b5bf",
+        "stats": 0,
+        "stats/depth_hist.csv": "9d27a7366f3dd431a6841abb968ced2a4c7394fac0d81cb917e09c7a900bc3ab",
+        "stats/breadth_hist.csv": "e955b74e1062d1b0ca2ddddd86c4affedbf59d1f0b525688e4b89127d225f8b1",
+        "stats/scatter.csv": "7d0d33f2d9774aed307b78ac866e8bbba8c5e89e1e91d70da51e8f8759842d4d",
+        "stats/stats_summary.json": "8576179b8d474da0683884d0ddd74c231147f8cfe0c3cd732f4459c9c28f1bc7",
         "eval-z": 0,
         "eval-z/venues.csv": "53cbdad9f95e0549cb64a21c5a6dd57f91a0a51ac24515697ea76d5decf42f46",
         "eval-z/z_summary.json": "73250a41ac25c5c9f42a441739fd247ceea405b1883d649e6411893184d631f2",
@@ -135,6 +144,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "97c5e37cd0676cfc35731642dc9ed75aa9603dbc9750a611fb3bf4132326be3e",
     },
     ("planted-tot", "random"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "9d3f79b4fa6884b896898628beb48086b9ae1cc6d1258a647fb5293b1b16b5bf",
+        "stats": 0,
+        "stats/depth_hist.csv": "9d27a7366f3dd431a6841abb968ced2a4c7394fac0d81cb917e09c7a900bc3ab",
+        "stats/breadth_hist.csv": "e955b74e1062d1b0ca2ddddd86c4affedbf59d1f0b525688e4b89127d225f8b1",
+        "stats/scatter.csv": "7d0d33f2d9774aed307b78ac866e8bbba8c5e89e1e91d70da51e8f8759842d4d",
+        "stats/stats_summary.json": "8576179b8d474da0683884d0ddd74c231147f8cfe0c3cd732f4459c9c28f1bc7",
         "eval-z": 0,
         "eval-z/venues.csv": "53cbdad9f95e0549cb64a21c5a6dd57f91a0a51ac24515697ea76d5decf42f46",
         "eval-z/z_summary.json": "73250a41ac25c5c9f42a441739fd247ceea405b1883d649e6411893184d631f2",
@@ -146,6 +162,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "97c5e37cd0676cfc35731642dc9ed75aa9603dbc9750a611fb3bf4132326be3e",
     },
     ("planted-z", "min-id"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "91119f9cae2589cc3719ad4f8849ee283663e636ebab1b3d529b3c48401ba6e3",
+        "stats": 0,
+        "stats/depth_hist.csv": "83cfca545dc0484b2325a97541d576caffead5e8b862ce8ac974b4b1f99d50cb",
+        "stats/breadth_hist.csv": "20e807ec0b604445190de50bdfc53f9536c06c53b21bde935247efac4347238c",
+        "stats/scatter.csv": "137586af2983532199c8238156364125aabbf05ffb6d78a8772f5a4b1a4c3943",
+        "stats/stats_summary.json": "a451d16cdb950d7c1272bba23f577096d575064a64a5a9d0d0d7ecaf45bf8149",
         "eval-z": 0,
         "eval-z/venues.csv": "81991655b979678669b889ce5e2fa222b57b4c969cfc65e1029599af863dab69",
         "eval-z/z_summary.json": "a0594cf5c9a7b3957d72d27561642032145166f6d76d3281f46ef6adecfbf1b5",
@@ -157,6 +180,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "6b7cff0348f43a125707ae4b1ab9639f4da04879a2d896c9314fa4095e1b0188",
     },
     ("planted-z", "random"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "91119f9cae2589cc3719ad4f8849ee283663e636ebab1b3d529b3c48401ba6e3",
+        "stats": 0,
+        "stats/depth_hist.csv": "83cfca545dc0484b2325a97541d576caffead5e8b862ce8ac974b4b1f99d50cb",
+        "stats/breadth_hist.csv": "20e807ec0b604445190de50bdfc53f9536c06c53b21bde935247efac4347238c",
+        "stats/scatter.csv": "137586af2983532199c8238156364125aabbf05ffb6d78a8772f5a4b1a4c3943",
+        "stats/stats_summary.json": "a451d16cdb950d7c1272bba23f577096d575064a64a5a9d0d0d7ecaf45bf8149",
         "eval-z": 0,
         "eval-z/venues.csv": "81991655b979678669b889ce5e2fa222b57b4c969cfc65e1029599af863dab69",
         "eval-z/z_summary.json": "a0594cf5c9a7b3957d72d27561642032145166f6d76d3281f46ef6adecfbf1b5",
@@ -168,6 +198,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "6b7cff0348f43a125707ae4b1ab9639f4da04879a2d896c9314fa4095e1b0188",
     },
     ("random", "min-id"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "3205450d01d4d70a9acd259cf1793797f00295bfd4f5a7c2660f8d826688a702",
+        "stats": 0,
+        "stats/depth_hist.csv": "c17f73b616fe3e4f87878886726eecbdbd5c0b6ee3f9579a6a0eb2f6d685eed8",
+        "stats/breadth_hist.csv": "88213dad453d9ad0a5b681d971da0f5c09e371c201226efaa9a5172ba7ff033c",
+        "stats/scatter.csv": "096c888d1891f5a979ddc14ad3395157916c9b087248c9db34fe8ed7dd084e83",
+        "stats/stats_summary.json": "e9de443c3f8e9baf7fd67faf00d6fefdac8da764e816172728df1a43892409ce",
         "eval-z": 0,
         "eval-z/venues.csv": "9da270a0bf9714f3c2eaf310c563248a3cece9e24ae373a2ce58e28af1653cc7",
         "eval-z/z_summary.json": "be97a3a057c7b3a69c332210426b23643ca09ffad1fa5d8c0842a4be3a31d055",
@@ -179,6 +216,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "c161d53b67632ccf47e108bc17c946beba914decc4b205537ab02d55ae67a950",
     },
     ("random", "random"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "1ca61eb4140eac34aa6338381906f60239241296170540db91e98b73c70d9a5b",
+        "stats": 0,
+        "stats/depth_hist.csv": "c17f73b616fe3e4f87878886726eecbdbd5c0b6ee3f9579a6a0eb2f6d685eed8",
+        "stats/breadth_hist.csv": "88213dad453d9ad0a5b681d971da0f5c09e371c201226efaa9a5172ba7ff033c",
+        "stats/scatter.csv": "9612a19e80b7572923a070cb3d918aad7b004f189d91581c51f383054da986ea",
+        "stats/stats_summary.json": "e9de443c3f8e9baf7fd67faf00d6fefdac8da764e816172728df1a43892409ce",
         "eval-z": 0,
         "eval-z/venues.csv": "9da270a0bf9714f3c2eaf310c563248a3cece9e24ae373a2ce58e28af1653cc7",
         "eval-z/z_summary.json": "be97a3a057c7b3a69c332210426b23643ca09ffad1fa5d8c0842a4be3a31d055",
@@ -190,6 +234,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "bcdae2adc0dd685108b2156dbb3bbf0061aecfdbdfa3326d9b03049be4808216",
     },
     ("toy", "min-id"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "3c6b6f9b3012059f779a0c969d8a6ed3870d8f328066fecff374ca5c07d12ddc",
+        "stats": 0,
+        "stats/depth_hist.csv": "6f220570205475a19a5ac04d727f87a767ead93831bcc5e062f6a7e1c806bdb4",
+        "stats/breadth_hist.csv": "d72e7946e21678a6d0d3ee0208e99d36403867558dd3e9d9319d2e2ae42453ab",
+        "stats/scatter.csv": "4487f3f40dea5858e18beb95ee749e9cd4eacf3946bc1eb6f28a0c68631774ee",
+        "stats/stats_summary.json": "9db07c8374e366425afa8f9b9f735355b2f9d877fb8e021a9c2fb2198b36d454",
         "eval-z": 2,
         "eval-z/venues.csv": "e31f5a98fde29b0c1913e65d91e49e7d0fc40e5a2928dadaf3b68c1465a638cb",
         "eval-z/z_summary.json": "b81591a743528528410cdf0300e6ed7032c9503fb8caed28c44b464bafd3dc3d",
@@ -201,6 +252,13 @@ PINNED = {
         "eval-tot/tot_summary.json": "9e829205754faf062867b32f05a6f533e812314f2aa70f18c1c231cd907184b9",
     },
     ("toy", "random"): {
+        "metrics": 0,
+        "metrics/metrics.csv": "78f39ff1482347d04d67bf35439406f1382197db41c43d336a42035b145207a3",
+        "stats": 0,
+        "stats/depth_hist.csv": "6f220570205475a19a5ac04d727f87a767ead93831bcc5e062f6a7e1c806bdb4",
+        "stats/breadth_hist.csv": "d72e7946e21678a6d0d3ee0208e99d36403867558dd3e9d9319d2e2ae42453ab",
+        "stats/scatter.csv": "6d331bb3cdbcdc8b9eb647e921b2d628dcab27082eda9d71e750474c7ca6bb1b",
+        "stats/stats_summary.json": "9db07c8374e366425afa8f9b9f735355b2f9d877fb8e021a9c2fb2198b36d454",
         "eval-z": 2,
         "eval-z/venues.csv": "e31f5a98fde29b0c1913e65d91e49e7d0fc40e5a2928dadaf3b68c1465a638cb",
         "eval-z/z_summary.json": "b81591a743528528410cdf0300e6ed7032c9503fb8caed28c44b464bafd3dc3d",
@@ -253,6 +311,8 @@ def output_digests(root, fixture_name: str, tie: str) -> dict:
     corpus = ["--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
               "--tie", tie, "--seed", "5"]
     argv = {
+        "metrics": ["metrics", *corpus],
+        "stats": ["stats", *corpus],
         "eval-z": ["eval-z", *corpus, *z_flags],
         "eval-z-absolute": ["eval-z", *corpus, *z_flags, "--gain", "absolute"],
         "eval-tot": ["eval-tot", *corpus, *tot_flags, "--awardees", str(fixture / "awardees.csv")],

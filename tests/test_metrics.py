@@ -232,9 +232,10 @@ class TestReconfigurationInvariance:
 
 class TestReports:
     def test_toy_report_row(self, toy, tmp_path):
-        report = paper_metrics(toy, "P", tie="random", seed=1)
+        result = corpus_metrics(toy, ["P"], tie="random", seed=1)
+        assert list(result) == [paper_metrics(toy, "P", tie="random", seed=1)]
         path = tmp_path / "metrics.csv"
-        write_metrics_csv([report], path)
+        write_metrics_csv(result, path)
         assert path.read_bytes() == b"paper_id,n,d,b,idi,idi_min,idi_max,id,nid\nP,5,3,2,5,5,9,0,0.0\n"
 
     def test_tie_generator_made_only_on_a_tie(self, toy, monkeypatch):
@@ -257,7 +258,7 @@ class TestReports:
         corpus = gen_random_corpus(800, years=(1990, 2010), seed=5)
         serial = corpus_metrics(corpus, tie="random", seed=3, jobs=1)
         parallel = corpus_metrics(corpus, tie="random", seed=3, jobs=2)
-        assert serial == parallel
+        assert list(serial) == list(parallel)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_metrics_csv(serial, a)
         write_metrics_csv(parallel, b)
@@ -281,7 +282,7 @@ class TestDispersionKernel:
         for view, requested in ((corpus, None), (snapshot, None), (corpus, subset)):
             ids = view.paper_ids if requested is None else requested
             for tie, seed in (("min-id", 0), ("random", 1), ("random", 2)):
-                assert corpus_metrics(view, requested, tie=tie, seed=seed) == _per_paper(view, ids, tie, seed)
+                assert list(corpus_metrics(view, requested, tie=tie, seed=seed)) == _per_paper(view, ids, tie, seed)
             # flagged as tied exactly where the per-paper build draws a tie
             drawn = []
             default_rng = np.random.default_rng
@@ -291,13 +292,35 @@ class TestDispersionKernel:
             cited, *_, tied = metrics_mod._dispersion(view, sorted(set(ids)))
             assert sorted(drawn) == [pid for pid, flag in zip(cited, tied.tolist()) if flag]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_papers=st.integers(2, 40), n_years=st.integers(1, 3), density=st.floats(0.05, 0.6),
+           corpus_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_same_year_citations_match_per_paper_trees(self, n_papers, n_years, density, corpus_seed, data):
+        # gen_random_corpus cites strictly earlier years only; here most
+        # citations stay within a year, acyclic because each paper cites only
+        # papers before it in (year, position) order, and ids are shuffled so
+        # that this order is not the id order
+        rng = np.random.default_rng(corpus_seed)
+        years = np.sort(rng.integers(2000, 2000 + n_years, n_papers))
+        ids = [f"q{k:02d}" for k in rng.permutation(n_papers)]
+        citing, cited = np.nonzero(np.tril(rng.random((n_papers, n_papers)) < density, -1))
+        corpus = CitationCorpus([PaperRecord(pid, int(y)) for pid, y in zip(ids, years)],
+                                [(ids[u], ids[v]) for u, v in zip(citing, cited)])
+        subset = data.draw(st.lists(st.sampled_from(ids), max_size=12))
+        snapshot = corpus.snapshot(data.draw(st.integers(2000, 2000 + n_years - 1)))
+        for view, requested in ((corpus, None), (snapshot, None), (corpus, subset)):
+            ids_scored = view.paper_ids if requested is None else requested
+            for tie, seed in (("min-id", 0), ("random", 1)):
+                assert list(corpus_metrics(view, requested, tie=tie, seed=seed)) == _per_paper(
+                    view, ids_scored, tie, seed)
+
     def test_requested_papers_all_uncited(self):
         corpus = gen_random_corpus(300, years=(1990, 2005), seed=4)
         uncited = [p for p in corpus.paper_ids if not corpus.citation_count(p)]
         assert uncited
-        assert corpus_metrics(corpus, uncited, tie="random", seed=1) == []
-        assert corpus_metrics(corpus, []) == []
-        assert corpus_metrics(corpus.snapshot(1989)) == []  # a view without papers
+        assert list(corpus_metrics(corpus, uncited, tie="random", seed=1)) == []
+        assert list(corpus_metrics(corpus, [])) == []
+        assert list(corpus_metrics(corpus.snapshot(1989))) == []  # a view without papers
 
     def test_unknown_tie_policy_rejected(self, toy):
         with pytest.raises(ValueError, match="tie must be one of"):
@@ -308,7 +331,8 @@ class TestDispersionKernel:
         corpus = CitationCorpus(records, toy.edges())
         for tie in ("min-id", "random"):
             reports = corpus_metrics(corpus, tie=tie, seed=1)
-            assert reports == _per_paper(corpus, corpus.paper_ids, tie, 1) == corpus_metrics(toy, tie=tie, seed=1)
+            expected = _per_paper(corpus, corpus.paper_ids, tie, 1)
+            assert list(reports) == expected == list(corpus_metrics(toy, tie=tie, seed=1))
 
     @pytest.mark.parametrize("tie", ["min-id", "random"])
     def test_report_fields_are_plain_values(self, tie):
