@@ -27,7 +27,7 @@ for name, tree in [
     ("broom", broom_tree(n)),
     ("ideal", ideal_tree(n)),
 ]:
-    s = tree_stats(tree, classify_branches=False)
+    s = tree_stats(tree)
     print(f"  {name}: depth={s.depth:2d} breadth={s.breadth:2d} "
           f"idi={idi(tree):3d} nid={nid(tree):.3f}")
 print(f"bounds for n={n}: {idi_min(n)} <= IDI <= {idi_max(n)}")

@@ -172,7 +172,7 @@ def cmd_eval_z(args) -> int:
 
 def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
     rows: list[tuple[str, str, int]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for parts in reader:
             lineno = reader.line_num
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_ranges(args)
         return args.func(args)
-    except (CorpusError, OSError, UnicodeDecodeError) as err:
+    except (CorpusError, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as err:

@@ -389,7 +389,7 @@ def read_edge_file(path) -> Iterator[tuple[str, ...]]:
     Blank lines and lines starting with ``#`` are skipped.  Any other line
     is split on tabs and yielded as-is; `ingest` rejects wrong arity.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -399,7 +399,7 @@ def read_edge_file(path) -> Iterator[tuple[str, ...]]:
 
 def read_metadata_file(path) -> Iterator:
     """Yield one parsed JSON object per line; undecodable lines yield the raw string."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line:

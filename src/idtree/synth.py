@@ -1,21 +1,23 @@
 """Synthetic trees, corpora, and brute-force oracles.
 
 Everything here is deterministic given a seed.  Shape builders return a
-dispersion tree rooted at paper "P", and `corpus_for_tree` a minimal
-citation corpus that reproduces it exactly when run back through
+dispersion tree rooted at paper "P", built from its preorder level
+sequence (the level of each citer, in preorder), and `corpus_for_tree` a
+minimal citation corpus that reproduces it exactly when run back through
 `build_idg` + `build_idt`: every citer cites the root paper plus its tree
 parent, and years increase with depth, so the reconstruction never faces a
 depth tie.
 
 `enumerate_trees` streams every rooted tree with n non-root nodes up to
-isomorphism and backs the exact bound checks; `random_parent_matrix` plus
-`parent_matrix_stats` give a vectorized bulk sampler for statistical bound
-checks at sizes where building trees one by one would be too slow.
+isomorphism, stepping through the canonical level sequences with the
+successor rule of Beyer & Hedetniemi (1980), and backs the exact bound
+checks; `random_parent_matrix` plus `parent_matrix_stats` give a
+vectorized bulk sampler for statistical bound checks at sizes where
+building trees one by one would be too slow.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 
@@ -32,22 +34,33 @@ def _node_ids(n: int) -> list[str]:
     return [f"v{i:0{width}d}" for i in range(1, n + 1)]
 
 
+def _levels_tree(levels: list[int]) -> InfluenceTree:
+    """Tree whose citers, named v01, v02, ... in preorder, sit at these levels.
+
+    Each citer hangs under the last citer placed one level up, or under the
+    root "P" when it is at level 1.
+    """
+    last = ["P"]   # last[l] is the latest node placed at level l
+    parent: dict[str, str] = {}
+    for v, level in zip(_node_ids(len(levels)), levels):
+        parent[v] = last[level - 1]
+        del last[level:]
+        last.append(v)
+    return tree_from_parent_map("P", parent)
+
+
 def star_tree(n: int) -> InfluenceTree:
     """All n citers attached directly to the root: depth 1, breadth n."""
     if n < 1:
         raise ValueError("star needs n >= 1")
-    return tree_from_parent_map("P", {v: "P" for v in _node_ids(n)})
+    return _levels_tree([1] * n)
 
 
 def chain_tree(n: int) -> InfluenceTree:
     """Single unified branch of length n: depth n, breadth 1."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
-    ids = _node_ids(n)
-    parent = {ids[0]: "P"}
-    for prev, cur in itertools.pairwise(ids):
-        parent[cur] = prev
-    return tree_from_parent_map("P", parent)
+    return _levels_tree(list(range(1, n + 1)))
 
 
 def broom_tree(n: int, k: int | None = None) -> InfluenceTree:
@@ -62,15 +75,7 @@ def broom_tree(n: int, k: int | None = None) -> InfluenceTree:
         k = (n - 1) // 2
     if not 0 <= k <= n - 1:
         raise ValueError(f"broom handle length must be in [0, {n - 1}], got {k}")
-    ids = _node_ids(n)
-    parent: dict[str, str] = {}
-    prev = "P"
-    for v in ids[:k]:
-        parent[v] = prev
-        prev = v
-    for v in ids[k:]:
-        parent[v] = prev
-    return tree_from_parent_map("P", parent)
+    return _levels_tree(list(range(1, k + 1)) + [k + 1] * (n - k))
 
 
 def ideal_branch_sizes(n: int) -> list[int]:
@@ -101,16 +106,7 @@ def ideal_branch_sizes(n: int) -> list[int]:
 
 def ideal_tree(n: int) -> InfluenceTree:
     """Star of unified chains with depth = breadth = ceil(sqrt(n))."""
-    sizes = ideal_branch_sizes(n)
-    ids = iter(_node_ids(n))
-    parent: dict[str, str] = {}
-    for size in sizes:
-        prev = "P"
-        for _ in range(size):
-            v = next(ids)
-            parent[v] = prev
-            prev = v
-    return tree_from_parent_map("P", parent)
+    return _levels_tree([level for size in ideal_branch_sizes(n) for level in range(1, size + 1)])
 
 
 def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
@@ -163,67 +159,28 @@ def toy_corpus() -> CitationCorpus:
 # Exhaustive enumeration of rooted trees up to isomorphism.
 # ---------------------------------------------------------------------------
 
-_FORM_CACHE: dict[int, tuple] = {1: ((),)}
-_FORM_SIZE: dict[tuple, int] = {(): 1}
-
-
-def _form_size(form: tuple) -> int:
-    if form not in _FORM_SIZE:
-        _FORM_SIZE[form] = 1 + sum(_form_size(child) for child in form)
-    return _FORM_SIZE[form]
-
-
-def _forms(total_nodes: int) -> tuple:
-    """Canonical forms (sorted child tuples) of rooted trees of this size."""
-    if total_nodes in _FORM_CACHE:
-        return _FORM_CACHE[total_nodes]
-    items: list[tuple[int, tuple]] = []
-    for size in range(total_nodes - 1, 0, -1):
-        for form in _forms(size):
-            items.append((size, form))
-    items.sort(key=lambda t: (-t[0], t[1]))
-    out: list[tuple] = []
-
-    def rec(budget: int, start: int, acc: list[tuple]) -> None:
-        if budget == 0:
-            out.append(tuple(sorted(acc)))
-            return
-        for i in range(start, len(items)):
-            size, form = items[i]
-            if size <= budget:
-                acc.append(form)
-                rec(budget - size, i, acc)
-                acc.pop()
-
-    rec(total_nodes - 1, 0, [])
-    result = tuple(sorted(set(out)))
-    _FORM_CACHE[total_nodes] = result
-    return result
-
-
-def _tree_from_form(form: tuple) -> InfluenceTree:
-    n = _form_size(form) - 1
-    ids = iter(_node_ids(n))
-    parent: dict[str, str] = {}
-
-    def walk(node_form: tuple, parent_id: str) -> None:
-        for child in node_form:
-            v = next(ids)
-            parent[v] = parent_id
-            walk(child, v)
-
-    walk(form, "P")
-    return tree_from_parent_map("P", parent)
-
-
 def enumerate_trees(n: int):
-    """Yield every rooted tree with n non-root nodes, one per iso class."""
+    """Yield every rooted tree with n non-root nodes, one per iso class.
+
+    The trees come in the order of Beyer & Hedetniemi, "Constant time
+    generation of rooted trees" (SIAM J. Comput. 9(4), 1980): their
+    canonical preorder level sequences in decreasing lexicographic order,
+    from the chain 1..n down to the star.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ENUMERATION_CAP:
         raise ValueError(f"enumeration requested for n={n} above cap {ENUMERATION_CAP}")
-    for form in _forms(n + 1):
-        yield _tree_from_form(form)
+    levels = list(range(1, n + 1))
+    while True:
+        yield _levels_tree(levels)
+        # p: the last citer not under the root; q: the last citer before it one level up
+        p = max((i for i in range(n) if levels[i] > 1), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        for i in range(p, n):
+            levels[i] = levels[i - (p - q)]
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,7 @@ class TreeStats:
     """Structural summary of a dispersion tree.
 
     `level_sizes[l-1]` is the node count at level l; levels cover 1..depth
-    and their sizes sum to n.  `branches` is None when classification was
-    skipped (it costs up to the sum of all branch lengths).
+    and their sizes sum to n.  `branches` holds one entry per leaf.
     """
 
     n: int
@@ -136,7 +135,7 @@ class TreeStats:
     breadth: int
     level_sizes: tuple[int, ...]
     leaves: tuple[str, ...]
-    branches: tuple[BranchInfo, ...] | None = None
+    branches: tuple[BranchInfo, ...]
 
 
 def build_idg(corpus, paper_id: str) -> InfluenceGraph:
@@ -218,7 +217,7 @@ def build_idt(
     return InfluenceTree(idg.root, parent, depth)
 
 
-def tree_stats(tree: InfluenceTree, classify_branches: bool = True) -> TreeStats:
+def tree_stats(tree: InfluenceTree) -> TreeStats:
     """Depth, breadth, level sizes, leaves, and branch classification.
 
     A branch is the root-to-leaf path for one leaf; it is fragmented when
@@ -226,29 +225,26 @@ def tree_stats(tree: InfluenceTree, classify_branches: bool = True) -> TreeStats
     one leaf below it.  Those shared nodes are its fragment points.
     """
     if not tree.parent:
-        return TreeStats(0, 0, 0, (), (), () if classify_branches else None)
+        return TreeStats(0, 0, 0, (), (), ())
     level_counter = Counter(tree.depth[v] for v in tree.parent)
     depth = max(level_counter)
     level_sizes = tuple(level_counter.get(l, 0) for l in range(1, depth + 1))
     breadth = max(level_sizes)
     leaves = tree.leaves()
-    branches: tuple[BranchInfo, ...] | None = None
-    if classify_branches:
-        children = tree.children_map()
-        leaf_count: dict[str, int] = defaultdict(int)
-        for v in sorted(tree.parent, key=lambda v: -tree.depth[v]):
-            if not children[v]:
-                leaf_count[v] = 1
-            leaf_count[tree.parent[v]] += leaf_count[v]
-        infos = []
-        for leaf in leaves:
-            path = []
-            node = tree.parent[leaf]
-            while node != tree.root:
-                path.append(node)
-                node = tree.parent[node]
-            path.reverse()
-            points = tuple(p for p in path if leaf_count[p] >= 2)
-            infos.append(BranchInfo(leaf, tree.depth[leaf], points))
-        branches = tuple(infos)
-    return TreeStats(len(tree.parent), depth, breadth, level_sizes, leaves, branches)
+    children = tree.children_map()
+    leaf_count: dict[str, int] = defaultdict(int)
+    for v in sorted(tree.parent, key=lambda v: -tree.depth[v]):
+        if not children[v]:
+            leaf_count[v] = 1
+        leaf_count[tree.parent[v]] += leaf_count[v]
+    branches = []
+    for leaf in leaves:
+        path = []
+        node = tree.parent[leaf]
+        while node != tree.root:
+            path.append(node)
+            node = tree.parent[node]
+        path.reverse()
+        points = tuple(p for p in path if leaf_count[p] >= 2)
+        branches.append(BranchInfo(leaf, tree.depth[leaf], points))
+    return TreeStats(len(tree.parent), depth, breadth, level_sizes, leaves, tuple(branches))

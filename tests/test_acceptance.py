@@ -82,7 +82,7 @@ def test_criterion_2_bounds_oracle():
         for n in range(1, 10):
             values = []
             for tree in enumerate_trees(n):
-                stats = tree_stats(tree, classify_branches=False)
+                stats = tree_stats(tree)
                 assert 1 <= stats.depth <= n and 1 <= stats.breadth <= n
                 assert stats.depth + stats.breadth <= n + 1
                 assert stats.depth * stats.breadth >= n
@@ -109,7 +109,7 @@ def test_criterion_3_optimal_configuration():
         for root_k in range(1, 21):  # perfect squares up to 400
             n = root_k * root_k
             tree = ideal_tree(n)
-            stats = tree_stats(tree, classify_branches=False)
+            stats = tree_stats(tree)
             assert stats.depth == stats.breadth == root_k
             assert nid(tree) == 0.0
 

@@ -400,6 +400,20 @@ class TestEvalZ:
         assert run("eval-tot", *corpus, "--awardees", str(awardees), "--out", str(tmp_path / "tot")) == 2
         assert "no award case" in capsys.readouterr().err
 
+    def test_unencodable_venue_is_data_error(self, tmp_path, capsys):
+        # a lone surrogate is a valid JSON escape that ingest keeps, but no UTF-8 output can hold it
+        edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+        edges.write_text("b\ta1\nc\ta1\nb\ta2\nc\tb\nd\ta3\n", encoding="utf-8")
+        meta.write_text("".join(json.dumps(rec) + "\n" for rec in (
+            *({"id": f"a{i}", "year": 2000, "venue": "V\ud800"} for i in (1, 2, 3)),
+            {"id": "b", "year": 2001}, {"id": "c", "year": 2002}, {"id": "d", "year": 2002})),
+            encoding="utf-8")
+        rc = run("eval-z", "--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "run"),
+                 "--years", "2000:2000", "--t1", "1", "--t2", "2")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't encode" in err
+
 
 def _year_span(fixture: Path) -> int:
     years = [json.loads(line)["year"] for line in (fixture / "meta.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -465,6 +479,19 @@ class TestEvalToT:
         with open(out / "tot_cases.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(row[0], row[4]) for row in rows] == [("a", "2"), ("a ", "1")]
+
+    def test_awardees_byte_order_mark_is_ignored(self, tmp_path, planted):
+        fixture = planted / "planted-tot"
+        rows = (fixture / "awardees.csv").read_bytes().split(b"\n", 1)[1]   # no header row
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            awardees = tmp_path / f"{name}.csv"
+            awardees.write_bytes(prefix + rows)
+            out = tmp_path / name
+            assert run("eval-tot", "--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
+                       "--awardees", str(awardees), "--out", str(out)) == 0
+            outputs.append((out / "tot_cases.csv").read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
 
     def test_malformed_awardees_exit_2(self, tmp_path):
         fixture = tmp_path / "fx"

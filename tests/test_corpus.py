@@ -496,6 +496,18 @@ class TestFiles:
         assert '"venue": "VENUE-2000"' in lines[0]
         assert "venue" not in lines[1]
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, toy):
+        edges, meta = tmp_path / "edges.tsv", tmp_path / "meta.jsonl"
+        write_edge_file(toy, edges)
+        write_metadata_file(toy, meta)
+        plain = ingest_files(edges, meta)
+        for path in (edges, meta):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        corpus, report = ingest_files(edges, meta)
+        assert report == plain[1]
+        assert report.edges_kept == len(list(toy.edges())) and report.malformed_papers == 0
+        _assert_same_corpus(corpus, plain[0])
+
     def test_malformed_metadata_line_counted(self, tmp_path):
         edges = tmp_path / "e.tsv"
         meta = tmp_path / "m.jsonl"

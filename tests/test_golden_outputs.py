@@ -38,48 +38,91 @@ SYNTH = {
     "planted-z": ["--kind", "planted-z"],
     "planted-tot": ["--kind", "planted-tot"],
     "random": ["--kind", "random", "--n-papers", "500", "--years", "1990:2000", "--followup", "0.5", "--seed", "3"],
-    **{f"{kind}-{n}": ["--kind", kind, "--n", n] for kind in ("star", "chain", "broom", "ideal") for n in ("9", "16")},
+    **{f"{kind}-{n}": ["--kind", kind, "--n", n]
+       for kind in ("star", "chain", "broom", "ideal") for n in ("1", "3", "9", "16")},
     **{f"broom-{n}-k3": ["--kind", "broom", "--n", n, "--k", "3"] for n in ("9", "16")},
+    "broom-9-k0": ["--kind", "broom", "--n", "9", "--k", "0"],
+    "broom-16-k15": ["--kind", "broom", "--n", "16", "--k", "15"],
 }
 
 SYNTH_FILES = ("edges.tsv", "meta.jsonl", "tree.json", "awardees.csv")
 
 # sha256 of each file a synth case writes
 SYNTH_PINNED = {
+    "broom-1": {
+        "edges.tsv": "4c4d730d02b6593dfc75263ddd5b9b1bac2c22272f650d31736c3f579ea194e9",
+        "meta.jsonl": "158730b38d01cc7d058a9ba23215e738c74c8076ba6776187f69a5bc2664c1f4",
+        "tree.json": "1c3e1e1b7f95b7093877a762245aed7247be55aafbae393dde6f1c969ddc3308",
+    },
     "broom-16": {
         "edges.tsv": "5d9751ff2e3475b635c11893cc5bc9d331224c11a9f12903e75c3e14a680fa15",
         "meta.jsonl": "af7b50e93e5eabab5a3eb97d8cf128b81d184b0673d7aea358932b24c62f40aa",
         "tree.json": "4a80074ce764750183710b9949901f7baee97d1c5adc9a7c66b658d263928e7b",
+    },
+    "broom-16-k15": {
+        "edges.tsv": "158bdab566a61d48c19e1cbab65ed7dd5ed8f31df6e75b6377294944bba3eab4",
+        "meta.jsonl": "6c1a687275389b6afb2f505f842d37a20e10d54dbcde195c719ea5a84a7fe904",
+        "tree.json": "abd1a243a436c8c6bd82e61d4e38f12b0247e63b9338019435669c3234787141",
     },
     "broom-16-k3": {
         "edges.tsv": "24e45c77e08edb91722c15a429b1b5dc96ee0563dd52efda454b5972c710b6f4",
         "meta.jsonl": "a503e6a4c010e34e554c65196f4960f9271d34bebb55c99a710d2b1815d4e390",
         "tree.json": "6ff47c2b62b3afc75b65a27327f48ee9f01124fff32849a16735c94cedd6d052",
     },
+    "broom-3": {
+        "edges.tsv": "815ca614bd7ed026d7d911c3093b80326ec87a14dcdfef77982e8e256463ae6f",
+        "meta.jsonl": "bbe15aeda576aac70eee07ecbb9e171bc04d4040565ce273e256fab6dc4c0251",
+        "tree.json": "e0b9073ce18f0c6096cd49c655b24f442dd5b54259492e1d295f4a5ddae9c35b",
+    },
     "broom-9": {
         "edges.tsv": "87e9f981367f0c6df719662be1902af96007c1ef1c104b78fe88bb8eb74e2e69",
         "meta.jsonl": "638abea585111face180374c4da373d25d48dc765cd5e8c1d530252ec6e25ba2",
         "tree.json": "4d527a60e3c5704fe40dfb27da6fd9a064de7ac0f5c6b4532d0550cf35003d46",
+    },
+    "broom-9-k0": {
+        "edges.tsv": "e1e9f918c01288a5f3fdcb2bee54df316fc186d18ed250a6ebbf7708b50bf692",
+        "meta.jsonl": "4bd3f04cf953d2f7b4aeb8bb825ce41b9cd14e6ec676e0a5e1bb1efa8d38809d",
+        "tree.json": "642636fa41d303910a44a60f4be628ce3f251b237902d6208c203242c36d1eb9",
     },
     "broom-9-k3": {
         "edges.tsv": "6583b3159e2dc812eb75c33c4864f6bebb3d4211724205599413b92110e6a64a",
         "meta.jsonl": "3cf15bd874458d073ae13f756006c38d77d7e90c02c5fdca925e40141af38b08",
         "tree.json": "e0679f439938370a2ccadc3f8afec114a2d56ad7f84b2022bbb9287247393385",
     },
+    "chain-1": {
+        "edges.tsv": "4c4d730d02b6593dfc75263ddd5b9b1bac2c22272f650d31736c3f579ea194e9",
+        "meta.jsonl": "158730b38d01cc7d058a9ba23215e738c74c8076ba6776187f69a5bc2664c1f4",
+        "tree.json": "1c3e1e1b7f95b7093877a762245aed7247be55aafbae393dde6f1c969ddc3308",
+    },
     "chain-16": {
         "edges.tsv": "158bdab566a61d48c19e1cbab65ed7dd5ed8f31df6e75b6377294944bba3eab4",
         "meta.jsonl": "6c1a687275389b6afb2f505f842d37a20e10d54dbcde195c719ea5a84a7fe904",
         "tree.json": "abd1a243a436c8c6bd82e61d4e38f12b0247e63b9338019435669c3234787141",
+    },
+    "chain-3": {
+        "edges.tsv": "69eceb066f0732ecd46fe34d9834e747541b591930be9ad4cf1916c76581dcb9",
+        "meta.jsonl": "f0edb974f828edac96371555241d7230430a4b01a28e296e04322cc9f7ed21a5",
+        "tree.json": "2db0361bfbb33aaa708a02b8d319fd3aabbe182494bb300d2609d56949506e1c",
     },
     "chain-9": {
         "edges.tsv": "e2c6ede627c7e0d24127c4098ecd8f5b48bc93be27e5a2bdcb93a17fb29e1e56",
         "meta.jsonl": "a5f61ffd14cd7bda5d192b2fb37789a8539f9c445087938abfbcaf62288fd623",
         "tree.json": "98e60e4c1edaf9f8e361a868192826a989de34a17ac2853d16cc82c40548112a",
     },
+    "ideal-1": {
+        "edges.tsv": "4c4d730d02b6593dfc75263ddd5b9b1bac2c22272f650d31736c3f579ea194e9",
+        "meta.jsonl": "158730b38d01cc7d058a9ba23215e738c74c8076ba6776187f69a5bc2664c1f4",
+        "tree.json": "1c3e1e1b7f95b7093877a762245aed7247be55aafbae393dde6f1c969ddc3308",
+    },
     "ideal-16": {
         "edges.tsv": "e5c9da88a3a8889de2f3fc631a997bb78e10fd1753da813e6da203f20f59f551",
         "meta.jsonl": "f9c724f8784866e017388c6d5ac754fa436778e5955b3ffae41af77d839d5a65",
         "tree.json": "2f42df74fa280f2b8dca8259eebf265e1873a8ebde3bb2690581aaae56cf67d1",
+    },
+    "ideal-3": {
+        "edges.tsv": "ae629e194833ae0fa4ac764b04c6b035800962bca5bb16da38f192dcc9bc4514",
+        "meta.jsonl": "d32b64070bc8eaea74278363c380d2d6abff446ea86d018507b4fe3b74f41846",
+        "tree.json": "8dde93de47f4c5742254fbc1248072ebc8fe0d6443c0e9143fbd0bdaea226395",
     },
     "ideal-9": {
         "edges.tsv": "34c16aac626c5b378415b24011022e1f496b412b1c95227dd54cd397f5e06196",
@@ -99,10 +142,20 @@ SYNTH_PINNED = {
         "edges.tsv": "194c1442b9a097fd6203be0f00c933ad17dc41f6f1407e12bad2ff8ca9c1eabe",
         "meta.jsonl": "1d2045764bda8cd544c49ff9e6efffc71a0f7cc09c29cfc2709a4f42a607701c",
     },
+    "star-1": {
+        "edges.tsv": "4c4d730d02b6593dfc75263ddd5b9b1bac2c22272f650d31736c3f579ea194e9",
+        "meta.jsonl": "158730b38d01cc7d058a9ba23215e738c74c8076ba6776187f69a5bc2664c1f4",
+        "tree.json": "1c3e1e1b7f95b7093877a762245aed7247be55aafbae393dde6f1c969ddc3308",
+    },
     "star-16": {
         "edges.tsv": "2321b65b5e0b1b1393a91aa8498ebc4109fd9eeb8713ea1f82ca9ab6f5b4ff96",
         "meta.jsonl": "2e23854b2114ac40c4e913ea0443f284b2d70971c4b884e8822b8e35015eef8b",
         "tree.json": "ebea7040a79e9f24673b1e485263b2a2b337e96a81331c0de0bb27890abd33bb",
+    },
+    "star-3": {
+        "edges.tsv": "385a9c727d167c716f1e7ab7bd29b973b30fe2e24c88ff1c79cca1ff0432b5d0",
+        "meta.jsonl": "1dac8b143efd477b29f20f6f25fea39b068c8f4513a6497781d9814f68f87a4f",
+        "tree.json": "9768b08799cc09dde5c88dd31c36c265cf0e5f5dcdc49dd52c187f7bc1a2db1c",
     },
     "star-9": {
         "edges.tsv": "e1e9f918c01288a5f3fdcb2bee54df316fc186d18ed250a6ebbf7708b50bf692",

@@ -138,7 +138,7 @@ class TestOptimalShape:
 
     def test_generated_ideal_tree_realizes_shape(self):
         for n in (3, 9, 10, 16, 37):
-            stats = tree_stats(ideal_tree(n), classify_branches=False)
+            stats = tree_stats(ideal_tree(n))
             assert (stats.depth, stats.breadth) == optimal_shape(n)
 
 

@@ -1,5 +1,7 @@
 """Shape generators, tree enumeration, and synthetic corpora."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -25,9 +27,14 @@ from idtree.synth import (
 )
 from idtree.tree import build_idg, build_idt, tree_stats
 
-# Rooted trees with n non-root nodes up to isomorphism, n = 1..6 (classic
+# Rooted trees with n non-root nodes up to isomorphism, n = 1..9 (classic
 # combinatorial counts for rooted trees on n+1 nodes).
-KNOWN_SHAPE_COUNTS = [1, 2, 4, 9, 20, 48]
+KNOWN_SHAPE_COUNTS = [1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+
+def _canonical_form(children, root):
+    """Sorted nested tuple of child forms: equal exactly for isomorphic trees."""
+    return tuple(sorted(_canonical_form(children, c) for c in children[root]))
 
 
 class TestShapes:
@@ -121,7 +128,7 @@ class TestRoundTrip:
 
 class TestEnumeration:
     def test_counts_match_known_sequence(self):
-        assert [len(list(enumerate_trees(n))) for n in range(1, 7)] == KNOWN_SHAPE_COUNTS
+        assert [len(list(enumerate_trees(n))) for n in range(1, 10)] == KNOWN_SHAPE_COUNTS
 
     def test_two_node_shapes(self):
         shapes = {
@@ -130,17 +137,23 @@ class TestEnumeration:
         assert shapes == {(2, 1), (1, 2)}  # chain and star
 
     def test_no_duplicate_shapes(self):
-        def canon(tree):
-            children = tree.children_map()
-
-            def walk(v):
-                return tuple(sorted(walk(c) for c in children[v]))
-
-            return walk(tree.root)
-
         for n in range(1, 7):
-            forms = [canon(t) for t in enumerate_trees(n)]
+            forms = [_canonical_form(t.children_map(), t.root) for t in enumerate_trees(n)]
             assert len(forms) == len(set(forms))
+
+    def test_matches_brute_force_over_parent_arrays(self):
+        # every rooted tree on n+1 nodes has a labelling where each node's
+        # parent precedes it, so the n! arrays parent[i] < i cover every shape
+        for n in range(1, 8):
+            expected = set()
+            for parents in itertools.product(*(range(i) for i in range(1, n + 1))):
+                children = [[] for _ in range(n + 1)]
+                for child, parent in enumerate(parents, start=1):
+                    children[parent].append(child)
+                expected.add(_canonical_form(children, 0))
+            forms = [_canonical_form(t.children_map(), t.root) for t in enumerate_trees(n)]
+            assert len(forms) == len(set(forms)) == len(expected)
+            assert set(forms) == expected
 
     def test_max_idi_over_stream(self):
         assert max(idi(t) for t in enumerate_trees(5)) == 9
@@ -161,7 +174,7 @@ class TestBulkSampler:
             stats = parent_matrix_stats(parents)
             for t in range(0, 40, 7):
                 tree = tree_from_parent_row(parents[t])
-                obj = tree_stats(tree, classify_branches=False)
+                obj = tree_stats(tree)
                 assert obj.depth == stats["depth"][t]
                 assert obj.breadth == stats["breadth"][t]
                 assert idi(tree) == stats["idi"][t]

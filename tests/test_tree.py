@@ -154,7 +154,7 @@ class TestStructuralBounds:
     def test_bounds_hold_exhaustively_small(self):
         for n in range(1, 8):
             for tree in enumerate_trees(n):
-                stats = tree_stats(tree, classify_branches=False)
+                stats = tree_stats(tree)
                 assert 1 <= stats.depth <= n
                 assert 1 <= stats.breadth <= n
                 assert stats.depth + stats.breadth <= n + 1
@@ -166,7 +166,7 @@ class TestStructuralBounds:
             idg = build_idg(corpus, pid)
             if idg.n == 0:
                 continue
-            stats = tree_stats(build_idt(idg), classify_branches=False)
+            stats = tree_stats(build_idt(idg))
             n = idg.n
             assert 1 <= stats.depth <= n and 1 <= stats.breadth <= n
             assert stats.depth + stats.breadth <= n + 1
@@ -213,11 +213,6 @@ class TestTreeStats:
         assert (stats.n, stats.depth, stats.breadth) == (0, 0, 0)
         assert stats.leaves == ()
         assert stats.branches == ()
-
-    def test_classification_can_be_skipped(self):
-        stats = tree_stats(star_tree(4), classify_branches=False)
-        assert stats.branches is None
-        assert stats.breadth == 4
 
 
 class TestSerialization:
