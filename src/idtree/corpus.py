@@ -19,22 +19,39 @@ rules 2-7 then run in order as numpy passes over the codes of all edges:
    "drop both directions" rule generalized to longer cycles),
 7. papers left with no citations and no references are removed (such a
    paper has no edge, so removing it strands no other paper).
+
+Codes come in sorted-id order: records 0..n-1 by id, ids that only edges
+name from n on.  `ingest_files` reads its two files in blocks of 256 KiB.
+Lines of the common shapes take an array lane: an edge line
+``citing<TAB>cited`` with both fields non-empty, a first byte that is
+printable ASCII and not ``#``, and no ``\r``; a metadata line shaped as
+``{"id": S, "year": Y, "venue": S|null}`` or ``{"id": S, "venue": S,
+"year": Y}`` (venue optional), whose strings hold no quote, backslash or
+control character and whose year is a plain integer.  Their ids become
+sort keys (big-endian words of the UTF-8 bytes, then the length), coded by
+`searchsorted` against the sorted record keys.  Every other line is read
+one by one under the rules of `read_edge_file` and `read_metadata_file`.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
+import io
 import json
 import operator
+import re
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, repeat
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Years are stored as int32; a record dated outside this range is malformed.
 YEAR_MIN, YEAR_MAX = -2**31, 2**31 - 1
@@ -286,24 +303,29 @@ def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
 
 
 def _read(records: Iterable, edges: Iterable):
-    """Rule 1, while parsing: each id gets an int code as it is read, the n records
-    0..n-1 in first-seen order and ids that only edges name from n on.  Returns the
-    report so far, every code's id, each record's year and venue code (-1 for none),
-    the venue names by code, and the codes of both ends of each edge, interleaved."""
+    """Rule 1, while parsing: each id gets an int code, the n distinct records 0..n-1
+    in sorted-id order and ids that only edges name from n on.  Returns the report so
+    far, the records' ids, years and venue codes (-1 for none), the venue names by
+    code, and the codes of both ends of each edge, interleaved."""
+    if isinstance(records, _RawFile) and isinstance(edges, _RawFile):
+        return _read_files(records.path, edges.path)
     report = IngestReport()
-    codes: dict[str, int] = {}
-    venue_codes: dict[str, int] = {}
-    years, venues, ends = array("q"), array("q"), array("q")
+    recs: dict[str, tuple[int, str | None]] = {}
     for item in records:
         report.papers_in += 1
         rec = _coerce_record(item)
-        if rec is None or rec[0] in codes:
+        if rec is None or rec[0] in recs:
             report.malformed_papers += 1
-            continue
-        pid, year, venue = rec
-        codes[pid] = len(codes)
+        else:
+            recs[rec[0]] = rec[1:]
+    ids = sorted(recs)
+    codes = dict(zip(ids, range(len(ids))))
+    venue_codes: dict[str, int] = {}
+    years, venues = array("q"), array("q")
+    for year, venue in map(recs.__getitem__, ids):
         years.append(year)
-        venues.append(-1 if venue is None else venue_codes.setdefault(venue, len(venue_codes)))
+        venues.append(_venue_code(venue_codes, venue))
+    ends = array("q")
     code, push = codes.setdefault, ends.append
     for item in edges:
         if isinstance(item, (tuple, list)) and len(item) == 2:
@@ -314,14 +336,15 @@ def _read(records: Iterable, edges: Iterable):
                 continue
         report.malformed_edges += 1
     report.edges_in = report.malformed_edges + len(ends) // 2
-    return (report, list(codes), np.frombuffer(years, np.int64), np.frombuffer(venues, np.int64),
+    return (report, ids, np.frombuffer(years, np.int64), np.frombuffer(venues, np.int64),
             list(venue_codes), np.frombuffer(ends, np.int64))
 
 
 def _clean(records: Iterable, edges: Iterable, prune: bool):
     """Rules 1-6, and rule 7 if `prune`: the report and `CitationCorpus._fill`'s arguments."""
     report, ids, years, venues, venue_names, ends = _read(records, edges)
-    n, span = len(years), len(ids)
+    n = len(ids)
+    span = max(n, int(ends.max(initial=-1)) + 1)
     src, dst = ends[0::2], ends[1::2]
     other = src != dst
     report.dropped_self = len(src) - int(other.sum())
@@ -330,9 +353,10 @@ def _clean(records: Iterable, edges: Iterable, prune: bool):
     key = key[np.diff(key, prepend=-1) != 0]
     report.dropped_dup = len(src) - report.dropped_self - len(key)
     src, dst = np.divmod(key, span)
+    del ends, key   # the passes below need only the distinct pairs
     known = (src < n) & (dst < n)
     src, dst = src[known], dst[known]
-    report.dropped_unknown = len(key) - len(src)
+    report.dropped_unknown = len(known) - len(src)
     back = years[src] >= years[dst]
     report.dropped_forward = len(src) - int(back.sum())
     src, dst = src[back], dst[back]
@@ -342,8 +366,8 @@ def _clean(records: Iterable, edges: Iterable, prune: bool):
     on = same[[pair in cyclic for pair in pairs]]
     src, dst, report.dropped_cycle = np.delete(src, on), np.delete(dst, on), len(on)
     linked = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) if prune else np.ones(n)
-    # renumber the kept papers, and their venues, into sorted-id order
-    keep = np.array(sorted(np.flatnonzero(linked).tolist(), key=ids.__getitem__), np.int64)
+    # renumber the kept papers, already in sorted-id order, and their venues by name
+    keep = np.flatnonzero(linked)
     report.dropped_isolated = n - len(keep)
     row = np.empty(n, np.int64)
     row[keep] = np.arange(len(keep))
@@ -353,7 +377,7 @@ def _clean(records: Iterable, edges: Iterable, prune: bool):
     venue_row = np.full(len(venue_names) + 1, -1, np.int64)   # the last slot maps -1 to -1
     venue_row[used] = np.arange(len(used))
     report.papers_kept, report.edges_kept = len(keep), len(src)
-    return report, ([ids[c] for c in keep.tolist()], [venue_names[c] for c in used],
+    return report, (list(compress(ids, (linked > 0).tolist())), [venue_names[c] for c in used],
                     *(a.astype(np.int32) for a in (years[keep], venue_row[codes], row[src], row[dst])))
 
 
@@ -383,6 +407,51 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
+def _texts(column: np.ndarray) -> list[str]:
+    """Each value as `csv.writer` writes it (`repr` of a float, `str` of an int),
+    formatted once per distinct bit pattern."""
+    column = np.ascontiguousarray(column)
+    distinct, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    texts = list(map(repr if column.dtype.kind == "f" else str, distinct.view(column.dtype).tolist()))
+    return np.array(texts, object)[inverse.ravel()].tolist()
+
+
+def write_csv_columns(path, header: Sequence[str], ids: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write the bytes `write_csv` writes for rows of an id and numeric columns, a
+    column at a time (in runs of 16,384 rows, to bound the text held at once).
+    Only ids holding a comma, quote or line break need `csv.writer`, which
+    leaves every other field as it is."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(header)
+    ids = list(ids)
+    if re.search('[,"\r\n]', "".join(ids)):
+        writer.writerows(zip(ids, repeat("")))
+        ids = [line[:-2] for line in lines[1:]]   # quoted as in a row of several fields; the ",\n" is cut
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(lines[0])
+        for start in range(0, len(ids), 1 << 14):
+            run = slice(start, start + (1 << 14))
+            fh.write("\n".join(map(",".join, zip(ids[run], *(_texts(c[run]) for c in columns)))) + "\n")
+
+
+def _edge_fields(lines: Iterable[str]) -> Iterator[tuple[str, ...]]:
+    for line in lines:
+        line = line.rstrip("\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield tuple(line.split("\t"))
+
+
+def _meta_items(lines: Iterable[str]) -> Iterator:
+    for line in lines:
+        line = line.strip()
+        if line:
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError:
+                yield line
+
+
 def read_edge_file(path) -> Iterator[tuple[str, ...]]:
     """Yield raw field tuples from a `citing<TAB>cited` file.
 
@@ -390,24 +459,13 @@ def read_edge_file(path) -> Iterator[tuple[str, ...]]:
     is split on tabs and yielded as-is; `ingest` rejects wrong arity.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            yield tuple(line.split("\t"))
+        yield from _edge_fields(fh)
 
 
 def read_metadata_file(path) -> Iterator:
     """Yield one parsed JSON object per line; undecodable lines yield the raw string."""
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                yield line
+        yield from _meta_items(fh)
 
 
 def write_edge_file(corpus: CitationCorpus, path) -> None:
@@ -425,8 +483,264 @@ def write_metadata_file(corpus: CitationCorpus, path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+class _RawFile:
+    """An input file handed to `ingest`, for `_read` to read in byte blocks."""
+
+    def __init__(self, path):
+        self.path = path
+
+
 def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
-    return ingest(read_edge_file(edge_path), read_metadata_file(meta_path))
+    """`ingest` over an edge file and a metadata file, read as `read_edge_file` and
+    `read_metadata_file` read them; see the module notes for the array lane."""
+    return ingest(_RawFile(edge_path), _RawFile(meta_path))
+
+
+# ---------------------------------------------------------------------------
+# Reading the two files in byte blocks.
+# ---------------------------------------------------------------------------
+
+# A metadata line of a common shape: {"id": S, "year": Y, "venue": V|null}, or
+# {"id": S, "venue": V, "year": Y} with the venue optional.  Quotes then sit
+# only around keys and strings, which `_meta_columns` relies on.  A venue of
+# the array lane has at most 63 bytes, so its key takes at most 8 words.
+_META_LINE = re.compile(
+    rb'^\{"id": "%(s)s+", (?:"year": %(y)s, "venue": (?:"%(v)s"|null)|(?:"venue": "%(v)s", )?"year": %(y)s)\}$'
+    % {b"s": rb'[^"\\\x00-\x1f]', b"v": rb'[^"\\\x00-\x1f]{0,63}', b"y": rb"-?(?:0|[1-9][0-9]{0,9})"}, re.M)
+# _MASK[k] keeps the first k bytes of a big-endian word
+_MASK = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint64)
+
+
+def _blocks(path) -> Iterator[bytes]:
+    """The file's bytes in blocks of about 256 KiB, each ending at a newline.
+
+    These are the bytes the per-line readers decode: a leading BOM is dropped,
+    an unterminated last line gets its newline, and a block that is not UTF-8
+    raises `UnicodeDecodeError`.  The arrays made per line of a block of short
+    edge lines take about 16 times its size, which bounds the block.
+    """
+    with open(path, "rb") as fh:
+        parts = [fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)]   # the bytes since the last cut
+        while chunk := fh.read(1 << 18):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                yield _utf8(b"".join(parts) + chunk[:cut])
+                parts = [chunk[cut:]]
+            else:
+                parts.append(chunk)
+        if rest := b"".join(parts):
+            yield _utf8(rest + b"\n")
+
+
+def _utf8(block: bytes) -> bytes:
+    if not block.isascii():
+        block.decode()   # raises UnicodeDecodeError as the per-line readers would
+    return block
+
+
+def _lines(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block as a byte array, and the start and the newline of each line."""
+    a = np.frombuffer(block, np.uint8)
+    stop = np.flatnonzero(a == 10)
+    return a, np.r_[0, stop[:-1] + 1], stop
+
+
+def _words(lens: np.ndarray) -> np.ndarray:
+    """The key words each string takes: its bytes over 8, rounded up, and at least 1."""
+    return np.maximum(1, -(-lens // 8))
+
+
+def _keys(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int) -> np.ndarray:
+    """Sort keys of the strings buf[s:s+l], one row each: `words` big-endian uint64
+    words of the zero-padded bytes, then the length.  Rows compare as the strings
+    do; the length orders strings that differ only in trailing NULs."""
+    data = sliding_window_view(np.frombuffer(buf + bytes(8 * words), np.uint8), 8)
+    keys = np.empty((len(starts), words + 1), np.uint64)
+    for w in range(words):
+        keys[:, w] = data[starts + 8 * w].view(">u8")[:, 0] & _MASK[np.clip(lens - 8 * w, 0, 8)]
+    keys[:, words] = lens
+    return keys
+
+
+def _void(keys: np.ndarray) -> np.ndarray:
+    """Key rows as single values that sort as the rows do."""
+    return np.ascontiguousarray(keys, ">u8").view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+
+
+def _find(columns: np.ndarray, hay: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Row of each key among sorted distinct key rows, -1 where absent.  The rows
+    are given as `columns`, and `hay` is searched: their first words when those
+    are distinct, else the rows as `_void` values."""
+    if not columns.shape[1]:
+        return np.full(len(keys), -1, np.int64)
+    needle = keys[:, 0] if hay.dtype == np.uint64 else _void(keys)
+    order = np.argsort(needle)   # sorted probes walk the table in order
+    at = np.empty(len(keys), np.int64)
+    at[order] = np.minimum(np.searchsorted(hay, needle[order]), columns.shape[1] - 1)
+    hit = columns[0][at] == keys[:, 0]
+    for c in range(1, len(columns)):
+        hit &= columns[c][at] == keys[:, c]
+    at[~hit] = -1
+    return at
+
+
+def _venue_code(codes: dict[str, int], venue: str | None) -> int:
+    return -1 if venue is None else codes.setdefault(venue, len(codes))
+
+
+def _meta_columns(a: np.ndarray, start: np.ndarray, stop: np.ndarray):
+    """Where the fields of metadata lines of a common shape lie, as offsets into
+    the byte array `a`: the end of each id (which starts 8 bytes into its line),
+    the first and the stop offset of the year, and the start and size of the venue
+    with its opening quote (size 0 for none)."""
+    quote = np.r_[np.flatnonzero(a == 34), np.full(10, len(a))]
+    first = np.searchsorted(quote, start)
+    q = quote[first + np.arange(10)[:, None]]   # the quotes of each line, in order
+    count = np.searchsorted(quote, stop) - first   # 6, 8 or 10
+    venue_first = a[q[4] + 1] == ord("v")
+    year = np.where(venue_first, q[9], q[5]) + 3, np.where(venue_first | (count == 6), stop - 1, q[6] - 2)
+    venue = np.where(venue_first, q[6], q[8])
+    return q[3], year, venue, np.where(count == 10, np.where(venue_first, q[7], q[9]) - venue, 0)
+
+
+def _integers(a: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integer written in a[first:stop] of each row: a minus sign or not, then
+    at most 10 digits."""
+    minus = a[first] == 45
+    digit = first + minus
+    value = np.zeros(len(first), np.int64)
+    for _ in range(10):
+        more = np.flatnonzero(digit < stop)
+        value[more] = value[more] * 10 + a[digit[more]] - 48
+        digit += 1
+    return np.where(minus, -value, value)
+
+
+def _file_records(path, report: IngestReport):
+    """The distinct valid records of a metadata file in sorted-id order: their ids,
+    years and venue codes, the venue names by code, and their key rows.  Of records
+    sharing an id, the first in the file is kept and the others are malformed.
+    None when the key rows would take more than 4 times the words of the ids."""
+    venue_codes: dict[str, int] = {}
+    venue_keys: dict[bytes, int] = {}   # venue key row, as bytes, to code
+    cols, odd, line = [], [], 0   # cols: per block, ids each ending in \n, lengths, years, venues, lines
+    for block in _blocks(path):
+        rest = _META_LINE.sub(b"", block)   # empties the lines of a common shape
+        _, rest_start, rest_stop = _lines(rest)
+        for i in np.flatnonzero(rest_stop > rest_start).tolist():
+            for item in _meta_items(io.StringIO(rest[rest_start[i]:rest_stop[i]].decode(), newline=None)):
+                report.papers_in += 1
+                rec = _coerce_record(item)
+                if rec is None:
+                    report.malformed_papers += 1
+                else:
+                    odd.append((rec[0], rec[1], _venue_code(venue_codes, rec[2]), line + i))
+        a, start, stop = _lines(block)
+        rows = np.flatnonzero((rest_stop == rest_start) & (stop > start))
+        start, stop = start[rows], stop[rows]
+        id_end, year, venue, venue_size = _meta_columns(a, start, stop)
+        years = _integers(a, *year)
+        ok = (years >= YEAR_MIN) & (years <= YEAR_MAX)
+        report.papers_in += len(rows)
+        report.malformed_papers += len(rows) - int(ok.sum())
+        rows, start, id_end, years, venue, venue_size = (x[ok] for x in (rows, start, id_end, years, venue, venue_size))
+        distinct, inverse = np.unique(_void(_keys(block, venue, venue_size, int(_words(venue_size).max(initial=1)))),
+                                      return_inverse=True)
+        distinct = distinct.tolist()
+        for key in distinct:
+            if key not in venue_keys:   # its bytes, after the opening quote, name the venue
+                size = int.from_bytes(key[-8:], "big")
+                venue_keys[key] = _venue_code(venue_codes, key[1:size].decode() if size else None)
+        venues = np.array(list(map(venue_keys.__getitem__, distinct)), np.int64)[inverse.ravel()]
+        mark = np.zeros(len(a) + 1, np.int8)   # 1 on the bytes of each id and its closing quote
+        mark[start + 8], mark[id_end + 1] = 1, -1
+        chars = a[np.cumsum(mark[:-1], dtype=np.int8).view(bool)]
+        chars[chars == 34] = 10
+        cols.append((chars.tobytes(), id_end - start - 8, years, venues, line + rows))
+        line += len(rest_start)
+    names = [o[0] for o in odd]
+    encoded = [pid.encode("utf-8", "surrogatepass") for pid in names]
+    cols.append((b"".join(e + b"\n" for e in encoded), np.fromiter(map(len, encoded), np.int64, len(encoded)),
+                 *(np.array([o[k] for o in odd], np.int64) for k in (1, 2, 3))))
+    bufs, lens, years, venues, line = zip(*cols)
+    ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + names
+    lens = np.concatenate(lens)
+    words = _words(lens)
+    if len(lens) and (words.max() + 1) * len(lens) > 4 * int(words.sum() + len(lens)):
+        return None   # a few long ids would make every key row long
+    keys = _keys(b"".join(bufs), np.cumsum(lens + 1) - lens - 1, lens, int(words.max(initial=1)))
+    order = np.lexsort((np.concatenate(line), *keys.T[::-1]))
+    keys = keys[order]
+    head = np.ones(len(keys), bool)
+    head[1:] = (keys[1:] != keys[:-1]).any(1)
+    report.malformed_papers += len(keys) - int(head.sum())
+    pick = order[head]
+    return (list(map(ids.__getitem__, pick.tolist())), np.concatenate(years)[pick],
+            np.concatenate(venues)[pick], list(venue_codes), keys[head])
+
+
+def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
+    """The ids naming the ends of each valid edge of an edge file, citing and cited
+    interleaved, as a buffer with their starts and lengths: per block, those of the
+    array lane's lines, then those of the odd lines, encoded again."""
+    for block in _blocks(path):
+        a, start, stop = _lines(block)
+        tabs = np.r_[np.flatnonzero(a == 9), len(a), len(a)]
+        first = np.searchsorted(tabs, start)
+        tab, lead = tabs[first], a[start]
+        fast = (tab + 1 < stop) & (tabs[first + 1] > stop) & (lead > 32) & (lead < 127) & (lead != 35)
+        if b"\r" in block:
+            cr = np.r_[np.flatnonzero(a == 13), len(a)]
+            fast &= cr[np.searchsorted(cr, start)] > stop
+        s, t, e = start[fast], tab[fast], stop[fast]
+        yield block, np.column_stack((s, t + 1)).ravel(), np.column_stack((t - s, e - t - 1)).ravel()
+        odd = np.flatnonzero(~fast).tolist()
+        if odd:
+            text = b"".join([block[start[i]:stop[i] + 1] for i in odd]).decode()
+            ends = []
+            for fields in _edge_fields(io.StringIO(text, newline=None)):
+                if len(fields) == 2 and all(fields):
+                    ends += (f.encode() for f in fields)
+                else:
+                    report.malformed_edges += 1
+            lens = np.fromiter(map(len, ends), np.int64, len(ends))
+            yield b"\n".join(ends), np.cumsum(lens + 1) - lens - 1, lens
+
+
+def _file_edges(path, report: IngestReport, table: np.ndarray) -> np.ndarray:
+    """The codes of both ends of each valid edge of an edge file, interleaved: a
+    record's row in `table`, and from len(table) on one code per other id."""
+    columns = np.ascontiguousarray(table.T)
+    hay = columns[0] if (columns[0][1:] > columns[0][:-1]).all() else _void(table)
+    ends, unknown, size = [np.empty(0, np.int64)], defaultdict(list), 0
+    for buf, starts, lens in _edge_blocks(path, report):
+        code = _find(columns, hay, _keys(buf, starts, lens, len(columns) - 1))
+        miss = np.flatnonzero(code < 0)
+        words = _words(lens[miss])
+        for w in np.unique(words).tolist():   # keyed by their own length, in groups
+            at = miss[words == w]
+            unknown[w].append((size + at, _keys(buf, starts[at], lens[at], w)))
+        ends.append(code)
+        size += len(code)
+    ends, code = np.concatenate(ends), len(table)
+    for group in unknown.values():
+        distinct, inverse = np.unique(_void(np.concatenate([k for _, k in group])), return_inverse=True)
+        ends[np.concatenate([at for at, _ in group])] = code + inverse.ravel()
+        code += len(distinct)
+    return ends
+
+
+def _read_files(meta_path, edge_path):
+    """`_read` over a metadata file and an edge file; line by line if some ids are
+    much longer than the rest."""
+    report = IngestReport()
+    records = _file_records(meta_path, report)
+    if records is None:
+        return _read(read_metadata_file(meta_path), read_edge_file(edge_path))
+    ids, years, venues, venue_names, table = records
+    ends = _file_edges(edge_path, report, table)
+    report.edges_in = report.malformed_edges + len(ends) // 2
+    return report, ids, years, venues, venue_names, ends
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus, sort_by_year, write_csv
+from .corpus import CitationCorpus, sort_by_year, write_csv, write_csv_columns
 from .metrics import CorpusMetrics, _runs, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
@@ -506,9 +506,8 @@ def write_histogram_csv(hist: Mapping[int, int], path, value_name: str) -> None:
 
 
 def write_scatter_csv(reports: CorpusMetrics, path) -> None:
-    write_csv(path, ("paper_id", "n", "d", "b", "idi", "nid"), zip(
-        reports.paper_ids, *(c.tolist() for c in (reports.n, reports.depth, reports.breadth, reports.idi, reports.nid))
-    ))
+    write_csv_columns(path, ("paper_id", "n", "d", "b", "idi", "nid"), reports.paper_ids,
+                      (reports.n, reports.depth, reports.breadth, reports.idi, reports.nid))
 
 
 def _json_safe(value):

@@ -18,7 +18,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .corpus import CorpusError, write_csv
+from .corpus import CorpusError, write_csv_columns
 from .tree import TIE_POLICIES, InfluenceTree, build_idg, build_idt
 
 CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
@@ -116,11 +116,14 @@ class CorpusMetrics:
     def __len__(self) -> int:
         return len(self.paper_ids)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The numeric CSV columns, in `CSV_HEADER` order after the id."""
+        n, value = self.n, self.idi
+        return n, self.depth, self.breadth, value, n, self.idi_max, value - n, self.nid
+
     def rows(self):
         """The CSV rows, in `CSV_HEADER` order."""
-        n, value = self.n, self.idi
-        columns = (n, self.depth, self.breadth, value, n, self.idi_max, value - n, self.nid)
-        return zip(self.paper_ids, *(c.tolist() for c in columns))
+        return zip(self.paper_ids, *(c.tolist() for c in self.columns()))
 
     def __iter__(self):
         return starmap(MetricsReport, self.rows())
@@ -456,4 +459,4 @@ def corpus_metrics(
 
 
 def write_metrics_csv(result: CorpusMetrics, path) -> None:
-    write_csv(path, CSV_HEADER, result.rows())
+    write_csv_columns(path, CSV_HEADER, result.paper_ids, result.columns())

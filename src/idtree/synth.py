@@ -23,7 +23,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import CitationCorpus, PaperRecord, ingest
+from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, PaperRecord, ingest
 from .tree import InfluenceTree, tree_from_parent_map
 
 ENUMERATION_CAP = 9
@@ -254,6 +254,8 @@ def gen_random_corpus(
         raise ValueError("bias must be in [0, 1]")
     if not 0.0 <= followup <= 1.0:
         raise ValueError("followup must be in [0, 1]")
+    if not YEAR_MIN <= years[0] <= years[1] <= YEAR_MAX:
+        raise ValueError(f"years must be an int32 range LO <= HI, got {years}")
     rng = np.random.default_rng(seed)
     width = len(str(n_papers - 1)) if n_papers > 1 else 1
     year_lo, year_hi = years
@@ -261,16 +263,13 @@ def gen_random_corpus(
     series = rng.integers(0, 20, size=n_papers)   # venue series S000..S019
     ref_counts = rng.poisson(mean_refs, size=n_papers)
     ids = [f"p{i:0{width}d}" for i in range(n_papers)]
-    records = [
-        PaperRecord(ids[i], int(paper_years[i]), f"S{series[i]:03d}-{paper_years[i]}")
-        for i in range(n_papers)
-    ]
 
     by_year: dict[int, list[int]] = {}
     for i in range(n_papers):
         by_year.setdefault(int(paper_years[i]), []).append(i)
 
-    edges: list[tuple[str, str]] = []
+    citing: list[int] = []
+    cited_papers: list[int] = []
     pool: list[int] = []            # indices of papers in strictly earlier years
     pool_set: set[int] = set()
     weighted: list[int] = []        # pool indices, one entry per citation + 1
@@ -298,14 +297,31 @@ def gen_random_corpus(
                             cited.add(c)
                             break
             for target in sorted(cited):
-                edges.append((ids[i], ids[target]))
+                citing.append(i)
+                cited_papers.append(target)
                 weighted.append(target)
                 citers_of[target].append(i)
         pool.extend(members)
         pool_set.update(members)
         weighted.extend(members)
 
-    corpus, _ = ingest(edges, records)
+    # Clean by construction: distinct citations of strictly earlier papers, and
+    # the ids sort as the indices do.  So the arrays go straight to the corpus,
+    # keeping the linked papers as ingest would; venues are numbered by name.
+    src, dst = np.array(citing, np.int64), np.array(cited_papers, np.int64)
+    linked = np.zeros(n_papers, bool)
+    linked[src] = linked[dst] = True
+    row = np.cumsum(linked) - 1
+    keep = np.flatnonzero(linked)
+    span = year_hi - year_lo + 1
+    distinct, venue = np.unique(series[keep] * span + paper_years[keep] - year_lo, return_inverse=True)
+    names = [f"S{key // span:03d}-{key % span + year_lo}" for key in distinct.tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.int64)
+    rank[order] = np.arange(len(names))
+    corpus = CitationCorpus.__new__(CitationCorpus)
+    corpus._fill([ids[i] for i in keep.tolist()], [names[i] for i in order],
+                 *(a.astype(np.int32) for a in (paper_years[keep], rank[venue.ravel()], row[src], row[dst])))
     return corpus
 
 

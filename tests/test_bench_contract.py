@@ -7,6 +7,7 @@ or removed function would otherwise surface only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
+from idtree import corpus as corpus_mod
 from idtree import experiments, metrics
 from idtree.synth import make_tot_benchmark, make_z_benchmark
 
@@ -50,3 +51,17 @@ def test_tracer_records_the_benchmark_calls(toy, tmp_path):
         "experiments.fractional_gain",
         "experiments.kendall",
     } <= names
+
+
+def test_traced_file_ingest_records_one_ingest_span(toy, corpus_files):
+    # ingest_files reads its files in byte blocks, yet goes through the wrapped `ingest`
+    edges, meta = corpus_files(toy)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        corpus, report = corpus_mod.ingest_files(edges, meta)
+    finally:
+        tr.uninstall()
+    assert [span[0] for span in tr.spans] == ["corpus.ingest"]
+    assert tr.calls["corpus.ingest"] == 1
+    assert corpus.paper_ids == toy.paper_ids and report.edges_kept == toy.n_edges

@@ -217,6 +217,18 @@ class TestUsageErrors:
         assert run("metrics", "--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("edge_bytes, meta_bytes", [
+        (b"p1\tP\xff\n", b'{"id": "P", "year": 2000}\n{"id": "p1", "year": 2001}\n'),
+        (b"p1\tP\n", b'{"id": "P\xff", "year": 2000}\n{"id": "p1", "year": 2001}\n'),
+    ])
+    def test_invalid_utf8_in_a_common_line_is_data_error(self, tmp_path, capsys, edge_bytes, meta_bytes):
+        edges, meta = tmp_path / "edges.tsv", tmp_path / "meta.jsonl"
+        edges.write_bytes(edge_bytes)
+        meta.write_bytes(meta_bytes)
+        assert run("ingest", "--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "x")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x" / "corpus.cache").exists()
+
 
 class TestMetrics:
     def test_toy_row_with_fidelity_tie(self, tmp_path, toy_files):

@@ -4,8 +4,10 @@ import hashlib
 import json
 import pickle
 import re
+import tempfile
 import time
 from graphlib import TopologicalSorter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from idtree.corpus import (
     ingest_files,
     load_cache,
     read_edge_file,
+    read_metadata_file,
     save_cache,
     write_edge_file,
     write_metadata_file,
@@ -460,6 +463,136 @@ def test_ingest_is_idempotent(stream):
     assert report.papers_in == report.papers_kept
 
 
+# Ids of 7, 8, 9 and 17 bytes, prefixes of one another, non-ASCII, with a NUL or
+# a space, and a lone surrogate (JSON escapes it, UTF-8 cannot hold it).  The
+# ghosts name no record.
+_FILE_IDS = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "ab", "é", "日本語", "ab\x00",
+             "a b", " a", "x#", "\ud800"]
+_FILE_GHOSTS = ["abcdefgx", "abcdefghijklmnopqrstuvwxyz", "zz"]
+_FILE_VENUES = ["V-2000", "", "Vénue", "a\"b", "VENUE-LONGER-THAN-SIXTEEN"]
+_ODD_EDGE_LINES = ["", "\t", "\t\t", "# a\tb", "  # c", "\u00a0", "\u3000", " ", "a", "a\tb\tc",
+                   "\tb", "a\t", "\ufeffab\tabcdefg"]
+_ODD_META_LINES = ["", "   ", "\u00a0", "\u3000", "not json", '{"id": "abcdefg"', '["ab", 2000]',
+                   '{"id": "ab", "year": 2000.0}', '{"id": "ab", "year": true}', '{"id": "ab", "year": "2000"}',
+                   '{"id": "ab", "year": 12345678901}', '{"id": "ab", "year": 9999999999}',
+                   '{"id": "ab", "year": -2147483649}', '{"id": "", "year": 2000}', '{"id": "é", "year": 2000, "venue": 5}']
+
+
+def _json_str(draw, text):
+    return json.dumps(text, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def raw_files(draw):
+    """Edge and metadata file bytes mixing the common line shapes with odd ones."""
+    meta = []
+    for pid in draw(st.lists(st.sampled_from(_FILE_IDS), max_size=14)):
+        year = draw(st.sampled_from([2000, 2001, 2002, -0, 0, -5, YEAR_MIN, YEAR_MAX]))
+        venue = draw(st.none() | st.sampled_from(_FILE_VENUES))
+        shape = draw(st.integers(0, 4))
+        if shape == 0:   # the benchmark's writer
+            text = (f'{{"id": {_json_str(draw, pid)}, "year": {year}, '
+                    f'"venue": {"null" if venue is None else _json_str(draw, venue)}}}')
+        elif shape == 1:   # write_metadata_file
+            obj = {"id": pid, "year": year, **({} if venue is None else {"venue": venue})}
+            text = json.dumps(obj, sort_keys=True, ensure_ascii=draw(st.booleans()))
+        elif shape == 2:   # other JSON layouts
+            text = json.dumps({"year": year, "id": pid, "venue": venue}, separators=(",", ":"))
+        elif shape == 3:
+            text = f'  {{"id": {_json_str(draw, pid)}, "year": {year}}} '
+        else:
+            text = f'{{"id": {_json_str(draw, pid)}, "year": -0, "venue": null}}'
+        meta.append(text)
+    meta += draw(st.lists(st.sampled_from(_ODD_META_LINES), max_size=4))
+    ends = st.sampled_from([pid for pid in _FILE_IDS if pid != "\ud800"] + _FILE_GHOSTS)
+    edges = [f"{a}\t{b}" for a, b in draw(st.lists(st.tuples(ends, ends), max_size=30))]
+    edges += draw(st.lists(st.sampled_from(_ODD_EDGE_LINES), max_size=5))
+    files = []
+    for lines in (draw(st.permutations(meta)), draw(st.permutations(edges))):
+        # line ends: \n, \r\n, \r\n and a blank line, or a bare \r, which the readers
+        # take as a line end and the array lane sees inside a line
+        ends = [draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\r\n\n"])) for _ in lines]
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if text and draw(st.booleans()):
+            text = text.rstrip("\r\n")
+        data = text.encode("utf-8", "surrogatepass")
+        files.append(b"\xef\xbb\xbf" + data if draw(st.booleans()) else data)
+    return files
+
+
+def _pairs(src, dst):
+    return sorted(zip(src.tolist(), dst.tolist()))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw_files())
+def test_file_ingest_matches_per_line_reference(files):
+    meta_bytes, edge_bytes = files
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, edges = Path(tmp) / "m.jsonl", Path(tmp) / "e.tsv"
+        meta.write_bytes(meta_bytes)
+        edges.write_bytes(edge_bytes)
+        try:
+            expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
+        except UnicodeDecodeError:   # a lone surrogate id written raw is not UTF-8
+            with pytest.raises(UnicodeDecodeError):
+                ingest_files(edges, meta)
+            return
+        filled = []
+        fill = CitationCorpus._fill
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CitationCorpus, "_fill", lambda self, *arrays: (filled.append(arrays), fill(self, *arrays)))
+            corpus, report = ingest_files(edges, meta)
+    assert report == expected_report
+    (ids, names, years, venues, src, dst), = filled
+    assert (ids, names) == (expected[0], expected[1])
+    for got, want in zip((years, venues), expected[2:4]):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert _pairs(src, dst) == _pairs(*expected[4:])
+    assert _layout(corpus) == _layout(_filled(*expected))
+
+
+def test_file_ingest_across_blocks_matches_reference(tmp_path):
+    # files of several read blocks, with odd lines and \r\n pairs near every boundary
+    rng = np.random.default_rng(5)
+    ids = [f"q{i:06d}" for i in range(30000)]
+    years = rng.integers(1990, 2000, len(ids)).tolist()
+    meta_lines = [json.dumps({"id": p, "year": y, "venue": f"V{y}" if y % 3 else None}) for p, y in zip(ids, years)]
+    meta_lines += [json.dumps({"id": p, "venue": "W", "year": 1980}, sort_keys=True) for p in ids[::7]]
+    edge_lines = [f"{ids[a]}\t{ids[b]}" for a, b in rng.integers(0, len(ids), (60000, 2)).tolist()]
+    edge_lines += [f"ghost{i}\t{ids[i]}" for i in range(0, 30000, 11)]
+    for lines, odd in ((meta_lines, ["# x", "not json", '{"id": "q000001", "year":1}', "\u00a0"]),
+                       (edge_lines, ["# x", "a", "a\tb\tc", "\u3000", " q000003\tq000001"])):
+        for i in range(0, len(lines), 97):
+            lines[i] = odd[i % len(odd)] if i % 3 else lines[i] + "\r"
+    edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+    edges.write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
+    meta.write_text("\r\n".join(meta_lines), encoding="utf-8")
+    assert edges.stat().st_size > 3 << 18 and meta.stat().st_size > 3 << 18
+    corpus, report = ingest_files(edges, meta)
+    expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
+    assert report == expected_report
+    assert _layout(corpus) == _layout(_filled(*expected))
+
+
+@pytest.mark.parametrize("long_id", ["L" * 5000, "abcdefgh" * 40 + "é"])
+def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
+    # one id far longer than the rest (read line by line), and long venues and
+    # unknown ids (kept in the array lane)
+    ids = [f"r{i:03d}" for i in range(200)]
+    meta_lines = [json.dumps({"id": p, "year": 2000 + i % 3, "venue": "V" * (i % 90)}) for i, p in enumerate(ids)]
+    edge_lines = [f"{ids[i]}\t{ids[i // 2]}" for i in range(1, 200)]
+    edge_lines += [f"{ids[5]}\t{'G' * n}" for n in (9, 700, 700, 3000)] + [f"{long_id}\t{ids[3]}"]
+    edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+    edges.write_text("\n".join(edge_lines) + "\n", encoding="utf-8")
+    for extra in ([], [json.dumps({"id": long_id, "year": 2003})]):
+        meta.write_text("\n".join(meta_lines + extra) + "\n", encoding="utf-8")
+        corpus, report = ingest_files(edges, meta)
+        expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
+        assert report == expected_report
+        assert _layout(corpus) == _layout(_filled(*expected))
+
+
 class TestFiles:
     def test_edge_file_round_trip(self, tmp_path, toy):
         path = tmp_path / "edges.tsv"
@@ -507,6 +640,19 @@ class TestFiles:
         assert report == plain[1]
         assert report.edges_kept == len(list(toy.edges())) and report.malformed_papers == 0
         _assert_same_corpus(corpus, plain[0])
+
+    @pytest.mark.parametrize("edge_lines, meta_line", [
+        (b"b\ta\xff\n", b'{"id": "a", "year": 2000}\n'),
+        (b"b\ta\n", b'{"id": "a\xc3", "year": 2000}\n'),
+        (b"b\ta\n", b'{"id": "a", "venue": "V\xed\xa0\x80", "year": 2000}\n'),
+    ])
+    def test_invalid_utf8_in_a_common_line_raises(self, tmp_path, edge_lines, meta_line):
+        # lines of the common shapes are not parsed one by one, yet must be decoded
+        edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+        edges.write_bytes(b"c\ta\n" + edge_lines)
+        meta.write_bytes(b'{"id": "b", "year": 2001}\n' + meta_line + b'{"id": "c", "year": 2002}\n')
+        with pytest.raises(UnicodeDecodeError):
+            ingest_files(edges, meta)
 
     def test_malformed_metadata_line_counted(self, tmp_path):
         edges = tmp_path / "e.tsv"

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idtree import metrics as metrics_mod
-from idtree.corpus import CitationCorpus, CorpusError, PaperRecord
+from idtree.corpus import CitationCorpus, CorpusError, PaperRecord, write_csv
+from idtree.experiments import write_scatter_csv
 from idtree.metrics import (
     corpus_metrics,
     idi,
@@ -263,6 +264,30 @@ class TestReports:
         write_metrics_csv(serial, a)
         write_metrics_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+_CSV_IDS = st.text(alphabet=st.sampled_from(list('ab,"\n\r é日 \t')), min_size=1, max_size=6)
+_NIDS = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 1 / 3, 2 / 3, 0.5, 1e-17, 0.1, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_column_writer_matches_csv_writer(tmp_path_factory, data):
+    # the column writer against csv.writer over the same rows, for both writers that use it
+    size = data.draw(st.integers(0, 12))
+    ids = sorted(data.draw(st.lists(_CSV_IDS, min_size=size, max_size=size, unique=True)))
+    ints = [np.array(data.draw(st.lists(st.integers(-3, 2**40), min_size=size, max_size=size)), np.int64)
+            for _ in range(5)]
+    nid = np.array(data.draw(st.lists(_NIDS | st.floats(0, 1), min_size=size, max_size=size)), np.float64)
+    result = metrics_mod.CorpusMetrics(ids, *ints, nid)
+    out = tmp_path_factory.mktemp("csv")
+    write_metrics_csv(result, out / "metrics.csv")
+    write_csv(out / "rows.csv", metrics_mod.CSV_HEADER, result.rows())
+    assert (out / "metrics.csv").read_bytes() == (out / "rows.csv").read_bytes()
+    write_scatter_csv(result, out / "scatter.csv")
+    write_csv(out / "scatter_rows.csv", ("paper_id", "n", "d", "b", "idi", "nid"),
+              zip(ids, *(c.tolist() for c in (*ints[:4], nid))))
+    assert (out / "scatter.csv").read_bytes() == (out / "scatter_rows.csv").read_bytes()
 
 
 def _per_paper(view, ids, tie, seed):

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idtree.corpus import write_edge_file, write_metadata_file
+from idtree.corpus import PaperRecord, ingest, write_edge_file, write_metadata_file
 from idtree.experiments import corpus_stats
 from idtree.metrics import idi, idi_max, nid
 from idtree.synth import (
@@ -207,6 +209,21 @@ class TestRandomCorpus:
             paths.append((edges, meta))
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 120), st.integers(-3, 2100), st.integers(0, 12), st.floats(0, 1), st.floats(0, 1),
+           st.integers(0, 10_000))
+    def test_corpus_is_what_ingest_keeps(self, n, first_year, n_years, bias, followup, seed):
+        # the generator skips ingest: re-ingesting its papers and citations plus
+        # three unlinked papers must drop those three and nothing else
+        corpus = gen_random_corpus(n, years=(first_year, first_year + n_years), bias=bias, followup=followup, seed=seed)
+        lone = [PaperRecord(f"lone{i}", first_year) for i in range(3)]
+        again, report = ingest(list(corpus.edges()), [corpus.record(p) for p in corpus.paper_ids] + lone)
+        assert report.dropped_isolated == len(lone) and report.edges_kept == report.edges_in == corpus.n_edges
+        assert again.paper_ids == corpus.paper_ids and again.venue_names == corpus.venue_names
+        assert all(corpus.citation_count(p) or corpus.references_of(p) for p in corpus.paper_ids)
+        assert all(a.tolist() == b.tolist() for a, b in zip((again.years, again.venues, again.refs),
+                                                             (corpus.years, corpus.venues, corpus.refs)))
 
     def test_different_seeds_differ(self):
         a = gen_random_corpus(300, seed=1)
