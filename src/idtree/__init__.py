@@ -20,7 +20,6 @@ from .corpus import (
     write_metadata_file,
 )
 from .experiments import (
-    RankedList,
     StatsReport,
     ToTCase,
     ToTReport,
@@ -71,7 +70,6 @@ __all__ = [
     "InfluenceTree",
     "MetricsReport",
     "PaperRecord",
-    "RankedList",
     "StatsReport",
     "ToTCase",
     "ToTReport",

@@ -82,26 +82,27 @@ def _write_run_config(out: Path, args) -> None:
     )
 
 
-def _ingest_with_cache(args, out: Path, *, force: bool = False):
-    """Load the corpus via the content-addressed cache, re-ingesting if stale; an
-    ingest rewrites `ingest_report.json` too, so it always describes the cache."""
+def _ingest_with_cache(args, *, force: bool = False):
+    """Check the input files, make --out, then load the corpus via the
+    content-addressed cache, re-ingesting if stale; an ingest rewrites
+    `ingest_report.json` too, so it always describes the cache."""
     edges = _require_file(args.edges)
     meta = _require_file(args.meta)
+    out = _out_dir(args)
     digest = corpus_mod.file_digest(edges, meta)
     cache_path = out / CACHE_NAME
     if not force:
         cached = corpus_mod.load_cache(cache_path, expect_hash=digest)
         if cached is not None:
-            return cached, None
+            return out, cached, None
     corpus, report = corpus_mod.ingest_files(edges, meta)
     corpus_mod.save_cache(corpus, cache_path, source_hash=digest)
     (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    return corpus, report
+    return out, corpus, report
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
-    corpus, report = _ingest_with_cache(args, out, force=True)
+    out, corpus, report = _ingest_with_cache(args, force=True)
     print(report.to_json())
     _require_corpus_nonempty(corpus)
     print(f"corpus cached at {out / CACHE_NAME}: {len(corpus)} papers, {corpus.n_edges} edges")
@@ -109,8 +110,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    out = _out_dir(args)
-    corpus, _ = _ingest_with_cache(args, out)
+    out, corpus, _ = _ingest_with_cache(args)
     _require_corpus_nonempty(corpus)
     requested = None
     errors: list[tuple[str, str]] = []
@@ -131,8 +131,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    out = _out_dir(args)
-    corpus, _ = _ingest_with_cache(args, out)
+    out, corpus, _ = _ingest_with_cache(args)
     _require_corpus_nonempty(corpus)
     stats = exp.corpus_stats(corpus, tie=args.tie, seed=args.seed)
     exp.write_histogram_csv(stats.depth_hist, out / "depth_hist.csv", "depth")
@@ -151,8 +150,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval_z(args) -> int:
-    out = _out_dir(args)
-    corpus, _ = _ingest_with_cache(args, out)
+    out, corpus, _ = _ingest_with_cache(args)
     _require_corpus_nonempty(corpus)
     report = exp.z_experiment(
         corpus, args.years, args.t1, args.t2, tie=args.tie, seed=args.seed, gain_mode=args.gain
@@ -194,10 +192,9 @@ def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
 
 
 def cmd_eval_tot(args) -> int:
-    out = _out_dir(args)
-    corpus, _ = _ingest_with_cache(args, out)
-    _require_corpus_nonempty(corpus)
     awardees = _read_awardees(_require_file(args.awardees))
+    out, corpus, _ = _ingest_with_cache(args)
+    _require_corpus_nonempty(corpus)
     report = exp.tot_experiment(
         corpus, awardees, pct=args.pct, horizon=args.t2, tie=args.tie, seed=args.seed
     )

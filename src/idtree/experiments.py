@@ -32,51 +32,9 @@ MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Strictly ordered (paper_id, score) sequence.
-
-    `direction` records whether lower scores rank first (``"asc"``, used
-    for NID) or higher ones do (``"desc"``, citations and gains).  Ties are
-    always broken by paper id, so the order is a total one.
-    """
-
-    items: tuple[tuple[str, float], ...]
-    direction: str
-
-    @classmethod
-    def from_scores(cls, scores: Mapping[str, float] | Iterable[tuple[str, float]], direction: str) -> "RankedList":
-        if direction not in ("asc", "desc"):
-            raise ValueError(f"direction must be 'asc' or 'desc', got {direction!r}")
-        pairs = list(scores.items()) if isinstance(scores, Mapping) else list(scores)
-        ids = [pid for pid, _ in pairs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("ranked list requires unique paper ids")
-        sign = 1.0 if direction == "asc" else -1.0
-        pairs.sort(key=lambda item: (sign * item[1], item[0]))
-        return cls(tuple(pairs), direction)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(pid for pid, _ in self.items)
-
-    def rank_of(self, paper_id: str) -> int:
-        for i, (pid, _) in enumerate(self.items):
-            if pid == paper_id:
-                return i + 1
-        raise KeyError(paper_id)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-def _ranked_ids(ranking) -> tuple[str, ...]:
-    if isinstance(ranking, RankedList):
-        return ranking.ids
-    ids = tuple(ranking)
-    if len(set(ids)) != len(ids):
-        raise ValueError("ranking contains duplicate elements")
-    return ids
+def _ranked(scores: dict[str, float], sign: float) -> dict[str, float]:
+    """`scores` in rank order: by `sign * score`, ties broken by paper id."""
+    return dict(sorted(scores.items(), key=lambda item: (sign * item[1], item[0])))
 
 
 def _count_inversions(seq: Sequence[int]) -> int:
@@ -90,15 +48,17 @@ def _count_inversions(seq: Sequence[int]) -> int:
     return inversions
 
 
-def kendall_tau_distance(a, b) -> float:
+def kendall_tau_distance(a: Iterable[str], b: Iterable[str]) -> float:
     """Normalized Kendall tau distance between two rankings of one set.
 
     Counts discordant pairs over m(m-1)/2; 0 for identical orders, 1 for
-    exact reversals, 0 when m < 2.  Both inputs are strict orders: ties
-    must have been broken upstream, as `RankedList` does.
+    exact reversals, 0 when m < 2.  Both inputs are iterables of ids in
+    rank order (a ranking dict iterates its ids); ties must have been
+    broken upstream, as `rank_by_measure` does.
     """
-    ids_a = _ranked_ids(a)
-    ids_b = _ranked_ids(b)
+    ids_a, ids_b = tuple(a), tuple(b)
+    if len(set(ids_a)) != len(ids_a) or len(set(ids_b)) != len(ids_b):
+        raise ValueError("ranking contains duplicate elements")
     if set(ids_a) != set(ids_b):
         raise ValueError("rankings must cover the same element set")
     m = len(ids_a)
@@ -125,12 +85,13 @@ def rank_by_measure(
     *,
     tie: str = "min-id",
     seed: int = 0,
-) -> tuple[RankedList, list[str]]:
+) -> tuple[dict[str, float], list[str]]:
     """Rank papers by citations (descending) or NID (ascending) in a corpus.
 
-    Papers without citations have no tree and are excluded; they come back
-    in the second return value.  Each NID comes from the paper's own tree,
-    built here.
+    Returns the scores in rank order, ties broken by paper id.  Papers
+    without citations have no tree and are excluded; they come back in the
+    second return value.  Each NID comes from the paper's own tree, built
+    here.
     """
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
@@ -144,8 +105,7 @@ def rank_by_measure(
             scores[pid] = float(n)
         else:
             scores[pid] = paper_metrics(corpus, pid, tie=tie, seed=seed).nid
-    direction = "desc" if measure == "citations" else "asc"
-    return RankedList.from_scores(scores, direction), excluded
+    return _ranked(scores, -1.0 if measure == "citations" else 1.0), excluded
 
 
 def fractional_gain_list(
@@ -156,12 +116,13 @@ def fractional_gain_list(
     t2: int,
     *,
     mode: str = "fractional",
-) -> tuple[RankedList, list[str]]:
+) -> tuple[dict[str, float], list[str]]:
     """Rank papers by citation gain between pub_year+t1 and pub_year+t2.
 
     Fractional mode scores (c2 - c1) / c1, rewarding late risers relative
-    to their early base; absolute mode scores c2 - c1.  Papers with no
-    citations at t1 are excluded and reported.
+    to their early base; absolute mode scores c2 - c1.  Returns the scores
+    in rank order, ties broken by paper id.  Papers with no citations at t1
+    are excluded and reported.
     """
     if mode not in GAIN_MODES:
         raise ValueError(f"mode must be one of {GAIN_MODES}, got {mode!r}")
@@ -177,7 +138,7 @@ def fractional_gain_list(
             continue
         gain = bisect_right(years, pub_year + t2) - c1
         scores[pid] = gain / c1 if mode == "fractional" else float(gain)
-    return RankedList.from_scores(scores, "desc"), excluded
+    return _ranked(scores, -1.0), excluded
 
 
 @dataclass(frozen=True)

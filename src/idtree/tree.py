@@ -71,8 +71,6 @@ class InfluenceTree:
 
     def leaves(self) -> tuple[str, ...]:
         """Non-root nodes with no children; empty for an empty tree."""
-        if not self.parent:
-            return ()
         internal = set(self.parent.values())
         return tuple(sorted(v for v in self.parent if v not in internal))
 

@@ -121,11 +121,22 @@ class TestIngest:
         assert report["edges_kept"] == 2
 
     def test_missing_file_exit_2_names_path(self, tmp_path, toy_files, capsys):
-        _, meta = toy_files
-        rc = run("ingest", "--edges", "/no/such/file.tsv", "--meta", str(meta),
-                 "--out", str(tmp_path / "x"))
-        assert rc == 2
-        assert "/no/such/file.tsv" in capsys.readouterr().err
+        # a missing input file is found before --out is made
+        edges, meta = toy_files
+        awardees = tmp_path / "awardees.csv"
+        awardees.write_text("P,TOY-2000,2000\n")
+        missing = str(tmp_path / "no" / "such.file")
+        for command in ("ingest", "metrics", "stats", "eval-z", "eval-tot"):
+            files = {"--edges": edges, "--meta": meta}
+            if command == "eval-tot":
+                files["--awardees"] = awardees
+            for flag in files:
+                argv = [command, "--out", str(tmp_path / "x")]
+                for name, path in files.items():
+                    argv += [name, missing if name == flag else str(path)]
+                assert run(*argv) == 2
+                assert missing in capsys.readouterr().err
+                assert not (tmp_path / "x").exists(), (command, flag)
 
     def test_empty_result_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
@@ -185,6 +196,7 @@ class TestUsageErrors:
         ("eval-tot", ["--pct", "nan"], "pct must be in (0, 1], got nan"),
         ("eval-tot", ["--t2", "-1"], "horizon must be >= 0, got -1"),
         ("eval-z", ["--t1", "-3", "--t2", "2"], "t1 must be >= 0, got -3"),
+        ("eval-z", ["--years", "2001:2000"], "--years range is empty: '2001:2000'"),
         ("metrics", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("eval-z", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("synth", ["--kind", "ideal", "--n", "2"], "no equal depth/breadth layout exists for n=2"),
@@ -192,10 +204,11 @@ class TestUsageErrors:
         ("synth", ["--kind", "broom", "--n", "5", "--k", "9"], "broom handle length must be in [0, 4], got 9"),
         ("synth", ["--kind", "random", "--n-papers", "0"], "n_papers must be >= 1"),
         ("synth", ["--kind", "random", "--bias", "2"], "bias must be in [0, 1]"),
+        ("synth", ["--kind", "random", "--years", "0:2147483648"], "years must be an int32 range"),
         ("synth", ["--kind", "planted-z", "--t1", "1", "--t2", "3"], "shape depth exceeds t1"),
-    ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "metrics-negative-seed",
-            "z-negative-seed", "ideal-n-2", "star-n-0",
-            "broom-k-9", "random-n-0", "random-bias-2", "planted-z-t1-1"])
+    ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "z-empty-years",
+            "metrics-negative-seed", "z-negative-seed", "ideal-n-2", "star-n-0",
+            "broom-k-9", "random-n-0", "random-bias-2", "random-years-past-int32", "planted-z-t1-1"])
     def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
         # the library's range checks reach the user as usage errors, before --out is made
         argv = [command, *flags, "--out", str(tmp_path / "x")]
@@ -505,15 +518,23 @@ class TestEvalToT:
             outputs.append((out / "tot_cases.csv").read_bytes())
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
 
-    def test_malformed_awardees_exit_2(self, tmp_path):
+    def test_malformed_awardees_exit_2(self, tmp_path, capsys):
+        # the awardee rows are read before --out is made
         fixture = tmp_path / "fx"
         assert run("synth", "--kind", "planted-tot", "--out", str(fixture)) == 0
         bad = tmp_path / "bad.csv"
-        bad.write_text("paper_id,venue\n")
-        rc = run("eval-tot", "--edges", str(fixture / "edges.tsv"),
-                 "--meta", str(fixture / "meta.jsonl"),
-                 "--awardees", str(bad), "--out", str(tmp_path / "run"))
-        assert rc == 2
+        for text, message in (
+            ("paper_id,venue\n", "expected paper_id,venue,year"),
+            ("paper_id,venue,year\nP,V,20x0\n", "year is not an integer: '20x0'"),
+            ("paper_id,venue,year\n# a comment\n\n", "no awardee rows found"),
+        ):
+            bad.write_text(text)
+            rc = run("eval-tot", "--edges", str(fixture / "edges.tsv"),
+                     "--meta", str(fixture / "meta.jsonl"),
+                     "--awardees", str(bad), "--out", str(tmp_path / "run"))
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
 
 
 class TestCsvQuoting:

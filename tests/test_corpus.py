@@ -226,6 +226,8 @@ class TestSnapshots:
     def test_cutoff_below_min_year_is_empty(self, toy):
         snap = toy.snapshot(1990)
         assert snap.paper_ids == ()
+        with pytest.raises(CorpusError, match="empty corpus"):
+            snap.year_range()
 
     def test_cutoff_above_max_year_matches_corpus(self, toy):
         snap = toy.snapshot(2050)

@@ -16,7 +16,6 @@ from idtree import experiments as experiments_mod
 from idtree import metrics as metrics_mod
 from idtree.corpus import PaperRecord, ingest
 from idtree.experiments import (
-    RankedList,
     ToTCase,
     ToTReport,
     VenueExperiment,
@@ -107,27 +106,6 @@ class TestKendall:
             kendall_tau_distance(["a", "a"], ["a", "a"])
 
 
-class TestRankedList:
-    def test_orders_and_breaks_ties_by_id(self):
-        ranked = RankedList.from_scores({"b": 2.0, "a": 2.0, "c": 5.0}, "desc")
-        assert ranked.ids == ("c", "a", "b")
-        ranked = RankedList.from_scores({"b": 2.0, "a": 2.0, "c": 5.0}, "asc")
-        assert ranked.ids == ("a", "b", "c")
-
-    def test_rank_of(self):
-        ranked = RankedList.from_scores({"a": 1.0, "b": 2.0}, "desc")
-        assert ranked.rank_of("b") == 1
-        assert ranked.rank_of("a") == 2
-        with pytest.raises(KeyError):
-            ranked.rank_of("zz")
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            RankedList.from_scores([("a", 1.0), ("a", 2.0)], "desc")
-        with pytest.raises(ValueError):
-            RankedList.from_scores({"a": 1.0}, "sideways")
-
-
 class TestMeanReciprocalRank:
     def test_arithmetic(self):
         assert mean_reciprocal_rank([1, 2, 4]) == pytest.approx(7 / 12)
@@ -156,25 +134,32 @@ class TestRankByMeasure:
     def test_citation_ordering(self):
         corpus = _corpus_with_citations({"hi": 10, "lo": 3})
         ranked, excluded = rank_by_measure(["hi", "lo"], "citations", corpus)
-        assert ranked.ids == ("hi", "lo")
+        assert tuple(ranked) == ("hi", "lo")
         assert excluded == []
 
     def test_equal_scores_fall_back_to_id(self):
         corpus = _corpus_with_citations({"a": 4, "b": 4, "c": 4})
         ranked, _ = rank_by_measure(["c", "a", "b"], "citations", corpus)
-        assert ranked.ids == ("a", "b", "c")
+        assert tuple(ranked) == ("a", "b", "c")
+
+    def test_equal_nids_fall_back_to_id(self):
+        # star citers give NID 0 at any count; by citations "b" would come first
+        corpus = _corpus_with_citations({"a": 3, "b": 5})
+        ranked, _ = rank_by_measure(["b", "a"], "nid", corpus)
+        assert ranked == {"a": 0.0, "b": 0.0}
+        assert tuple(ranked) == ("a", "b")
 
     def test_matches_naive_sort(self):
         corpus = gen_random_corpus(200, years=(1995, 2005), seed=8)
         cited = [p for p in corpus.paper_ids if corpus.citation_count(p) > 0][:20]
         ranked, _ = rank_by_measure(cited, "citations", corpus)
         naive = sorted(cited, key=lambda p: (-corpus.citation_count(p), p))
-        assert list(ranked.ids) == naive
+        assert list(ranked) == naive
 
     def test_uncited_papers_excluded_and_reported(self, toy):
         snap = toy.snapshot(2001)  # p1, p2 not yet cited
         ranked, excluded = rank_by_measure(["P", "p1", "p2"], "nid", snap)
-        assert ranked.ids == ("P",)
+        assert tuple(ranked) == ("P",)
         assert excluded == ["p1", "p2"]
 
     def test_nid_ranks_ascending(self):
@@ -189,7 +174,7 @@ class TestRankByMeasure:
                     edges.append((cid, f"{pid}.{shape.parent[v]}"))
         corpus, _ = ingest(edges, records)
         ranked, _ = rank_by_measure(["frag", "tidy"], "nid", corpus)
-        assert ranked.ids == ("tidy", "frag")
+        assert tuple(ranked) == ("tidy", "frag")
 
     def test_unknown_measure(self, toy):
         with pytest.raises(ValueError):
@@ -212,8 +197,7 @@ class TestFractionalGain:
         corpus = self._schedule_corpus(
             {"a": [2001] * 10 + [2006] * 15, "b": [2001] * 4}
         )
-        ranked, excluded = fractional_gain_list(["a", "b"], corpus, 2000, 5, 10)
-        scores = dict(ranked.items)
+        scores, excluded = fractional_gain_list(["a", "b"], corpus, 2000, 5, 10)
         assert scores["a"] == pytest.approx(1.5)  # (25 - 10) / 10
         assert scores["b"] == 0.0
         assert excluded == []
@@ -222,7 +206,7 @@ class TestFractionalGain:
         corpus = self._schedule_corpus({"late": [2008, 2009], "ok": [2001, 2007]})
         ranked, excluded = fractional_gain_list(["late", "ok"], corpus, 2000, 5, 10)
         assert excluded == ["late"]
-        assert ranked.ids == ("ok",)
+        assert tuple(ranked) == ("ok",)
 
     def test_planted_schedule_matches_arithmetic(self):
         rng = np.random.default_rng(12)
@@ -234,8 +218,7 @@ class TestFractionalGain:
                 2006 + j % 5 for j in range(late)
             ]
         corpus = self._schedule_corpus(schedule)
-        ranked, _ = fractional_gain_list(sorted(schedule), corpus, 2000, 5, 10)
-        scores = dict(ranked.items)
+        scores, _ = fractional_gain_list(sorted(schedule), corpus, 2000, 5, 10)
         for pid, years in schedule.items():
             c1 = sum(1 for y in years if y <= 2005)
             c2 = len(years)
@@ -243,8 +226,16 @@ class TestFractionalGain:
 
     def test_absolute_mode(self):
         corpus = self._schedule_corpus({"a": [2001] * 2 + [2006] * 6})
-        ranked, _ = fractional_gain_list(["a"], corpus, 2000, 5, 10, mode="absolute")
-        assert dict(ranked.items)["a"] == 6.0
+        scores, _ = fractional_gain_list(["a"], corpus, 2000, 5, 10, mode="absolute")
+        assert scores["a"] == 6.0
+
+    def test_equal_gains_fall_back_to_id(self):
+        corpus = self._schedule_corpus(
+            {"b": [2001, 2006], "a": [2001, 2006], "c": [2001, 2006, 2007]}
+        )
+        ranked, _ = fractional_gain_list(["b", "a", "c"], corpus, 2000, 5, 10)
+        assert ranked == {"c": 2.0, "a": 1.0, "b": 1.0}
+        assert tuple(ranked) == ("c", "a", "b")
 
     def test_bad_horizons(self, toy):
         with pytest.raises(ValueError):
@@ -336,8 +327,8 @@ def _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed):
             competitors.append(pid)
         ranked_cite, _ = rank_by_measure(competitors, "citations", snap)
         ranked_nid, _ = rank_by_measure(competitors, "nid", snap, tie=tie, seed=seed)
-        cases.append(ToTCase(pid, venue, year, len(cohort), ranked_cite.ids,
-                             ranked_cite.rank_of(pid), ranked_nid.rank_of(pid)))
+        cases.append(ToTCase(pid, venue, year, len(cohort), tuple(ranked_cite),
+                             list(ranked_cite).index(pid) + 1, list(ranked_nid).index(pid) + 1))
     return ToTReport(tuple(cases), tuple(skipped), horizon, pct)
 
 

@@ -276,6 +276,8 @@ class TestRandomCorpus:
             gen_random_corpus(10, bias=1.5)
         with pytest.raises(ValueError):
             gen_random_corpus(10, followup=-0.1)
+        with pytest.raises(ValueError, match="int32"):
+            gen_random_corpus(10, years=(0, 2**31))
 
 
 class TestPlantedBenchmarks:

@@ -213,6 +213,7 @@ class TestTreeStats:
         assert (stats.n, stats.depth, stats.breadth) == (0, 0, 0)
         assert stats.leaves == ()
         assert stats.branches == ()
+        assert InfluenceTree("P", {}, {"P": 0}).leaves() == ()
 
 
 class TestSerialization:
