@@ -157,12 +157,12 @@ def cmd_eval_z(args) -> int:
     )
     exp.write_venues_csv(report, out / "venues.csv")
     exp.write_summary_json(report.to_summary_dict(), out / "z_summary.json")
-    if not report.venues:
+    if not report:
         raise CorpusError(
             f"no venue in {args.years[0]}:{args.years[1]} produced a z score "
             f"({len(report.skipped)} skipped)"
         )
-    print(f"venues scored: {len(report.venues)} (skipped {len(report.skipped)})")
+    print(f"venues scored: {len(report)} (skipped {len(report.skipped)})")
     print(f"mean z (nid):  {report.mean_z_nid}")
     print(f"mean z (cite): {report.mean_z_cite}")
     return 0

@@ -239,9 +239,11 @@ class CitationCorpus:
 
 def sort_by_year(years: np.ndarray, group: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """`rows` ordered by (`group`, year of the row, row): one sort of the int64 keys
-    ``group * n + rank``, where `rank` orders the n rows by (year, row)."""
+    ``group * n + rank``, where `rank` orders the n rows by (year, row), itself
+    one sort of ``(year - first year) * n + row`` (below 2**32 * n, so exact)."""
     n = len(years)
-    order = np.argsort(years, kind="stable")
+    years = years.astype(np.int64)
+    order = np.sort((years - years.min(initial=YEAR_MAX)) * n + np.arange(n)) % n
     rank = np.empty(n, np.int64)
     rank[order] = np.arange(n)
     return order[np.sort(group.astype(np.int64) * n + rank[rows]) % n]

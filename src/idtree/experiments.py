@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus, sort_by_year, write_csv, write_csv_columns
+from .corpus import CitationCorpus, write_csv, write_csv_columns
 from .metrics import CorpusMetrics, _runs, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
@@ -37,15 +37,32 @@ def _ranked(scores: dict[str, float], sign: float) -> dict[str, float]:
     return dict(sorted(scores.items(), key=lambda item: (sign * item[1], item[0])))
 
 
-def _count_inversions(seq: Sequence[int]) -> int:
-    """Pairs i < j with seq[i] > seq[j]: each item counts the larger ones seen before it."""
-    seen: list[int] = []
-    inversions = 0
-    for k, x in enumerate(seq):
-        i = bisect_right(seen, x)
-        inversions += k - i
-        seen.insert(i, x)
-    return inversions
+def _segment_inversions(seq: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Pairs i < j with seq[i] > seq[j] inside each run of `sizes` items of `seq`,
+    each run holding a permutation of its own positions in `seq`.
+
+    A bottom-up merge (Knight, JASA 1966) over every run at once: the pass of
+    half-width w sorts each block of 2w items, counted from its run's start,
+    by value in one `np.sort`.  A right-half item's place in its block, less
+    its rank there, counts the left-half items above it.  Exact integers in
+    O(L log max(sizes)) for L items, however large a run.
+    """
+    n = len(seq)
+    pos = np.arange(n, dtype=np.int64)
+    place = pos - np.repeat(np.cumsum(sizes) - sizes, sizes)   # in its run
+    value = np.asarray(seq, np.int64) * 2
+    count = np.zeros(n, np.int64)
+    w = 1
+    while w < sizes.max(initial=0):
+        f = place & (2 * w - 1)   # in its block
+        right = f >= w
+        # by block, then value; the low bit keeps the half the item came from
+        merged = np.sort((pos - f) * (2 * n) + value + right)
+        count += f * (right - (merged & 1))
+        w *= 2
+    total = np.r_[0, np.cumsum(count)]
+    ends = np.cumsum(sizes)
+    return total[ends] - total[ends - sizes]
 
 
 def kendall_tau_distance(a: Iterable[str], b: Iterable[str]) -> float:
@@ -65,8 +82,8 @@ def kendall_tau_distance(a: Iterable[str], b: Iterable[str]) -> float:
     if m < 2:
         return 0.0
     pos_b = {pid: i for i, pid in enumerate(ids_b)}
-    discordant = _count_inversions([pos_b[pid] for pid in ids_a])
-    return discordant / (m * (m - 1) / 2)
+    discordant = _segment_inversions(np.array([pos_b[pid] for pid in ids_a]), np.array([m]))
+    return int(discordant[0]) / (m * (m - 1) / 2)
 
 
 def mean_reciprocal_rank(ranks: Iterable[int]) -> float:
@@ -160,29 +177,61 @@ class VenueExperiment:
         return self.z_cite - self.z_nid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZReport:
-    venues: tuple[VenueExperiment, ...]
+    """Venue z scores as columns, one row per scored venue in (venue, year) order.
+
+    `paper_rows` holds the corpus rows of the scored papers, venue after
+    venue (`n_papers` each, in id order), and `ids` the corpus's paper ids.
+    `venues` yields the rows as `VenueExperiment`s, building their id tuples
+    then; two reports are equal when those rows and the rest are.
+    """
+
+    venue: list[str]
+    year: np.ndarray
+    n_papers: np.ndarray
+    z_nid: np.ndarray
+    z_cite: np.ndarray
     skipped: tuple[tuple[str, int, str], ...]
     t1: int
     t2: int
+    ids: Sequence[str]
+    paper_rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.venue)
+
+    @property
+    def venues(self) -> tuple[VenueExperiment, ...]:
+        ids = list(map(self.ids.__getitem__, self.paper_rows.tolist()))
+        return tuple(
+            VenueExperiment(venue, year, tuple(ids[end - m:end]), self.t1, self.t2, z_nid, z_cite)
+            for venue, year, m, end, z_nid, z_cite in zip(
+                self.venue, self.year.tolist(), self.n_papers.tolist(), np.cumsum(self.n_papers).tolist(),
+                self.z_nid.tolist(), self.z_cite.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZReport):
+            return NotImplemented
+        return (self.venues, self.skipped, self.t1, self.t2) == (other.venues, other.skipped, other.t1, other.t2)
 
     @property
     def mean_z_nid(self) -> float:
-        return sum(v.z_nid for v in self.venues) / len(self.venues)
+        return sum(self.z_nid.tolist()) / len(self)
 
     @property
     def mean_z_cite(self) -> float:
-        return sum(v.z_cite for v in self.venues) / len(self.venues)
+        return sum(self.z_cite.tolist()) / len(self)
 
     def to_summary_dict(self) -> dict:
         out = {
-            "n_venues": len(self.venues),
+            "n_venues": len(self),
             "t1": self.t1,
             "t2": self.t2,
             "skipped": [list(s) for s in self.skipped],
         }
-        if self.venues:
+        if len(self):
             out["mean_z_nid"] = self.mean_z_nid
             out["mean_z_cite"] = self.mean_z_cite
             out["mean_z_diff"] = out["mean_z_cite"] - out["mean_z_nid"]
@@ -190,19 +239,19 @@ class ZReport:
 
 
 def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The corpus's (venue, year) editions in sorted order, and their papers.
+    """The corpus's (venue, year) editions in sorted order, and each paper's.
 
-    Returns each edition's venue code and year, then the offsets of each
-    edition's run in the last array: the rows of the editions' papers, each
-    run in id order.  Papers without a venue are in none.  The venue string
-    already identifies one series+year edition, so the year in the key only
-    guards against inconsistent metadata.
+    Returns each edition's venue code and year, then the rows of the papers
+    with a venue, ascending (so in id order), and each one's edition.  The
+    venue string already identifies one series+year edition, so the year in
+    the key only guards against inconsistent metadata.
     """
     rows = np.flatnonzero(corpus.venues >= 0)
-    members = sort_by_year(corpus.years, corpus.venues[rows], rows)
-    code, year = corpus.venues[members], corpus.years[members]
-    heads = np.flatnonzero(np.r_[len(members) > 0, (code[1:] != code[:-1]) | (year[1:] != year[:-1])])
-    return code[heads], year[heads].astype(np.int64), np.r_[heads, len(members)], members
+    year = corpus.years[rows].astype(np.int64)
+    first, span = (int(year.min()), int(np.ptp(year)) + 1) if len(rows) else (0, 1)
+    # below 2**31 * 2**32, so exact
+    keys, edition = np.unique(corpus.venues[rows].astype(np.int64) * span + (year - first), return_inverse=True)
+    return keys // span, keys % span + first, rows, edition
 
 
 def _clip(corpus: CitationCorpus, horizon: int) -> int:
@@ -230,7 +279,8 @@ def z_experiment(
 
     Counts and NIDs come from `metrics.paper_years`, for every member of
     every venue at once; each ranking is one sort by (venue, score, id),
-    as `rank_by_measure` and `fractional_gain_list` rank one venue.
+    as `rank_by_measure` and `fractional_gain_list` rank one venue, and
+    `_segment_inversions` counts the discordant pairs of every venue at once.
     """
     if t1 < 0:
         raise ValueError(f"t1 must be >= 0, got {t1}")
@@ -238,41 +288,35 @@ def z_experiment(
         raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
     if gain_mode not in GAIN_MODES:
         raise ValueError(f"mode must be one of {GAIN_MODES}, got {gain_mode!r}")
-    codes, years, offsets, members = _editions(corpus)
-    picks = np.flatnonzero((years >= year_range[0]) & (years <= year_range[1]))
-    at, edition = _runs(offsets, picks)
-    rows = members[at]
-    year = years[picks][edition]
+    codes, years, rows, edition = _editions(corpus)
+    picked = (years >= year_range[0]) & (years <= year_range[1])
+    keep = picked[edition]
+    rows, edition = rows[keep], edition[keep]
     table = paper_years(corpus, rows)
-    c1, nid = table.nids(corpus, rows, year + _clip(corpus, t1), tie=tie, seed=seed)
-    c2 = table.counts(rows, year + _clip(corpus, t2))
+    c1, nid = table.nids(corpus, rows, years[edition] + _clip(corpus, t1), tie=tie, seed=seed)
+    c2 = table.counts(rows, years[edition] + _clip(corpus, t2))
     cited = c1 > 0
     rows, edition, c1, c2, nid = rows[cited], edition[cited], c1[cited], c2[cited], nid[cited]
     gain = (c2 - c1) / c1 if gain_mode == "fractional" else (c2 - c1).astype(np.float64)
-    # `rows` are positions in id order, so they break score ties by id
-    gain_rank = np.empty(len(rows), np.int64)
-    gain_rank[np.lexsort((rows, -gain, edition))] = np.arange(len(rows))
-    by_nid = gain_rank[np.lexsort((rows, nid, edition))].tolist()
-    by_cite = gain_rank[np.lexsort((rows, -c1, edition))].tolist()
-    ids = corpus.paper_ids
-    rows = rows.tolist()
-    results: list[VenueExperiment] = []
-    skipped: list[tuple[str, int, str]] = []
-    lo = 0
-    for k, m in zip(picks.tolist(), np.bincount(edition, minlength=len(picks)).tolist()):
-        venue, year = corpus.venue_names[codes[k]], int(years[k])
-        hi = lo + m
-        if m < 2:
-            skipped.append((venue, year, f"only {m} papers with citations at t1"))
-        else:
-            pairs = m * (m - 1) / 2
-            results.append(VenueExperiment(
-                venue, year, tuple(map(ids.__getitem__, rows[lo:hi])), t1, t2,
-                _count_inversions(by_nid[lo:hi]) / pairs,
-                _count_inversions(by_cite[lo:hi]) / pairs,
-            ))
-        lo = hi
-    return ZReport(tuple(results), tuple(skipped), t1, t2)
+    # `rows` ascend, so each stable sort breaks score ties by id; all three
+    # group by edition, so an edition's papers take the same run of places
+    n = len(rows)
+    gain_rank = np.empty(n, np.int64)
+    gain_rank[np.lexsort((-gain, edition))] = np.arange(n)
+    sizes = np.bincount(edition, minlength=len(codes))
+    seq = np.r_[gain_rank[np.lexsort((nid, edition))], gain_rank[np.lexsort((-c1, edition))] + n]
+    inversions = _segment_inversions(seq, np.r_[sizes, sizes]).reshape(2, -1)
+    scored = picked & (sizes >= 2)
+    m = sizes[scored]
+    z_nid, z_cite = inversions[:, scored] / (m * (m - 1) / 2)
+    names = corpus.venue_names
+    short = np.flatnonzero(picked & (sizes < 2))
+    skipped = tuple((names[c], y, f"only {k} papers with citations at t1")
+                    for c, y, k in zip(codes[short].tolist(), years[short].tolist(), sizes[short].tolist()))
+    member = np.flatnonzero(scored[edition])
+    paper_rows = rows[np.sort(edition[member] * n + member) % n]   # by edition, then id
+    return ZReport(list(map(names.__getitem__, codes[scored].tolist())), years[scored], m, z_nid, z_cite,
+                   skipped, t1, t2, corpus.paper_ids, paper_rows)
 
 
 @dataclass(frozen=True)
@@ -339,14 +383,15 @@ def tot_experiment(
         raise ValueError(f"pct must be in (0, 1], got {pct}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    codes, years, offsets, members = _editions(corpus)
-    edition = {(corpus.venue_names[c], y): k for k, (c, y) in enumerate(zip(codes.tolist(), years.tolist()))}
+    codes, years, rows, edition = _editions(corpus)
+    names = corpus.venue_names
+    lookup = {(names[c], y): k for k, (c, y) in enumerate(zip(codes.tolist(), years.tolist()))}
     ids = corpus.paper_ids
     awardees = sorted(set(awardees))
     reasons: dict[int, str] = {}
     found: list[tuple[int, int]] = []   # (edition, row of the awardee)
     for i, (pid, venue, year) in enumerate(awardees):
-        k = edition.get((venue, year))
+        k = lookup.get((venue, year))
         if k is None:
             reasons[i] = f"no papers for venue {venue!r} in {year}"
         elif not corpus.has_paper(pid) or (corpus.record(pid).venue, corpus.year(pid)) != (venue, year):
@@ -354,41 +399,47 @@ def tot_experiment(
         else:
             found.append((k, corpus.row(pid)))
     picks, awardee = np.array(found, np.int64).reshape(-1, 2).T
-    at, case = _runs(offsets, picks)
-    rows = members[at]
-    cutoff = years[picks] + _clip(corpus, horizon)
+    keep = np.isin(edition, picks)
+    rows, edition = rows[keep], edition[keep]
+    cutoff = years[edition] + _clip(corpus, horizon)
     table = paper_years(corpus, rows)
-    counts = table.counts(rows, cutoff[case])
-    # each cohort by citations; `rows` are positions in id order, so they break ties by id
-    order = np.lexsort((rows, -counts, case))
-    rows, case, counts = rows[order], case[order], counts[order]
-    mine = rows == awardee[case]   # one per case, in case order
-    cited = counts[mine] > 0
-    sizes = offsets[picks + 1] - offsets[picks]
-    rank = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[case]
-    top_k = np.array([math.ceil(pct * size) for size in sizes.tolist()], np.int64)
+    counts = table.counts(rows, cutoff)
+    # each cohort by citations; `rows` ascend, so the stable sort breaks ties by id
+    order = np.lexsort((-counts, edition))
+    sizes = np.bincount(edition, minlength=len(codes))
+    rank = np.empty(len(rows), np.int64)
+    rank[order] = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[edition[order]]
+    top_k = np.ceil(pct * sizes).astype(np.int64)
+    top = (rank < top_k[edition]) & (counts > 0)
+    mine = np.searchsorted(rows, awardee)   # each case's awardee
     # every competitor outranks an awardee that is only force-included
-    rank_cite = np.minimum(rank[mine], top_k) + 1
-    rival = mine | ((rank < top_k[case]) & (counts > 0))
-    rows, case, mine = rows[rival], case[rival], mine[rival]
-    _, nid = table.nids(corpus, rows, cutoff[case], tie=tie, seed=seed)
-    own_nid, own_row = nid[mine][case], rows[mine][case]
-    ahead = (nid < own_nid) | ((nid == own_nid) & (rows < own_row))
+    rank_cite = np.minimum(rank[mine], top_k[picks]) + 1
+    rival = top.copy()
+    rival[mine] = True
+    nid = np.full(len(rows), np.nan)
+    nid[rival] = table.nids(corpus, rows[rival], cutoff[rival], tie=tie, seed=seed)[1]
+    # each case's competitors, in citation order
+    tops = order[top[order]]
+    at, case = _runs(np.r_[0, np.cumsum(np.bincount(edition[tops], minlength=len(codes)))], picks)
+    at, own = tops[at], mine[case]
+    ahead = (nid[at] < nid[own]) | ((nid[at] == nid[own]) & (rows[at] < rows[own]))
     rank_nid = np.bincount(case[ahead], minlength=len(picks)) + 1
     bounds = np.r_[0, np.cumsum(np.bincount(case, minlength=len(picks)))].tolist()
-    results = zip(bounds, bounds[1:], sizes.tolist(), cited.tolist(), rank_cite.tolist(), rank_nid.tolist())
-    rows = rows.tolist()
+    results = zip(bounds, bounds[1:], rows[mine].tolist(), (~top[mine]).tolist(), sizes[picks].tolist(),
+                  (counts[mine] > 0).tolist(), rank_cite.tolist(), rank_nid.tolist())
+    competitors = rows[at].tolist()
     cases: list[ToTCase] = []
     skipped: list[tuple[str, str]] = []
     for i, (pid, venue, year) in enumerate(awardees):
         if i in reasons:
             skipped.append((pid, reasons[i]))
             continue
-        lo, hi, size, ok, by_cite, by_nid = next(results)
+        lo, hi, row, below, size, ok, by_cite, by_nid = next(results)
         if not ok:
             skipped.append((pid, f"awardee has no citations at horizon {year + horizon}"))
         else:
-            cases.append(ToTCase(pid, venue, year, size, tuple(map(ids.__getitem__, rows[lo:hi])), by_cite, by_nid))
+            rivals = competitors[lo:hi] + [row] * below
+            cases.append(ToTCase(pid, venue, year, size, tuple(map(ids.__getitem__, rivals)), by_cite, by_nid))
     return ToTReport(tuple(cases), tuple(skipped), horizon, pct)
 
 
@@ -451,9 +502,8 @@ def corpus_stats(
 # ---------------------------------------------------------------------------
 
 def write_venues_csv(report: ZReport, path) -> None:
-    write_csv(path, ("venue", "year", "n_papers", "z_nid", "z_cite", "z_diff"), (
-        (v.venue, v.year, len(v.paper_ids), v.z_nid, v.z_cite, v.z_diff) for v in report.venues
-    ))
+    write_csv_columns(path, ("venue", "year", "n_papers", "z_nid", "z_cite", "z_diff"), report.venue,
+                      (report.year, report.n_papers, report.z_nid, report.z_cite, report.z_cite - report.z_nid))
 
 
 def write_tot_csv(report: ToTReport, path) -> None:

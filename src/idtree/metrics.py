@@ -232,16 +232,20 @@ class PaperYears:
         """Tabulate the papers at `rows` (sorted, distinct), replacing the table."""
         citer, paper, depth, parent, self.tied = _edge_trees(corpus, rows)
         keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
-        # a citation's first child is its child of smallest key, so of the earliest year
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        slot = np.empty(len(keys), np.int64)
+        slot[order] = np.arange(len(keys))
+        # a citation's first child is its child of smallest slot, so of the
+        # earliest year; the sums are read only between runs of equal keys, so
+        # where a delta lands inside its run does not matter
         child = np.flatnonzero(parent >= 0)
         never = np.iinfo(np.int64).max
         first = np.full(len(keys), never)
-        np.minimum.at(first, parent[child], keys[child])
+        np.minimum.at(first, parent[child], slot[child])
         gone = np.flatnonzero(first < never)
-        self.keys = np.sort(keys)
         # +depth where a citer comes in, -depth where its first child does
-        at = np.searchsorted(self.keys, np.r_[keys, first[gone]])
-        delta = np.bincount(at, weights=np.r_[depth, -depth[gone]], minlength=len(keys))
+        delta = np.bincount(np.r_[slot, first[gone]], weights=np.r_[depth, -depth[gone]], minlength=len(keys))
         self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
         self.offsets = np.searchsorted(self.keys, np.arange(len(self.covered) + 1, dtype=np.int64) * self.stride)
         self.covered[:] = False

@@ -303,8 +303,17 @@ def _assert_citers_match_lexsort(corpus):
     assert corpus.citers.dtype == np.int32
     assert corpus.citers.tolist() == src[np.lexsort((src, years[src], dst))].tolist()
     assert corpus.citer_offsets.tolist() == np.searchsorted(np.sort(dst), np.arange(n + 1)).tolist()
+    # editions: distinct (venue, year) keys in order; each paper with a venue
+    # in row order, and grouped by edition it is in id order within each
     rows = np.flatnonzero(corpus.venues >= 0)
-    assert _editions(corpus)[3].tolist() == rows[np.lexsort((rows, years[rows], corpus.venues[rows]))].tolist()
+    codes, edition_years, members, edition = _editions(corpus)
+    keys = list(zip(codes.tolist(), edition_years.tolist()))
+    assert keys == sorted(set(keys))
+    assert members.tolist() == rows.tolist()
+    assert codes[edition].tolist() == corpus.venues[rows].tolist()
+    assert edition_years[edition].tolist() == years[rows].tolist()
+    grouped = members[np.argsort(edition, kind="stable")]
+    assert grouped.tolist() == rows[np.lexsort((rows, years[rows], corpus.venues[rows]))].tolist()
 
 
 @settings(max_examples=150, deadline=None,
