@@ -113,9 +113,9 @@ class CitationCorpus:
     position in `paper_ids`.  Per row the corpus stores `years` (int32) and
     `venues`, a code into the sorted `venue_names` (-1 for no venue).  Edges
     are (citing, cited) pairs, kept as two CSR layouts (an offset array plus
-    an index array of rows): `citer_offsets`/`citers`, each paper's citers
-    ordered by (year, row), and `ref_offsets`/`refs`, its references in row
-    order.  The methods taking id strings are views of these arrays.
+    an index array of rows): `citer_offsets`/`citers`, each paper's citers,
+    and `ref_offsets`/`refs`, its references, both in row order.  The
+    methods taking id strings are views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
     naming each nonzero counter, on anything `ingest` would drop; papers
@@ -158,7 +158,7 @@ class CitationCorpus:
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
         self.years, self.venues, self.refs = years, venues, dst
         self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
-        self.citers = sort_by_year(years, dst, src).astype(np.int32)
+        self.citers = (np.sort(dst.astype(np.int64) * n + src) % n).astype(np.int32)   # below n**2 < 2**62
         self.citer_offsets = np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
         for a in (self.years, self.venues, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
             a.flags.writeable = False
@@ -203,7 +203,7 @@ class CitationCorpus:
         return int(self.years[self.row(paper_id)])
 
     def citations_of(self, paper_id: str) -> tuple[str, ...]:
-        """Ids of papers citing `paper_id`, ordered by (year, id)."""
+        """Ids of papers citing `paper_id`, sorted."""
         return self._names(self._slice(self.citer_offsets, self.citers, self.row(paper_id)))
 
     def citation_count(self, paper_id: str) -> int:
@@ -237,32 +237,33 @@ class CitationCorpus:
         return snap
 
 
-def sort_by_year(years: np.ndarray, group: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`rows` ordered by (`group`, year of the row, row): one sort of the int64 keys
-    ``group * n + rank``, where `rank` orders the n rows by (year, row), itself
-    one sort of ``(year - first year) * n + row`` (below 2**32 * n, so exact)."""
-    n = len(years)
-    years = years.astype(np.int64)
-    order = np.sort((years - years.min(initial=YEAR_MAX)) * n + np.arange(n)) % n
-    rank = np.empty(n, np.int64)
-    rank[order] = np.arange(n)
-    return order[np.sort(group.astype(np.int64) * n + rank[rows]) % n]
+def _valid_records(items: Iterable, report: IngestReport) -> Iterator[tuple[str, int, str | None]]:
+    """The (id, year, venue) of each well-formed record among `items`, which all count
+    in `papers_in`; the others count in `malformed_papers`."""
+    for item in items:
+        report.papers_in += 1
+        pid = year = venue = None
+        if isinstance(item, PaperRecord):
+            pid, year, venue = item.id, item.year, item.venue
+        elif isinstance(item, dict):
+            pid, year, venue = item.get("id"), item.get("year"), item.get("venue")
+        if (isinstance(pid, str) and pid and isinstance(year, int) and not isinstance(year, bool)
+                and YEAR_MIN <= year <= YEAR_MAX and (venue is None or isinstance(venue, str))):
+            yield pid, year, venue
+        else:
+            report.malformed_papers += 1
 
 
-def _coerce_record(item) -> tuple[str, int, str | None] | None:
-    if isinstance(item, PaperRecord):
-        pid, year, venue = item.id, item.year, item.venue
-    elif isinstance(item, dict):
-        pid, year, venue = item.get("id"), item.get("year"), item.get("venue")
-    else:
-        return None
-    if not isinstance(pid, str) or not pid:
-        return None
-    if isinstance(year, bool) or not isinstance(year, int) or not YEAR_MIN <= year <= YEAR_MAX:
-        return None
-    if venue is not None and not isinstance(venue, str):
-        return None
-    return pid, year, venue
+def _valid_edges(items: Iterable, report: IngestReport) -> Iterator[tuple[str, str]]:
+    """Each (citing, cited) pair of non-empty strings among `items`; the others count
+    in `malformed_edges`."""
+    for item in items:
+        if isinstance(item, (tuple, list)) and len(item) == 2:
+            citing, cited = item
+            if isinstance(citing, str) and isinstance(cited, str) and citing and cited:
+                yield citing, cited
+                continue
+        report.malformed_edges += 1
 
 
 def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
@@ -313,13 +314,11 @@ def _read(records: Iterable, edges: Iterable):
         return _read_files(records.path, edges.path)
     report = IngestReport()
     recs: dict[str, tuple[int, str | None]] = {}
-    for item in records:
-        report.papers_in += 1
-        rec = _coerce_record(item)
-        if rec is None or rec[0] in recs:
+    for pid, year, venue in _valid_records(records, report):
+        if pid in recs:
             report.malformed_papers += 1
         else:
-            recs[rec[0]] = rec[1:]
+            recs[pid] = year, venue
     ids = sorted(recs)
     codes = dict(zip(ids, range(len(ids))))
     venue_codes: dict[str, int] = {}
@@ -329,14 +328,9 @@ def _read(records: Iterable, edges: Iterable):
         venues.append(_venue_code(venue_codes, venue))
     ends = array("q")
     code, push = codes.setdefault, ends.append
-    for item in edges:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            citing, cited = item
-            if isinstance(citing, str) and isinstance(cited, str) and citing and cited:
-                push(code(citing, len(codes)))
-                push(code(cited, len(codes)))
-                continue
-        report.malformed_edges += 1
+    for citing, cited in _valid_edges(edges, report):
+        push(code(citing, len(codes)))
+        push(code(cited, len(codes)))
     report.edges_in = report.malformed_edges + len(ends) // 2
     return (report, ids, np.frombuffer(years, np.int64), np.frombuffer(venues, np.int64),
             list(venue_codes), np.frombuffer(ends, np.int64))
@@ -630,13 +624,9 @@ def _file_records(path, report: IngestReport):
         rest = _META_LINE.sub(b"", block)   # empties the lines of a common shape
         _, rest_start, rest_stop = _lines(rest)
         for i in np.flatnonzero(rest_stop > rest_start).tolist():
-            for item in _meta_items(io.StringIO(rest[rest_start[i]:rest_stop[i]].decode(), newline=None)):
-                report.papers_in += 1
-                rec = _coerce_record(item)
-                if rec is None:
-                    report.malformed_papers += 1
-                else:
-                    odd.append((rec[0], rec[1], _venue_code(venue_codes, rec[2]), line + i))
+            items = _meta_items(io.StringIO(rest[rest_start[i]:rest_stop[i]].decode(), newline=None))
+            for pid, year, venue in _valid_records(items, report):
+                odd.append((pid, year, _venue_code(venue_codes, venue), line + i))
         a, start, stop = _lines(block)
         rows = np.flatnonzero((rest_stop == rest_start) & (stop > start))
         start, stop = start[rows], stop[rows]
@@ -699,12 +689,8 @@ def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray
         odd = np.flatnonzero(~fast).tolist()
         if odd:
             text = b"".join([block[start[i]:stop[i] + 1] for i in odd]).decode()
-            ends = []
-            for fields in _edge_fields(io.StringIO(text, newline=None)):
-                if len(fields) == 2 and all(fields):
-                    ends += (f.encode() for f in fields)
-                else:
-                    report.malformed_edges += 1
+            ends = [f.encode() for pair in _valid_edges(_edge_fields(io.StringIO(text, newline=None)), report)
+                    for f in pair]
             lens = np.fromiter(map(len, ends), np.int64, len(ends))
             yield b"\n".join(ends), np.cumsum(lens + 1) - lens - 1, lens
 

@@ -148,7 +148,7 @@ def fractional_gain_list(
     scores: dict[str, float] = {}
     excluded: list[str] = []
     for pid in sorted(set(paper_ids)):
-        years = list(map(corpus.year, corpus.citations_of(pid)))   # in year order
+        years = sorted(map(corpus.year, corpus.citations_of(pid)))
         c1 = bisect_right(years, pub_year + t1)
         if c1 == 0:
             excluded.append(pid)

@@ -209,27 +209,19 @@ class PaperYears:
     the IDI after their n-th citer from their full tree, built once per
     seed: the snapshot tree draws the same ties in the same order.
 
-    The table covers the papers it was built for; `paper_years` rebuilds it
-    over the union when asked for more.  It holds no reference to its
-    corpus, which is passed in where one is needed.
+    The table covers the papers it was built for; `paper_years` replaces it
+    with one over the union when asked for more.  It holds no reference to
+    its corpus, which is passed in where one is needed.
     """
 
-    def __init__(self, corpus):
+    def __init__(self, corpus, rows: np.ndarray):
+        """Tabulate the papers at `rows` (sorted, distinct)."""
         n = len(corpus)
         # a citation into P by a citer of year Y has the key
         # P * stride + Y - first_year + 1, strictly inside P's stride;
         # int32 years keep the stride below 2**32 + 2
         self.first_year, last = corpus.year_range() if n else (0, 0)
         self.stride = last - self.first_year + 2
-        self.covered = np.zeros(n, bool)
-        self.tied = np.zeros(n, bool)
-        self.keys = np.empty(0, np.int64)
-        self.offsets = np.zeros(n + 1, np.int64)
-        self.idi_sums = np.zeros(1, np.int64)
-        self.drawn: dict[int, dict[int, list[int]]] = {}
-
-    def build(self, corpus, rows: np.ndarray) -> None:
-        """Tabulate the papers at `rows` (sorted, distinct), replacing the table."""
         citer, paper, depth, parent, self.tied = _edge_trees(corpus, rows)
         keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
         order = np.argsort(keys)
@@ -247,9 +239,10 @@ class PaperYears:
         # +depth where a citer comes in, -depth where its first child does
         delta = np.bincount(np.r_[slot, first[gone]], weights=np.r_[depth, -depth[gone]], minlength=len(keys))
         self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
-        self.offsets = np.searchsorted(self.keys, np.arange(len(self.covered) + 1, dtype=np.int64) * self.stride)
-        self.covered[:] = False
+        self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
+        self.covered = np.zeros(n, bool)
         self.covered[rows] = True
+        self.drawn: dict[int, dict[int, list[int]]] = {}
 
     def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
         """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
@@ -280,17 +273,16 @@ class PaperYears:
 
 
 def paper_years(corpus, rows) -> PaperYears:
-    """The corpus's `PaperYears`, first built or extended so it covers `rows`.
+    """The corpus's `PaperYears`, covering at least `rows`.
 
-    A table built earlier for the same corpus is kept and reused; asked for
-    papers it lacks, it is rebuilt over those and the ones it had.
+    A table built earlier for the same corpus is reused; asked for papers it
+    lacks, it is replaced with one over those and the ones it had.
     """
-    table = _TIMELINES.get(corpus)
-    if table is None:
-        table = _TIMELINES[corpus] = PaperYears(corpus)
     rows = np.asarray(rows, np.int64)
-    if not table.covered[rows].all():
-        table.build(corpus, np.union1d(np.flatnonzero(table.covered), rows))
+    table = _TIMELINES.get(corpus)
+    if table is None or not table.covered[rows].all():
+        had = rows[:0] if table is None else np.flatnonzero(table.covered)
+        table = _TIMELINES[corpus] = PaperYears(corpus, np.union1d(had, rows))
     return table
 
 
@@ -446,19 +438,17 @@ def corpus_metrics(
     """Metrics for every paper with at least one citation, once each, as columns sorted by id.
 
     All trees are scored together by `_dispersion`; under ``tie="random"``
-    only the papers with a depth tie are rebuilt one by one through
-    `paper_metrics`, which draws their ties, and their IDI and NID are
-    written back into the columns.  `jobs` is ignored; it stays because
-    ``bench/workloads.py`` times a second round with ``jobs=2``.
+    only the papers with a depth tie are rebuilt one by one, drawing their
+    ties, and their IDI is written back into the column.  `jobs` is ignored;
+    it stays because ``bench/workloads.py`` times a second round with ``jobs=2``.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     cited, n, depth, breadth, value, tied = _dispersion(corpus, paper_ids)
-    hi, nid = _checked_nids(n, value)
     if tie == "random":
         for i in np.flatnonzero(tied).tolist():
-            report = paper_metrics(corpus, cited[i], tie=tie, seed=seed)
-            value[i], nid[i] = report.idi, report.nid
+            value[i] = _sweep(_build_tree(build_idg(corpus, cited[i]), tie, seed))[0][-1]
+    hi, nid = _checked_nids(n, value)
     return CorpusMetrics(cited, n, depth, breadth, value, hi, nid)
 
 

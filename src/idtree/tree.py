@@ -141,7 +141,7 @@ def build_idg(corpus, paper_id: str) -> InfluenceGraph:
 
     A paper with no citations yields a valid single-node graph.
     """
-    citers = tuple(sorted(corpus.citations_of(paper_id)))
+    citers = corpus.citations_of(paper_id)
     citer_set = frozenset(citers)
     cited_within = {v: citer_set.intersection(corpus.references_of(v)) for v in citers}
     years = {v: corpus.year(v) for v in citers}

@@ -404,11 +404,11 @@ class TestSnapshotTimeline:
         a, b = rows[::3], rows[1::5]
         table = metrics_mod.paper_years(corpus, a)
         assert np.array_equal(np.flatnonzero(table.covered), a)
-        assert metrics_mod.paper_years(corpus, b) is table
+        table = metrics_mod.paper_years(corpus, b)
+        assert metrics_mod._TIMELINES[corpus] is table
         both = np.union1d(a, b)
         assert np.array_equal(np.flatnonzero(table.covered), both)
-        whole = metrics_mod.PaperYears(corpus)
-        whole.build(corpus, rows)
+        whole = metrics_mod.PaperYears(corpus, rows)
         for cutoff in range(1989, 2007):
             for tie in ("min-id", "random"):
                 got = table.nids(corpus, both, cutoff, tie=tie, seed=3)
