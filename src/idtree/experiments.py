@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -238,20 +239,31 @@ class ZReport:
         return out
 
 
+# corpus -> its `_editions`.  Weakly keyed, as `metrics._TIMELINES` is, so
+# the arrays are freed with their corpus.
+_EDITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The corpus's (venue, year) editions in sorted order, and each paper's.
 
     Returns each edition's venue code and year, then the rows of the papers
     with a venue, ascending (so in id order), and each one's edition.  The
     venue string already identifies one series+year edition, so the year in
-    the key only guards against inconsistent metadata.
+    the key only guards against inconsistent metadata.  Computed once per
+    corpus; the arrays are read-only.
     """
-    rows = np.flatnonzero(corpus.venues >= 0)
-    year = corpus.years[rows].astype(np.int64)
-    first, span = (int(year.min()), int(np.ptp(year)) + 1) if len(rows) else (0, 1)
-    # below 2**31 * 2**32, so exact
-    keys, edition = np.unique(corpus.venues[rows].astype(np.int64) * span + (year - first), return_inverse=True)
-    return keys // span, keys % span + first, rows, edition
+    found = _EDITIONS.get(corpus)
+    if found is None:
+        rows = np.flatnonzero(corpus.venues >= 0)
+        year = corpus.years[rows].astype(np.int64)
+        first, span = (int(year.min()), int(np.ptp(year)) + 1) if len(rows) else (0, 1)
+        # below 2**31 * 2**32, so exact
+        keys, edition = np.unique(corpus.venues[rows].astype(np.int64) * span + (year - first), return_inverse=True)
+        found = _EDITIONS[corpus] = (keys // span, keys % span + first, rows, edition)
+        for array in found:
+            array.flags.writeable = False
+    return found
 
 
 def _clip(corpus: CitationCorpus, horizon: int) -> int:

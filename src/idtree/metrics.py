@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import compress, starmap
 
 import numpy as np
 
@@ -292,8 +292,8 @@ _BLOCK = 1 << 17
 
 
 def _segments(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start of each run of equal values in a sorted array."""
-    return np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    """Start of each run of equal values in a sorted array; none in an empty one."""
+    return np.flatnonzero(np.r_[len(sorted_keys) > 0, sorted_keys[1:] != sorted_keys[:-1]])
 
 
 def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +319,13 @@ def _edge_trees(corpus, rows: np.ndarray):
     and (v, u) with (u, P) an edge too: u is then a candidate parent of v in
     P's tree.  A citer's depth is one more than its deepest candidate's (1
     without one), and its parent is the smallest-id candidate one level up.
+
+    Most pairs (v, P), (v, u) have no edge (u, P).  64-bit row signatures,
+    a Bloom filter over each paper's references, reject most of them before
+    the exact probe: bit P % 64 must be set in the signature of u and in
+    the OR of the signatures of v's references.  A filter never rejects a
+    true edge, so the result does not depend on it; it only passes more
+    pairs where references crowd the 64 bits.
     """
     size = len(corpus)
     wanted, involved = np.zeros(size, bool), np.zeros(size, bool)
@@ -331,21 +338,31 @@ def _edge_trees(corpus, rows: np.ndarray):
     keys = (citing[pick].astype(np.int64) * size + dst)[involved[dst]]   # only references among the papers involved
     del citing, involved, at, pick
 
-    # each citer's edges are one run of keys: lo is its start, partners its length - 1
     citing = keys // size
     dst = (keys - citing * size).astype(np.int32)
-    heads = _segments(citing)
+    heads = _segments(citing)   # each citer's edges are one run of keys
+    # signatures: bit x % 64 of sig[u] is set when u cites some x, and of
+    # reach[v] when one of v's references does
+    low = (dst & 63).astype(np.uint8)
+    one = np.uint64(1)
+    sig = np.zeros(size, np.uint64)
+    sig[citing[heads]] = np.bitwise_or.reduceat(one << low, heads)
+    reach = np.zeros(size, np.uint64)
+    reach[citing[heads]] = np.bitwise_or.reduceat(sig[dst], heads)
+    linked = (reach[citing] >> low) & one > 0
+    del citing, reach
+    # per edge: lo is the start of its citer's run, partners the run's length - 1
     sizes = np.diff(np.r_[heads, len(keys)])
     lo = np.repeat(heads.astype(np.int32), sizes)
     partners = np.repeat(sizes.astype(np.int32) - 1, sizes)
     year = corpus.years[dst]
-    del citing, heads, sizes
-    # Expand each (v, P) into its pairs with v's other edges (v, u), block
-    # by block, and probe for (u, P) by its key.  Only a u published no
-    # earlier than P can cite it, so the other pairs are dropped unprobed;
-    # the probes are searched in key order and their hits put back in
-    # (v, P), u order.
-    child = np.flatnonzero(wanted[dst] & (partners > 0)).astype(np.int32)
+    child = np.flatnonzero(wanted[dst] & (partners > 0) & linked).astype(np.int32)
+    del heads, sizes, linked
+    # Expand each child edge (v, P) into its pairs with v's other edges
+    # (v, u), block by block, and probe for (u, P) by its key.  Only a u
+    # published no earlier than P, with bit P % 64 in its signature, can
+    # cite P, so the other pairs are dropped unprobed; the probes are
+    # searched in key order and their hits put back in (v, P), u order.
     counts = partners[child].astype(np.int64)
     ends = np.cumsum(counts)
     tri_child, tri_parent = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
@@ -356,7 +373,7 @@ def _edge_trees(corpus, rows: np.ndarray):
         e1 = np.repeat(child[start:stop], k)
         e2 = lo[e1] + (np.arange(len(e1), dtype=np.int32) - np.repeat((np.cumsum(k) - k).astype(np.int32), k))
         e2 += e2 >= e1
-        keep = year[e2] >= year[e1]
+        keep = np.flatnonzero((year[e2] >= year[e1]) & ((sig[dst[e2]] >> low[e1]) & one > 0))
         e1, e2 = e1[keep], e2[keep]
         probe = dst[e2].astype(np.int64) * size + dst[e1]
         order = np.argsort(probe)
@@ -367,28 +384,27 @@ def _edge_trees(corpus, rows: np.ndarray):
         tri_child.append(e1[order[hit]])
         tri_parent.append(pos[hit])
         start = stop
-    del lo, partners, year, child, counts, ends
+    del lo, partners, year, low, sig, child, counts, ends
 
     depth = np.ones(len(keys), np.int32)
     parent = np.full(len(keys), -1, np.int32)
     tied = np.zeros(size, bool)
     tri_child = np.concatenate(tri_child)   # sorted: blocks go by child edge
     tri_parent = np.concatenate(tri_parent)
-    if len(tri_child):
-        heads = _segments(tri_child)
-        kids = tri_child[heads]
-        while True:
-            deeper = np.maximum.reduceat(depth[tri_parent], heads) + 1
-            if np.array_equal(deeper, depth[kids]):
-                break
-            depth[kids] = deeper
-        # Candidates one level up: the first (smallest u, so smallest key)
-        # is the parent, and two or more make a tie.
-        up = depth[tri_parent] == depth[tri_child] - 1
-        tri_child, tri_parent = tri_child[up], tri_parent[up]
-        heads = _segments(tri_child)
-        parent[tri_child[heads]] = tri_parent[heads]
-        tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
+    heads = _segments(tri_child)
+    kids = tri_child[heads]
+    while True:
+        deeper = np.maximum.reduceat(depth[tri_parent], heads) + 1
+        if np.array_equal(deeper, depth[kids]):
+            break
+        depth[kids] = deeper
+    # Candidates one level up: the first (smallest u, so smallest key)
+    # is the parent, and two or more make a tie.
+    up = depth[tri_parent] == depth[tri_child] - 1
+    tri_child, tri_parent = tri_child[up], tri_parent[up]
+    heads = _segments(tri_child)
+    parent[tri_child[heads]] = tri_parent[heads]
+    tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
 
     into = np.flatnonzero(wanted[dst])   # a parent's citation goes into the same paper
     renumber = np.cumsum(wanted[dst]) - 1
@@ -415,16 +431,16 @@ def _dispersion(corpus, paper_ids=None):
     idi_sum = np.bincount(paper[leaf], weights=level[leaf], minlength=size).astype(np.int64)  # exact below 2**53
     deepest = np.zeros(size, np.int64)
     widest = np.zeros(size, np.int64)
-    if len(paper):
-        # one cell per (paper, level), counted; the stride is the deepest level + 1
-        stride = int(level.max()) + 1
-        cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
-        heads = _segments(cells // stride)
-        owner = cells[heads] // stride
-        deepest[owner] = np.maximum.reduceat(cells % stride, heads)
-        widest[owner] = np.maximum.reduceat(width, heads)
-    rows = np.flatnonzero(n)
-    return list(map(corpus.paper_ids.__getitem__, rows.tolist())), n[rows], deepest[rows], widest[rows], idi_sum[rows], tied[rows]
+    # one cell per (paper, level), counted; the stride is the deepest level + 1
+    stride = int(level.max(initial=0)) + 1
+    cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
+    heads = _segments(cells // stride)
+    owner = cells[heads] // stride
+    deepest[owner] = np.maximum.reduceat(cells % stride, heads)
+    widest[owner] = np.maximum.reduceat(width, heads)
+    cited = n > 0
+    return (list(compress(corpus.paper_ids, cited.tolist())), n[cited], deepest[cited], widest[cited],
+            idi_sum[cited], tied[cited])
 
 
 def corpus_metrics(

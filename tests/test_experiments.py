@@ -472,14 +472,19 @@ class TestTableMemo:
         z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
         tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
         assert corpus in metrics_mod._TIMELINES
+        # both experiments read one read-only set of editions
+        editions = experiments_mod._EDITIONS[corpus]
+        assert experiments_mod._editions(corpus) is editions
+        assert not any(array.flags.writeable for array in editions)
+        del editions
         assert pickle.dumps(corpus) == blob
-        gc.collect()  # so only this corpus can leave the memo below
-        entries = len(metrics_mod._TIMELINES)
+        gc.collect()  # so only this corpus can leave the memos below
+        entries = len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert len(metrics_mod._TIMELINES) == entries - 1
+        assert (len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)) == (entries[0] - 1, entries[1] - 1)
 
 
 class TestZExperiment:

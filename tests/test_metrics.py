@@ -295,6 +295,69 @@ def _per_paper(view, ids, tie, seed):
     return [r for r in reports if r is not None]
 
 
+def _assert_tie_flags(view, ids):
+    """`_dispersion` flags a depth tie exactly where the per-paper build draws one."""
+    drawn = []
+    default_rng = np.random.default_rng
+    with mock.patch.object(np.random, "default_rng",
+                           lambda seed=None: drawn.append(bytes(seed[1:]).decode()) or default_rng(seed)):
+        _per_paper(view, ids, "random", 1)
+    cited, *_, tied = metrics_mod._dispersion(view, sorted(set(ids)))
+    assert sorted(drawn) == [pid for pid, flag in zip(cited, tied.tolist()) if flag]
+
+
+def _signature_corpus(shape, n_papers, n_years, density, seed):
+    """An acyclic corpus on which the kernel's 64-bit row signatures are weakest.
+
+    Ids sort in position order, so a paper's row is its position.  Each
+    paper cites only papers before it, of its own year or earlier.
+    "saturated": the last eight papers cite every paper before them, so
+    with 72 or more papers their out-degree is at least 64 and every bit of
+    their signatures is set.  "colliding": the papers of a few rows modulo
+    64 draw most citations, so a citer's signature bit for a paper is often
+    set by another paper of the same row modulo 64.
+    """
+    rng = np.random.default_rng(seed)
+    years = np.sort(rng.integers(2000, 2000 + n_years, n_papers))
+    ids = [f"s{k:03d}" for k in range(n_papers)]
+    earlier = np.tril(np.ones((n_papers, n_papers), bool), -1)
+    if shape == "saturated":
+        cites = earlier & (rng.random((n_papers, n_papers)) < density)
+        cites[-8:] = earlier[-8:]
+    else:
+        common = np.isin(np.arange(n_papers) % 64, rng.choice(64, rng.integers(1, 4), replace=False))
+        cites = earlier & (rng.random((n_papers, n_papers)) < np.where(common, density, density / 16))
+    citing, cited = np.nonzero(cites)
+    return CitationCorpus([PaperRecord(pid, int(y)) for pid, y in zip(ids, years)],
+                          [(ids[u], ids[v]) for u, v in zip(citing, cited)])
+
+
+def _naive_edge_trees(corpus, rows):
+    """`_edge_trees` by listing each paper's triangles with sets.
+
+    Citer v of paper P has as candidate parents the citers of P that v
+    cites; its depth is one more than its deepest candidate's, its parent
+    the smallest-row candidate one level up, and two such candidates tie P.
+    """
+    ids = corpus.paper_ids
+    refs = [{corpus.row(x) for x in corpus.references_of(pid)} for pid in ids]
+    citations = sorted((v, p) for p in rows for v in range(len(ids)) if p in refs[v])
+    index = {c: i for i, c in enumerate(citations)}
+    depth, parent, tied = {}, {}, set()
+
+    def deep(v, p):
+        if (v, p) not in depth:
+            candidates = [u for u in refs[v] if (u, p) in index]
+            depth[v, p] = 1 + max((deep(u, p) for u in candidates), default=0)
+            up = sorted(u for u in candidates if depth[u, p] == depth[v, p] - 1)
+            parent[v, p] = index[up[0], p] if up else -1
+            if len(up) > 1:
+                tied.add(p)
+        return depth[v, p]
+
+    return [(v, p, deep(v, p), parent[v, p]) for v, p in citations], sorted(tied)
+
+
 class TestDispersionKernel:
     """`corpus_metrics` scores all trees at once; `paper_metrics` is the oracle."""
 
@@ -308,14 +371,7 @@ class TestDispersionKernel:
             ids = view.paper_ids if requested is None else requested
             for tie, seed in (("min-id", 0), ("random", 1), ("random", 2)):
                 assert list(corpus_metrics(view, requested, tie=tie, seed=seed)) == _per_paper(view, ids, tie, seed)
-            # flagged as tied exactly where the per-paper build draws a tie
-            drawn = []
-            default_rng = np.random.default_rng
-            with mock.patch.object(np.random, "default_rng",
-                                   lambda seed=None: drawn.append(bytes(seed[1:]).decode()) or default_rng(seed)):
-                _per_paper(view, ids, "random", 1)
-            cited, *_, tied = metrics_mod._dispersion(view, sorted(set(ids)))
-            assert sorted(drawn) == [pid for pid, flag in zip(cited, tied.tolist()) if flag]
+            _assert_tie_flags(view, ids)
 
     @settings(max_examples=60, deadline=None)
     @given(n_papers=st.integers(2, 40), n_years=st.integers(1, 3), density=st.floats(0.05, 0.6),
@@ -338,6 +394,43 @@ class TestDispersionKernel:
             for tie, seed in (("min-id", 0), ("random", 1)):
                 assert list(corpus_metrics(view, requested, tie=tie, seed=seed)) == _per_paper(
                     view, ids_scored, tie, seed)
+
+    @settings(max_examples=12, deadline=None)
+    @given(shape=st.sampled_from(["saturated", "colliding"]), n_papers=st.integers(72, 200),
+           n_years=st.integers(1, 3), density=st.floats(0.05, 0.6), corpus_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_weak_signatures_match_per_paper_trees(self, shape, n_papers, n_years, density, corpus_seed, data):
+        # more than 64 papers, so the kernel's 64-bit signatures are full or collide
+        corpus = _signature_corpus(shape, n_papers, n_years, density, corpus_seed)
+        if shape == "saturated":
+            assert max(len({corpus.row(x) % 64 for x in corpus.references_of(pid)}) for pid in corpus.paper_ids) == 64
+        subset = data.draw(st.lists(st.sampled_from(corpus.paper_ids), max_size=30))
+        for requested in (None, subset):
+            ids = corpus.paper_ids if requested is None else requested
+            for tie, seed in (("min-id", 0), ("random", 1)):
+                assert list(corpus_metrics(corpus, requested, tie=tie, seed=seed)) == _per_paper(
+                    corpus, ids, tie, seed)
+            _assert_tie_flags(corpus, ids)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(["random", "saturated", "colliding"]), n_papers=st.integers(2, 150),
+           corpus_seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_edge_trees_match_naive_triangles(self, shape, n_papers, corpus_seed, data):
+        if shape == "random":
+            corpus = gen_random_corpus(n_papers, years=(1990, 2005), mean_refs=3, followup=0.5,
+                                       seed=corpus_seed % 10_000)
+        else:
+            corpus = _signature_corpus(shape, max(n_papers, 72), 2, 0.3, corpus_seed)
+        rows = np.unique(data.draw(st.lists(st.integers(0, max(len(corpus) - 1, 0)), max_size=len(corpus))))
+        citer, paper, depth, parent, tied = metrics_mod._edge_trees(corpus, rows.astype(np.int64))
+        want, want_tied = _naive_edge_trees(corpus, rows.tolist())
+        assert list(zip(citer.tolist(), paper.tolist(), depth.tolist(), parent.tolist())) == want
+        assert np.flatnonzero(tied).tolist() == want_tied
+
+    def test_segments_of_empty_and_single_arrays(self):
+        assert metrics_mod._segments(np.array([], np.int64)).tolist() == []
+        assert metrics_mod._segments(np.array([7])).tolist() == [0]
+        assert metrics_mod._segments(np.array([3, 3, 5, 9, 9, 9])).tolist() == [0, 2, 3]
 
     def test_requested_papers_all_uncited(self):
         corpus = gen_random_corpus(300, years=(1990, 2005), seed=4)
