@@ -346,7 +346,9 @@ def _edge_trees(corpus, rows: np.ndarray):
     low = (dst & 63).astype(np.uint8)
     one = np.uint64(1)
     sig = np.zeros(size, np.uint64)
-    sig[citing[heads]] = np.bitwise_or.reduceat(one << low, heads)
+    # dtype pins the shift to uint64: numpy 1's value-based casting would
+    # demote the scalar to uint8 and lose every bit from 8 up
+    sig[citing[heads]] = np.bitwise_or.reduceat(np.left_shift(one, low, dtype=np.uint64), heads)
     reach = np.zeros(size, np.uint64)
     reach[citing[heads]] = np.bitwise_or.reduceat(sig[dst], heads)
     linked = (reach[citing] >> low) & one > 0
