@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CitationCorpus, write_csv, write_csv_columns
-from .metrics import CorpusMetrics, _runs, corpus_metrics, paper_metrics, paper_years
+from .metrics import CorpusMetrics, _runs, corpus_metrics, derived, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -239,11 +238,6 @@ class ZReport:
         return out
 
 
-# corpus -> its `_editions`.  Weakly keyed, as `metrics._TIMELINES` is, so
-# the arrays are freed with their corpus.
-_EDITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The corpus's (venue, year) editions in sorted order, and each paper's.
 
@@ -251,19 +245,19 @@ def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
     with a venue, ascending (so in id order), and each one's edition.  The
     venue string already identifies one series+year edition, so the year in
     the key only guards against inconsistent metadata.  Computed once per
-    corpus; the arrays are read-only.
+    corpus and kept in its `metrics.derived` memo; the arrays are read-only.
     """
-    found = _EDITIONS.get(corpus)
-    if found is None:
+    memo = derived(corpus)
+    if "editions" not in memo:
         rows = np.flatnonzero(corpus.venues >= 0)
         year = corpus.years[rows].astype(np.int64)
         first, span = (int(year.min()), int(np.ptp(year)) + 1) if len(rows) else (0, 1)
         # below 2**31 * 2**32, so exact
         keys, edition = np.unique(corpus.venues[rows].astype(np.int64) * span + (year - first), return_inverse=True)
-        found = _EDITIONS[corpus] = (keys // span, keys % span + first, rows, edition)
-        for array in found:
+        memo["editions"] = (keys // span, keys % span + first, rows, edition)
+        for array in memo["editions"]:
             array.flags.writeable = False
-    return found
+    return memo["editions"]
 
 
 def _clip(corpus: CitationCorpus, horizon: int) -> int:

@@ -192,8 +192,13 @@ def paper_metrics(
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
 
 
-# corpus -> its PaperYears.  Weakly keyed, so a table is freed with its corpus.
-_TIMELINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def derived(corpus) -> dict:
+    """What is derived from `corpus`, kept until it is freed and never pickled: "editions",
+    "years" (its `PaperYears`) and, per seed, ("drawn", seed): tied row -> IDI prefix."""
+    return _DERIVED.setdefault(corpus, {})
 
 
 class PaperYears:
@@ -207,7 +212,7 @@ class PaperYears:
     citers in year order: +depth(v) at v's year, -depth(v) at the year of
     its first child.  Under random ties the papers with a depth tie take
     the IDI after their n-th citer from their full tree, built once per
-    seed: the snapshot tree draws the same ties in the same order.
+    seed and corpus: the snapshot tree draws the same ties in the same order.
 
     The table covers the papers it was built for; `paper_years` replaces it
     with one over the union when asked for more.  It holds no reference to
@@ -242,7 +247,6 @@ class PaperYears:
         self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
         self.covered = np.zeros(n, bool)
         self.covered[rows] = True
-        self.drawn: dict[int, dict[int, list[int]]] = {}
 
     def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
         """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
@@ -261,7 +265,7 @@ class PaperYears:
             raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
         n, value = self._at(rows, years)
         if tie == "random":
-            drawn = self.drawn.setdefault(seed, {})
+            drawn = derived(corpus).setdefault(("drawn", seed), {})
             for i in np.flatnonzero(self.tied[rows] & (n > 0)).tolist():
                 row = int(rows[i])
                 if row not in drawn:
@@ -278,11 +282,11 @@ def paper_years(corpus, rows) -> PaperYears:
     A table built earlier for the same corpus is reused; asked for papers it
     lacks, it is replaced with one over those and the ones it had.
     """
-    rows = np.asarray(rows, np.int64)
-    table = _TIMELINES.get(corpus)
+    table = derived(corpus).get("years")
     if table is None or not table.covered[rows].all():
-        had = rows[:0] if table is None else np.flatnonzero(table.covered)
-        table = _TIMELINES[corpus] = PaperYears(corpus, np.union1d(had, rows))
+        covered = np.zeros(len(corpus), bool) if table is None else table.covered.copy()
+        covered[rows] = True
+        table = derived(corpus)["years"] = PaperYears(corpus, np.flatnonzero(covered))
     return table
 
 
@@ -386,6 +390,7 @@ def _edge_trees(corpus, rows: np.ndarray):
         tri_child.append(e1[order[hit]])
         tri_parent.append(pos[hit])
         start = stop
+        del k, e1, e2, keep, probe, order, pos, hit
     del lo, partners, year, low, sig, child, counts, ends
 
     depth = np.ones(len(keys), np.int32)
@@ -409,10 +414,12 @@ def _edge_trees(corpus, rows: np.ndarray):
     tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
 
     into = np.flatnonzero(wanted[dst])   # a parent's citation goes into the same paper
-    renumber = np.cumsum(wanted[dst]) - 1
+    citer = (keys[into] // size).astype(np.int32)
+    del keys
+    renumber = np.cumsum(wanted[dst], dtype=np.int32) - 1
     parent = parent[into]
     parent[parent >= 0] = renumber[parent[parent >= 0]]
-    return (keys[into] // size).astype(np.int32), dst[into], depth[into], parent, tied
+    return citer, dst[into], depth[into], parent, tied
 
 
 def _dispersion(corpus, paper_ids=None):
@@ -423,10 +430,10 @@ def _dispersion(corpus, paper_ids=None):
     the depths of the citers nobody picked as parent.  `paper_metrics`
     gives the same values per paper.
     """
-    rows = (np.arange(len(corpus)) if paper_ids is None
-            else np.unique(np.fromiter(map(corpus.row, paper_ids), np.int64)))
-    _, paper, level, parent, tied = _edge_trees(corpus, rows)
     size = len(corpus)
+    wanted = np.zeros(size, bool)
+    wanted[slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)] = True
+    _, paper, level, parent, tied = _edge_trees(corpus, np.flatnonzero(wanted))
     leaf = np.ones(len(paper), bool)
     leaf[parent[parent >= 0]] = False
     n = np.bincount(paper, minlength=size)

@@ -198,6 +198,7 @@ class TestUsageErrors:
         ("eval-z", ["--t1", "-3", "--t2", "2"], "t1 must be >= 0, got -3"),
         ("eval-z", ["--years", "2001:2000"], "--years range is empty: '2001:2000'"),
         ("metrics", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("metrics", ["--ids", "P\np1"], "--ids is not one CSV record"),
         ("eval-z", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("synth", ["--kind", "ideal", "--n", "2"], "no equal depth/breadth layout exists for n=2"),
         ("synth", ["--kind", "star", "--n", "0"], "star needs n >= 1"),
@@ -207,7 +208,7 @@ class TestUsageErrors:
         ("synth", ["--kind", "random", "--years", "0:2147483648"], "years must be an int32 range"),
         ("synth", ["--kind", "planted-z", "--t1", "1", "--t2", "3"], "shape depth exceeds t1"),
     ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "z-empty-years",
-            "metrics-negative-seed", "z-negative-seed", "ideal-n-2", "star-n-0",
+            "metrics-negative-seed", "metrics-ids-line-break", "z-negative-seed", "ideal-n-2", "star-n-0",
             "broom-k-9", "random-n-0", "random-bias-2", "random-years-past-int32", "planted-z-t1-1"])
     def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
         # the library's range checks reach the user as usage errors, before --out is made
@@ -299,17 +300,19 @@ class TestMetrics:
         assert not (out / "metrics_errors.csv").exists()
 
     def test_ids_taken_verbatim(self, tmp_path):
-        # "x " and "x" are two papers; only empty fields are dropped
+        # "x " and "x" are two papers; only empty fields are dropped, and a
+        # quoted field keeps its line break
         edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
         edges.write_text("c\tx \nc\tx\n", encoding="utf-8")
         meta.write_text("".join(json.dumps({"id": pid, "year": year}) + "\n"
                                 for pid, year in (("x ", 2000), ("x", 2000), ("c", 2001))), encoding="utf-8")
         out = tmp_path / "run"
         assert run("metrics", "--edges", str(edges), "--meta", str(meta),
-                   "--out", str(out), "--ids", '"x ",, ghost ') == 0
+                   "--out", str(out), "--ids", '"x ",, ghost ,"a\nb"') == 0
         with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
             assert [row[0] for row in list(csv.reader(fh))[1:]] == ["x "]
-        assert (out / "metrics_errors.csv").read_text().splitlines()[1:] == ["ghost ,unknown paper id"]
+        with open(out / "metrics_errors.csv", encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [["a\nb", "unknown paper id"], ["ghost ", "unknown paper id"]]
 
     def test_no_stale_error_list(self, tmp_path, toy_files):
         # a run that rejects no id removes the list an earlier run wrote

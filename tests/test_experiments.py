@@ -471,20 +471,22 @@ class TestTableMemo:
         blob = pickle.dumps(corpus)
         z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
         tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
-        assert corpus in metrics_mod._TIMELINES
+        # one memo holds the table, the draws and the editions
+        memo = metrics_mod.derived(corpus)
+        assert memo.keys() == {"years", ("drawn", 1), "editions"}
         # both experiments read one read-only set of editions
-        editions = experiments_mod._EDITIONS[corpus]
+        editions = memo["editions"]
         assert experiments_mod._editions(corpus) is editions
         assert not any(array.flags.writeable for array in editions)
-        del editions
+        del editions, memo
         assert pickle.dumps(corpus) == blob
-        gc.collect()  # so only this corpus can leave the memos below
-        entries = len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)
+        gc.collect()  # so only this corpus can leave the memo below
+        entries = len(metrics_mod._DERIVED)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert (len(metrics_mod._TIMELINES), len(experiments_mod._EDITIONS)) == (entries[0] - 1, entries[1] - 1)
+        assert len(metrics_mod._DERIVED) == entries - 1
 
 
 class TestZExperiment:

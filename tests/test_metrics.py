@@ -494,19 +494,36 @@ class TestSnapshotTimeline:
     def test_extended_table_matches_a_whole_build(self):
         corpus = gen_random_corpus(400, years=(1990, 2005), mean_refs=3, followup=0.5, seed=8)
         rows = np.arange(len(corpus))
-        a, b = rows[::3], rows[1::5]
-        table = metrics_mod.paper_years(corpus, a)
-        assert np.array_equal(np.flatnonzero(table.covered), a)
-        table = metrics_mod.paper_years(corpus, b)
-        assert metrics_mod._TIMELINES[corpus] is table
-        both = np.union1d(a, b)
-        assert np.array_equal(np.flatnonzero(table.covered), both)
+        # the last request is unsorted and names each of its rows twice
+        requests = rows[::3], rows[1::5], np.r_[rows[2::7][::-1], rows[2::7]]
+        covered = rows[:0]
+        for request in requests:
+            table = metrics_mod.paper_years(corpus, request)
+            assert metrics_mod.derived(corpus)["years"] is table
+            covered = np.union1d(covered, request)
+            assert np.array_equal(np.flatnonzero(table.covered), covered)
         whole = metrics_mod.PaperYears(corpus, rows)
         for cutoff in range(1989, 2007):
             for tie in ("min-id", "random"):
-                got = table.nids(corpus, both, cutoff, tie=tie, seed=3)
-                want = whole.nids(corpus, both, cutoff, tie=tie, seed=3)
+                got = table.nids(corpus, covered, cutoff, tie=tie, seed=3)
+                want = whole.nids(corpus, covered, cutoff, tie=tie, seed=3)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1], equal_nan=True)
+
+    def test_draws_kept_across_an_extension(self, monkeypatch):
+        # a tied paper's random-tie tree is built once per seed, not once per table
+        corpus = gen_random_corpus(400, years=(1990, 2005), mean_refs=3, followup=0.5, seed=8)
+        rows = np.arange(len(corpus))
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(seed) or default_rng(seed))
+        for request in (rows[::2], rows):
+            table = metrics_mod.paper_years(corpus, request)
+            for seed in (3, 4):
+                table.nids(corpus, request, 2005, tie="random", seed=seed)
+        assert table.tied[::2].any(), "no paper of the first request has a depth tie"
+        ids = corpus.paper_ids
+        tied = [ids[i] for i in np.flatnonzero(table.tied)]
+        assert sorted(made) == sorted([seed, *pid.encode("utf-8")] for seed in (3, 4) for pid in tied)
 
     def test_entry_freed_with_its_corpus_and_never_pickled(self):
         corpus = gen_random_corpus(300, years=(1990, 2005), mean_refs=3, followup=0.5, seed=4)
@@ -514,13 +531,13 @@ class TestSnapshotTimeline:
         rows = np.arange(len(corpus))
         table = metrics_mod.paper_years(corpus, rows)
         table.nids(corpus, rows, 2005, tie="random", seed=1)
-        assert metrics_mod._TIMELINES[corpus] is table and table.covered.all()
+        assert metrics_mod.derived(corpus)["years"] is table and table.covered.all()
         assert pickle.dumps(corpus) == blob
         del table
         gc.collect()  # so only this corpus can leave the memo below
-        entries = len(metrics_mod._TIMELINES)
+        entries = len(metrics_mod._DERIVED)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert len(metrics_mod._TIMELINES) == entries - 1
+        assert len(metrics_mod._DERIVED) == entries - 1
