@@ -27,6 +27,7 @@ from . import experiments as exp
 from . import metrics as metrics_mod
 from . import synth
 from .corpus import CorpusError
+from .tree import TIE_POLICIES
 
 CACHE_NAME = "corpus.cache"
 
@@ -169,6 +170,7 @@ def cmd_eval_z(args) -> int:
 
 def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
     rows: list[tuple[str, str, int]] = []
+    first = True
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for parts in reader:
@@ -179,12 +181,12 @@ def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
             if len(parts) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected paper_id,venue,year")
             pid, venue, year_text = parts
-            if lineno == 1 and not year_text.strip().lstrip("-").isdigit():
-                continue  # header row
             try:
                 rows.append((pid, venue, int(year_text)))
             except ValueError:
-                raise CorpusError(f"{path}:{lineno}: year is not an integer: {year_text!r}") from None
+                if not first:   # a year int() cannot read marks the first row as a header
+                    raise CorpusError(f"{path}:{lineno}: year is not an integer: {year_text!r}") from None
+            first = False
     if not rows:
         raise CorpusError(f"no awardee rows found in {path}")
     return rows
@@ -252,7 +254,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
 
     def add_tree_flags(p):
-        p.add_argument("--tie", choices=["min-id", "random"], default="min-id",
+        p.add_argument("--tie", choices=TIE_POLICIES, default="min-id",
                        help="depth tie policy for tree construction")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
@@ -278,7 +280,7 @@ def _build_parser() -> _Parser:
                    help="venue publication years, LO:HI (default 1995:2000)")
     p.add_argument("--t1", type=int, default=5, help="ranking horizon in years")
     p.add_argument("--t2", type=int, default=10, help="gain horizon in years")
-    p.add_argument("--gain", choices=["fractional", "absolute"], default="fractional",
+    p.add_argument("--gain", choices=exp.GAIN_MODES, default="fractional",
                    help="citation gain scoring mode")
     p.set_defaults(func=cmd_eval_z)
 

@@ -129,13 +129,6 @@ class CorpusMetrics:
         return starmap(MetricsReport, self.rows())
 
 
-def _build_tree(idg, tie: str, seed: int) -> InfluenceTree:
-    # Stable per-paper seed, identical across runs, orders and processes;
-    # build_idt only turns it into a generator on the first real tie.
-    rng = [seed, *idg.root.encode("utf-8")] if tie == "random" else None
-    return build_idt(idg, tie=tie, rng=rng)
-
-
 def _sweep(tree: InfluenceTree) -> tuple[list[int], list[int]]:
     """IDI after each citer is attached, and the citer count of each level.
 
@@ -186,7 +179,10 @@ def paper_metrics(
     n = idg.n
     if n == 0:
         return None
-    prefix, levels = _sweep(_build_tree(idg, tie, seed))
+    # Stable per-paper seed, identical across runs, orders and processes;
+    # build_idt only turns it into a generator on the first real tie.
+    rng = [seed, *paper_id.encode("utf-8")] if tie == "random" else None
+    prefix, levels = _sweep(build_idt(idg, tie=tie, rng=rng))
     value = prefix[-1]
     hi, nid = _checked_nids(np.array([n]), np.array([value]))
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
@@ -199,6 +195,19 @@ def derived(corpus) -> dict:
     """What is derived from `corpus`, kept until it is freed and never pickled: "editions",
     "years" (its `PaperYears`) and, per seed, ("drawn", seed): tied row -> IDI prefix."""
     return _DERIVED.setdefault(corpus, {})
+
+
+def _drawn(corpus, row: int, seed: int) -> list[int]:
+    """IDI after each citer of the paper at `row` under random ties drawn from `seed`.
+
+    Built once per seed and corpus from the paper's full tree, with the
+    per-paper seed of `paper_metrics`, so it matches that paper's score.
+    """
+    drawn = derived(corpus).setdefault(("drawn", seed), {})
+    if row not in drawn:
+        pid = corpus.paper_ids[row]
+        drawn[row] = _sweep(build_idt(build_idg(corpus, pid), tie="random", rng=[seed, *pid.encode("utf-8")]))[0]
+    return drawn[row]
 
 
 class PaperYears:
@@ -219,15 +228,15 @@ class PaperYears:
     its corpus, which is passed in where one is needed.
     """
 
-    def __init__(self, corpus, rows: np.ndarray):
-        """Tabulate the papers at `rows` (sorted, distinct)."""
+    def __init__(self, corpus, covered: np.ndarray):
+        """Tabulate the papers where the bool row mask `covered` is set; the table keeps the mask."""
         n = len(corpus)
         # a citation into P by a citer of year Y has the key
         # P * stride + Y - first_year + 1, strictly inside P's stride;
         # int32 years keep the stride below 2**32 + 2
         self.first_year, last = corpus.year_range() if n else (0, 0)
         self.stride = last - self.first_year + 2
-        citer, paper, depth, parent, self.tied = _edge_trees(corpus, rows)
+        citer, paper, depth, parent, self.tied = _edge_trees(corpus, covered)
         keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
         order = np.argsort(keys)
         self.keys = keys[order]
@@ -245,8 +254,7 @@ class PaperYears:
         delta = np.bincount(np.r_[slot, first[gone]], weights=np.r_[depth, -depth[gone]], minlength=len(keys))
         self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
         self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
-        self.covered = np.zeros(n, bool)
-        self.covered[rows] = True
+        self.covered = covered
 
     def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
         """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
@@ -265,12 +273,8 @@ class PaperYears:
             raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
         n, value = self._at(rows, years)
         if tie == "random":
-            drawn = derived(corpus).setdefault(("drawn", seed), {})
             for i in np.flatnonzero(self.tied[rows] & (n > 0)).tolist():
-                row = int(rows[i])
-                if row not in drawn:
-                    drawn[row] = _sweep(_build_tree(build_idg(corpus, corpus.paper_ids[row]), tie, seed))[0]
-                value[i] = drawn[row][n[i] - 1]
+                value[i] = _drawn(corpus, int(rows[i]), seed)[n[i] - 1]
         nid = _checked_nids(n, value)[1]   # an uncited paper has IDI 0, inside its bounds
         nid[n == 0] = np.nan
         return n, nid
@@ -286,7 +290,7 @@ def paper_years(corpus, rows) -> PaperYears:
     if table is None or not table.covered[rows].all():
         covered = np.zeros(len(corpus), bool) if table is None else table.covered.copy()
         covered[rows] = True
-        table = derived(corpus)["years"] = PaperYears(corpus, np.flatnonzero(covered))
+        table = derived(corpus)["years"] = PaperYears(corpus, covered)
     return table
 
 
@@ -308,10 +312,10 @@ def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
 
-def _edge_trees(corpus, rows: np.ndarray):
-    """Min-id dispersion trees of the papers at `rows` (sorted, distinct), at once.
+def _edge_trees(corpus, wanted: np.ndarray):
+    """Min-id dispersion trees of the papers where the bool row mask `wanted` is set, at once.
 
-    Returns, per citation into a paper of `rows`, in (citer, cited) order:
+    Returns, per citation into a wanted paper, in (citer, cited) order:
     the citer's and the cited paper's row, the citer's depth, and the
     citation of its parent (-1 under the root).  Last comes a flag per row
     of the corpus: some citer of it has two or more equally deep candidate
@@ -332,9 +336,8 @@ def _edge_trees(corpus, rows: np.ndarray):
     pairs where references crowd the 64 bits.
     """
     size = len(corpus)
-    wanted, involved = np.zeros(size, bool), np.zeros(size, bool)
-    wanted[rows] = True
-    involved[corpus.citers[_runs(corpus.citer_offsets, rows)[0]]] = True
+    involved = np.zeros(size, bool)
+    involved[corpus.citers[_runs(corpus.citer_offsets, np.flatnonzero(wanted))[0]]] = True
     citing = np.flatnonzero(involved)
     involved |= wanted
     at, pick = _runs(corpus.ref_offsets, citing)
@@ -422,36 +425,6 @@ def _edge_trees(corpus, rows: np.ndarray):
     return citer, dst[into], depth[into], parent, tied
 
 
-def _dispersion(corpus, paper_ids=None):
-    """Per-paper scores of the min-id trees of the papers `paper_ids` (all the corpus's when None).
-
-    Returns the cited ones in id order with their citer count n, depth,
-    breadth, min-id IDI and depth-tie flag (see `_edge_trees`); IDI sums
-    the depths of the citers nobody picked as parent.  `paper_metrics`
-    gives the same values per paper.
-    """
-    size = len(corpus)
-    wanted = np.zeros(size, bool)
-    wanted[slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)] = True
-    _, paper, level, parent, tied = _edge_trees(corpus, np.flatnonzero(wanted))
-    leaf = np.ones(len(paper), bool)
-    leaf[parent[parent >= 0]] = False
-    n = np.bincount(paper, minlength=size)
-    idi_sum = np.bincount(paper[leaf], weights=level[leaf], minlength=size).astype(np.int64)  # exact below 2**53
-    deepest = np.zeros(size, np.int64)
-    widest = np.zeros(size, np.int64)
-    # one cell per (paper, level), counted; the stride is the deepest level + 1
-    stride = int(level.max(initial=0)) + 1
-    cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
-    heads = _segments(cells // stride)
-    owner = cells[heads] // stride
-    deepest[owner] = np.maximum.reduceat(cells % stride, heads)
-    widest[owner] = np.maximum.reduceat(width, heads)
-    cited = n > 0
-    return (list(compress(corpus.paper_ids, cited.tolist())), n[cited], deepest[cited], widest[cited],
-            idi_sum[cited], tied[cited])
-
-
 def corpus_metrics(
     corpus,
     paper_ids=None,
@@ -462,19 +435,39 @@ def corpus_metrics(
 ) -> CorpusMetrics:
     """Metrics for every paper with at least one citation, once each, as columns sorted by id.
 
-    All trees are scored together by `_dispersion`; under ``tie="random"``
-    only the papers with a depth tie are rebuilt one by one, drawing their
-    ties, and their IDI is written back into the column.  `jobs` is ignored;
+    All min-id trees are scored at once from `_edge_trees`; IDI sums the
+    depths of the citers nobody picked as parent.  Under ``tie="random"`` a
+    paper with a depth tie takes its IDI from `_drawn`.  `jobs` is ignored;
     it stays because ``bench/workloads.py`` times a second round with ``jobs=2``.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
-    cited, n, depth, breadth, value, tied = _dispersion(corpus, paper_ids)
+    size = len(corpus)
+    wanted = np.zeros(size, bool)
+    wanted[slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)] = True
+    _, paper, level, parent, tied = _edge_trees(corpus, wanted)
+    leaf = np.ones(len(paper), bool)
+    leaf[parent[parent >= 0]] = False
+    n = np.bincount(paper, minlength=size)
+    value = np.bincount(paper[leaf], weights=level[leaf], minlength=size).astype(np.int64)  # exact below 2**53
+    depth = np.zeros(size, np.int64)
+    breadth = np.zeros(size, np.int64)
+    # one cell per (paper, level), counted; the stride is the deepest level + 1
+    stride = int(level.max(initial=0)) + 1
+    cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
+    del paper, level, parent, leaf
+    heads = _segments(cells // stride)
+    owner = cells[heads] // stride
+    depth[owner] = np.maximum.reduceat(cells % stride, heads)
+    breadth[owner] = np.maximum.reduceat(width, heads)
     if tie == "random":
-        for i in np.flatnonzero(tied).tolist():
-            value[i] = _sweep(_build_tree(build_idg(corpus, cited[i]), tie, seed))[0][-1]
+        for row in np.flatnonzero(tied).tolist():   # a tied paper is a wanted, cited one
+            value[row] = _drawn(corpus, row, seed)[-1]
+    cited = n > 0
+    n, value = n[cited], value[cited]
     hi, nid = _checked_nids(n, value)
-    return CorpusMetrics(cited, n, depth, breadth, value, hi, nid)
+    return CorpusMetrics(list(compress(corpus.paper_ids, cited.tolist())), n, depth[cited], breadth[cited],
+                         value, hi, nid)
 
 
 def write_metrics_csv(result: CorpusMetrics, path) -> None:

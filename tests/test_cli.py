@@ -521,6 +521,21 @@ class TestEvalToT:
             outputs.append((out / "tot_cases.csv").read_bytes())
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 5
 
+    def test_awardee_header_found_after_comments_and_signed_year_kept(self, tmp_path, planted):
+        # the header is the first row left after blank and comment lines, told
+        # by a year int() cannot read; a first data row's "+1998" is a year
+        fixture = planted / "planted-tot"
+        header, rows = (fixture / "awardees.csv").read_text(encoding="utf-8").split("\n", 1)
+        signed = rows.replace(",1998", ",+1998", 1)
+        for name, text in (("plain", header + "\n" + rows), ("commented", f"# awardees\n\n{header}\n{rows}"),
+                           ("signed", signed)):
+            awardees = tmp_path / f"{name}.csv"
+            awardees.write_text(text, encoding="utf-8")
+            assert run("eval-tot", "--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
+                       "--awardees", str(awardees), "--out", str(tmp_path / name)) == 0
+        cases = {name: (tmp_path / name / "tot_cases.csv").read_bytes() for name in ("plain", "commented", "signed")}
+        assert cases["plain"] == cases["commented"] == cases["signed"] and cases["plain"].count(b"\n") == 5
+
     def test_malformed_awardees_exit_2(self, tmp_path, capsys):
         # the awardee rows are read before --out is made
         fixture = tmp_path / "fx"

@@ -440,9 +440,9 @@ class TestTableMemo:
         seen = []
         kernel = metrics_mod._edge_trees
 
-        def spy(corpus, rows, *args):
-            seen.append([corpus.paper_ids[i] for i in rows.tolist()])
-            return kernel(corpus, rows, *args)
+        def spy(corpus, wanted, *args):
+            seen.append([corpus.paper_ids[i] for i in np.flatnonzero(wanted).tolist()])
+            return kernel(corpus, wanted, *args)
 
         monkeypatch.setattr(metrics_mod, "_edge_trees", spy)
         return seen
@@ -465,6 +465,25 @@ class TestTableMemo:
         more = [p for p in corpus.paper_ids
                 if corpus.record(p).venue is not None and 1994 <= corpus.year(p) <= 1996]
         assert builds[1:] == [more]
+
+    def test_one_generator_per_tied_paper_across_metrics_and_experiments(self, monkeypatch):
+        # corpus_metrics and both experiments read one set of draws per seed and corpus
+        alone, corpus = self._corpus(), self._corpus()
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(seed) or default_rng(seed))
+
+        def experiments(corpus):
+            z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=2)
+            tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=2)
+
+        experiments(alone)
+        assert made, "the experiments draw no tie on their own"
+        made.clear()
+        metrics_mod.corpus_metrics(corpus, tie="random", seed=2)
+        experiments(corpus)
+        tied = np.flatnonzero(metrics_mod._edge_trees(corpus, np.ones(len(corpus), bool))[-1])
+        assert sorted(made) == sorted([2, *corpus.paper_ids[i].encode("utf-8")] for i in tied)
 
     def test_memo_freed_with_its_corpus_and_never_pickled(self):
         corpus = self._corpus()

@@ -35,6 +35,7 @@ from idtree.synth import (
     ideal_tree,
     random_parent_matrix,
     star_tree,
+    toy_corpus,
     tree_from_parent_row,
 )
 from idtree.tree import InfluenceTree, tree_from_parent_map, tree_stats
@@ -239,12 +240,13 @@ class TestReports:
         write_metrics_csv(result, path)
         assert path.read_bytes() == b"paper_id,n,d,b,idi,idi_min,idi_max,id,nid\nP,5,3,2,5,5,9,0,0.0\n"
 
-    def test_tie_generator_made_only_on_a_tie(self, toy, monkeypatch):
-        # of the toy's cited papers only P has a depth tie (p4 under p1 or p2)
+    def test_tie_generator_made_only_on_a_tie(self, monkeypatch):
+        # of the toy's cited papers only P has a depth tie (p4 under p1 or p2); a
+        # fresh toy, since the session one may already hold P's seed-1 draws
         made = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: made.append(seed) or default_rng(seed))
-        reports = corpus_metrics(toy, tie="random", seed=1)
+        reports = corpus_metrics(toy_corpus(), tie="random", seed=1)
         assert len(reports) == 4
         assert made == [[1, *b"P"]]
 
@@ -295,15 +297,21 @@ def _per_paper(view, ids, tie, seed):
     return [r for r in reports if r is not None]
 
 
+def _tied_ids(corpus, ids):
+    """The ids, in id order, that `_edge_trees` flags with a depth tie when asked for `ids`."""
+    wanted = np.zeros(len(corpus), bool)
+    wanted[[corpus.row(pid) for pid in ids]] = True
+    return [corpus.paper_ids[i] for i in np.flatnonzero(metrics_mod._edge_trees(corpus, wanted)[-1])]
+
+
 def _assert_tie_flags(view, ids):
-    """`_dispersion` flags a depth tie exactly where the per-paper build draws one."""
+    """`_edge_trees` flags a depth tie exactly where the per-paper build draws one."""
     drawn = []
     default_rng = np.random.default_rng
     with mock.patch.object(np.random, "default_rng",
                            lambda seed=None: drawn.append(bytes(seed[1:]).decode()) or default_rng(seed)):
         _per_paper(view, ids, "random", 1)
-    cited, *_, tied = metrics_mod._dispersion(view, sorted(set(ids)))
-    assert sorted(drawn) == [pid for pid, flag in zip(cited, tied.tolist()) if flag]
+    assert sorted(drawn) == _tied_ids(view, ids)
 
 
 def _signature_corpus(shape, n_papers, n_years, density, seed):
@@ -422,7 +430,9 @@ class TestDispersionKernel:
         else:
             corpus = _signature_corpus(shape, max(n_papers, 72), 2, 0.3, corpus_seed)
         rows = np.unique(data.draw(st.lists(st.integers(0, max(len(corpus) - 1, 0)), max_size=len(corpus))))
-        citer, paper, depth, parent, tied = metrics_mod._edge_trees(corpus, rows.astype(np.int64))
+        wanted = np.zeros(len(corpus), bool)
+        wanted[rows.astype(np.int64)] = True
+        citer, paper, depth, parent, tied = metrics_mod._edge_trees(corpus, wanted)
         want, want_tied = _naive_edge_trees(corpus, rows.tolist())
         assert list(zip(citer.tolist(), paper.tolist(), depth.tolist(), parent.tolist())) == want
         assert np.flatnonzero(tied).tolist() == want_tied
@@ -474,9 +484,8 @@ class TestSnapshotTimeline:
         ids = corpus.paper_ids
         rows = np.arange(len(ids))
         table = metrics_mod.paper_years(corpus, rows)
-        cited, *_, tied = metrics_mod._dispersion(corpus, list(ids))
         flagged = {ids[i] for i in np.flatnonzero(table.tied)}
-        assert flagged == {pid for pid, flag in zip(cited, tied.tolist()) if flag}
+        assert flagged == set(_tied_ids(corpus, ids))
         first, last = corpus.year_range()
         for cutoff in range(first - 1, last + 2):   # each paper from a year before it appears
             snap = corpus.snapshot(cutoff)
@@ -488,8 +497,7 @@ class TestSnapshotTimeline:
                 else:
                     assert (count, value) == (report.n, report.nid)
             # a paper with a depth tie in a snapshot has one in the corpus
-            snap_cited, *_, snap_tied = metrics_mod._dispersion(snap, list(snap.paper_ids))
-            assert {pid for pid, flag in zip(snap_cited, snap_tied.tolist()) if flag} <= flagged
+            assert set(_tied_ids(snap, snap.paper_ids)) <= flagged
 
     def test_extended_table_matches_a_whole_build(self):
         corpus = gen_random_corpus(400, years=(1990, 2005), mean_refs=3, followup=0.5, seed=8)
@@ -502,7 +510,7 @@ class TestSnapshotTimeline:
             assert metrics_mod.derived(corpus)["years"] is table
             covered = np.union1d(covered, request)
             assert np.array_equal(np.flatnonzero(table.covered), covered)
-        whole = metrics_mod.PaperYears(corpus, rows)
+        whole = metrics_mod.PaperYears(corpus, np.ones(len(corpus), bool))
         for cutoff in range(1989, 2007):
             for tie in ("min-id", "random"):
                 got = table.nids(corpus, covered, cutoff, tie=tie, seed=3)
