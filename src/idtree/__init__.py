@@ -26,11 +26,9 @@ from .experiments import (
     VenueExperiment,
     ZReport,
     corpus_stats,
-    fractional_gain_list,
     kendall_tau_distance,
     mean_reciprocal_rank,
     pearson,
-    rank_by_measure,
     tot_experiment,
     z_experiment,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "build_idt",
     "corpus_metrics",
     "corpus_stats",
-    "fractional_gain_list",
     "idi",
     "idi_max",
     "idi_min",
@@ -95,7 +92,6 @@ __all__ = [
     "optimal_shape",
     "paper_metrics",
     "pearson",
-    "rank_by_measure",
     "read_edge_file",
     "read_metadata_file",
     "tot_experiment",

@@ -126,7 +126,7 @@ class CitationCorpus:
                  "citer_offsets", "citers", "ref_offsets", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
-        report, arrays = _clean(records, edges, prune=False)
+        report, arrays = _clean(_read(records, edges), prune=False)
         dirty = [f"{k}={v}" for k, v in report.to_dict().items()
                  if v and k.startswith(("dropped_", "malformed_"))]
         if dirty:
@@ -336,9 +336,9 @@ def _read(records: Iterable, edges: Iterable):
             list(venue_codes), np.frombuffer(ends, np.int64))
 
 
-def _clean(records: Iterable, edges: Iterable, prune: bool):
-    """Rules 1-6, and rule 7 if `prune`: the report and `CitationCorpus._fill`'s arguments."""
-    report, ids, years, venues, venue_names, ends = _read(records, edges)
+def _clean(read: tuple, prune: bool):
+    """Rules 2-6, and rule 7 if `prune`, over a `_read` result: the report and `_fill`'s arguments."""
+    report, ids, years, venues, venue_names, ends = read
     n = len(ids)
     span = max(n, int(ends.max(initial=-1)) + 1)
     src, dst = ends[0::2], ends[1::2]
@@ -349,7 +349,7 @@ def _clean(records: Iterable, edges: Iterable, prune: bool):
     key = key[np.diff(key, prepend=-1) != 0]
     report.dropped_dup = len(src) - report.dropped_self - len(key)
     src, dst = np.divmod(key, span)
-    del ends, key   # the passes below need only the distinct pairs
+    del read, ends, key   # the passes below need only the distinct pairs
     known = (src < n) & (dst < n)
     src, dst = src[known], dst[known]
     report.dropped_unknown = len(known) - len(src)
@@ -385,7 +385,7 @@ def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestRe
     edges touching papers without metadata are rejected and counted, never
     fatal.
     """
-    report, arrays = _clean(records, edges, prune=True)
+    report, arrays = _clean(_read(records, edges), prune=True)
     corpus = CitationCorpus.__new__(CitationCorpus)
     corpus._fill(*arrays)
     return corpus, report

@@ -23,7 +23,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, PaperRecord, ingest
+from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, IngestReport, PaperRecord, _clean, ingest
 from .tree import InfluenceTree, tree_from_parent_map
 
 ENUMERATION_CAP = 9
@@ -245,8 +245,10 @@ def gen_random_corpus(
     acyclic by construction.  `bias` in [0, 1] mixes uniform target choice
     with citation-proportional preferential attachment.  `followup` is the
     probability that citing a paper also cites one of its earlier citers,
-    which is what gives dispersion trees their depth.  Papers that end up
-    with no links are dropped, as in any ingested corpus.
+    which is what gives dispersion trees their depth.  Paper i is named
+    ``p{i}`` zero-padded and sits in venue ``S{series}-{year}``.  The papers
+    and citations then go through ingest's own cleaning, which drops the
+    papers that end up with no links and numbers the rows and venues.
     """
     if n_papers < 1:
         raise ValueError("n_papers must be >= 1")
@@ -262,66 +264,50 @@ def gen_random_corpus(
     paper_years = rng.integers(year_lo, year_hi + 1, size=n_papers)
     series = rng.integers(0, 20, size=n_papers)   # venue series S000..S019
     ref_counts = rng.poisson(mean_refs, size=n_papers)
-    ids = [f"p{i:0{width}d}" for i in range(n_papers)]
 
-    by_year: dict[int, list[int]] = {}
-    for i in range(n_papers):
-        by_year.setdefault(int(paper_years[i]), []).append(i)
-
-    citing: list[int] = []
-    cited_papers: list[int] = []
-    pool: list[int] = []            # indices of papers in strictly earlier years
-    pool_set: set[int] = set()
+    # Papers draw in order of year, then of index, which is the order of their ids.
+    # Each one's pool is the papers of strictly earlier years: a prefix of that order.
+    order = np.argsort(paper_years, kind="stable")
+    pool, sizes = order.tolist(), np.searchsorted(paper_years[order], paper_years[order]).tolist()
+    year_of, counts = paper_years.tolist(), ref_counts.tolist()
+    ends: list[int] = []            # citing and cited index of each citation, interleaved
     weighted: list[int] = []        # pool indices, one entry per citation + 1
+    grown = 0                       # how much of the pool `weighted` holds
     citers_of: dict[int, list[int]] = defaultdict(list)
-    for year in sorted(by_year):
-        members = sorted(by_year[year], key=lambda i: ids[i])
-        for i in members:
-            k = min(int(ref_counts[i]), len(pool))
-            cited: set[int] = set()
-            attempts = 0
-            while len(cited) < k and attempts < 20 * k:
-                attempts += 1
-                if bias > 0 and rng.random() < bias:
-                    target = weighted[int(rng.integers(0, len(weighted)))]
-                else:
-                    target = pool[int(rng.integers(0, len(pool)))]
-                if target in cited:
-                    continue
-                cited.add(target)
-                if followup > 0.0 and citers_of[target] and rng.random() < followup:
-                    candidates = citers_of[target]
-                    for _ in range(8):
-                        c = candidates[int(rng.integers(0, len(candidates)))]
-                        if c in pool_set and c not in cited:
-                            cited.add(c)
-                            break
-            for target in sorted(cited):
-                citing.append(i)
-                cited_papers.append(target)
-                weighted.append(target)
-                citers_of[target].append(i)
-        pool.extend(members)
-        pool_set.update(members)
-        weighted.extend(members)
+    for i, size in zip(pool, sizes):
+        weighted += pool[grown:size]
+        grown = size
+        k = min(counts[i], size)
+        cited: set[int] = set()
+        attempts = 0
+        while len(cited) < k and attempts < 20 * k:
+            attempts += 1
+            if bias > 0 and rng.random() < bias:
+                target = weighted[int(rng.integers(0, len(weighted)))]
+            else:
+                target = pool[int(rng.integers(0, size))]
+            if target in cited:
+                continue
+            cited.add(target)
+            if followup > 0.0 and citers_of[target] and rng.random() < followup:
+                candidates = citers_of[target]
+                for _ in range(8):
+                    c = candidates[int(rng.integers(0, len(candidates)))]
+                    if year_of[c] < year_of[i] and c not in cited:
+                        cited.add(c)
+                        break
+        for target in sorted(cited):
+            ends += i, target
+            weighted.append(target)
+            citers_of[target].append(i)
 
-    # Clean by construction: distinct citations of strictly earlier papers, and
-    # the ids sort as the indices do.  So the arrays go straight to the corpus,
-    # keeping the linked papers as ingest would; venues are numbered by name.
-    src, dst = np.array(citing, np.int64), np.array(cited_papers, np.int64)
-    linked = np.zeros(n_papers, bool)
-    linked[src] = linked[dst] = True
-    row = np.cumsum(linked) - 1
-    keep = np.flatnonzero(linked)
     span = year_hi - year_lo + 1
-    distinct, venue = np.unique(series[keep] * span + paper_years[keep] - year_lo, return_inverse=True)
-    names = [f"S{key // span:03d}-{key % span + year_lo}" for key in distinct.tolist()]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), np.int64)
-    rank[order] = np.arange(len(names))
+    keys, venues = np.unique(series * span + paper_years - year_lo, return_inverse=True)
+    names = [f"S{key // span:03d}-{key % span + year_lo}" for key in keys.tolist()]
+    ids = [f"p{i:0{width}d}" for i in range(n_papers)]
+    _, arrays = _clean((IngestReport(), ids, paper_years, venues.ravel(), names, np.array(ends, np.int64)), prune=True)
     corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._fill([ids[i] for i in keep.tolist()], [names[i] for i in order],
-                 *(a.astype(np.int32) for a in (paper_years[keep], rank[venue.ravel()], row[src], row[dst])))
+    corpus._fill(*arrays)
     return corpus
 
 

@@ -10,6 +10,7 @@ reproduction commands exist and run, so users can mount their own data.
 """
 
 import contextlib
+import hashlib
 import itertools
 import math
 import time
@@ -43,6 +44,18 @@ def criterion(number, name):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# The seeded 10^5-paper corpus of criterion 6, which the benchmark also reads,
+# and the sha256 of the two files `idtree synth` writes for it.
+CRITERION_6_SYNTH = (
+    "--kind", "random", "--n-papers", "100000", "--years", "1960:2010",
+    "--mean-refs", "3", "--followup", "0.3", "--seed", "7",
+)
+CRITERION_6_PINNED = {
+    "edges.tsv": "68a94a434ab796e098b2f70c629997efe51e2fde204908d30ec50b2c7e0a7d92",
+    "meta.jsonl": "7231b6b7b45f7e056c6170281d6687171b5a8dca47826ffbd11f675aab77edde",
+}
 
 
 def test_criterion_1_toy_reproduction(tmp_path):
@@ -198,17 +211,15 @@ def test_criterion_6_pipeline_determinism(tmp_path):
     two full runs over it are byte-identical."""
     with criterion(6, "pipeline determinism"):
         fixture = tmp_path / "fx"
-        synth_args = (
-            "synth", "--kind", "random", "--n-papers", "100000",
-            "--years", "1960:2010", "--mean-refs", "3", "--followup", "0.3",
-            "--seed", "7",
-        )
-        assert run_cli(*synth_args, "--out", str(fixture)) == 0
+        assert run_cli("synth", *CRITERION_6_SYNTH, "--out", str(fixture)) == 0
         # regenerating under the same seed reproduces the corpus bytes
         fixture2 = tmp_path / "fx2"
-        assert run_cli(*synth_args, "--out", str(fixture2)) == 0
+        assert run_cli("synth", *CRITERION_6_SYNTH, "--out", str(fixture2)) == 0
         assert (fixture / "edges.tsv").read_bytes() == (fixture2 / "edges.tsv").read_bytes()
         assert (fixture / "meta.jsonl").read_bytes() == (fixture2 / "meta.jsonl").read_bytes()
+        # and they are the pinned bytes, so the benchmark's input cannot drift unseen
+        assert {name: hashlib.sha256((fixture / name).read_bytes()).hexdigest()
+                for name in CRITERION_6_PINNED} == CRITERION_6_PINNED
 
         outputs = []
         for name in ("run-a", "run-b"):

@@ -1,19 +1,23 @@
-"""The benchmark's tracer still finds and wraps the package functions it times.
+"""The benchmark's tracer still finds and wraps the package functions it times,
+and its input corpus is the one acceptance criterion 6 pins.
 
 `bench/tracer.py` looks functions up by name on their modules, so a renamed
 or removed function would otherwise surface only in a traced benchmark run.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
+
+from test_acceptance import CRITERION_6_SYNTH
 
 from idtree import corpus as corpus_mod
 from idtree import experiments, metrics
-from idtree.synth import make_tot_benchmark, make_z_benchmark
+from idtree.cli import _build_parser
+from idtree.synth import gen_random_corpus, make_tot_benchmark, make_z_benchmark
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-)
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+_spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -65,3 +69,13 @@ def test_traced_file_ingest_records_one_ingest_span(toy, corpus_files):
     assert [span[0] for span in tr.spans] == ["corpus.ingest"]
     assert tr.calls["corpus.ingest"] == 1
     assert corpus.paper_ids == toy.paper_ids and report.edges_kept == toy.n_edges
+
+
+def test_benchmark_reads_the_corpus_criterion_6_pins(monkeypatch):
+    # criterion 6 pins the bytes of its corpus, so that pin covers the benchmark's input
+    monkeypatch.syspath_prepend(str(BENCH))   # inputs.py imports its sibling oracle
+    inputs = importlib.import_module("inputs")
+    flags = _build_parser().parse_args(["synth", *CRITERION_6_SYNTH, "--out", "unused"])
+    call = inspect.signature(gen_random_corpus).bind(**inputs.CORPUS_ARGS)
+    call.apply_defaults()
+    assert call.arguments == {name: getattr(flags, name) for name in call.arguments}

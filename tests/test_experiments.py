@@ -397,6 +397,7 @@ class TestTablesMatchPerVenueOracle:
     @pytest.mark.parametrize("corpus_seed", [13, 21])
     def test_z_experiment(self, corpus_seed, tie, seed):
         corpus = gen_random_corpus(1500, years=(1990, 2005), mean_refs=5, followup=0.8, seed=corpus_seed)
+        moved = False   # whether the tie draws change some report from the min-id one
         # the last two ranges reach past the corpus's last year at t2, and at t1 too
         for year_range, t1, t2 in (((1991, 1998), 2, 6), ((1999, 2005), 1, 4), ((2003, 2010), 3, 9)):
             for gain_mode in ("fractional", "absolute"):
@@ -404,17 +405,22 @@ class TestTablesMatchPerVenueOracle:
                 got = z_experiment(corpus, year_range, t1, t2, tie=tie, seed=seed, gain_mode=gain_mode)
                 assert (got.venues, got.skipped) == want
                 assert want[0]
+                moved |= tie == "random" and got != z_experiment(corpus, year_range, t1, t2, gain_mode=gain_mode)
+        assert moved == (tie == "random")
 
     @pytest.mark.parametrize("tie,seed", [("min-id", 0), ("random", 5)])
     @pytest.mark.parametrize("corpus_seed", [13, 21])
     def test_tot_experiment(self, corpus_seed, tie, seed):
         corpus = gen_random_corpus(1500, years=(1990, 2005), mean_refs=5, followup=0.8, seed=corpus_seed)
         awardees = _awardees(corpus, 1990, 2003)
+        moved = False   # whether the tie draws change some report from the min-id one
         for pct, horizon in ((0.25, 3), (0.05, 8), (1.0, 12)):
             want = _per_awardee_tot(corpus, awardees, pct, horizon, tie, seed)
             got = tot_experiment(corpus, awardees, pct=pct, horizon=horizon, tie=tie, seed=seed)
             assert got == want
             assert want.cases and len({reason.split()[1] for _, reason in want.skipped}) == 3
+            moved |= tie == "random" and got != tot_experiment(corpus, awardees, pct=pct, horizon=horizon)
+        assert moved == (tie == "random")
 
     def test_no_awardee_found(self, toy):
         report = tot_experiment(toy, [("P", "NOWHERE-2000", 2000)])

@@ -38,6 +38,9 @@ SYNTH = {
     "planted-z": ["--kind", "planted-z"],
     "planted-tot": ["--kind", "planted-tot"],
     "random": ["--kind", "random", "--n-papers", "500", "--years", "1990:2000", "--followup", "0.5", "--seed", "3"],
+    # preferential attachment (bias > 0) draws from the weighted pool; demo 03's flags
+    "random-bias": ["--kind", "random", "--n-papers", "20000", "--years", "1970:2010", "--mean-refs", "4",
+                    "--bias", "0.8", "--followup", "0.4", "--seed", "42"],
     **{f"{kind}-{n}": ["--kind", kind, "--n", n]
        for kind in ("star", "chain", "broom", "ideal") for n in ("1", "3", "9", "16")},
     **{f"broom-{n}-k3": ["--kind", "broom", "--n", n, "--k", "3"] for n in ("9", "16")},
@@ -141,6 +144,10 @@ SYNTH_PINNED = {
     "random": {
         "edges.tsv": "194c1442b9a097fd6203be0f00c933ad17dc41f6f1407e12bad2ff8ca9c1eabe",
         "meta.jsonl": "1d2045764bda8cd544c49ff9e6efffc71a0f7cc09c29cfc2709a4f42a607701c",
+    },
+    "random-bias": {
+        "edges.tsv": "55fd7550989061dee18243610077c0b41ff33b8d019b141333ce6e83cc201bf3",
+        "meta.jsonl": "c2675d7b48ff74c37f9b88cf60389f74c978b828c397038af0e97f88fd4661e8",
     },
     "star-1": {
         "edges.tsv": "4c4d730d02b6593dfc75263ddd5b9b1bac2c22272f650d31736c3f579ea194e9",

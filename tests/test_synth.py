@@ -214,8 +214,8 @@ class TestRandomCorpus:
     @given(st.integers(1, 120), st.integers(-3, 2100), st.integers(0, 12), st.floats(0, 1), st.floats(0, 1),
            st.integers(0, 10_000))
     def test_corpus_is_what_ingest_keeps(self, n, first_year, n_years, bias, followup, seed):
-        # the generator skips ingest: re-ingesting its papers and citations plus
-        # three unlinked papers must drop those three and nothing else
+        # the generator cleans through ingest's own rules: re-ingesting its papers and
+        # citations plus three unlinked papers must drop those three and nothing else
         corpus = gen_random_corpus(n, years=(first_year, first_year + n_years), bias=bias, followup=followup, seed=seed)
         lone = [PaperRecord(f"lone{i}", first_year) for i in range(3)]
         again, report = ingest(list(corpus.edges()), [corpus.record(p) for p in corpus.paper_ids] + lone)
