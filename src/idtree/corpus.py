@@ -46,7 +46,7 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, count, repeat
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -135,24 +135,25 @@ class CitationCorpus:
 
     def _fill(self, ids: Sequence[str], venue_names: Sequence[str], years: np.ndarray,
               venues: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        """The array constructor: papers `ids` (sorted) and edges `src` -> `dst` (rows).
+        """The array constructor: papers `ids` (strings, sorted) and edges `src` -> `dst`
+        (rows), given in (citing, cited) row order as `_clean` and `snapshot` leave them.
 
         Raises `CorpusError` unless the arrays make a clean corpus, as
-        `load_cache` relies on: every edge in range, distinct, no
-        self-citation, none forward in time and none on a same-year cycle.
+        `load_cache` relies on: every edge in range, in that order (so
+        distinct), no self-citation, none forward in time and none on a
+        same-year cycle.  Edges out of order are refused, not sorted.
         """
         n = len(ids)
-        if not (all(map(isinstance, chain(ids, venue_names), repeat(str)))
-                and all(all(map(operator.lt, names, names[1:])) for names in (ids, venue_names))
+        if not (all(all(map(operator.lt, names, names[1:])) for names in (ids, venue_names))
                 and all(a.dtype == np.int32 and a.shape == (m,)
                         for a, m in ((years, n), (venues, n), (src, len(src)), (dst, len(src))))
                 and ((venues >= -1) & (venues < len(venue_names))).all()
                 and ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all()):
             raise CorpusError("corpus arrays are inconsistent")
-        key = np.sort(src.astype(np.int64) * n + dst)
-        src, dst = (key // n).astype(np.int32), (key % n).astype(np.int32)
-        same = years[src] == years[dst]
-        if ((key[1:] == key[:-1]).any() or (src == dst).any() or (years[src] < years[dst]).any()
+        key = src.astype(np.int64) * n + dst
+        src_year, dst_year = years[src], years[dst]
+        same = src_year == dst_year
+        if (not (key[1:] > key[:-1]).all() or (src == dst).any() or (src_year < dst_year).any()
                 or _edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))):
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
@@ -735,7 +736,7 @@ def _read_files(meta_path, edge_path):
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 def file_digest(*paths) -> str:
@@ -750,31 +751,44 @@ def file_digest(*paths) -> str:
 
 
 def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
-    """Write the corpus and the digest of its files as five `np.save` arrays:
-    a JSON header (format, digest, ids, venue names) as ASCII bytes, the
-    years, the venue codes, and the citing and the cited row of each edge."""
-    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash,
-                       "ids": corpus.paper_ids, "venues": corpus.venue_names})
+    """Write the corpus and the digest of its files as six `np.save` arrays: a JSON
+    header (format, digest, separator, venue names) as ASCII bytes; the ids as one
+    UTF-8 block (lone surrogates kept) joined by the separator, the first code point
+    from U+000A on that no id holds; the years, the venue codes, and the citing and
+    the cited row of each edge, in (citing, cited) order."""
+    joined = "".join(corpus.paper_ids)
+    used = set(joined) if "\n" in joined else ()
+    sep = next(c for c in map(chr, count(10)) if c not in used)
+    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep,
+                       "venues": corpus.venue_names})
+    block = sep.join(corpus.paper_ids).encode("utf-8", "surrogatepass")
     citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
     with open(path, "wb") as fh:
-        for a in (np.frombuffer(head.encode("ascii"), np.uint8), corpus.years, corpus.venues, citing, corpus.refs):
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
+                  corpus.years, corpus.venues, citing, corpus.refs):
             np.save(fh, a, allow_pickle=False)
 
 
 def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
     """Load a cached corpus; returns None when missing, stale, damaged or of another format.
 
+    The format and the digest are checked before the id block is read.
     Nothing in the file is unpickled: the arrays go through the constructor
     `ingest` uses, whose checks refuse any that do not make a clean corpus.
     """
     try:
         with open(path, "rb") as fh:
             head = json.loads(np.load(fh, allow_pickle=False).tobytes())
-            arrays = [np.load(fh, allow_pickle=False) for _ in range(4)]
-        if head["format"] != CACHE_FORMAT or expect_hash not in (None, head["source_hash"]):
+            if head["format"] != CACHE_FORMAT or expect_hash not in (None, head["source_hash"]):
+                return None
+            block, *arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
+        sep, venue_names = head["sep"], head["venues"]
+        if not (isinstance(sep, str) and sep and isinstance(venue_names, list)
+                and all(map(isinstance, venue_names, repeat(str)))):
             return None
+        text = block.tobytes().decode("utf-8", "surrogatepass")
         corpus = CitationCorpus.__new__(CitationCorpus)
-        corpus._fill(head["ids"], head["venues"], *arrays)
+        corpus._fill(text.split(sep) if text else [], venue_names, *arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus

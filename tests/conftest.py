@@ -1,6 +1,9 @@
+import io
+import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idtree.corpus import write_edge_file, write_metadata_file
@@ -48,5 +51,22 @@ def planted_pickle():
 
     def make(marker, fmt, source_hash):
         return pickle.dumps({"format": fmt, "source_hash": source_hash, "corpus": _Touch(marker)})
+
+    return make
+
+
+@pytest.fixture
+def format_4_cache():
+    """Bytes of the corpus cached in format 4: a JSON header that held the ids
+    themselves, then the years, the venue codes, and the citing and cited rows."""
+
+    def make(corpus, source_hash):
+        head = json.dumps({"format": 4, "source_hash": source_hash,
+                           "ids": corpus.paper_ids, "venues": corpus.venue_names})
+        citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
+        buf = io.BytesIO()
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8), corpus.years, corpus.venues, citing, corpus.refs):
+            np.save(buf, a, allow_pickle=False)
+        return buf.getvalue()
 
     return make

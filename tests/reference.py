@@ -8,8 +8,6 @@ path must return: the report and the arguments of `CitationCorpus._fill`.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from idtree.corpus import YEAR_MAX, YEAR_MIN, IngestReport, PaperRecord, _edges_on_cycles
@@ -87,15 +85,17 @@ def _screen(records, edges):
 
 
 def _arrays(recs: dict[str, PaperRecord], edges: list[tuple[str, str]]):
-    """`CitationCorpus._fill`'s arguments for the papers `recs` and the edges between them."""
+    """`CitationCorpus._fill`'s arguments for the papers `recs` and the edges between
+    them, which `_fill` takes in (citing, cited) row order."""
     ids = sorted(recs)
     rows = dict(zip(ids, range(len(ids))))
     names = sorted({rec.venue for rec in recs.values()} - {None})
     codes = dict(zip(names, range(len(names))))
     years = np.fromiter((recs[pid].year for pid in ids), np.int32, len(ids))
     venues = np.fromiter((codes.get(recs[pid].venue, -1) for pid in ids), np.int32, len(ids))
-    pairs = np.fromiter(map(rows.__getitem__, chain.from_iterable(edges)), np.int32, 2 * len(edges))
-    return ids, names, years, venues, pairs[0::2], pairs[1::2]
+    pairs = sorted((rows[citing], rows[cited]) for citing, cited in edges)
+    src, dst = np.array(pairs, np.int32).reshape(-1, 2).T.copy()
+    return ids, names, years, venues, src, dst
 
 
 def reference_ingest(edges, records):

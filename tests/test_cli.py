@@ -7,10 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from idtree import corpus as corpus_mod
 from idtree.cli import main
-from idtree.corpus import file_digest, load_cache, write_csv, write_edge_file, write_metadata_file
+from idtree.corpus import (
+    CACHE_FORMAT,
+    file_digest,
+    ingest_files,
+    load_cache,
+    write_csv,
+    write_edge_file,
+    write_metadata_file,
+)
 from idtree.synth import corpus_for_tree, star_tree
 
 
@@ -350,6 +360,23 @@ class TestMetrics:
         body = (out / "metrics.csv").read_text()
         assert len(body.splitlines()) == n_before  # p9 cited nothing new... P gains a citer
         assert "P,6," in body
+
+    def test_format_4_cache_in_out_is_reingested_once(self, tmp_path, toy_files, format_4_cache, monkeypatch):
+        # a format-4 cache with the right digest misses, is rewritten as the current format, then hits
+        edges, meta = toy_files
+        flags = ("--edges", str(edges), "--meta", str(meta))
+        fresh, out = tmp_path / "fresh", tmp_path / "run"
+        assert run("metrics", *flags, "--out", str(fresh)) == 0
+        out.mkdir()
+        (out / "corpus.cache").write_bytes(format_4_cache(load_cache(fresh / "corpus.cache"), file_digest(edges, meta)))
+        ingests = []
+        monkeypatch.setattr(corpus_mod, "ingest_files", lambda *paths: ingests.append(paths) or ingest_files(*paths))
+        for _ in range(2):
+            assert run("metrics", *flags, "--out", str(out)) == 0
+        assert len(ingests) == 1
+        assert json.loads(np.load(out / "corpus.cache").tobytes())["format"] == CACHE_FORMAT
+        for name in ("corpus.cache", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestStats:

@@ -397,6 +397,17 @@ def test_ingest_matches_per_edge_reference(stream):
     assert _layout(corpus) == _layout(_filled(*arrays))
 
 
+@pytest.mark.parametrize("order", [slice(None, None, -1), [0, 1, 3, 2, 4, 5, 6, 7, 8, 9]],
+                         ids=["citing-rows-reversed", "cited-rows-swapped"])
+def test_fill_refuses_edges_out_of_row_order(toy, order):
+    # the toy's clean edges, reordered: rows (3, 0) and (3, 1) swap in the second case
+    citing = np.repeat(np.arange(len(toy), dtype=np.int32), np.diff(toy.ref_offsets))
+    arrays = toy.paper_ids, toy.venue_names, toy.years, toy.venues
+    assert _layout(_filled(*arrays, citing, toy.refs.copy())) == _layout(toy)
+    with pytest.raises(CorpusError, match="not clean"):
+        _filled(*arrays, citing[order], toy.refs[order])
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw_streams(), st.booleans())
 def test_constructor_rejects_what_the_reference_rejects(stream, linked_only):
@@ -675,6 +686,10 @@ class TestFiles:
         assert len(corpus) == 2
 
 
+# Id characters that push the cache's separator past its first candidates.
+_ID_CHARS = st.sampled_from("\n\x0b\x0c\r\x00\ud800\udfffa,") | st.characters()
+
+
 class TestCache:
     def test_cache_round_trip(self, tmp_path, toy, corpus_files):
         edges, meta = corpus_files(toy)
@@ -736,7 +751,14 @@ class TestCache:
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None
 
-    @pytest.mark.parametrize("fmt", [3, CACHE_FORMAT])
+    def test_format_4_cache_reads_as_stale(self, tmp_path, toy, format_4_cache):
+        # format 4 held the ids in its JSON header; it is re-ingested
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(format_4_cache(toy, "aaa"))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert load_cache(cache) is None
+
+    @pytest.mark.parametrize("fmt", [3, 4, CACHE_FORMAT])
     def test_planted_pickle_is_never_run(self, tmp_path, planted_pickle, fmt):
         marker = tmp_path / "PWNED"
         cache = tmp_path / "corpus.cache"
@@ -752,29 +774,37 @@ class TestCache:
             cache.write_bytes(data[:cut])
             assert load_cache(cache, expect_hash="aaa") is None, cut
 
-    # Arrays of the toy cache: header, years, venue codes, citing rows, cited rows.
-    # Its edges run (p1, P), (p2, P), (p3, P), ... with P at row 0; p1 and p2 share a year.
+    # Arrays of the toy cache: header, id block, years, venue codes, citing rows, cited rows.
+    # Its ids are P, p1, ..., p5 and its one venue is at code 0. Its edges run
+    # (p1, P), (p2, P), (p3, P), ... with P at row 0; p1 and p2 share a year.
     @pytest.mark.parametrize("damage", [
-        lambda a: a[4].__setitem__(0, 6),
-        lambda a: a[3].__setitem__(0, -1),
-        lambda a: a[4].__setitem__(0, 1),
-        lambda a: a[3].__setitem__(1, 1),
-        lambda a: (a[3].__setitem__(0, 0), a[4].__setitem__(0, 1)),
-        lambda a: (a[4].__setitem__(0, 2), a[4].__setitem__(1, 1)),
-        lambda a: a[2].__setitem__(0, 1),
-        lambda a: a.__setitem__(1, a[1].astype(np.int64)),
-        lambda a: a.__setitem__(4, a[4][:-1]),
-        lambda a: a.__setitem__(0, _header(a[0], ids=["p5", "p4", "p3", "p2", "p1", "P"])),
-        lambda a: a.__setitem__(0, _header(a[0], ids=[1, 2, 3, 4, 5, 6])),
+        lambda a: a[5].__setitem__(0, 6),
+        lambda a: a[4].__setitem__(0, -1),
+        lambda a: a[5].__setitem__(0, 1),
+        lambda a: a[4].__setitem__(1, 1),
+        lambda a: (a[4].__setitem__(0, 0), a[5].__setitem__(0, 1)),
+        lambda a: (a[5].__setitem__(0, 2), a[5].__setitem__(1, 1)),
+        lambda a: a[3].__setitem__(0, 1),
+        lambda a: a.__setitem__(2, a[2].astype(np.int64)),
+        lambda a: a.__setitem__(5, a[5][:-1]),
+        lambda a: a.__setitem__(1, _block(["p5", "p4", "p3", "p2", "p1", "P"])),
+        lambda a: a[1].__setitem__(0, 0xFF),
         lambda a: a.__setitem__(0, _header(a[0], format=3)),
+        lambda a: a[4].__setitem__(slice(0, 2), [2, 1]),
+        lambda a: a.__setitem__(1, _block(["P", "p1", "p2", "p3", "p4", "p5", "q"])),
+        lambda a: a.__setitem__(0, _header(a[0], sep="")),
+        lambda a: a.__setitem__(0, _header(a[0], sep=10)),
+        lambda a: a.__setitem__(0, _header(a[0], venues=[7])),
     ], ids=["row-out-of-range", "negative-row", "self-citation", "duplicate", "forward",
             "same-year-cycle", "venue-code-out-of-range", "years-not-int32", "edge-arrays-unequal",
-            "ids-unsorted", "ids-not-strings", "other-format"])
+            "ids-unsorted", "ids-not-strings", "other-format", "edges-out-of-order", "ids-too-many",
+            "sep-empty", "sep-not-string", "venues-not-strings"])
     def test_damaged_cache_reads_as_stale(self, tmp_path, toy, damage):
         cache = tmp_path / "corpus.cache"
         save_cache(toy, cache, source_hash="aaa")
         with open(cache, "rb") as fh:
-            arrays = [np.load(fh) for _ in range(5)]
+            arrays = [np.load(fh) for _ in range(6)]
+            assert not fh.read()
         damage(arrays)
         with open(cache, "wb") as fh:
             for a in arrays:
@@ -793,6 +823,30 @@ class TestCache:
         assert list(loaded.edges()) == list(corpus.edges())
         assert [loaded.record(p) for p in loaded.paper_ids] == [corpus.record(p) for p in corpus.paper_ids]
 
+    def test_empty_corpus_round_trip(self, tmp_path):
+        cache = tmp_path / "corpus.cache"
+        save_cache(CitationCorpus([], []), cache, source_hash="aaa")
+        with open(cache, "rb") as fh:
+            np.load(fh)
+            assert np.load(fh).size == 0   # zero ids give an empty block
+        loaded = load_cache(cache, expect_hash="aaa")
+        assert loaded is not None and len(loaded) == 0 and loaded.n_edges == 0
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), min_size=1, max_size=20, unique=True))
+    def test_id_block_round_trips_ids(self, tmp_path, ids):
+        # the separator is the first code point from U+000A on that no id holds
+        corpus = CitationCorpus([PaperRecord(pid, 2000) for pid in ids], list(zip(ids[1:], ids[:1] * len(ids))))
+        cache = tmp_path / "corpus.cache"
+        save_cache(corpus, cache, source_hash="aaa")
+        sep = json.loads(np.load(cache).tobytes())["sep"]
+        used = set("".join(ids))
+        assert sep not in used and all(map(used.__contains__, map(chr, range(10, ord(sep)))))
+        loaded = load_cache(cache, expect_hash="aaa")
+        assert loaded is not None
+        assert loaded.paper_ids == corpus.paper_ids == tuple(sorted(ids))
+        assert _layout(loaded) == _layout(corpus)
+
     def test_cache_bytes_independent_of_clock(self, tmp_path, toy, monkeypatch):
         blobs = []
         for now in (1.0, 2e9):
@@ -801,6 +855,10 @@ class TestCache:
             save_cache(toy, cache, source_hash="aaa")
             blobs.append(cache.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def _block(ids) -> np.ndarray:
+    return np.frombuffer("\n".join(ids).encode(), np.uint8)
 
 
 def _header(array: np.ndarray, **changes) -> np.ndarray:

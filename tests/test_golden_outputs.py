@@ -14,10 +14,11 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from idtree.cli import CACHE_NAME, main
-from idtree.corpus import load_cache
+from idtree.corpus import CACHE_FORMAT, load_cache
 
 # fixture -> (synth flags, eval-z flags, eval-tot flags)
 FIXTURES = {
@@ -332,13 +333,15 @@ PINNED = {
 }
 
 
-# sha256 of the cache (format 4) that every run on a fixture writes: only the
-# input files key it, so it is the same for each run and tie policy
+# sha256 of the cache that every run on a fixture writes: only the input files
+# key it, so it is the same for each run and tie policy.  The pins were taken
+# from caches of format CACHE_PINNED_FORMAT; a new cache format retakes them all.
+CACHE_PINNED_FORMAT = 5
 CACHE_PINNED = {
-    "planted-tot": "2ac1a55008c818fb4e6591176b6cda036cf7ed4a52978f7a0124ad6387208aa3",
-    "planted-z": "3887d27ab6c59aa170b824d2f2bc7f364c6540c68a19a53234e7b8ae9d2362a8",
-    "random": "36dbe7410344c9956ca445f44bf9ef0d2ed9f8f16305aba67058fabf01965200",
-    "toy": "a7e013900f5fd199de2eb501db1567bd5ac91e8bf9c5c5459c7afdd1ee367eac",
+    "planted-tot": "c8d3a8eaa8e86ada2c4b131c54cf771442e11c83c2f34855d2efb8af0108dc4f",
+    "planted-z": "5e9f21f6446bd9868c8659e7f22609205e7a14e64d9f18eedc44f2ce9f34ad8e",
+    "random": "f7d7cc05135b4d5b3469d5d9ae6acace1f70fe78de17435171266a7ff042802b",
+    "toy": "7411d9c802979698b87eb3865e3463293ef36052115cff42b4772717b47263e2",
 }
 
 
@@ -397,6 +400,9 @@ def test_outputs_match_pinned_digests(root, fixture_name, tie):
     assert output_digests(root, fixture_name, tie) == PINNED[fixture_name, tie]
     for run in RUNS:
         cache = root / f"{fixture_name}-{tie}-{run}" / CACHE_NAME
+        assert json.loads(np.load(cache).tobytes())["format"] == CACHE_FORMAT == CACHE_PINNED_FORMAT, (
+            f"caches are now format {CACHE_FORMAT}: retake every CACHE_PINNED entry ({', '.join(sorted(CACHE_PINNED))})"
+            " and set CACHE_PINNED_FORMAT")
         assert hashlib.sha256(cache.read_bytes()).hexdigest() == CACHE_PINNED[fixture_name], run
         assert load_cache(cache) is not None, run
 
