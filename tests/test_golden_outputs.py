@@ -5,7 +5,8 @@ sha256 of every file it wrote with a pinned value.  Each experiment case
 synthesizes a fixture, runs `idtree metrics`, `idtree stats`, `idtree eval-z`
 (fractional and absolute gain) and `idtree eval-tot` on it under one tie
 policy, and does the same, for the `corpus.cache` each run writes too.
-The random fixture has depth ties, so the two tie policies differ there.
+The random fixture has depth ties, so the two tie policies differ there;
+one more eval-z run on it pins z scores that differ between them.
 A change that moves any of these bytes has to say why and re-pin them.
 """
 
@@ -363,16 +364,21 @@ def _write_awardees(fixture) -> None:
         writer.writerow(("nobody", "NOWHERE-1999", 1999))
 
 
-def output_digests(root, fixture_name: str, tie: str) -> dict:
-    """{run/file: sha256} plus {run: exit code} for one fixture under one tie policy."""
-    synth_flags, z_flags, tot_flags = FIXTURES[fixture_name]
+def _corpus_flags(root, fixture_name: str, tie: str) -> list[str]:
+    """The input and tie flags of a run on the fixture, synthesized on first use."""
     fixture = root / fixture_name
     if not (fixture / "edges.tsv").exists():
-        assert main(["synth", *synth_flags, "--out", str(fixture)]) == 0
+        assert main(["synth", *FIXTURES[fixture_name][0], "--out", str(fixture)]) == 0
         if fixture_name != "planted-tot":
             _write_awardees(fixture)
-    corpus = ["--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"),
-              "--tie", tie, "--seed", "5"]
+    return ["--edges", str(fixture / "edges.tsv"), "--meta", str(fixture / "meta.jsonl"), "--tie", tie, "--seed", "5"]
+
+
+def output_digests(root, fixture_name: str, tie: str) -> dict:
+    """{run/file: sha256} plus {run: exit code} for one fixture under one tie policy."""
+    _, z_flags, tot_flags = FIXTURES[fixture_name]
+    fixture = root / fixture_name
+    corpus = _corpus_flags(root, fixture_name, tie)
     argv = {
         "metrics": ["metrics", *corpus],
         "stats": ["stats", *corpus],
@@ -413,3 +419,28 @@ def test_synth_outputs_match_pinned_digests(tmp_path, case):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in SYNTH_FILES if (tmp_path / name).exists()}
     assert digests == SYNTH_PINNED[case]
+
+
+# eval-z on the random fixture over all its years writes different z scores
+# under the two tie policies (the other eval-z runs do not): sha256 of its
+# files under each policy
+TIE_Z_FLAGS = ["--years", "1985:2005", "--t1", "3", "--t2", "7"]
+TIE_Z_PINNED = {
+    "min-id": {
+        "venues.csv": "a5445d2a886c0c2fca75abb21d22f2e35baebd5f6eee9626e3bfb591a503e3e3",
+        "z_summary.json": "2ffd23e75bbe9d6d14af37bd625be67ee8d3b026b5c715c987e0a45abb274abd",
+    },
+    "random": {
+        "venues.csv": "9228bc517c9a17f5144f1a56d848bb3ab430c48c986ac1224ecc30a29b0e6e23",
+        "z_summary.json": "c875271b5d09abe4de767e48a944419f2ee398c3f063d3958bfacd5373aea623",
+    },
+}
+
+
+@pytest.mark.parametrize("tie", sorted(TIE_Z_PINNED))
+def test_tie_sensitive_eval_z_matches_pinned_digests(root, tie):
+    assert TIE_Z_PINNED["min-id"]["venues.csv"] != TIE_Z_PINNED["random"]["venues.csv"]
+    out = root / f"random-{tie}-eval-z-ties"
+    assert main(["eval-z", *_corpus_flags(root, "random", tie), *TIE_Z_FLAGS, "--out", str(out)]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in RUNS["eval-z"]} == TIE_Z_PINNED[tie]
