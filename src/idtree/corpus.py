@@ -112,10 +112,12 @@ class CitationCorpus:
     Papers are numbered once, in sorted-id order: a paper's row is its
     position in `paper_ids`.  Per row the corpus stores `years` (int32) and
     `venues`, a code into the sorted `venue_names` (-1 for no venue).  Edges
-    are (citing, cited) pairs, kept as two CSR layouts (an offset array plus
-    an index array of rows): `citer_offsets`/`citers`, each paper's citers,
-    and `ref_offsets`/`refs`, its references, both in row order.  The
-    methods taking id strings are views of these arrays.
+    are (citing, cited) pairs in that row order: `cites` holds the citing
+    row of each and `refs` the cited one.  They are also kept as two CSR
+    layouts (an offset array plus an index array of rows):
+    `citer_offsets`/`citers`, each paper's citers, and `ref_offsets`/`refs`,
+    its references, both in row order.  The methods taking id strings are
+    views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
     naming each nonzero counter, on anything `ingest` would drop; papers
@@ -123,7 +125,7 @@ class CitationCorpus:
     """
 
     __slots__ = ("_ids", "years", "venues", "venue_names",
-                 "citer_offsets", "citers", "ref_offsets", "refs", "__weakref__")
+                 "citer_offsets", "citers", "ref_offsets", "cites", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
         report, arrays = _clean(_read(records, edges), prune=False)
@@ -157,11 +159,11 @@ class CitationCorpus:
                 or _edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))):
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
-        self.years, self.venues, self.refs = years, venues, dst
+        self.years, self.venues, self.cites, self.refs = years, venues, src, dst
         self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
         self.citers = (np.sort(dst.astype(np.int64) * n + src) % n).astype(np.int32)   # below n**2 < 2**62
         self.citer_offsets = np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
-        for a in (self.years, self.venues, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
+        for a in (self.years, self.venues, self.cites, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -216,8 +218,7 @@ class CitationCorpus:
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All (citing, cited) pairs in sorted order."""
-        citing = np.repeat(np.arange(len(self._ids)), np.diff(self.ref_offsets))
-        return zip(self._names(citing), self._names(self.refs))
+        return zip(self._names(self.cites), self._names(self.refs))
 
     def year_range(self) -> tuple[int, int]:
         if not self._ids:
@@ -230,11 +231,10 @@ class CitationCorpus:
         A kept paper keeps all its references, since none points forward in time."""
         kept = self.years <= year
         row = np.cumsum(kept, dtype=np.int32) - 1   # each kept paper's row in the snapshot
-        citing = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.ref_offsets))
-        edge = kept[citing]
+        edge = kept[self.cites]
         snap = CitationCorpus.__new__(CitationCorpus)
         snap._fill(list(compress(self._ids, kept)), self.venue_names, self.years[kept], self.venues[kept],
-                   row[citing[edge]], row[self.refs[edge]])
+                   row[self.cites[edge]], row[self.refs[edge]])
         return snap
 
 
@@ -762,10 +762,9 @@ def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
     head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep,
                        "venues": corpus.venue_names})
     block = sep.join(corpus.paper_ids).encode("utf-8", "surrogatepass")
-    citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
     with open(path, "wb") as fh:
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
-                  corpus.years, corpus.venues, citing, corpus.refs):
+                  corpus.years, corpus.venues, corpus.cites, corpus.refs):
             np.save(fh, a, allow_pickle=False)
 
 

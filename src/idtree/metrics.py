@@ -322,8 +322,8 @@ def _edge_trees(corpus, wanted: np.ndarray):
     parents, so a random tie policy can change its tree.
 
     Citation edges (v, x) are numbered by the key v * N + x over the
-    corpus's N rows; the edges of the citers, taken from the reference CSR
-    in row order, come out sorted.  A triangle is a pair of edges (v, P)
+    corpus's N rows; the corpus keeps its edges in (citing, cited) row
+    order, so the keys of the edges kept come out sorted.  A triangle is a pair of edges (v, P)
     and (v, u) with (u, P) an edge too: u is then a candidate parent of v in
     P's tree.  A citer's depth is one more than its deepest candidate's (1
     without one), and its parent is the smallest-id candidate one level up.
@@ -337,16 +337,13 @@ def _edge_trees(corpus, wanted: np.ndarray):
     """
     size = len(corpus)
     involved = np.zeros(size, bool)
-    involved[corpus.citers[_runs(corpus.citer_offsets, np.flatnonzero(wanted))[0]]] = True
-    citing = np.flatnonzero(involved)
-    involved |= wanted
-    at, pick = _runs(corpus.ref_offsets, citing)
-    dst = corpus.refs[at]
-    keys = (citing[pick].astype(np.int64) * size + dst)[involved[dst]]   # only references among the papers involved
-    del citing, involved, at, pick
+    involved[corpus.cites[wanted[corpus.refs]]] = True
+    # the edges of the citers, only references among the papers involved
+    kept = involved[corpus.cites] & (involved | wanted)[corpus.refs]
+    citing, dst = corpus.cites[kept], corpus.refs[kept]
+    keys = citing.astype(np.int64) * size + dst
+    del involved, kept
 
-    citing = keys // size
-    dst = (keys - citing * size).astype(np.int32)
     heads = _segments(citing)   # each citer's edges are one run of keys
     # signatures: bit x % 64 of sig[u] is set when u cites some x, and of
     # reach[v] when one of v's references does

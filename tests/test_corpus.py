@@ -331,6 +331,27 @@ def test_citer_order_matches_lexsort_reference(tmp_path, stream):
         _assert_citers_match_lexsort(built)
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(year_heavy_streams(), st.integers(0, 10_000))
+def test_cites_is_each_edges_citing_row(tmp_path, stream, seed):
+    # however the corpus was built: by the constructor, ingest, ingest_files,
+    # load_cache, snapshot and gen_random_corpus
+    corpus, _ = ingest(stream[1], stream[0])
+    edges, meta, cache = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "corpus.cache"
+    write_edge_file(corpus, edges)
+    write_metadata_file(corpus, meta)
+    save_cache(corpus, cache)
+    built = [corpus, CitationCorpus(map(corpus.record, corpus.paper_ids), corpus.edges()),
+             ingest_files(edges, meta)[0], load_cache(cache),
+             *map(corpus.snapshot, sorted(set(corpus.years.tolist()))),
+             gen_random_corpus(60, years=(1990, 2000), mean_refs=3, followup=0.5, seed=seed)]
+    for built_corpus in built:
+        cites = built_corpus.cites
+        assert cites.dtype == np.int32 and not cites.flags.writeable
+        assert cites.tolist() == np.repeat(np.arange(len(built_corpus)), np.diff(built_corpus.ref_offsets)).tolist()
+
+
 def _assert_same_corpus(a, b):
     assert a.paper_ids == b.paper_ids
     assert list(a.edges()) == list(b.edges())
@@ -377,7 +398,7 @@ def raw_streams(draw):
 def _layout(corpus):
     """Everything a corpus stores: ids, venue names and its arrays."""
     return (corpus.paper_ids, corpus.venue_names,
-            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.refs,
+            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.cites, corpus.refs,
                                     corpus.citer_offsets, corpus.citers)))
 
 
