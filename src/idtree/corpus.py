@@ -736,7 +736,7 @@ def _read_files(meta_path, edge_path):
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 def file_digest(*paths) -> str:
@@ -752,16 +752,16 @@ def file_digest(*paths) -> str:
 
 def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
     """Write the corpus and the digest of its files as six `np.save` arrays: a JSON
-    header (format, digest, separator, venue names) as ASCII bytes; the ids as one
-    UTF-8 block (lone surrogates kept) joined by the separator, the first code point
-    from U+000A on that no id holds; the years, the venue codes, and the citing and
-    the cited row of each edge, in (citing, cited) order."""
-    joined = "".join(corpus.paper_ids)
+    header (format, digest, separator, id count) as ASCII bytes; the ids and then the
+    venue names as one UTF-8 block (lone surrogates kept), each ended by the separator,
+    the first code point from U+000A on that no id or name holds; the years, the venue
+    codes, and the citing and the cited row of each edge, in (citing, cited) order."""
+    names = (*corpus.paper_ids, *corpus.venue_names, "")
+    joined = "".join(names)
     used = set(joined) if "\n" in joined else ()
     sep = next(c for c in map(chr, count(10)) if c not in used)
-    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep,
-                       "venues": corpus.venue_names})
-    block = sep.join(corpus.paper_ids).encode("utf-8", "surrogatepass")
+    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep, "ids": len(corpus)})
+    block = sep.join(names).encode("utf-8", "surrogatepass")
     with open(path, "wb") as fh:
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
                   corpus.years, corpus.venues, corpus.cites, corpus.refs):
@@ -771,7 +771,7 @@ def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
 def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
     """Load a cached corpus; returns None when missing, stale, damaged or of another format.
 
-    The format and the digest are checked before the id block is read.
+    The format and the digest are checked before the name block is read.
     Nothing in the file is unpickled: the arrays go through the constructor
     `ingest` uses, whose checks refuse any that do not make a clean corpus.
     """
@@ -781,13 +781,14 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
             if head["format"] != CACHE_FORMAT or expect_hash not in (None, head["source_hash"]):
                 return None
             block, *arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
-        sep, venue_names = head["sep"], head["venues"]
-        if not (isinstance(sep, str) and sep and isinstance(venue_names, list)
-                and all(map(isinstance, venue_names, repeat(str)))):
+        sep, n_ids = head["sep"], head["ids"]
+        if not (isinstance(sep, str) and sep and type(n_ids) is int):
             return None
-        text = block.tobytes().decode("utf-8", "surrogatepass")
+        *names, end = block.tobytes().decode("utf-8", "surrogatepass").split(sep)
+        if end or not 0 <= n_ids <= len(names):
+            return None
         corpus = CitationCorpus.__new__(CitationCorpus)
-        corpus._fill(text.split(sep) if text else [], venue_names, *arrays)
+        corpus._fill(names[:n_ids], names[n_ids:], *arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus

@@ -1,6 +1,7 @@
 import io
 import json
 import pickle
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,27 @@ def format_4_cache():
         citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
         buf = io.BytesIO()
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), corpus.years, corpus.venues, citing, corpus.refs):
+            np.save(buf, a, allow_pickle=False)
+        return buf.getvalue()
+
+    return make
+
+
+@pytest.fixture
+def format_5_cache():
+    """Bytes of the corpus cached in format 5: a JSON header that held the venue
+    names, the ids as one UTF-8 block joined by the first code point from U+000A
+    on that no id holds, then the years, the venue codes, and the citing and cited rows."""
+
+    def make(corpus, source_hash):
+        used = set("".join(corpus.paper_ids))
+        sep = next(c for c in map(chr, count(10)) if c not in used)
+        head = json.dumps({"format": 5, "source_hash": source_hash, "sep": sep, "venues": corpus.venue_names})
+        block = sep.join(corpus.paper_ids).encode("utf-8", "surrogatepass")
+        citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
+        buf = io.BytesIO()
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
+                  corpus.years, corpus.venues, citing, corpus.refs):
             np.save(buf, a, allow_pickle=False)
         return buf.getvalue()
 

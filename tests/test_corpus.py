@@ -779,7 +779,14 @@ class TestCache:
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None
 
-    @pytest.mark.parametrize("fmt", [3, 4, CACHE_FORMAT])
+    def test_format_5_cache_reads_as_stale(self, tmp_path, toy, format_5_cache):
+        # format 5 held the venue names in its JSON header; it is re-ingested
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(format_5_cache(toy, "aaa"))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert load_cache(cache) is None
+
+    @pytest.mark.parametrize("fmt", [3, 4, 5, CACHE_FORMAT])
     def test_planted_pickle_is_never_run(self, tmp_path, planted_pickle, fmt):
         marker = tmp_path / "PWNED"
         cache = tmp_path / "corpus.cache"
@@ -795,8 +802,8 @@ class TestCache:
             cache.write_bytes(data[:cut])
             assert load_cache(cache, expect_hash="aaa") is None, cut
 
-    # Arrays of the toy cache: header, id block, years, venue codes, citing rows, cited rows.
-    # Its ids are P, p1, ..., p5 and its one venue is at code 0. Its edges run
+    # Arrays of the toy cache: header, name block, years, venue codes, citing rows, cited rows.
+    # Its ids are P, p1, ..., p5 and its one venue, TOY-2000, is at code 0. Its edges run
     # (p1, P), (p2, P), (p3, P), ... with P at row 0; p1 and p2 share a year.
     @pytest.mark.parametrize("damage", [
         lambda a: a[5].__setitem__(0, 6),
@@ -808,18 +815,25 @@ class TestCache:
         lambda a: a[3].__setitem__(0, 1),
         lambda a: a.__setitem__(2, a[2].astype(np.int64)),
         lambda a: a.__setitem__(5, a[5][:-1]),
-        lambda a: a.__setitem__(1, _block(["p5", "p4", "p3", "p2", "p1", "P"])),
+        lambda a: a.__setitem__(1, _block(["p5", "p4", "p3", "p2", "p1", "P", "TOY-2000"])),
         lambda a: a[1].__setitem__(0, 0xFF),
         lambda a: a.__setitem__(0, _header(a[0], format=3)),
         lambda a: a[4].__setitem__(slice(0, 2), [2, 1]),
-        lambda a: a.__setitem__(1, _block(["P", "p1", "p2", "p3", "p4", "p5", "q"])),
+        lambda a: (a.__setitem__(1, _block(["P", "p1", "p2", "p3", "p4", "p5", "q", "TOY-2000"])),
+                   a.__setitem__(0, _header(a[0], ids=7))),
         lambda a: a.__setitem__(0, _header(a[0], sep="")),
         lambda a: a.__setitem__(0, _header(a[0], sep=10)),
-        lambda a: a.__setitem__(0, _header(a[0], venues=[7])),
+        lambda a: a[1].__setitem__(-2, 0xFF),
+        lambda a: a.__setitem__(0, _header(a[0], ids=8)),
+        lambda a: a.__setitem__(0, _header(a[0], ids=-1)),
+        lambda a: a.__setitem__(0, _header(a[0], ids="6")),
+        lambda a: a.__setitem__(0, _header(a[0], ids=6.0)),
+        lambda a: a.__setitem__(1, a[1][:-1]),
     ], ids=["row-out-of-range", "negative-row", "self-citation", "duplicate", "forward",
             "same-year-cycle", "venue-code-out-of-range", "years-not-int32", "edge-arrays-unequal",
             "ids-unsorted", "ids-not-strings", "other-format", "edges-out-of-order", "ids-too-many",
-            "sep-empty", "sep-not-string", "venues-not-strings"])
+            "sep-empty", "sep-not-string", "venues-not-strings", "id-count-too-large", "id-count-negative",
+            "id-count-not-int", "id-count-float", "names-unterminated"])
     def test_damaged_cache_reads_as_stale(self, tmp_path, toy, damage):
         cache = tmp_path / "corpus.cache"
         save_cache(toy, cache, source_hash="aaa")
@@ -844,28 +858,44 @@ class TestCache:
         assert list(loaded.edges()) == list(corpus.edges())
         assert [loaded.record(p) for p in loaded.paper_ids] == [corpus.record(p) for p in corpus.paper_ids]
 
+    def test_surrogate_pair_venue_round_trips(self, tmp_path):
+        # a lone high surrogate then a lone low one stay two code points: JSON
+        # would read their escapes back as the one astral code point U+103FF
+        venue = chr(0xD800) + chr(0xDFFF)
+        corpus = CitationCorpus([PaperRecord("a", 2000, venue)], [])
+        cache = tmp_path / "corpus.cache"
+        save_cache(corpus, cache, source_hash="aaa")
+        loaded = load_cache(cache, expect_hash="aaa")
+        assert loaded is not None
+        assert loaded.venue_names == (venue,)
+        assert loaded.record("a") == PaperRecord("a", 2000, venue)
+
     def test_empty_corpus_round_trip(self, tmp_path):
         cache = tmp_path / "corpus.cache"
         save_cache(CitationCorpus([], []), cache, source_hash="aaa")
         with open(cache, "rb") as fh:
             np.load(fh)
-            assert np.load(fh).size == 0   # zero ids give an empty block
+            assert np.load(fh).size == 0   # zero ids and names give an empty block
         loaded = load_cache(cache, expect_hash="aaa")
         assert loaded is not None and len(loaded) == 0 and loaded.n_edges == 0
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), min_size=1, max_size=20, unique=True))
-    def test_id_block_round_trips_ids(self, tmp_path, ids):
-        # the separator is the first code point from U+000A on that no id holds
-        corpus = CitationCorpus([PaperRecord(pid, 2000) for pid in ids], list(zip(ids[1:], ids[:1] * len(ids))))
+    @given(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5), min_size=1, max_size=20, unique=True),
+           st.lists(st.none() | st.text(_ID_CHARS, max_size=5), min_size=20, max_size=20))
+    def test_id_block_round_trips_ids(self, tmp_path, ids, venues):
+        # ids and venue names alike; the separator is the first code point
+        # from U+000A on that no id or venue name holds
+        corpus = CitationCorpus([PaperRecord(pid, 2000, venue) for pid, venue in zip(ids, venues)],
+                                list(zip(ids[1:], ids[:1] * len(ids))))
         cache = tmp_path / "corpus.cache"
         save_cache(corpus, cache, source_hash="aaa")
         sep = json.loads(np.load(cache).tobytes())["sep"]
-        used = set("".join(ids))
+        used = set("".join(ids) + "".join(corpus.venue_names))
         assert sep not in used and all(map(used.__contains__, map(chr, range(10, ord(sep)))))
         loaded = load_cache(cache, expect_hash="aaa")
         assert loaded is not None
         assert loaded.paper_ids == corpus.paper_ids == tuple(sorted(ids))
+        assert loaded.venue_names == corpus.venue_names == tuple(sorted(set(venues[:len(ids)]) - {None}))
         assert _layout(loaded) == _layout(corpus)
 
     def test_cache_bytes_independent_of_clock(self, tmp_path, toy, monkeypatch):
@@ -878,8 +908,8 @@ class TestCache:
         assert blobs[0] == blobs[1]
 
 
-def _block(ids) -> np.ndarray:
-    return np.frombuffer("\n".join(ids).encode(), np.uint8)
+def _block(names) -> np.ndarray:
+    return np.frombuffer("".join(f"{name}\n" for name in names).encode(), np.uint8)
 
 
 def _header(array: np.ndarray, **changes) -> np.ndarray:
