@@ -784,11 +784,13 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
         sep, n_ids = head["sep"], head["ids"]
         if not (isinstance(sep, str) and sep and type(n_ids) is int):
             return None
-        *names, end = block.tobytes().decode("utf-8", "surrogatepass").split(sep)
-        if end or not 0 <= n_ids <= len(names):
+        ids = block.tobytes().decode("utf-8", "surrogatepass").split(sep)
+        if ids.pop() or not 0 <= n_ids <= len(ids):   # the last name ends the block
             return None
+        venue_names = ids[n_ids:]
+        del ids[n_ids:]
         corpus = CitationCorpus.__new__(CitationCorpus)
-        corpus._fill(names[:n_ids], names[n_ids:], *arrays)
+        corpus._fill(ids, venue_names, *arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus
