@@ -111,13 +111,12 @@ class CitationCorpus:
 
     Papers are numbered once, in sorted-id order: a paper's row is its
     position in `paper_ids`.  Per row the corpus stores `years` (int32) and
-    `venues`, a code into the sorted `venue_names` (-1 for no venue).  Edges
-    are (citing, cited) pairs in that row order: `cites` holds the citing
-    row of each and `refs` the cited one.  They are also kept as two CSR
-    layouts (an offset array plus an index array of rows):
-    `citer_offsets`/`citers`, each paper's citers, and `ref_offsets`/`refs`,
-    its references, both in row order.  The methods taking id strings are
-    views of these arrays.
+    `venues`, a code into the sorted `venue_names` (-1 for no venue).
+    `cites` and `refs` hold the citing and the cited row of each edge,
+    sorted by (citing, cited).  With `ref_offsets`, `refs` is a CSR layout
+    (an offset array plus an index array of rows) of each paper's
+    references, and `citer_offsets`/`citers` one of its citers, in row
+    order.  The methods taking id strings are views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
     naming each nonzero counter, on anything `ingest` would drop; papers

@@ -323,10 +323,11 @@ def _edge_trees(corpus, wanted: np.ndarray):
 
     Citation edges (v, x) are numbered by the key v * N + x over the
     corpus's N rows; the corpus keeps its edges in (citing, cited) row
-    order, so the keys of the edges kept come out sorted.  A triangle is a pair of edges (v, P)
-    and (v, u) with (u, P) an edge too: u is then a candidate parent of v in
-    P's tree.  A citer's depth is one more than its deepest candidate's (1
-    without one), and its parent is the smallest-id candidate one level up.
+    order, so the keys of the edges kept come out sorted.  A triangle is
+    a pair of edges (v, P) and (v, u) with (u, P) an edge too: u is then a
+    candidate parent of v in P's tree.  A citer's depth is one more than
+    its deepest candidate's (1 without one), and its parent is the
+    smallest-id candidate one level up.
 
     Most pairs (v, P), (v, u) have no edge (u, P).  64-bit row signatures,
     a Bloom filter over each paper's references, reject most of them before
@@ -336,10 +337,10 @@ def _edge_trees(corpus, wanted: np.ndarray):
     pairs where references crowd the 64 bits.
     """
     size = len(corpus)
-    involved = np.zeros(size, bool)
-    involved[corpus.cites[wanted[corpus.refs]]] = True
-    # the edges of the citers, only references among the papers involved
-    kept = involved[corpus.cites] & (involved | wanted)[corpus.refs]
+    involved = np.zeros(size, bool)   # the citers of the wanted papers
+    involved[corpus.cites[wanted.take(corpus.refs)]] = True
+    # their edges among the papers involved; `take` gathers by int32 rows faster than indexing
+    kept = involved.take(corpus.cites) & (involved | wanted).take(corpus.refs)
     citing, dst = corpus.cites[kept], corpus.refs[kept]
     keys = citing.astype(np.int64) * size + dst
     del involved, kept
