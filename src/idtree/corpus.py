@@ -781,10 +781,10 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
                 return None
             block, *arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
         sep, n_ids = head["sep"], head["ids"]
-        if not (isinstance(sep, str) and sep and type(n_ids) is int):
+        if not (isinstance(sep, str) and sep):
             return None
         ids = block.tobytes().decode("utf-8", "surrogatepass").split(sep)
-        if ids.pop() or not 0 <= n_ids <= len(ids):   # the last name ends the block
+        if ids.pop() or not 0 <= n_ids <= len(ids):   # a whole block ends with the separator
             return None
         venue_names = ids[n_ids:]
         del ids[n_ids:]
