@@ -39,7 +39,6 @@ from .metrics import (
     idi,
     idi_max,
     idi_min,
-    influence_divergence,
     nid,
     nid_value,
     optimal_shape,
@@ -82,7 +81,6 @@ __all__ = [
     "idi",
     "idi_max",
     "idi_min",
-    "influence_divergence",
     "ingest",
     "ingest_files",
     "kendall_tau_distance",

@@ -155,7 +155,7 @@ class CitationCorpus:
         src_year, dst_year = years[src], years[dst]
         same = src_year == dst_year
         if (not (key[1:] > key[:-1]).all() or (src == dst).any() or (src_year < dst_year).any()
-                or _edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))):
+                or any(_edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist()))))):
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
         self.years, self.venues, self.cites, self.refs = years, venues, src, dst
@@ -266,8 +266,8 @@ def _valid_edges(items: Iterable, report: IngestReport) -> Iterator[tuple[str, s
         report.malformed_edges += 1
 
 
-def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
-    """Edges lying on a directed cycle: both ends in one strongly connected component.
+def _edges_on_cycles(edges: list[tuple]) -> list[bool]:
+    """Per edge, whether it lies on a directed cycle: both ends in one strongly connected component.
 
     Kosaraju: after a depth-first pass, each node not yet placed, last finished
     first, takes into its component every unplaced node that reaches it."""
@@ -302,7 +302,7 @@ def _edges_on_cycles(edges: list[tuple]) -> set[tuple]:
                     if w not in comp:
                         comp[w] = root
                         todo.append(w)
-    return {(u, v) for u, v in edges if comp[u] == comp[v]}
+    return [comp[u] == comp[v] for u, v in edges]
 
 
 def _read(records: Iterable, edges: Iterable):
@@ -357,9 +357,7 @@ def _clean(read: tuple, prune: bool):
     report.dropped_forward = len(src) - int(back.sum())
     src, dst = src[back], dst[back]
     same = np.flatnonzero(years[src] == years[dst])
-    pairs = list(zip(src[same].tolist(), dst[same].tolist()))
-    cyclic = _edges_on_cycles(pairs)
-    on = same[[pair in cyclic for pair in pairs]]
+    on = same[_edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))]
     src, dst, report.dropped_cycle = np.delete(src, on), np.delete(dst, on), len(on)
     linked = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) if prune else np.ones(n)
     # renumber the kept papers, already in sorted-id order, and their venues by name

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CitationCorpus, write_csv, write_csv_columns
-from .metrics import CorpusMetrics, _runs, corpus_metrics, derived, paper_metrics, paper_years
+from .metrics import CorpusMetrics, corpus_metrics, derived, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -366,6 +366,14 @@ class ToTReport:
             out["mrr_cite"] = self.mrr_cite
             out["mrr_nid"] = self.mrr_nid
         return out
+
+
+def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
+    lo = offsets[picks]
+    sizes = offsets[picks + 1] - lo
+    pick = np.repeat(np.arange(len(picks)), sizes)
+    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
 
 def tot_experiment(

@@ -26,10 +26,7 @@ CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid
 
 def idi(tree: InfluenceTree) -> int:
     """Sum of root-to-leaf path lengths; 0 for an empty tree."""
-    if not tree.parent:
-        return 0
-    internal = set(tree.parent.values())
-    return sum(d for v, d in tree.depth.items() if v != tree.root and v not in internal)
+    return sum(map(tree.depth.__getitem__, tree.leaves()))
 
 
 def _require_positive(n: int) -> int:
@@ -59,13 +56,6 @@ def optimal_shape(n: int) -> tuple[int, int]:
     if k * k < n:
         k += 1
     return (k, k)
-
-
-def influence_divergence(tree: InfluenceTree) -> int:
-    """How far the tree's IDI sits above the ideal value n; 0 for empty trees."""
-    if not tree.parent:
-        return 0
-    return idi(tree) - tree.n
 
 
 def nid_value(n: int, idi_value: int) -> float:
@@ -121,23 +111,21 @@ class CorpusMetrics:
         n, value = self.n, self.idi
         return n, self.depth, self.breadth, value, n, self.idi_max, value - n, self.nid
 
-    def rows(self):
-        """The CSV rows, in `CSV_HEADER` order."""
-        return zip(self.paper_ids, *(c.tolist() for c in self.columns()))
-
     def __iter__(self):
-        return starmap(MetricsReport, self.rows())
+        return starmap(MetricsReport, zip(self.paper_ids, *(c.tolist() for c in self.columns())))
 
 
-def _sweep(tree: InfluenceTree) -> tuple[list[int], list[int]]:
-    """IDI after each citer is attached, and the citer count of each level.
+def _sweep(idg, tie: str, seed: int) -> tuple[list[int], list[int]]:
+    """IDI after each citer of `idg`'s tree is attached, and the citer count of each level.
 
-    `tree.parent` must be in build order, as `build_idt` makes it.  A citer
-    v hung under a node without children yet (a leaf, or the root before
-    its first child) adds 1 to the IDI: v takes over its parent's branch.
-    Under a node that already has children, v starts a new branch and adds
-    depth[v].
+    The tree gets a stable per-paper seed, identical across runs, orders
+    and processes; `build_idt` only turns it into a generator on the first
+    real tie, so under min-id it is never used.  A citer v hung under a node
+    without children yet (a leaf, or the root before its first child) adds
+    1 to the IDI: v takes over its parent's branch.  Under a node that
+    already has children, v starts a new branch and adds depth[v].
     """
+    tree = build_idt(idg, tie=tie, rng=[seed, *idg.root.encode("utf-8")])
     prefix: list[int] = []
     levels: list[int] = []
     parents: set[str] = set()
@@ -179,10 +167,7 @@ def paper_metrics(
     n = idg.n
     if n == 0:
         return None
-    # Stable per-paper seed, identical across runs, orders and processes;
-    # build_idt only turns it into a generator on the first real tie.
-    rng = [seed, *paper_id.encode("utf-8")] if tie == "random" else None
-    prefix, levels = _sweep(build_idt(idg, tie=tie, rng=rng))
+    prefix, levels = _sweep(idg, tie, seed)
     value = prefix[-1]
     hi, nid = _checked_nids(np.array([n]), np.array([value]))
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
@@ -200,13 +185,12 @@ def derived(corpus) -> dict:
 def _drawn(corpus, row: int, seed: int) -> list[int]:
     """IDI after each citer of the paper at `row` under random ties drawn from `seed`.
 
-    Built once per seed and corpus from the paper's full tree, with the
-    per-paper seed of `paper_metrics`, so it matches that paper's score.
+    Built once per seed and corpus from the paper's full tree by `_sweep`,
+    as `paper_metrics` builds it, so it matches that paper's score.
     """
     drawn = derived(corpus).setdefault(("drawn", seed), {})
     if row not in drawn:
-        pid = corpus.paper_ids[row]
-        drawn[row] = _sweep(build_idt(build_idg(corpus, pid), tie="random", rng=[seed, *pid.encode("utf-8")]))[0]
+        drawn[row] = _sweep(build_idg(corpus, corpus.paper_ids[row]), "random", seed)[0]
     return drawn[row]
 
 
@@ -302,14 +286,6 @@ _BLOCK = 1 << 17
 def _segments(sorted_keys: np.ndarray) -> np.ndarray:
     """Start of each run of equal values in a sorted array; none in an empty one."""
     return np.flatnonzero(np.r_[len(sorted_keys) > 0, sorted_keys[1:] != sorted_keys[:-1]])
-
-
-def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
-    lo = offsets[picks]
-    sizes = offsets[picks + 1] - lo
-    pick = np.repeat(np.arange(len(picks)), sizes)
-    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
 
 
 def _edge_trees(corpus, wanted: np.ndarray):

@@ -18,12 +18,12 @@ building trees one by one would be too slow.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
 import numpy as np
 
 from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, IngestReport, PaperRecord, _clean, ingest
+from .metrics import optimal_shape
 from .tree import InfluenceTree, tree_from_parent_map
 
 ENUMERATION_CAP = 9
@@ -87,9 +87,7 @@ def ideal_branch_sizes(n: int) -> list[int]:
     """
     if n < 1:
         raise ValueError("ideal shape needs n >= 1")
-    k = math.isqrt(n)
-    if k * k < n:
-        k += 1
+    k = optimal_shape(n)[0]
     if n == 1:
         return [1]
     if n < 2 * k - 1:

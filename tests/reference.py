@@ -8,6 +8,8 @@ path must return: the report and the arguments of `CitationCorpus._fill`.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from idtree.corpus import YEAR_MAX, YEAR_MIN, IngestReport, PaperRecord, _edges_on_cycles
@@ -77,7 +79,7 @@ def _screen(records, edges):
         kept.append((citing_rec.id, cited_rec.id))
 
     same_year = [(u, v) for u, v in kept if recs[u].year == recs[v].year]
-    cyclic = _edges_on_cycles(same_year) if same_year else set()
+    cyclic = set(compress(same_year, _edges_on_cycles(same_year)))
     if cyclic:
         report.dropped_cycle = len(cyclic)
         kept = [e for e in kept if e not in cyclic]
