@@ -112,12 +112,13 @@ def cmd_ingest(args) -> int:
 
 def cmd_metrics(args) -> int:
     try:   # before --out is made; each id once, in id order, whether scored or rejected
-        ids = sorted(set(next(csv.reader([args.ids], skipinitialspace=True))) - {""}) if args.ids else []
+        ids = sorted(set(next(csv.reader([args.ids or ""], skipinitialspace=True))) - {""})
     except csv.Error as err:   # an unquoted line break, or an id past the csv field limit
         raise UsageError(f"--ids is not one CSV record; quote an id that holds a line break ({err})") from None
     out, corpus, _ = _ingest_with_cache(args)
     _require_corpus_nonempty(corpus)
-    requested = [pid for pid in ids if corpus.has_paper(pid)] if args.ids else None
+    # no --ids scores every paper; an --ids that names no id, none
+    requested = None if args.ids is None else [pid for pid in ids if corpus.has_paper(pid)]
     errors = [(pid, "unknown paper id") for pid in ids if not corpus.has_paper(pid)]
     reports = metrics_mod.corpus_metrics(corpus, requested, tie=args.tie, seed=args.seed)
     metrics_mod.write_metrics_csv(reports, out / "metrics.csv")

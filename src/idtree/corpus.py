@@ -134,9 +134,16 @@ class CitationCorpus:
             raise CorpusError(f"corpus input is not clean ({', '.join(dirty)}); use ingest")
         self._fill(*arrays)
 
+    @classmethod
+    def _from_arrays(cls, *arrays) -> CitationCorpus:
+        """The corpus of `_fill`'s arguments, which `_fill` checks: the one way to build a corpus from arrays."""
+        corpus = cls.__new__(cls)
+        corpus._fill(*arrays)
+        return corpus
+
     def _fill(self, ids: Sequence[str], venue_names: Sequence[str], years: np.ndarray,
               venues: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        """The array constructor: papers `ids` (strings, sorted) and edges `src` -> `dst`
+        """Set the slots from papers `ids` (strings, sorted) and edges `src` -> `dst`
         (rows), given in (citing, cited) row order as `_clean` and `snapshot` leave them.
 
         Raises `CorpusError` unless the arrays make a clean corpus, as
@@ -231,10 +238,8 @@ class CitationCorpus:
         kept = self.years <= year
         row = np.cumsum(kept, dtype=np.int32) - 1   # each kept paper's row in the snapshot
         edge = kept[self.cites]
-        snap = CitationCorpus.__new__(CitationCorpus)
-        snap._fill(list(compress(self._ids, kept)), self.venue_names, self.years[kept], self.venues[kept],
-                   row[self.cites[edge]], row[self.refs[edge]])
-        return snap
+        return CitationCorpus._from_arrays(list(compress(self._ids, kept)), self.venue_names, self.years[kept],
+                                           self.venues[kept], row[self.cites[edge]], row[self.refs[edge]])
 
 
 def _valid_records(items: Iterable, report: IngestReport) -> Iterator[tuple[str, int, str | None]]:
@@ -384,9 +389,7 @@ def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestRe
     fatal.
     """
     report, arrays = _clean(_read(records, edges), prune=True)
-    corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._fill(*arrays)
-    return corpus, report
+    return CitationCorpus._from_arrays(*arrays), report
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +789,7 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
             return None
         venue_names = ids[n_ids:]
         del ids[n_ids:]
-        corpus = CitationCorpus.__new__(CitationCorpus)
-        corpus._fill(ids, venue_names, *arrays)
+        corpus = CitationCorpus._from_arrays(ids, venue_names, *arrays)
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus

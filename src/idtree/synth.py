@@ -2,11 +2,11 @@
 
 Everything here is deterministic given a seed.  Shape builders return a
 dispersion tree rooted at paper "P", built from its preorder level
-sequence (the level of each citer, in preorder), and `corpus_for_tree` a
-minimal citation corpus that reproduces it exactly when run back through
-`build_idg` + `build_idt`: every citer cites the root paper plus its tree
-parent, and years increase with depth, so the reconstruction never faces a
-depth tie.
+sequence (the level of each citer, in preorder).  `_plant` is the one rule
+that puts a tree's citers into a corpus so that `build_idg` + `build_idt`
+rebuild it exactly, for `corpus_for_tree` and the planted benchmarks alike.
+Every fixture goes through the checked constructor
+`CitationCorpus(records, edges)`, which refuses anything `ingest` would drop.
 
 `enumerate_trees` streams every rooted tree with n non-root nodes up to
 isomorphism, stepping through the canonical level sequences with the
@@ -22,7 +22,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, IngestReport, PaperRecord, _clean, ingest
+from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, IngestReport, PaperRecord, _clean
 from .metrics import optimal_shape
 from .tree import InfluenceTree, tree_from_parent_map
 
@@ -107,23 +107,35 @@ def ideal_tree(n: int) -> InfluenceTree:
     return _levels_tree([level for size in ideal_branch_sizes(n) for level in range(1, size + 1)])
 
 
-def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
-    """Minimal corpus that rebuilds exactly this tree.
+def _plant(
+    records: list[PaperRecord],
+    edges: list[tuple[str, str]],
+    paper_id: str,
+    tree: InfluenceTree,
+    pub_year: int,
+    prefix: str,
+) -> None:
+    """Add the citers of `tree` under paper `paper_id`, each citer v named `prefix + v`.
 
-    The root is dated 2000.  Every citer cites the root and (when distinct)
-    its parent, and is dated 2000 + depth, so parents always precede
-    children and each citer has at most one in-tree candidate:
-    reconstruction is tie-free.  No paper has a venue.
+    A citer of depth l is dated pub_year + l and cites the paper and, where
+    they differ, its tree parent: parents precede children and each citer
+    has at most one in-tree candidate, so the rebuilt tree is tie-free.
     """
+    for v in sorted(tree.parent):
+        records.append(PaperRecord(prefix + v, pub_year + tree.depth[v]))
+        edges.append((prefix + v, paper_id))
+        if tree.parent[v] != tree.root:
+            edges.append((prefix + v, prefix + tree.parent[v]))
+
+
+def corpus_for_tree(tree: InfluenceTree) -> CitationCorpus:
+    """Minimal corpus that rebuilds exactly this tree: the root dated 2000 and
+    its citers planted under their own ids.  No paper has a venue."""
     if not tree.parent:
         raise ValueError("cannot derive a corpus for an empty tree")
     records = [PaperRecord(tree.root, 2000)]
     edges: list[tuple[str, str]] = []
-    for v in sorted(tree.parent):
-        records.append(PaperRecord(v, 2000 + tree.depth[v]))
-        edges.append((v, tree.root))
-        if tree.parent[v] != tree.root:
-            edges.append((v, tree.parent[v]))
+    _plant(records, edges, tree.root, tree, 2000, "")
     return CitationCorpus(records, edges)
 
 
@@ -148,9 +160,7 @@ def toy_corpus() -> CitationCorpus:
         ("p4", "P"), ("p4", "p1"), ("p4", "p2"),
         ("p5", "P"), ("p5", "p2"), ("p5", "p3"),
     ]
-    corpus, report = ingest(edges, records)
-    assert report.edges_kept == len(edges)
-    return corpus
+    return CitationCorpus(records, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +314,12 @@ def gen_random_corpus(
     names = [f"S{key // span:03d}-{key % span + year_lo}" for key in keys.tolist()]
     ids = [f"p{i:0{width}d}" for i in range(n_papers)]
     _, arrays = _clean((IngestReport(), ids, paper_years, venues.ravel(), names, np.array(ends, np.int64)), prune=True)
-    corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._fill(*arrays)
-    return corpus
+    return CitationCorpus._from_arrays(*arrays)
 
 
 # ---------------------------------------------------------------------------
 # Planted benchmarks with a known shape/citation-gain relationship.
 # ---------------------------------------------------------------------------
-
-def _attach_tree_citers(
-    records: list[PaperRecord],
-    edges: list[tuple[str, str]],
-    paper_id: str,
-    tree: InfluenceTree,
-    pub_year: int,
-) -> None:
-    # Citer of depth l is published pub_year + l; id namespaced per paper.
-    names = {tree.root: paper_id}
-    for v in sorted(tree.parent):
-        names[v] = f"{paper_id}.c{v}"
-    for v in sorted(tree.parent):
-        cid = names[v]
-        records.append(PaperRecord(cid, pub_year + tree.depth[v]))
-        edges.append((cid, paper_id))
-        if tree.parent[v] != tree.root:
-            edges.append((cid, names[tree.parent[v]]))
-
 
 def make_z_benchmark(seed: int = 0, t1: int = 5, t2: int = 10) -> CitationCorpus:
     """Planted corpus where tree shape at t1 predicts later citation gains.
@@ -359,13 +348,12 @@ def make_z_benchmark(seed: int = 0, t1: int = 5, t2: int = 10) -> CitationCorpus
             pid = f"{venue}.p{idx:02d}"
             good = bool(flags[idx])
             records.append(PaperRecord(pid, year, venue))
-            _attach_tree_citers(records, edges, pid, good_shape if good else poor_shape, year)
+            _plant(records, edges, pid, good_shape if good else poor_shape, year, f"{pid}.c")
             for b_idx in range(18 if good else 5):
                 bid = f"{pid}.x{b_idx:02d}"
                 records.append(PaperRecord(bid, year + t1 + 1 + b_idx % (t2 - t1)))
                 edges.append((bid, pid))
-    corpus, _ = ingest(edges, records)
-    return corpus
+    return CitationCorpus(records, edges)
 
 
 def make_tot_benchmark() -> tuple[CitationCorpus, list[tuple[str, str, int]]]:
@@ -387,13 +375,12 @@ def make_tot_benchmark() -> tuple[CitationCorpus, list[tuple[str, str, int]]]:
         awardee_n = 30 if awardee_first else 20
         rival_n = 20 if awardee_first else 30
         records.append(PaperRecord(awardee, year, venue))
-        _attach_tree_citers(records, edges, awardee, ideal_tree(awardee_n), year)
+        _plant(records, edges, awardee, ideal_tree(awardee_n), year, f"{awardee}.c")
         records.append(PaperRecord(rival, year, venue))
-        _attach_tree_citers(records, edges, rival, broom_tree(rival_n, k=9), year)
+        _plant(records, edges, rival, broom_tree(rival_n, k=9), year, f"{rival}.c")
         for f_idx in range(38):
             pid = f"{venue}.f{f_idx:02d}"
             records.append(PaperRecord(pid, year, venue))
-            _attach_tree_citers(records, edges, pid, star_tree(2 + f_idx % 9), year)
+            _plant(records, edges, pid, star_tree(2 + f_idx % 9), year, f"{pid}.c")
         awardees.append((awardee, venue, year))
-    corpus, _ = ingest(edges, records)
-    return corpus, awardees
+    return CitationCorpus(records, edges), awardees

@@ -63,12 +63,6 @@ class InfluenceTree:
     def n(self) -> int:
         return len(self.parent)
 
-    def children_map(self) -> dict[str, list[str]]:
-        children: dict[str, list[str]] = defaultdict(list)
-        for v in sorted(self.parent):
-            children[self.parent[v]].append(v)
-        return children
-
     def leaves(self) -> tuple[str, ...]:
         """Non-root nodes with no children; empty for an empty tree."""
         internal = set(self.parent.values())
@@ -229,11 +223,8 @@ def tree_stats(tree: InfluenceTree) -> TreeStats:
     level_sizes = tuple(level_counter.get(l, 0) for l in range(1, depth + 1))
     breadth = max(level_sizes)
     leaves = tree.leaves()
-    children = tree.children_map()
-    leaf_count: dict[str, int] = defaultdict(int)
+    leaf_count = Counter(leaves)   # leaves below each node, summed deepest first
     for v in sorted(tree.parent, key=lambda v: -tree.depth[v]):
-        if not children[v]:
-            leaf_count[v] = 1
         leaf_count[tree.parent[v]] += leaf_count[v]
     branches = []
     for leaf in leaves:

@@ -324,6 +324,19 @@ class TestMetrics:
         with open(out / "metrics_errors.csv", encoding="utf-8", newline="") as fh:
             assert list(csv.reader(fh))[1:] == [["a\nb", "unknown paper id"], ["ghost ", "unknown paper id"]]
 
+    @pytest.mark.parametrize("flags, scored", [((), ["P", "p1", "p2", "p3"]), (("--ids", ""), []),
+                                               (("--ids", ","), []), (("--ids", " "), [])],
+                             ids=["absent", "empty", "comma", "space"])
+    def test_ids_naming_no_id_score_none(self, tmp_path, toy_files, flags, scored):
+        # no --ids scores every cited paper; an --ids that names no id writes only the header
+        edges, meta = toy_files
+        out = tmp_path / "run"
+        assert run("metrics", "--edges", str(edges), "--meta", str(meta), "--out", str(out), *flags) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()
+        assert rows[0] == "paper_id,n,d,b,idi,idi_min,idi_max,id,nid"
+        assert [row.split(",")[0] for row in rows[1:]] == scored
+        assert not (out / "metrics_errors.csv").exists()
+
     def test_no_stale_error_list(self, tmp_path, toy_files):
         # a run that rejects no id removes the list an earlier run wrote
         edges, meta = toy_files

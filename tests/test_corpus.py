@@ -402,12 +402,6 @@ def _layout(corpus):
                                     corpus.citer_offsets, corpus.citers)))
 
 
-def _filled(*arrays):
-    corpus = CitationCorpus.__new__(CitationCorpus)
-    corpus._fill(*arrays)
-    return corpus
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw_streams())
 def test_ingest_matches_per_edge_reference(stream):
@@ -415,7 +409,7 @@ def test_ingest_matches_per_edge_reference(stream):
     corpus, report = ingest(edges, records)
     expected_report, arrays = reference_ingest(edges, records)
     assert report == expected_report
-    assert _layout(corpus) == _layout(_filled(*arrays))
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*arrays))
 
 
 @pytest.mark.parametrize("order", [slice(None, None, -1), [0, 1, 3, 2, 4, 5, 6, 7, 8, 9]],
@@ -424,9 +418,9 @@ def test_fill_refuses_edges_out_of_row_order(toy, order):
     # the toy's clean edges, reordered: rows (3, 0) and (3, 1) swap in the second case
     citing = np.repeat(np.arange(len(toy), dtype=np.int32), np.diff(toy.ref_offsets))
     arrays = toy.paper_ids, toy.venue_names, toy.years, toy.venues
-    assert _layout(_filled(*arrays, citing, toy.refs.copy())) == _layout(toy)
+    assert _layout(CitationCorpus._from_arrays(*arrays, citing, toy.refs.copy())) == _layout(toy)
     with pytest.raises(CorpusError, match="not clean"):
-        _filled(*arrays, citing[order], toy.refs[order])
+        CitationCorpus._from_arrays(*arrays, citing[order], toy.refs[order])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -442,7 +436,7 @@ def test_constructor_rejects_what_the_reference_rejects(stream, linked_only):
         with pytest.raises(CorpusError, match=re.escape(f"({', '.join(dirty)})")):
             CitationCorpus(records, edges)
     else:
-        assert _layout(CitationCorpus(records, edges)) == _layout(_filled(*arrays))
+        assert _layout(CitationCorpus(records, edges)) == _layout(CitationCorpus._from_arrays(*arrays))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -591,7 +585,7 @@ def test_file_ingest_matches_per_line_reference(files):
     for got, want in zip((years, venues), expected[2:4]):
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert _pairs(src, dst) == _pairs(*expected[4:])
-    assert _layout(corpus) == _layout(_filled(*expected))
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
 def test_file_ingest_across_blocks_matches_reference(tmp_path):
@@ -614,7 +608,7 @@ def test_file_ingest_across_blocks_matches_reference(tmp_path):
     corpus, report = ingest_files(edges, meta)
     expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
     assert report == expected_report
-    assert _layout(corpus) == _layout(_filled(*expected))
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
 @pytest.mark.parametrize("long_id", ["L" * 5000, "abcdefgh" * 40 + "é"])
@@ -632,7 +626,7 @@ def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
         corpus, report = ingest_files(edges, meta)
         expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
         assert report == expected_report
-        assert _layout(corpus) == _layout(_filled(*expected))
+        assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
 class TestFiles:

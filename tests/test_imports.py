@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read somewhere in its module."""
+"""Every module-level import of the package is read somewhere in its module, and
+only `corpus.py` builds a corpus with `CitationCorpus.__new__` and `_fill`."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,27 @@ def test_unused_imports_finds_what_is_never_read():
     source = "import math\nimport os.path\nfrom json import dumps as d, loads\n__all__ = ['loads']\nos.sep\nd(1)\n"
     assert unused_imports(source) == ["math"]
     assert unused_imports("from __future__ import annotations\nimport math as m\nm.pi\n") == []
+
+
+def private_corpus_builds(source: str) -> list[str]:
+    """Each line of `source` that names `_fill` or calls `CitationCorpus.__new__`, with what it does."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if "_fill" in (getattr(node, key, None) for key in ("id", "attr", "name")):   # a name, attribute or import
+            found.add((node.lineno, "_fill"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "CitationCorpus"):
+            found.add((node.lineno, "CitationCorpus.__new__"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "corpus.py"), ids=lambda path: path.name)
+def test_only_corpus_builds_from_arrays(path):
+    # every other module goes through CitationCorpus(records, edges) or CitationCorpus._from_arrays
+    assert private_corpus_builds(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_corpus_builds_finds_each_spelling():
+    source = ("c = CitationCorpus.__new__(CitationCorpus)\nc._fill(1)\nfrom .corpus import _fill as f\n"
+              "fill = _fill\nok = CitationCorpus._from_arrays(1)\n'_fill'\n")
+    assert private_corpus_builds(source) == ["1: CitationCorpus.__new__", "2: _fill", "3: _fill", "4: _fill"]

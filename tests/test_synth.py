@@ -1,6 +1,7 @@
 """Shape generators, tree enumeration, and synthetic corpora."""
 
 import itertools
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from idtree.synth import (
     toy_corpus,
     tree_from_parent_row,
 )
-from idtree.tree import build_idg, build_idt, tree_stats
+from idtree.tree import TIE_POLICIES, BranchInfo, build_idg, build_idt, tree_from_parent_map, tree_stats
 
 # Rooted trees with n non-root nodes up to isomorphism, n = 1..9 (classic
 # combinatorial counts for rooted trees on n+1 nodes).
@@ -37,6 +38,13 @@ KNOWN_SHAPE_COUNTS = [1, 2, 4, 9, 20, 48, 115, 286, 719]
 def _canonical_form(children, root):
     """Sorted nested tuple of child forms: equal exactly for isomorphic trees."""
     return tuple(sorted(_canonical_form(children, c) for c in children[root]))
+
+
+def _children(tree):
+    children = defaultdict(list)
+    for v, p in tree.parent.items():
+        children[p].append(v)
+    return children
 
 
 class TestShapes:
@@ -128,6 +136,34 @@ class TestRoundTrip:
             corpus_for_tree(InfluenceTree("P", {}, {"P": 0}))
 
 
+def _brute_branches(tree):
+    """One branch per leaf: a node on the leaf's path is a fragment point iff at
+    least 2 leaves lie below it, i.e. have it on their own paths."""
+    leaves = sorted(set(tree.parent) - set(tree.parent.values()))
+    paths = {}
+    for leaf in leaves:
+        path, node = [], tree.parent[leaf]
+        while node != tree.root:
+            path.insert(0, node)
+            node = tree.parent[node]
+        paths[leaf] = path
+    below = Counter(node for path in paths.values() for node in path)
+    return tuple(BranchInfo(leaf, len(paths[leaf]) + 1, tuple(u for u in paths[leaf] if below[u] >= 2))
+                 for leaf in leaves)
+
+
+_SOME_TREES = st.one_of(
+    st.builds(_random_tree, st.integers(1, 60), st.integers(0, 2**32 - 1)),
+    st.sampled_from([t for n in range(1, 8) for t in enumerate_trees(n)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SOME_TREES)
+def test_branches_match_brute_force(tree):
+    assert tree_stats(tree).branches == _brute_branches(tree)
+
+
 class TestEnumeration:
     def test_counts_match_known_sequence(self):
         assert [len(list(enumerate_trees(n))) for n in range(1, 10)] == KNOWN_SHAPE_COUNTS
@@ -140,7 +176,7 @@ class TestEnumeration:
 
     def test_no_duplicate_shapes(self):
         for n in range(1, 7):
-            forms = [_canonical_form(t.children_map(), t.root) for t in enumerate_trees(n)]
+            forms = [_canonical_form(_children(t), t.root) for t in enumerate_trees(n)]
             assert len(forms) == len(set(forms))
 
     def test_matches_brute_force_over_parent_arrays(self):
@@ -153,7 +189,7 @@ class TestEnumeration:
                 for child, parent in enumerate(parents, start=1):
                     children[parent].append(child)
                 expected.add(_canonical_form(children, 0))
-            forms = [_canonical_form(t.children_map(), t.root) for t in enumerate_trees(n)]
+            forms = [_canonical_form(_children(t), t.root) for t in enumerate_trees(n)]
             assert len(forms) == len(set(forms)) == len(expected)
             assert set(forms) == expected
 
@@ -280,6 +316,14 @@ class TestRandomCorpus:
             gen_random_corpus(10, years=(0, 2**31))
 
 
+def _assert_planted(corpus, pid, shape):
+    """The tree of `pid` is `shape` with its root named `pid` and each citer v `pid + ".c" + v`."""
+    name = {shape.root: pid} | {v: f"{pid}.c{v}" for v in shape.parent}
+    expected = tree_from_parent_map(pid, {name[v]: name[p] for v, p in shape.parent.items()})
+    for tie in TIE_POLICIES:
+        assert build_idt(build_idg(corpus, pid), tie=tie, rng=0) == expected, (pid, tie)
+
+
 class TestPlantedBenchmarks:
     def test_z_benchmark_invariants(self):
         corpus = make_z_benchmark(seed=0, t1=5, t2=10)
@@ -302,6 +346,26 @@ class TestPlantedBenchmarks:
     def test_z_benchmark_depth_guard(self):
         with pytest.raises(ValueError):
             make_z_benchmark(t1=2, t2=5)  # the ideal tree of 9 citers is 3 deep
+
+    @pytest.mark.parametrize("seed, t1, t2", [(0, 5, 10), (1, 3, 4), (2, 4, 9), (3, 9, 12)])
+    def test_z_benchmark_rebuilds_each_planted_tree(self, seed, t1, t2):
+        corpus = make_z_benchmark(seed=seed, t1=t1, t2=t2)
+        planted = [p for p in corpus.paper_ids if corpus.record(p).venue is not None]
+        assert len(planted) == 192
+        snapshots = {year: corpus.snapshot(year + t1) for year in {corpus.year(p) for p in planted}}
+        for pid in planted:
+            # the 9 tree citers come by t1, then 18 more for an ideal tree and 5 for a broom
+            shape = {18: ideal_tree(9), 5: broom_tree(9, k=t1 - 1)}[corpus.citation_count(pid) - 9]
+            _assert_planted(snapshots[corpus.year(pid)], pid, shape)
+
+    def test_tot_benchmark_rebuilds_each_planted_tree(self):
+        corpus, _ = make_tot_benchmark()
+        planted = [p for p in corpus.paper_ids if corpus.record(p).venue is not None]
+        assert len(planted) == 160
+        for pid in planted:
+            n, kind = corpus.citation_count(pid), pid.rsplit(".", 1)[1]
+            shape = ideal_tree(n) if kind == "award" else broom_tree(n, k=9) if kind == "rival" else star_tree(n)
+            _assert_planted(corpus, pid, shape)
 
     def test_tot_benchmark_layout(self):
         corpus, awardees = make_tot_benchmark()
