@@ -6,7 +6,7 @@ with no metadata, and papers that end up with no links at all.  `ingest`
 funnels everything through a fixed cleaning order and returns an immutable
 `CitationCorpus` plus an `IngestReport` with one counter per rule.
 
-Rule 1 runs while parsing, which gives each id an int code as it is read;
+Rule 1 runs while parsing, which gives each id an int32 code as it is read;
 rules 2-7 then run in order as numpy passes over the codes of all edges:
 
 1. malformed and repeated records are rejected and counted,
@@ -42,6 +42,7 @@ import io
 import json
 import operator
 import re
+import weakref
 from array import array
 from bisect import bisect_left
 from collections import defaultdict
@@ -106,6 +107,16 @@ class IngestReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def derived(corpus) -> dict:
+    """What is derived from `corpus`, kept until it is freed and never pickled: "citers"
+    (its citer CSR), "editions", "years" (its `PaperYears`) and, per seed, ("drawn",
+    seed): tied row -> IDI prefix."""
+    return _DERIVED.setdefault(corpus, {})
+
+
 class CitationCorpus:
     """Immutable deduplicated citation DAG over a set of papers.
 
@@ -116,15 +127,15 @@ class CitationCorpus:
     sorted by (citing, cited).  With `ref_offsets`, `refs` is a CSR layout
     (an offset array plus an index array of rows) of each paper's
     references, and `citer_offsets`/`citers` one of its citers, in row
-    order.  The methods taking id strings are views of these arrays.
+    order, built by the first call that reads them and kept in the
+    `derived` memo.  The methods taking id strings are views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
     naming each nonzero counter, on anything `ingest` would drop; papers
     without edges are allowed.
     """
 
-    __slots__ = ("_ids", "years", "venues", "venue_names",
-                 "citer_offsets", "citers", "ref_offsets", "cites", "refs", "__weakref__")
+    __slots__ = ("_ids", "years", "venues", "venue_names", "ref_offsets", "cites", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
         report, arrays = _clean(_read(records, edges), prune=False)
@@ -155,22 +166,42 @@ class CitationCorpus:
         if not (all(all(map(operator.lt, names, names[1:])) for names in (ids, venue_names))
                 and all(a.dtype == np.int32 and a.shape == (m,)
                         for a, m in ((years, n), (venues, n), (src, len(src)), (dst, len(src))))
-                and ((venues >= -1) & (venues < len(venue_names))).all()
-                and ((src >= 0) & (src < n) & (dst >= 0) & (dst < n)).all()):
+                and venues.min(initial=-1) >= -1 and venues.max(initial=-1) < len(venue_names)
+                and min(src.min(initial=0), dst.min(initial=0)) >= 0
+                and max(src.max(initial=-1), dst.max(initial=-1)) < n):
             raise CorpusError("corpus arrays are inconsistent")
-        key = src.astype(np.int64) * n + dst
-        src_year, dst_year = years[src], years[dst]
+        src_year, dst_year = years.take(src), years.take(dst)
         same = src_year == dst_year
-        if (not (key[1:] > key[:-1]).all() or (src == dst).any() or (src_year < dst_year).any()
+        if (not ((src[1:] > src[:-1]) | (src[1:] == src[:-1]) & (dst[1:] > dst[:-1])).all()
+                or (src == dst).any() or (src_year < dst_year).any()
                 or any(_edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist()))))):
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
         self.years, self.venues, self.cites, self.refs = years, venues, src, dst
         self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
-        self.citers = (np.sort(dst.astype(np.int64) * n + src) % n).astype(np.int32)   # below n**2 < 2**62
-        self.citer_offsets = np.r_[0, np.cumsum(np.bincount(dst, minlength=n))]
-        for a in (self.years, self.venues, self.cites, self.refs, self.ref_offsets, self.citers, self.citer_offsets):
+        for a in (self.years, self.venues, self.cites, self.refs, self.ref_offsets):
             a.flags.writeable = False
+
+    def _citer_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        memo = derived(self)
+        if "citers" not in memo:
+            n = len(self._ids)
+            offsets = np.r_[0, np.cumsum(np.bincount(self.refs, minlength=n))]
+            key = _sorted_keys(self.refs, self.cites, n)   # below n**2 < 2**62
+            key %= n
+            citers = key.astype(np.int32)
+            for a in (offsets, citers):
+                a.flags.writeable = False
+            memo["citers"] = offsets, citers
+        return memo["citers"]
+
+    @property
+    def citer_offsets(self) -> np.ndarray:
+        return self._citer_csr()[0]
+
+    @property
+    def citers(self) -> np.ndarray:
+        return self._citer_csr()[1]
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -213,10 +244,10 @@ class CitationCorpus:
 
     def citations_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers citing `paper_id`, sorted."""
-        return self._names(self._slice(self.citer_offsets, self.citers, self.row(paper_id)))
+        return self._names(self._slice(*self._citer_csr(), self.row(paper_id)))
 
     def citation_count(self, paper_id: str) -> int:
-        return len(self._slice(self.citer_offsets, self.citers, self.row(paper_id)))
+        return len(self._slice(*self._citer_csr(), self.row(paper_id)))
 
     def references_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers that `paper_id` cites, sorted."""
@@ -311,10 +342,10 @@ def _edges_on_cycles(edges: list[tuple]) -> list[bool]:
 
 
 def _read(records: Iterable, edges: Iterable):
-    """Rule 1, while parsing: each id gets an int code, the n distinct records 0..n-1
+    """Rule 1, while parsing: each id gets an int32 code, the n distinct records 0..n-1
     in sorted-id order and ids that only edges name from n on.  Returns the report so
     far, the records' ids, years and venue codes (-1 for none), the venue names by
-    code, and the codes of both ends of each edge, interleaved."""
+    code, and the codes of both ends of each edge, interleaved; the arrays are int32."""
     if isinstance(records, _RawFile) and isinstance(edges, _RawFile):
         return _read_files(records.path, edges.path)
     report = IngestReport()
@@ -327,22 +358,32 @@ def _read(records: Iterable, edges: Iterable):
     ids = sorted(recs)
     codes = dict(zip(ids, range(len(ids))))
     venue_codes: dict[str, int] = {}
-    years, venues = array("q"), array("q")
+    years, venues = array("i"), array("i")
     for year, venue in map(recs.__getitem__, ids):
         years.append(year)
         venues.append(_venue_code(venue_codes, venue))
-    ends = array("q")
+    ends = array("i")
     code, push = codes.setdefault, ends.append
     for citing, cited in _valid_edges(edges, report):
         push(code(citing, len(codes)))
         push(code(cited, len(codes)))
     report.edges_in = report.malformed_edges + len(ends) // 2
-    return (report, ids, np.frombuffer(years, np.int64), np.frombuffer(venues, np.int64),
-            list(venue_codes), np.frombuffer(ends, np.int64))
+    return (report, ids, np.frombuffer(years, np.int32), np.frombuffer(venues, np.int32),
+            list(venue_codes), np.frombuffer(ends, np.int32))
+
+
+def _sorted_keys(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
+    """The int64 keys major * span + minor, sorted; built in place, so no key-sized temporary."""
+    key = major.astype(np.int64)
+    key *= span
+    key += minor
+    key.sort()
+    return key
 
 
 def _clean(read: tuple, prune: bool):
-    """Rules 2-6, and rule 7 if `prune`, over a `_read` result: the report and `_fill`'s arguments."""
+    """Rules 2-6, and rule 7 if `prune`, over a `_read` result (int32 arrays): the report
+    and `_fill`'s arguments."""
     report, ids, years, venues, venue_names, ends = read
     n = len(ids)
     span = max(n, int(ends.max(initial=-1)) + 1)
@@ -350,34 +391,37 @@ def _clean(read: tuple, prune: bool):
     other = src != dst
     report.dropped_self = len(src) - int(other.sum())
     # rule 3 runs before rule 4, so repeats of an edge to an unknown id count as duplicates
-    key = np.sort(src[other] * span + dst[other])
-    key = key[np.diff(key, prepend=-1) != 0]
-    report.dropped_dup = len(src) - report.dropped_self - len(key)
-    src, dst = np.divmod(key, span)
-    del read, ends, key   # the passes below need only the distinct pairs
+    key = _sorted_keys(src[other], dst[other], span)   # below 2**62
+    del read, ends, src, dst   # the passes below need only the distinct pairs
+    distinct = np.ones(len(key), bool)
+    distinct[1:] = key[1:] != key[:-1]
+    key = key[distinct]
+    report.dropped_dup = len(other) - report.dropped_self - len(key)
+    src, dst = (key // span).astype(np.int32), (key % span).astype(np.int32)
+    del key, other, distinct
     known = (src < n) & (dst < n)
     src, dst = src[known], dst[known]
     report.dropped_unknown = len(known) - len(src)
-    back = years[src] >= years[dst]
+    back = years.take(src) >= years.take(dst)
     report.dropped_forward = len(src) - int(back.sum())
     src, dst = src[back], dst[back]
-    same = np.flatnonzero(years[src] == years[dst])
+    same = np.flatnonzero(years.take(src) == years.take(dst))
     on = same[_edges_on_cycles(list(zip(src[same].tolist(), dst[same].tolist())))]
     src, dst, report.dropped_cycle = np.delete(src, on), np.delete(dst, on), len(on)
     linked = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n) if prune else np.ones(n)
     # renumber the kept papers, already in sorted-id order, and their venues by name
     keep = np.flatnonzero(linked)
     report.dropped_isolated = n - len(keep)
-    row = np.empty(n, np.int64)
-    row[keep] = np.arange(len(keep))
+    row = np.empty(n, np.int32)
+    row[keep] = np.arange(len(keep), dtype=np.int32)
     codes = venues[keep]
     used = sorted(np.flatnonzero(np.bincount(codes[codes >= 0], minlength=len(venue_names))).tolist(),
                   key=venue_names.__getitem__)
-    venue_row = np.full(len(venue_names) + 1, -1, np.int64)   # the last slot maps -1 to -1
+    venue_row = np.full(len(venue_names) + 1, -1, np.int32)   # the last slot maps -1 to -1
     venue_row[used] = np.arange(len(used))
     report.papers_kept, report.edges_kept = len(keep), len(src)
     return report, (list(compress(ids, (linked > 0).tolist())), [venue_names[c] for c in used],
-                    *(a.astype(np.int32) for a in (years[keep], venue_row[codes], row[src], row[dst])))
+                    years[keep], venue_row[codes], row.take(src), row.take(dst))
 
 
 def ingest(edges: Iterable, records: Iterable) -> tuple[CitationCorpus, IngestReport]:
@@ -569,10 +613,10 @@ def _find(columns: np.ndarray, hay: np.ndarray, keys: np.ndarray) -> np.ndarray:
     are given as `columns`, and `hay` is searched: their first words when those
     are distinct, else the rows as `_void` values."""
     if not columns.shape[1]:
-        return np.full(len(keys), -1, np.int64)
+        return np.full(len(keys), -1, np.int32)
     needle = keys[:, 0] if hay.dtype == np.uint64 else _void(keys)
     order = np.argsort(needle)   # sorted probes walk the table in order
-    at = np.empty(len(keys), np.int64)
+    at = np.empty(len(keys), np.int32)
     at[order] = np.minimum(np.searchsorted(hay, needle[order]), columns.shape[1] - 1)
     hit = columns[0][at] == keys[:, 0]
     for c in range(1, len(columns)):
@@ -615,8 +659,9 @@ def _integers(a: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 def _file_records(path, report: IngestReport):
     """The distinct valid records of a metadata file in sorted-id order: their ids,
-    years and venue codes, the venue names by code, and their key rows.  Of records
-    sharing an id, the first in the file is kept and the others are malformed.
+    int32 years and venue codes, the venue names by code, and their key rows given
+    as columns (one array per word of the rows).  Of records sharing an id, the
+    first in the file is kept and the others are malformed.
     None when the key rows would take more than 4 times the words of the ids."""
     venue_codes: dict[str, int] = {}
     venue_keys: dict[bytes, int] = {}   # venue key row, as bytes, to code
@@ -636,7 +681,8 @@ def _file_records(path, report: IngestReport):
         ok = (years >= YEAR_MIN) & (years <= YEAR_MAX)
         report.papers_in += len(rows)
         report.malformed_papers += len(rows) - int(ok.sum())
-        rows, start, id_end, years, venue, venue_size = (x[ok] for x in (rows, start, id_end, years, venue, venue_size))
+        rows, start, id_end, venue, venue_size = (x[ok] for x in (rows, start, id_end, venue, venue_size))
+        years = years[ok].astype(np.int32)
         distinct, inverse = np.unique(_void(_keys(block, venue, venue_size, int(_words(venue_size).max(initial=1)))),
                                       return_inverse=True)
         distinct = distinct.tolist()
@@ -644,7 +690,7 @@ def _file_records(path, report: IngestReport):
             if key not in venue_keys:   # its bytes, after the opening quote, name the venue
                 size = int.from_bytes(key[-8:], "big")
                 venue_keys[key] = _venue_code(venue_codes, key[1:size].decode() if size else None)
-        venues = np.array(list(map(venue_keys.__getitem__, distinct)), np.int64)[inverse.ravel()]
+        venues = np.array(list(map(venue_keys.__getitem__, distinct)), np.int32)[inverse.ravel()]
         mark = np.zeros(len(a) + 1, np.int8)   # 1 on the bytes of each id and its closing quote
         mark[start + 8], mark[id_end + 1] = 1, -1
         chars = a[np.cumsum(mark[:-1], dtype=np.int8).view(bool)]
@@ -654,7 +700,8 @@ def _file_records(path, report: IngestReport):
     names = [o[0] for o in odd]
     encoded = [pid.encode("utf-8", "surrogatepass") for pid in names]
     cols.append((b"".join(e + b"\n" for e in encoded), np.fromiter(map(len, encoded), np.int64, len(encoded)),
-                 *(np.array([o[k] for o in odd], np.int64) for k in (1, 2, 3))))
+                 np.array([o[1] for o in odd], np.int32), np.array([o[2] for o in odd], np.int32),
+                 np.array([o[3] for o in odd], np.int64)))
     bufs, lens, years, venues, line = zip(*cols)
     ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + names
     lens = np.concatenate(lens)
@@ -668,8 +715,8 @@ def _file_records(path, report: IngestReport):
     head[1:] = (keys[1:] != keys[:-1]).any(1)
     report.malformed_papers += len(keys) - int(head.sum())
     pick = order[head]
-    return (list(map(ids.__getitem__, pick.tolist())), np.concatenate(years)[pick],
-            np.concatenate(venues)[pick], list(venue_codes), keys[head])
+    return (np.array(ids, object)[pick].tolist(), np.concatenate(years)[pick],   # no int object per row
+            np.concatenate(venues)[pick], list(venue_codes), np.ascontiguousarray(keys[head].T))
 
 
 def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
@@ -696,12 +743,13 @@ def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray
             yield b"\n".join(ends), np.cumsum(lens + 1) - lens - 1, lens
 
 
-def _file_edges(path, report: IngestReport, table: np.ndarray) -> np.ndarray:
-    """The codes of both ends of each valid edge of an edge file, interleaved: a
-    record's row in `table`, and from len(table) on one code per other id."""
-    columns = np.ascontiguousarray(table.T)
-    hay = columns[0] if (columns[0][1:] > columns[0][:-1]).all() else _void(table)
-    ends, unknown, size = [np.empty(0, np.int64)], defaultdict(list), 0
+def _file_edges(path, report: IngestReport, columns: np.ndarray) -> np.ndarray:
+    """The int32 codes of both ends of each valid edge of an edge file, interleaved:
+    a record's row among the key rows given as `columns`, and from the record count
+    on one code per other id.  Raises `CorpusError` when the distinct ids would not
+    fit int32 codes."""
+    hay = columns[0] if (columns[0][1:] > columns[0][:-1]).all() else _void(columns.T)
+    ends, unknown, size = [np.empty(0, np.int32)], defaultdict(list), 0
     for buf, starts, lens in _edge_blocks(path, report):
         code = _find(columns, hay, _keys(buf, starts, lens, len(columns) - 1))
         miss = np.flatnonzero(code < 0)
@@ -711,11 +759,13 @@ def _file_edges(path, report: IngestReport, table: np.ndarray) -> np.ndarray:
             unknown[w].append((size + at, _keys(buf, starts[at], lens[at], w)))
         ends.append(code)
         size += len(code)
-    ends, code = np.concatenate(ends), len(table)
+    ends, code = np.concatenate(ends), columns.shape[1]
     for group in unknown.values():
         distinct, inverse = np.unique(_void(np.concatenate([k for _, k in group])), return_inverse=True)
         ends[np.concatenate([at for at, _ in group])] = code + inverse.ravel()
         code += len(distinct)
+    if code > 2**31:   # the codes written above have wrapped; none is used
+        raise CorpusError(f"{code} distinct ids do not fit int32 codes")
     return ends
 
 
@@ -726,8 +776,8 @@ def _read_files(meta_path, edge_path):
     records = _file_records(meta_path, report)
     if records is None:
         return _read(read_metadata_file(meta_path), read_edge_file(edge_path))
-    ids, years, venues, venue_names, table = records
-    ends = _file_edges(edge_path, report, table)
+    ids, years, venues, venue_names, columns = records
+    ends = _file_edges(edge_path, report, columns)
     report.edges_in = report.malformed_edges + len(ends) // 2
     return report, ids, years, venues, venue_names, ends
 
@@ -740,12 +790,15 @@ CACHE_FORMAT = 6
 
 
 def file_digest(*paths) -> str:
-    """SHA-256 over the files' bytes, each followed by a NUL; read in 1 MiB blocks."""
+    """SHA-256 over the files' bytes, each followed by a NUL; read in 1 MiB blocks
+    into one reused buffer."""
     h = hashlib.sha256()
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
     for path in paths:
         with open(path, "rb") as fh:
-            while block := fh.read(1 << 20):
-                h.update(block)
+            while size := fh.readinto(buf):
+                h.update(view[:size])
         h.update(b"\x00")
     return h.hexdigest()
 

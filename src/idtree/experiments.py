@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus, write_csv, write_csv_columns
-from .metrics import CorpusMetrics, corpus_metrics, derived, paper_metrics, paper_years
+from .corpus import CitationCorpus, derived, write_csv, write_csv_columns
+from .metrics import CorpusMetrics, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
 GAIN_MODES = ("fractional", "absolute")
@@ -245,7 +245,7 @@ def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
     with a venue, ascending (so in id order), and each one's edition.  The
     venue string already identifies one series+year edition, so the year in
     the key only guards against inconsistent metadata.  Computed once per
-    corpus and kept in its `metrics.derived` memo; the arrays are read-only.
+    corpus and kept in its `corpus.derived` memo; the arrays are read-only.
     """
     memo = derived(corpus)
     if "editions" not in memo:
@@ -258,6 +258,20 @@ def _editions(corpus: CitationCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
         for array in memo["editions"]:
             array.flags.writeable = False
     return memo["editions"]
+
+
+def _by_edition(edition: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """The order `np.lexsort((score, edition))` gives: by edition, then score, then position.
+
+    Two int64 sorts of ``key * n + position``, by the dense rank of the score
+    (one `np.unique`) and then by edition; exact, since every key, rank and
+    position of these n items is below 2**31, so each sort key is below 2**62.
+    """
+    n = len(edition)
+    position = np.arange(n, dtype=np.int64)
+    rank = np.unique(score, return_inverse=True)[1].ravel()
+    by_score = np.sort(rank * n + position) % n
+    return by_score[np.sort(edition[by_score].astype(np.int64) * n + position) % n]
 
 
 def _clip(corpus: CitationCorpus, horizon: int) -> int:
@@ -304,13 +318,13 @@ def z_experiment(
     cited = c1 > 0
     rows, edition, c1, c2, nid = rows[cited], edition[cited], c1[cited], c2[cited], nid[cited]
     gain = (c2 - c1) / c1 if gain_mode == "fractional" else (c2 - c1).astype(np.float64)
-    # `rows` ascend, so each stable sort breaks score ties by id; all three
-    # group by edition, so an edition's papers take the same run of places
+    # `rows` ascend, so each order breaks score ties by id; all three group
+    # by edition, so an edition's papers take the same run of places
     n = len(rows)
     gain_rank = np.empty(n, np.int64)
-    gain_rank[np.lexsort((-gain, edition))] = np.arange(n)
+    gain_rank[_by_edition(edition, -gain)] = np.arange(n)
     sizes = np.bincount(edition, minlength=len(codes))
-    seq = np.r_[gain_rank[np.lexsort((nid, edition))], gain_rank[np.lexsort((-c1, edition))] + n]
+    seq = np.r_[gain_rank[_by_edition(edition, nid)], gain_rank[_by_edition(edition, -c1)] + n]
     inversions = _segment_inversions(seq, np.r_[sizes, sizes]).reshape(2, -1)
     scored = picked & (sizes >= 2)
     m = sizes[scored]
@@ -418,8 +432,8 @@ def tot_experiment(
     cutoff = years[edition] + _clip(corpus, horizon)
     table = paper_years(corpus, rows)
     counts = table.counts(rows, cutoff)
-    # each cohort by citations; `rows` ascend, so the stable sort breaks ties by id
-    order = np.lexsort((-counts, edition))
+    # each cohort by citations; `rows` ascend, so the order breaks ties by id
+    order = _by_edition(edition, -counts)
     sizes = np.bincount(edition, minlength=len(codes))
     rank = np.empty(len(rows), np.int64)
     rank[order] = np.arange(len(rows)) - (np.cumsum(sizes) - sizes)[edition[order]]

@@ -12,13 +12,12 @@ breadth are both ceil(sqrt(n)).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from itertools import compress, starmap
 
 import numpy as np
 
-from .corpus import CorpusError, write_csv_columns
+from .corpus import CorpusError, derived, write_csv_columns
 from .tree import TIE_POLICIES, InfluenceTree, build_idg, build_idt
 
 CSV_HEADER = ("paper_id", "n", "d", "b", "idi", "idi_min", "idi_max", "id", "nid")
@@ -171,15 +170,6 @@ def paper_metrics(
     value = prefix[-1]
     hi, nid = _checked_nids(np.array([n]), np.array([value]))
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
-
-
-_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def derived(corpus) -> dict:
-    """What is derived from `corpus`, kept until it is freed and never pickled: "editions",
-    "years" (its `PaperYears`) and, per seed, ("drawn", seed): tied row -> IDI prefix."""
-    return _DERIVED.setdefault(corpus, {})
 
 
 def _drawn(corpus, row: int, seed: int) -> list[int]:

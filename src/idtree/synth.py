@@ -313,7 +313,8 @@ def gen_random_corpus(
     keys, venues = np.unique(series * span + paper_years - year_lo, return_inverse=True)
     names = [f"S{key // span:03d}-{key % span + year_lo}" for key in keys.tolist()]
     ids = [f"p{i:0{width}d}" for i in range(n_papers)]
-    _, arrays = _clean((IngestReport(), ids, paper_years, venues.ravel(), names, np.array(ends, np.int64)), prune=True)
+    read = IngestReport(), ids, paper_years.astype(np.int32), venues.ravel(), names, np.array(ends, np.int32)
+    _, arrays = _clean(read, prune=True)
     return CitationCorpus._from_arrays(*arrays)
 
 

@@ -6,6 +6,7 @@ import pickle
 import re
 import tempfile
 import time
+import tracemalloc
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from idtree import corpus as corpus_mod
 from idtree.corpus import (
     CACHE_FORMAT,
     YEAR_MAX,
@@ -25,6 +27,7 @@ from idtree.corpus import (
     PaperRecord,
     UnknownPaperError,
     _edges_on_cycles,
+    derived,
     file_digest,
     ingest,
     ingest_files,
@@ -331,25 +334,46 @@ def test_citer_order_matches_lexsort_reference(tmp_path, stream):
         _assert_citers_match_lexsort(built)
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(year_heavy_streams(), st.integers(0, 10_000))
-def test_cites_is_each_edges_citing_row(tmp_path, stream, seed):
-    # however the corpus was built: by the constructor, ingest, ingest_files,
-    # load_cache, snapshot and gen_random_corpus
+def _every_build(tmp_path, stream, seed) -> list[CitationCorpus]:
+    """The corpus of `stream` built by ingest, the constructor, ingest_files, load_cache
+    and snapshot, and a random corpus of `seed`."""
     corpus, _ = ingest(stream[1], stream[0])
     edges, meta, cache = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "corpus.cache"
     write_edge_file(corpus, edges)
     write_metadata_file(corpus, meta)
     save_cache(corpus, cache)
-    built = [corpus, CitationCorpus(map(corpus.record, corpus.paper_ids), corpus.edges()),
-             ingest_files(edges, meta)[0], load_cache(cache),
-             *map(corpus.snapshot, sorted(set(corpus.years.tolist()))),
-             gen_random_corpus(60, years=(1990, 2000), mean_refs=3, followup=0.5, seed=seed)]
-    for built_corpus in built:
+    return [corpus, CitationCorpus(map(corpus.record, corpus.paper_ids), corpus.edges()),
+            ingest_files(edges, meta)[0], load_cache(cache),
+            *map(corpus.snapshot, sorted(set(corpus.years.tolist()))),
+            gen_random_corpus(60, years=(1990, 2000), mean_refs=3, followup=0.5, seed=seed)]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(year_heavy_streams(), st.integers(0, 10_000))
+def test_cites_is_each_edges_citing_row(tmp_path, stream, seed):
+    for built_corpus in _every_build(tmp_path, stream, seed):
         cites = built_corpus.cites
         assert cites.dtype == np.int32 and not cites.flags.writeable
         assert cites.tolist() == np.repeat(np.arange(len(built_corpus)), np.diff(built_corpus.ref_offsets)).tolist()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(year_heavy_streams(), st.integers(0, 10_000))
+def test_citer_csr_is_built_on_first_use(tmp_path, stream, seed):
+    # however the corpus was built, its citer CSR is built by the first read,
+    # once, read-only, and as `_fill` built it while it sorted one per corpus
+    for corpus in _every_build(tmp_path, stream, seed):
+        assert "citers" not in derived(corpus)
+        n, cites, refs = len(corpus), corpus.cites, corpus.refs
+        citers, offsets = corpus.citers, corpus.citer_offsets
+        memo = derived(corpus)["citers"]
+        assert memo[0] is offsets and memo[1] is citers and corpus.citers is citers
+        assert citers.dtype == np.int32 and offsets.dtype == np.int64
+        assert not citers.flags.writeable and not offsets.flags.writeable
+        assert citers.tolist() == (np.sort(refs.astype(np.int64) * n + cites) % n).astype(np.int32).tolist()
+        assert offsets.tolist() == np.r_[0, np.cumsum(np.bincount(refs, minlength=n))].tolist()
 
 
 def _assert_same_corpus(a, b):
@@ -611,6 +635,33 @@ def test_file_ingest_across_blocks_matches_reference(tmp_path):
     assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
+def test_file_ingest_codes_int32_within_its_memory_bound(tmp_path, monkeypatch):
+    corpus = gen_random_corpus(20000, (1960, 2010), mean_refs=3, followup=0.3, seed=7)
+    edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+    write_edge_file(corpus, edges)
+    write_metadata_file(corpus, meta)
+    del corpus
+    ends = []
+    clean = corpus_mod._clean
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_mod, "_clean", lambda read, prune: ends.append(read[-1]) or clean(read, prune))
+        assert ingest_files(edges, meta)[0].n_edges == 62232
+    assert [a.dtype for a in ends] == [np.int32] and len(ends[0]) == 2 * 62232
+    del ends
+    # measured on a second call, as the first also sets up about 1 MiB of one-off
+    # state: its tracemalloc peak read 5.93 MiB, and 6.72 MiB when the reader
+    # coded ids as int64 and every corpus sorted its citers at once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ingest_files(edges, meta)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.3 * 2**20
+
+
 @pytest.mark.parametrize("long_id", ["L" * 5000, "abcdefgh" * 40 + "é"])
 def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
     # one id far longer than the rest (read line by line), and long venues and
@@ -721,8 +772,10 @@ class TestCache:
             assert loaded.references_of(pid) == toy.references_of(pid)
 
     def test_file_digest_streams_the_concatenation(self, tmp_path):
-        # blocks of 1 MiB: a file larger than one block, an empty one, a small one
-        parts = [bytes(range(256)) * 5000, b"", b"b\ta\n"]
+        # blocks of 1 MiB: a file larger than one block, an empty one, a small one, one of
+        # exactly one block, and one a byte longer, whose last read fills 1 byte of the buffer
+        block = bytes(range(256)) * 4096
+        parts = [bytes(range(256)) * 5000, b"", b"b\ta\n", block, block + b"x", b"", block]
         paths = []
         for i, data in enumerate(parts):
             paths.append(tmp_path / f"f{i}")

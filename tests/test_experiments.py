@@ -14,9 +14,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtree import corpus as corpus_mod
 from idtree import experiments as experiments_mod
 from idtree import metrics as metrics_mod
-from idtree.corpus import PaperRecord, ingest
+from idtree.corpus import PaperRecord, ingest, load_cache, save_cache
 from idtree.experiments import (
     ToTCase,
     ToTReport,
@@ -150,6 +151,26 @@ class TestSegmentInversions:
         assert got.tolist() == [m * (m - 1) // 2 for m in sizes]
         assert experiments_mod._segment_inversions(np.array(range(600)), np.array([600])).tolist() == [0]
         assert experiments_mod._segment_inversions(np.zeros(0, np.int64), np.zeros(0, np.int64)).tolist() == []
+
+
+# few distinct values, so most scores tie; both zeros, which compare equal
+_TIED_FLOATS = st.sampled_from([-0.0, 0.0, 0.5, -1.5, 1 / 3, 2.0, 1e300, -1e-300])
+
+
+class TestByEdition:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(0, 60), st.integers(1, 6), st.booleans())
+    def test_matches_lexsort(self, data, n, editions, floats):
+        edition = np.array(data.draw(st.lists(st.integers(0, editions - 1), min_size=n, max_size=n)), np.int64)
+        values = st.lists(_TIED_FLOATS if floats else st.integers(-3, 3), min_size=n, max_size=n)
+        score = np.array(data.draw(values), np.float64 if floats else np.int64)
+        assert experiments_mod._by_edition(edition, score).tolist() == np.lexsort((score, edition)).tolist()
+
+    def test_signed_zeros_tie_in_position_order(self):
+        score = np.array([0.0, -0.0, 0.0, -0.0, -1.0])
+        edition = np.zeros(5, np.int64)
+        assert experiments_mod._by_edition(edition, score).tolist() == [4, 0, 1, 2, 3]
+        assert experiments_mod._by_edition(edition, -score).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestMeanReciprocalRank:
@@ -491,14 +512,28 @@ class TestTableMemo:
         tied = np.flatnonzero(metrics_mod._edge_trees(corpus, np.ones(len(corpus), bool))[-1])
         assert sorted(made) == sorted([2, *corpus.paper_ids[i].encode("utf-8")] for i in tied)
 
+    def test_min_id_commands_leave_the_citer_csr_unbuilt(self, tmp_path):
+        # the CLI's cache-hit commands under min-id read no paper's citers
+        corpus = self._corpus()
+        awardees = _awardees(corpus, 1991, 1999)
+        save_cache(corpus, tmp_path / "corpus.cache")
+        loaded = load_cache(tmp_path / "corpus.cache")
+        assert "citers" not in corpus_mod.derived(loaded)
+        metrics_mod.corpus_metrics(loaded)
+        z_experiment(loaded, (1991, 1999), 2, 6)
+        tot_experiment(loaded, awardees, pct=0.25, horizon=10)
+        assert "citers" not in corpus_mod.derived(loaded)
+        assert loaded.citations_of(awardees[-1][0]) == corpus.citations_of(awardees[-1][0])
+        assert "citers" in corpus_mod.derived(loaded)
+
     def test_memo_freed_with_its_corpus_and_never_pickled(self):
         corpus = self._corpus()
         blob = pickle.dumps(corpus)
         z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
         tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
-        # one memo holds the table, the draws and the editions
+        # one memo holds the table, the draws, the editions and the citer CSR the tied trees read
         memo = metrics_mod.derived(corpus)
-        assert memo.keys() == {"years", ("drawn", 1), "editions"}
+        assert memo.keys() == {"years", ("drawn", 1), "editions", "citers"}
         # both experiments read one read-only set of editions
         editions = memo["editions"]
         assert experiments_mod._editions(corpus) is editions
@@ -506,12 +541,12 @@ class TestTableMemo:
         del editions, memo
         assert pickle.dumps(corpus) == blob
         gc.collect()  # so only this corpus can leave the memo below
-        entries = len(metrics_mod._DERIVED)
+        entries = len(corpus_mod._DERIVED)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert len(metrics_mod._DERIVED) == entries - 1
+        assert len(corpus_mod._DERIVED) == entries - 1
 
 
 class TestZExperiment:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idtree import corpus as corpus_mod
 from idtree import metrics as metrics_mod
 from idtree.corpus import CitationCorpus, CorpusError, PaperRecord, write_csv
 from idtree.experiments import write_scatter_csv
@@ -539,9 +540,9 @@ class TestSnapshotTimeline:
         assert pickle.dumps(corpus) == blob
         del table
         gc.collect()  # so only this corpus can leave the memo below
-        entries = len(metrics_mod._DERIVED)
+        entries = len(corpus_mod._DERIVED)
         ref = weakref.ref(corpus)
         del corpus
         gc.collect()
         assert ref() is None
-        assert len(metrics_mod._DERIVED) == entries - 1
+        assert len(corpus_mod._DERIVED) == entries - 1
