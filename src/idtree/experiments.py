@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CitationCorpus, derived, write_csv, write_csv_columns
+from .corpus import CitationCorpus, _sorted_keys, derived, write_csv, write_csv_columns
 from .metrics import CorpusMetrics, corpus_metrics, paper_metrics, paper_years
 
 MEASURES = ("citations", "nid")
@@ -268,10 +268,12 @@ def _by_edition(edition: np.ndarray, score: np.ndarray) -> np.ndarray:
     position of these n items is below 2**31, so each sort key is below 2**62.
     """
     n = len(edition)
-    position = np.arange(n, dtype=np.int64)
-    rank = np.unique(score, return_inverse=True)[1].ravel()
-    by_score = np.sort(rank * n + position) % n
-    return by_score[np.sort(edition[by_score].astype(np.int64) * n + position) % n]
+    position = np.arange(n)
+    by_score = _sorted_keys(np.unique(score, return_inverse=True)[1].ravel(), position, n)
+    by_score %= n
+    order = _sorted_keys(edition[by_score], position, n)
+    order %= n
+    return by_score[order]
 
 
 def _clip(corpus: CitationCorpus, horizon: int) -> int:
