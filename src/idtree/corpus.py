@@ -126,8 +126,8 @@ class CitationCorpus:
     `cites` and `refs` hold the citing and the cited row of each edge,
     sorted by (citing, cited).  With `ref_offsets`, `refs` is a CSR layout
     (an offset array plus an index array of rows) of each paper's
-    references, and `citer_offsets`/`citers` one of its citers, in row
-    order, built by the first call that reads them and kept in the
+    references.  The citers of each paper are an internal CSR in row order,
+    built by the first `citations_of` or `citation_count` and kept in the
     `derived` memo.  The methods taking id strings are views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
@@ -194,14 +194,6 @@ class CitationCorpus:
                 a.flags.writeable = False
             memo["citers"] = offsets, citers
         return memo["citers"]
-
-    @property
-    def citer_offsets(self) -> np.ndarray:
-        return self._citer_csr()[0]
-
-    @property
-    def citers(self) -> np.ndarray:
-        return self._citer_csr()[1]
 
     def __len__(self) -> int:
         return len(self._ids)

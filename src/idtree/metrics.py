@@ -317,9 +317,7 @@ def _edge_trees(corpus, wanted: np.ndarray):
     low = (dst & 63).astype(np.uint8)
     one = np.uint64(1)
     sig = np.zeros(size, np.uint64)
-    # dtype pins the shift to uint64: numpy 1's value-based casting would
-    # demote the scalar to uint8 and lose every bit from 8 up
-    sig[citing[heads]] = np.bitwise_or.reduceat(np.left_shift(one, low, dtype=np.uint64), heads)
+    sig[citing[heads]] = np.bitwise_or.reduceat(np.left_shift(one, low), heads)
     reach = np.zeros(size, np.uint64)
     reach[citing[heads]] = np.bitwise_or.reduceat(sig[dst], heads)
     linked = (reach[citing] >> low) & one > 0

@@ -227,14 +227,6 @@ def parent_matrix_stats(parents: np.ndarray) -> dict[str, np.ndarray]:
     return {"depth": d, "breadth": b, "idi": idi_values}
 
 
-def tree_from_parent_row(row: np.ndarray) -> InfluenceTree:
-    """Materialize one parent-matrix row as a real tree object."""
-    n = len(row) - 1
-    ids = ["P"] + _node_ids(n)
-    parent = {ids[i]: ids[int(row[i])] for i in range(1, n + 1)}
-    return tree_from_parent_map("P", parent)
-
-
 # ---------------------------------------------------------------------------
 # Random citation corpora.
 # ---------------------------------------------------------------------------

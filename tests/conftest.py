@@ -64,9 +64,9 @@ def format_4_cache():
     def make(corpus, source_hash):
         head = json.dumps({"format": 4, "source_hash": source_hash,
                            "ids": corpus.paper_ids, "venues": corpus.venue_names})
-        citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
         buf = io.BytesIO()
-        for a in (np.frombuffer(head.encode("ascii"), np.uint8), corpus.years, corpus.venues, citing, corpus.refs):
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8),
+                  corpus.years, corpus.venues, corpus.cites, corpus.refs):
             np.save(buf, a, allow_pickle=False)
         return buf.getvalue()
 
@@ -84,10 +84,9 @@ def format_5_cache():
         sep = next(c for c in map(chr, count(10)) if c not in used)
         head = json.dumps({"format": 5, "source_hash": source_hash, "sep": sep, "venues": corpus.venue_names})
         block = sep.join(corpus.paper_ids).encode("utf-8", "surrogatepass")
-        citing = np.repeat(np.arange(len(corpus), dtype=np.int32), np.diff(corpus.ref_offsets))
         buf = io.BytesIO()
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
-                  corpus.years, corpus.venues, citing, corpus.refs):
+                  corpus.years, corpus.venues, corpus.cites, corpus.refs):
             np.save(buf, a, allow_pickle=False)
         return buf.getvalue()
 

@@ -1,9 +1,15 @@
-"""Per-edge reference ingest: the oracle of `idtree.corpus.ingest`'s array passes.
+"""Slow references the tests check the package against.
 
-It applies the cleaning rules one edge at a time, with the id strings
-themselves as keys: a set of seen (citing, cited) tuples for rule 3 and a
-dict lookup per end for rule 4.  `reference_ingest` returns what the array
-path must return: the report and the arguments of `CitationCorpus._fill`.
+The per-edge reference ingest is the oracle of `idtree.corpus.ingest`'s
+array passes.  It applies the cleaning rules one edge at a time, with the
+id strings themselves as keys: a set of seen (citing, cited) tuples for
+rule 3 and a dict lookup per end for rule 4.  `reference_ingest` returns
+what the array path must return: the report and the arguments of
+`CitationCorpus._fill`.
+
+`tree_from_parent_row` turns one row of `idtree.synth.random_parent_matrix`
+into an `InfluenceTree`, so the tree metrics can be checked against the
+vectorized `parent_matrix_stats`.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from itertools import compress
 import numpy as np
 
 from idtree.corpus import YEAR_MAX, YEAR_MIN, IngestReport, PaperRecord, _edges_on_cycles
+from idtree.synth import _node_ids
+from idtree.tree import InfluenceTree, tree_from_parent_map
 
 
 def _coerce_record(item) -> PaperRecord | None:
@@ -117,3 +125,13 @@ def reference_construct(records, edges):
     dirty = [f"{k}={v}" for k, v in report.to_dict().items()
              if v and k.startswith(("dropped_", "malformed_"))]
     return dirty, _arrays(recs, kept)
+
+
+def tree_from_parent_row(row: np.ndarray) -> InfluenceTree:
+    """The tree rooted at "P" whose node i (1..n, named as `idtree.synth` names
+    citers, v01 ... in order) hangs under node `row[i]`, 0 being the root: one
+    row of a parent matrix as a real tree object."""
+    n = len(row) - 1
+    ids = ["P"] + _node_ids(n)
+    parent = {ids[i]: ids[int(row[i])] for i in range(1, n + 1)}
+    return tree_from_parent_map("P", parent)

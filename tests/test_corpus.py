@@ -300,12 +300,24 @@ def year_heavy_streams(draw):
     return records, edges
 
 
+def _citer_csr(corpus):
+    """The citer CSR in the `derived` memo once `citations_of` and `citation_count`
+    have read every paper's citers; None for a corpus without papers, which never builds it."""
+    for pid in corpus.paper_ids:
+        assert corpus.citation_count(pid) == len(corpus.citations_of(pid))
+    return derived(corpus).get("citers")
+
+
 def _assert_citers_match_lexsort(corpus):
-    n, years, dst = len(corpus), corpus.years, corpus.refs
-    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(corpus.ref_offsets))
-    assert corpus.citers.dtype == np.int32
-    assert corpus.citers.tolist() == src[np.lexsort((src, dst))].tolist()
-    assert corpus.citer_offsets.tolist() == np.searchsorted(np.sort(dst), np.arange(n + 1)).tolist()
+    n, years, src, dst = len(corpus), corpus.years, corpus.cites, corpus.refs
+    csr = _citer_csr(corpus)
+    if n:
+        offsets, citers = csr
+        assert citers.dtype == np.int32
+        assert citers.tolist() == src[np.lexsort((src, dst))].tolist()
+        assert offsets.tolist() == np.searchsorted(np.sort(dst), np.arange(n + 1)).tolist()
+    else:
+        assert csr is None
     # editions: distinct (venue, year) keys in order; each paper with a venue
     # in row order, and grouped by edition it is in id order within each
     rows = np.flatnonzero(corpus.venues >= 0)
@@ -367,9 +379,12 @@ def test_citer_csr_is_built_on_first_use(tmp_path, stream, seed):
     for corpus in _every_build(tmp_path, stream, seed):
         assert "citers" not in derived(corpus)
         n, cites, refs = len(corpus), corpus.cites, corpus.refs
-        citers, offsets = corpus.citers, corpus.citer_offsets
-        memo = derived(corpus)["citers"]
-        assert memo[0] is offsets and memo[1] is citers and corpus.citers is citers
+        memo = _citer_csr(corpus)
+        if not n:
+            assert memo is None
+            continue
+        assert _citer_csr(corpus) is memo
+        offsets, citers = memo
         assert citers.dtype == np.int32 and offsets.dtype == np.int64
         assert not citers.flags.writeable and not offsets.flags.writeable
         assert citers.tolist() == (np.sort(refs.astype(np.int64) * n + cites) % n).astype(np.int32).tolist()
@@ -420,10 +435,10 @@ def raw_streams(draw):
 
 
 def _layout(corpus):
-    """Everything a corpus stores: ids, venue names and its arrays."""
+    """Everything a corpus stores: ids, venue names and its arrays, and each paper's citers."""
     return (corpus.paper_ids, corpus.venue_names,
-            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.cites, corpus.refs,
-                                    corpus.citer_offsets, corpus.citers)))
+            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.cites, corpus.refs)),
+            tuple(map(corpus.citations_of, corpus.paper_ids)))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -440,11 +455,10 @@ def test_ingest_matches_per_edge_reference(stream):
                          ids=["citing-rows-reversed", "cited-rows-swapped"])
 def test_fill_refuses_edges_out_of_row_order(toy, order):
     # the toy's clean edges, reordered: rows (3, 0) and (3, 1) swap in the second case
-    citing = np.repeat(np.arange(len(toy), dtype=np.int32), np.diff(toy.ref_offsets))
     arrays = toy.paper_ids, toy.venue_names, toy.years, toy.venues
-    assert _layout(CitationCorpus._from_arrays(*arrays, citing, toy.refs.copy())) == _layout(toy)
+    assert _layout(CitationCorpus._from_arrays(*arrays, toy.cites, toy.refs.copy())) == _layout(toy)
     with pytest.raises(CorpusError, match="not clean"):
-        CitationCorpus._from_arrays(*arrays, citing[order], toy.refs[order])
+        CitationCorpus._from_arrays(*arrays, toy.cites[order], toy.refs[order])
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,4 +1,5 @@
-"""Every module-level import of the package is read somewhere in its module, and
+"""Every module-level import of the package is read somewhere in its module, every
+public name it defines is read by the package, its demos or its benchmark, and
 only `corpus.py` builds a corpus with `CitationCorpus.__new__` and `_fill`."""
 
 import ast
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "idtree"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "idtree"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +36,55 @@ def test_unused_imports_finds_what_is_never_read():
     source = "import math\nimport os.path\nfrom json import dumps as d, loads\n__all__ = ['loads']\nos.sep\nd(1)\n"
     assert unused_imports(source) == ["math"]
     assert unused_imports("from __future__ import annotations\nimport math as m\nm.pi\n") == []
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Names `tree` reads: as a name, as an attribute, or as a string, as `getattr` looks one up."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def unread_public_names(source: str, others: list[str]) -> list[str]:
+    """Public module-level functions, classes and constants of `source` that neither
+    `source`, outside their own definition, nor any of `others` reads."""
+    defined, read = set(), set().union(*map(_reads, map(ast.parse, others)))
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own = {t.id for t in targets if isinstance(t, ast.Name)}
+        else:
+            own = set()
+        defined.update(name for name in own if not name.startswith("_"))
+        read.update(_reads(node) - own)
+    return sorted(defined - read)
+
+
+# what the package's commands, demos and benchmark run; not `__init__.py`, whose re-exports are no reads
+_READERS = sorted({*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")}
+                  - {SRC / "__init__.py"})
+
+
+@pytest.mark.parametrize("path", [p for p in _READERS if p.parent == SRC], ids=lambda path: path.name)
+def test_every_public_name_is_read(path):
+    others = [p.read_text(encoding="utf-8") for p in _READERS if p != path]
+    assert unread_public_names(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_unread_public_names_finds_what_only_its_definition_reads():
+    source = ("import os\nLIMIT = 3\nSIZE: int = LIMIT\n_private = 1\n\ndef walk(n):\n    return walk(n - 1)\n\n"
+              "def used():\n    pass\n\nclass Box:\n    pass\n\ndef looked_up():\n    pass\n")
+    others = ["from m import used\nused()\n", "import m\nm.Box()\n", "getattr(m, 'looked_up')\n"]
+    assert unread_public_names(source, others) == ["SIZE", "walk"]
+    assert unread_public_names(source, []) == ["Box", "SIZE", "looked_up", "used", "walk"]
 
 
 def private_corpus_builds(source: str) -> list[str]:

@@ -26,9 +26,9 @@ from idtree.synth import (
     random_parent_matrix,
     star_tree,
     toy_corpus,
-    tree_from_parent_row,
 )
 from idtree.tree import TIE_POLICIES, BranchInfo, build_idg, build_idt, tree_from_parent_map, tree_stats
+from reference import tree_from_parent_row
 
 # Rooted trees with n non-root nodes up to isomorphism, n = 1..9 (classic
 # combinatorial counts for rooted trees on n+1 nodes).
