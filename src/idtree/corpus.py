@@ -27,7 +27,8 @@ Lines of the common shapes take an array lane: an edge line
 printable ASCII and not ``#``, and no ``\r``; a metadata line shaped as
 ``{"id": S, "year": Y, "venue": S|null}`` or ``{"id": S, "venue": S,
 "year": Y}`` (venue optional), whose strings hold no quote, backslash or
-control character and whose year is a plain integer.  Their ids become
+control character and whose year is a plain integer; one regex match per
+line reads the fields of these, strings of any length.  Their ids become
 sort keys (big-endian words of the UTF-8 bytes, then the length), coded by
 `searchsorted` against the sorted record keys.  Every other line is read
 one by one under the rules of `read_edge_file` and `read_metadata_file`.
@@ -533,13 +534,15 @@ def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
 # Reading the two files in byte blocks.
 # ---------------------------------------------------------------------------
 
-# A metadata line of a common shape: {"id": S, "year": Y, "venue": V|null}, or
-# {"id": S, "venue": V, "year": Y} with the venue optional.  Quotes then sit
-# only around keys and strings, which `_meta_columns` relies on.  A venue of
-# the array lane has at most 63 bytes, so its key takes at most 8 words.
+# One match per non-empty line, with six groups.  A line of a common shape,
+# {"id": S, "year": Y, "venue": V|null} or {"id": S, "venue": V, "year": Y} with
+# the venue optional, fills the id; the year and the venue of the first shape,
+# or the venue and the year of the second.  A venue group holds the opening quote
+# and the venue, and is empty for null or no venue.  Any other line fills only
+# the sixth group, with the whole line.
 _META_LINE = re.compile(
-    rb'^\{"id": "%(s)s+", (?:"year": %(y)s, "venue": (?:"%(v)s"|null)|(?:"venue": "%(v)s", )?"year": %(y)s)\}$'
-    % {b"s": rb'[^"\\\x00-\x1f]', b"v": rb'[^"\\\x00-\x1f]{0,63}', b"y": rb"-?(?:0|[1-9][0-9]{0,9})"}, re.M)
+    rb'^(?:\{"id": "(%(s)s+)", (?:"year": %(y)s, "venue": (?:%(v)s|null)|(?:"venue": %(v)s, )?"year": %(y)s)\}|(.+))$'
+    % {b"s": rb'[^"\\\x00-\x1f]', b"v": rb'("[^"\\\x00-\x1f]*)"', b"y": rb"(-?(?:0|[1-9][0-9]{0,9}))"}, re.M)
 # _MASK[k] keeps the first k bytes of a big-endian word
 _MASK = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint64)
 
@@ -621,74 +624,41 @@ def _venue_code(codes: dict[str, int], venue: str | None) -> int:
     return -1 if venue is None else codes.setdefault(venue, len(codes))
 
 
-def _meta_columns(a: np.ndarray, start: np.ndarray, stop: np.ndarray):
-    """Where the fields of metadata lines of a common shape lie, as offsets into
-    the byte array `a`: the end of each id (which starts 8 bytes into its line),
-    the first and the stop offset of the year, and the start and size of the venue
-    with its opening quote (size 0 for none)."""
-    quote = np.r_[np.flatnonzero(a == 34), np.full(10, len(a))]
-    first = np.searchsorted(quote, start)
-    q = quote[first + np.arange(10)[:, None]]   # the quotes of each line, in order
-    count = np.searchsorted(quote, stop) - first   # 6, 8 or 10
-    venue_first = a[q[4] + 1] == ord("v")
-    year = np.where(venue_first, q[9], q[5]) + 3, np.where(venue_first | (count == 6), stop - 1, q[6] - 2)
-    venue = np.where(venue_first, q[6], q[8])
-    return q[3], year, venue, np.where(count == 10, np.where(venue_first, q[7], q[9]) - venue, 0)
-
-
-def _integers(a: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integer written in a[first:stop] of each row: a minus sign or not, then
-    at most 10 digits."""
-    minus = a[first] == 45
-    digit = first + minus
-    value = np.zeros(len(first), np.int64)
-    for _ in range(10):
-        more = np.flatnonzero(digit < stop)
-        value[more] = value[more] * 10 + a[digit[more]] - 48
-        digit += 1
-    return np.where(minus, -value, value)
-
-
 def _file_records(path, report: IngestReport):
     """The distinct valid records of a metadata file in sorted-id order: their ids,
     int32 years and venue codes, the venue names by code, and their key rows given
     as columns (one array per word of the rows).  Of records sharing an id, the
     first in the file is kept and the others are malformed.
-    None when the key rows would take more than 4 times the words of the ids."""
+    One `_META_LINE.findall` per block gives the fields of each line of a common
+    shape and the text of each other line, which is read as `read_metadata_file`
+    reads it.  None when the key rows would take more than 4 times the words of the ids."""
     venue_codes: dict[str, int] = {}
-    venue_keys: dict[bytes, int] = {}   # venue key row, as bytes, to code
-    cols, odd, line = [], [], 0   # cols: per block, ids each ending in \n, lengths, years, venues, lines
+    venue_groups: dict[bytes, int] = {}   # a venue group of `_META_LINE` to its code
+    # cols: per block, then for the other lines: ids each ending in \n, lengths, years, venues, lines
+    cols, odd, line = [], [], 0
     for block in _blocks(path):
-        rest = _META_LINE.sub(b"", block)   # empties the lines of a common shape
-        _, rest_start, rest_stop = _lines(rest)
-        for i in np.flatnonzero(rest_stop > rest_start).tolist():
-            items = _meta_items(io.StringIO(rest[rest_start[i]:rest_stop[i]].decode(), newline=None))
+        _, start, stop = _lines(block)
+        rows = line + np.flatnonzero(stop > start)   # the line of each match
+        line += len(start)
+        # the six groups of each match: shape a has its year first, shape b its venue
+        pids, years_a, venues_a, venues_b, years_b, other = list(zip(*_META_LINE.findall(block))) or [()] * 6
+        for i in compress(range(len(other)), other):
+            items = _meta_items(io.StringIO(other[i].decode(), newline=None))
             for pid, year, venue in _valid_records(items, report):
-                odd.append((pid, year, _venue_code(venue_codes, venue), line + i))
-        a, start, stop = _lines(block)
-        rows = np.flatnonzero((rest_stop == rest_start) & (stop > start))
-        start, stop = start[rows], stop[rows]
-        id_end, year, venue, venue_size = _meta_columns(a, start, stop)
-        years = _integers(a, *year)
-        ok = (years >= YEAR_MIN) & (years <= YEAR_MAX)
-        report.papers_in += len(rows)
-        report.malformed_papers += len(rows) - int(ok.sum())
-        rows, start, id_end, venue, venue_size = (x[ok] for x in (rows, start, id_end, venue, venue_size))
-        years = years[ok].astype(np.int32)
-        distinct, inverse = np.unique(_void(_keys(block, venue, venue_size, int(_words(venue_size).max(initial=1)))),
-                                      return_inverse=True)
-        distinct = distinct.tolist()
-        for key in distinct:
-            if key not in venue_keys:   # its bytes, after the opening quote, name the venue
-                size = int.from_bytes(key[-8:], "big")
-                venue_keys[key] = _venue_code(venue_codes, key[1:size].decode() if size else None)
-        venues = np.array(list(map(venue_keys.__getitem__, distinct)), np.int32)[inverse.ravel()]
-        mark = np.zeros(len(a) + 1, np.int8)   # 1 on the bytes of each id and its closing quote
-        mark[start + 8], mark[id_end + 1] = 1, -1
-        chars = a[np.cumsum(mark[:-1], dtype=np.int8).view(bool)]
-        chars[chars == 34] = 10
-        cols.append((chars.tobytes(), id_end - start - 8, years, venues, line + rows))
-        line += len(rest_start)
+                odd.append((pid, year, _venue_code(venue_codes, venue), int(rows[i])))
+        years = np.fromstring(b" ".join(filter(None, map(operator.add, years_a, years_b))), np.int64, sep=" ")
+        lens = np.fromiter(map(len, pids), np.int64, len(pids))
+        keep = lens > 0   # the lines of a common shape, whose ids are not empty
+        keep[keep] = ok = (years >= YEAR_MIN) & (years <= YEAR_MAX)
+        report.papers_in += len(years)
+        report.malformed_papers += len(years) - int(ok.sum())
+        keep_list = keep.tolist()
+        venues = list(compress(map(operator.add, venues_a, venues_b), keep_list))
+        for v in sorted(set(venues).difference(venue_groups)):   # after its opening quote, v names the venue
+            venue_groups[v] = _venue_code(venue_codes, v[1:].decode() if v else None)
+        cols.append((b"\n".join([*compress(pids, keep_list), b""]), lens[keep], years[ok].astype(np.int32),
+                     np.fromiter(map(venue_groups.__getitem__, venues), np.int32, len(venues)), rows[keep]))
+        del pids, years_a, venues_a, venues_b, years_b, other, venues   # before the next block's findall
     names = [o[0] for o in odd]
     encoded = [pid.encode("utf-8", "surrogatepass") for pid in names]
     cols.append((b"".join(e + b"\n" for e in encoded), np.fromiter(map(len, encoded), np.int64, len(encoded)),

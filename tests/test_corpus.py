@@ -543,7 +543,7 @@ def test_ingest_is_idempotent(stream):
 _FILE_IDS = ["abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmnopq", "ab", "é", "日本語", "ab\x00",
              "a b", " a", "x#", "\ud800"]
 _FILE_GHOSTS = ["abcdefgx", "abcdefghijklmnopqrstuvwxyz", "zz"]
-_FILE_VENUES = ["V-2000", "", "Vénue", "a\"b", "VENUE-LONGER-THAN-SIXTEEN"]
+_FILE_VENUES = ["V-2000", "", "Vénue", "a\"b", "VENUE-LONGER-THAN-SIXTEEN", "V" * 64, "Vénue-" * 10]
 _ODD_EDGE_LINES = ["", "\t", "\t\t", "# a\tb", "  # c", "\u00a0", "\u3000", " ", "a", "a\tb\tc",
                    "\tb", "a\t", "\ufeffab\tabcdefg"]
 _ODD_META_LINES = ["", "   ", "\u00a0", "\u3000", "not json", '{"id": "abcdefg"', '["ab", 2000]',
@@ -692,6 +692,39 @@ def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
         expected_report, expected = reference_ingest(list(read_edge_file(edges)), list(read_metadata_file(meta)))
         assert report == expected_report
         assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
+
+
+@pytest.mark.parametrize("writer", ["write_metadata_file", "benchmark"])
+def test_common_metadata_lines_never_reach_the_per_line_reader(tmp_path, monkeypatch, writer):
+    # every venue length and year the array lane takes, in the layouts of both writers,
+    # with -0 years written by hand in both key orders
+    venues = [None, "", "V" * 63, "W" * 64, "X" * 200]
+    years = [1999, -7, YEAR_MIN, YEAR_MAX]
+    records = [PaperRecord(f"p{i:02d}" + "abcdefghijklmnopq"[:i % 18], year, venue)
+               for i, (year, venue) in enumerate((y, v) for y in years for v in venues)]
+    zero = [PaperRecord("z0", 0, None), PaperRecord("z1", 0, "V"), PaperRecord("z2", 0, "")]
+    zero_lines = ['{"id": "z0", "year": -0, "venue": null}', '{"id": "z1", "venue": "V", "year": -0}',
+                  '{"id": "z2", "year": -0, "venue": ""}']
+    root = records[2 * len(venues)].id   # dated YEAR_MIN, so every other paper may cite it
+    edges = [(r.id, root) for r in records + zero if r.id != root]
+    edge_path, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+    edge_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8")
+    if writer == "write_metadata_file":
+        write_metadata_file(CitationCorpus(records, edges[:len(records) - 1]), meta)
+    else:   # as bench/inputs.py writes its files
+        meta.write_text("".join(json.dumps({"id": r.id, "year": r.year, "venue": r.venue}) + "\n" for r in records),
+                        encoding="utf-8")
+    with open(meta, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(zero_lines) + "\n")
+    expected_report, expected = reference_ingest(edges, records + zero)
+
+    def per_line(lines):
+        raise AssertionError(f"read line by line: {list(lines)}")
+
+    monkeypatch.setattr(corpus_mod, "_meta_items", per_line)
+    corpus, report = ingest_files(edge_path, meta)
+    assert report == expected_report and report.papers_kept == len(records) + len(zero)
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
 class TestFiles:

@@ -1,8 +1,10 @@
 """Every module-level import of the package is read somewhere in its module, every
-public name it defines is read by the package, its demos or its benchmark, and
-only `corpus.py` builds a corpus with `CitationCorpus.__new__` and `_fill`."""
+import is of the package itself, numpy or the standard library, every public name
+it defines is read by the package, its demos or its benchmark, and only `corpus.py`
+builds a corpus with `CitationCorpus.__new__` and `_fill`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +38,31 @@ def test_unused_imports_finds_what_is_never_read():
     source = "import math\nimport os.path\nfrom json import dumps as d, loads\n__all__ = ['loads']\nos.sep\nd(1)\n"
     assert unused_imports(source) == ["math"]
     assert unused_imports("from __future__ import annotations\nimport math as m\nm.pi\n") == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules that `source` imports anywhere and that are neither relative, numpy
+    nor in the standard library, the only dependencies the package declares."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+    return sorted(name for name in found
+                  if name.partition(".")[0] not in {"numpy", *sys.stdlib_module_names})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_imports_finds_test_only_dependencies():
+    source = ("from __future__ import annotations\nimport os.path, scipy.sparse\nimport numpy as np\n"
+              "from numpy.lib import stride_tricks\nfrom . import corpus\nfrom .tree import build_idg\n\n"
+              "def f():\n    from hypothesis import given\n    import numpyx\n")
+    assert foreign_imports(source) == ["hypothesis", "numpyx", "scipy.sparse"]
 
 
 def _reads(tree: ast.AST) -> set[str]:
