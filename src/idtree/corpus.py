@@ -113,8 +113,8 @@ _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def derived(corpus) -> dict:
     """What is derived from `corpus`, kept until it is freed and never pickled: "citers"
-    (its citer CSR), "editions", "years" (its `PaperYears`) and, per seed, ("drawn",
-    seed): tied row -> IDI prefix."""
+    (the sorted keys ``cited * n + citing`` of its edges), "editions", "years" (its
+    `PaperYears`) and, per seed, ("drawn", seed): tied row -> IDI prefix."""
     return _DERIVED.setdefault(corpus, {})
 
 
@@ -125,18 +125,18 @@ class CitationCorpus:
     position in `paper_ids`.  Per row the corpus stores `years` (int32) and
     `venues`, a code into the sorted `venue_names` (-1 for no venue).
     `cites` and `refs` hold the citing and the cited row of each edge,
-    sorted by (citing, cited).  With `ref_offsets`, `refs` is a CSR layout
-    (an offset array plus an index array of rows) of each paper's
-    references.  The citers of each paper are an internal CSR in row order,
-    built by the first `citations_of` or `citation_count` and kept in the
-    `derived` memo.  The methods taking id strings are views of these arrays.
+    sorted by (citing, cited), so a paper's references are one run of
+    `refs`, found by searching `cites`.  Its citers are one run of the
+    sorted int64 keys ``cited * n + citing`` of every edge, built by the
+    first `citations_of` or `citation_count` and kept in the `derived`
+    memo.  The methods taking id strings are views of these arrays.
 
     The constructor applies rules 1-6 of `ingest` and raises `CorpusError`,
     naming each nonzero counter, on anything `ingest` would drop; papers
     without edges are allowed.
     """
 
-    __slots__ = ("_ids", "years", "venues", "venue_names", "ref_offsets", "cites", "refs", "__weakref__")
+    __slots__ = ("_ids", "years", "venues", "venue_names", "cites", "refs", "__weakref__")
 
     def __init__(self, records: Iterable[PaperRecord], edges: Iterable[tuple[str, str]]):
         report, arrays = _clean(_read(records, edges), prune=False)
@@ -179,22 +179,17 @@ class CitationCorpus:
             raise CorpusError("corpus edges are not clean")
         self._ids, self.venue_names = tuple(ids), tuple(venue_names)
         self.years, self.venues, self.cites, self.refs = years, venues, src, dst
-        self.ref_offsets = np.r_[0, np.cumsum(np.bincount(src, minlength=n))]
-        for a in (self.years, self.venues, self.cites, self.refs, self.ref_offsets):
+        for a in (self.years, self.venues, self.cites, self.refs):
             a.flags.writeable = False
 
-    def _citer_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        memo = derived(self)
+    def _citations(self, paper_id: str) -> tuple[np.ndarray, int, int]:
+        """The "citers" memo, and the bounds of the run of the paper's citations in it."""
+        memo, n, row = derived(self), len(self._ids), self.row(paper_id)
         if "citers" not in memo:
-            n = len(self._ids)
-            offsets = np.r_[0, np.cumsum(np.bincount(self.refs, minlength=n))]
-            key = _sorted_keys(self.refs, self.cites, n)   # below n**2 < 2**62
-            key %= n
-            citers = key.astype(np.int32)
-            for a in (offsets, citers):
-                a.flags.writeable = False
-            memo["citers"] = offsets, citers
-        return memo["citers"]
+            key = memo["citers"] = _sorted_keys(self.refs, self.cites, n)   # below n**2 < 2**62
+            key.flags.writeable = False
+        lo, hi = memo["citers"].searchsorted((row * n, row * n + n)).tolist()
+        return memo["citers"], lo, hi
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -223,10 +218,6 @@ class CitationCorpus:
     def _names(self, rows: np.ndarray) -> tuple[str, ...]:
         return tuple(map(self._ids.__getitem__, rows.tolist()))
 
-    @staticmethod
-    def _slice(offsets: np.ndarray, index: np.ndarray, row: int) -> np.ndarray:
-        return index[offsets[row]:offsets[row + 1]]
-
     def record(self, paper_id: str) -> PaperRecord:
         row = self.row(paper_id)
         code = int(self.venues[row])
@@ -237,14 +228,19 @@ class CitationCorpus:
 
     def citations_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers citing `paper_id`, sorted."""
-        return self._names(self._slice(*self._citer_csr(), self.row(paper_id)))
+        key, lo, hi = self._citations(paper_id)
+        return self._names(key[lo:hi] % len(self))
 
     def citation_count(self, paper_id: str) -> int:
-        return len(self._slice(*self._citer_csr(), self.row(paper_id)))
+        _, lo, hi = self._citations(paper_id)
+        return hi - lo
 
     def references_of(self, paper_id: str) -> tuple[str, ...]:
         """Ids of papers that `paper_id` cites, sorted."""
-        return self._names(self._slice(self.ref_offsets, self.refs, self.row(paper_id)))
+        row = self.row(paper_id)
+        # int32 probes: probes of a wider dtype would make searchsorted copy `cites`
+        lo, hi = self.cites.searchsorted(np.array((row, row + 1), np.int32)).tolist()
+        return self._names(self.refs[lo:hi])
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """All (citing, cited) pairs in sorted order."""

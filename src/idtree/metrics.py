@@ -224,9 +224,11 @@ class PaperYears:
         first = np.full(len(keys), never)
         np.minimum.at(first, parent[child], slot[child])
         gone = np.flatnonzero(first < never)
-        # +depth where a citer comes in, -depth where its first child does
-        delta = np.bincount(np.r_[slot, first[gone]], weights=np.r_[depth, -depth[gone]], minlength=len(keys))
-        self.idi_sums = np.r_[0, np.cumsum(delta.astype(np.int64))]   # exact below 2**53
+        # +depth where a citer comes in, -depth where its first child does; a
+        # citation is the first child of at most one parent, so no slot is hit twice
+        delta = depth[order].astype(np.int64)
+        delta[first[gone]] -= depth[gone]
+        self.idi_sums = np.r_[0, np.cumsum(delta)]
         self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
         self.covered = covered
 
@@ -321,7 +323,7 @@ def _edge_trees(corpus, wanted: np.ndarray):
     reach = np.zeros(size, np.uint64)
     reach[citing[heads]] = np.bitwise_or.reduceat(sig[dst], heads)
     linked = (reach[citing] >> low) & one > 0
-    del citing, reach
+    del reach
     # per edge: lo is the start of its citer's run, partners the run's length - 1
     sizes = np.diff(np.r_[heads, len(keys)])
     lo = np.repeat(heads.astype(np.int32), sizes)
@@ -379,12 +381,11 @@ def _edge_trees(corpus, wanted: np.ndarray):
     tied[dst[tri_child[heads[np.diff(np.r_[heads, len(tri_child)]) > 1]]]] = True
 
     into = np.flatnonzero(wanted[dst])   # a parent's citation goes into the same paper
-    citer = (keys[into] // size).astype(np.int32)
     del keys
     renumber = np.cumsum(wanted[dst], dtype=np.int32) - 1
     parent = parent[into]
     parent[parent >= 0] = renumber[parent[parent >= 0]]
-    return citer, dst[into], depth[into], parent, tied
+    return citing[into], dst[into], depth[into], parent, tied
 
 
 def corpus_metrics(
@@ -414,14 +415,12 @@ def corpus_metrics(
     value = np.bincount(paper[leaf], weights=level[leaf], minlength=size).astype(np.int64)  # exact below 2**53
     depth = np.zeros(size, np.int64)
     breadth = np.zeros(size, np.int64)
-    # one cell per (paper, level), counted; the stride is the deepest level + 1
-    stride = int(level.max(initial=0)) + 1
-    cells, width = np.unique(paper.astype(np.int64) * stride + level, return_counts=True)
+    # a tree has a citer on every level down to its depth
+    for at in range(1, int(level.max(initial=0)) + 1):
+        width = np.bincount(paper[level == at], minlength=size)
+        np.maximum(breadth, width, out=breadth)
+        depth[width > 0] = at
     del paper, level, parent, leaf
-    heads = _segments(cells // stride)
-    owner = cells[heads] // stride
-    depth[owner] = np.maximum.reduceat(cells % stride, heads)
-    breadth[owner] = np.maximum.reduceat(width, heads)
     if tie == "random":
         for row in np.flatnonzero(tied).tolist():   # a tied paper is a wanted, cited one
             value[row] = _drawn(corpus, row, seed)[-1]

@@ -300,9 +300,9 @@ def year_heavy_streams(draw):
     return records, edges
 
 
-def _citer_csr(corpus):
-    """The citer CSR in the `derived` memo once `citations_of` and `citation_count`
-    have read every paper's citers; None for a corpus without papers, which never builds it."""
+def _citer_keys(corpus):
+    """The "citers" memo once `citations_of` and `citation_count` have read every
+    paper's citers; None for a corpus without papers, which never builds it."""
     for pid in corpus.paper_ids:
         assert corpus.citation_count(pid) == len(corpus.citations_of(pid))
     return derived(corpus).get("citers")
@@ -310,14 +310,13 @@ def _citer_csr(corpus):
 
 def _assert_citers_match_lexsort(corpus):
     n, years, src, dst = len(corpus), corpus.years, corpus.cites, corpus.refs
-    csr = _citer_csr(corpus)
+    key = _citer_keys(corpus)
     if n:
-        offsets, citers = csr
-        assert citers.dtype == np.int32
-        assert citers.tolist() == src[np.lexsort((src, dst))].tolist()
-        assert offsets.tolist() == np.searchsorted(np.sort(dst), np.arange(n + 1)).tolist()
+        assert key.dtype == np.int64
+        assert (key % n).tolist() == src[np.lexsort((src, dst))].tolist()
+        assert (key // n).tolist() == np.sort(dst).tolist()
     else:
-        assert csr is None
+        assert key is None
     # editions: distinct (venue, year) keys in order; each paper with a venue
     # in row order, and grouped by edition it is in id order within each
     rows = np.flatnonzero(corpus.venues >= 0)
@@ -367,28 +366,43 @@ def test_cites_is_each_edges_citing_row(tmp_path, stream, seed):
     for built_corpus in _every_build(tmp_path, stream, seed):
         cites = built_corpus.cites
         assert cites.dtype == np.int32 and not cites.flags.writeable
-        assert cites.tolist() == np.repeat(np.arange(len(built_corpus)), np.diff(built_corpus.ref_offsets)).tolist()
+        assert cites.tolist() == [built_corpus.row(citing) for citing, _ in built_corpus.edges()]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(year_heavy_streams(), st.integers(0, 10_000))
+def test_lookups_match_a_scan_of_the_edges(tmp_path, stream, seed):
+    # every paper, so the first and the last row; the random corpus, built last,
+    # always has papers without references and papers without citers
+    for corpus in _every_build(tmp_path, stream, seed):
+        refs, citers = {pid: [] for pid in corpus.paper_ids}, {pid: [] for pid in corpus.paper_ids}
+        for citing, cited in corpus.edges():
+            refs[citing].append(cited)
+            citers[cited].append(citing)
+        for pid in corpus.paper_ids:
+            assert corpus.references_of(pid) == tuple(sorted(refs[pid]))
+            assert corpus.citations_of(pid) == tuple(sorted(citers[pid]))
+            assert corpus.citation_count(pid) == len(citers[pid])
+    assert [] in refs.values() and [] in citers.values()
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(year_heavy_streams(), st.integers(0, 10_000))
 def test_citer_csr_is_built_on_first_use(tmp_path, stream, seed):
-    # however the corpus was built, its citer CSR is built by the first read,
-    # once, read-only, and as `_fill` built it while it sorted one per corpus
+    # however the corpus was built, its citer keys are sorted by the first
+    # read, once, and kept read-only
     for corpus in _every_build(tmp_path, stream, seed):
         assert "citers" not in derived(corpus)
         n, cites, refs = len(corpus), corpus.cites, corpus.refs
-        memo = _citer_csr(corpus)
+        memo = _citer_keys(corpus)
         if not n:
             assert memo is None
             continue
-        assert _citer_csr(corpus) is memo
-        offsets, citers = memo
-        assert citers.dtype == np.int32 and offsets.dtype == np.int64
-        assert not citers.flags.writeable and not offsets.flags.writeable
-        assert citers.tolist() == (np.sort(refs.astype(np.int64) * n + cites) % n).astype(np.int32).tolist()
-        assert offsets.tolist() == np.r_[0, np.cumsum(np.bincount(refs, minlength=n))].tolist()
+        assert _citer_keys(corpus) is memo
+        assert memo.dtype == np.int64 and not memo.flags.writeable
+        assert memo.tolist() == np.sort(refs.astype(np.int64) * n + cites).tolist()
 
 
 def _assert_same_corpus(a, b):
@@ -435,10 +449,10 @@ def raw_streams(draw):
 
 
 def _layout(corpus):
-    """Everything a corpus stores: ids, venue names and its arrays, and each paper's citers."""
+    """Everything a corpus stores: ids, venue names and its arrays, and each paper's references and citers."""
     return (corpus.paper_ids, corpus.venue_names,
-            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.ref_offsets, corpus.cites, corpus.refs)),
-            tuple(map(corpus.citations_of, corpus.paper_ids)))
+            *(a.tolist() for a in (corpus.years, corpus.venues, corpus.cites, corpus.refs)),
+            *(tuple(map(lookup, corpus.paper_ids)) for lookup in (corpus.references_of, corpus.citations_of)))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

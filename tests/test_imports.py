@@ -1,7 +1,8 @@
 """Every module-level import of the package is read somewhere in its module, every
 import is of the package itself, numpy or the standard library, every public name
-it defines is read by the package, its demos or its benchmark, and only `corpus.py`
-builds a corpus with `CitationCorpus.__new__` and `_fill`."""
+it defines is read by the package, its demos or its benchmark, and so is every
+public slot of the corpus outside `corpus.py`; only `corpus.py` builds a corpus with
+`CitationCorpus.__new__` and `_fill`."""
 
 import ast
 import sys
@@ -112,6 +113,29 @@ def test_unread_public_names_finds_what_only_its_definition_reads():
     others = ["from m import used\nused()\n", "import m\nm.Box()\n", "getattr(m, 'looked_up')\n"]
     assert unread_public_names(source, others) == ["SIZE", "walk"]
     assert unread_public_names(source, []) == ["Box", "SIZE", "looked_up", "used", "walk"]
+
+
+def unread_slots(source: str, others: list[str]) -> list[str]:
+    """Public names in the `__slots__` of the classes of `source` that none of `others` reads."""
+    slots, read = set(), set().union(*map(_reads, map(ast.parse, others)))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            slots.update(ast.literal_eval(node.value))
+    return sorted(name for name in slots - read if not name.startswith("_"))
+
+
+def test_every_corpus_slot_is_read():
+    # a public array that only the corpus's own methods read is derived state they can compute
+    others = [p.read_text(encoding="utf-8") for p in _READERS if p != SRC / "corpus.py"]
+    assert unread_slots((SRC / "corpus.py").read_text(encoding="utf-8"), others) == []
+
+
+def test_unread_slots_finds_what_only_its_class_reads():
+    source = ("class Table:\n    __slots__ = ('_rows', 'keys', 'offsets', '__weakref__')\n\n"
+              "    def find(self, key):\n        return self.offsets[self._rows[key]]\n")
+    assert unread_slots(source, ["table.keys\n"]) == ["offsets"]
+    assert unread_slots(source, ["getattr(table, 'offsets')\n", "keys = table.keys\n"]) == []
+    assert unread_slots(source, []) == ["keys", "offsets"]
 
 
 def private_corpus_builds(source: str) -> list[str]:
