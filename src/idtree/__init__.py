@@ -51,7 +51,6 @@ from .tree import (
     TreeStats,
     build_idg,
     build_idt,
-    tree_from_parent_map,
     tree_stats,
 )
 
@@ -93,7 +92,6 @@ __all__ = [
     "read_edge_file",
     "read_metadata_file",
     "tot_experiment",
-    "tree_from_parent_map",
     "tree_stats",
     "write_edge_file",
     "write_metadata_file",

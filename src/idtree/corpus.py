@@ -630,14 +630,13 @@ def _file_records(path, report: IngestReport):
     reads it.  None when the key rows would take more than 4 times the words of the ids."""
     venue_codes: dict[str, int] = {}
     venue_groups: dict[bytes, int] = {}   # a venue group of `_META_LINE` to its code
-    # cols: per block, then for the other lines: ids each ending in \n, lengths, years, venues, lines
-    cols, odd, line = [], [], 0
+    # cols: per block, then for the other lines: ids each ending in \n, lengths, years, venues, match numbers
+    cols, odd, count = [], [], 0
     for block in _blocks(path):
-        _, start, stop = _lines(block)
-        rows = line + np.flatnonzero(stop > start)   # the line of each match
-        line += len(start)
         # the six groups of each match: shape a has its year first, shape b its venue
         pids, years_a, venues_a, venues_b, years_b, other = list(zip(*_META_LINE.findall(block))) or [()] * 6
+        rows = np.arange(count, count + len(pids))   # the file order of each match, one per non-empty line
+        count += len(pids)
         for i in compress(range(len(other)), other):
             items = _meta_items(io.StringIO(other[i].decode(), newline=None))
             for pid, year, venue in _valid_records(items, report):
@@ -660,14 +659,14 @@ def _file_records(path, report: IngestReport):
     cols.append((b"".join(e + b"\n" for e in encoded), np.fromiter(map(len, encoded), np.int64, len(encoded)),
                  np.array([o[1] for o in odd], np.int32), np.array([o[2] for o in odd], np.int32),
                  np.array([o[3] for o in odd], np.int64)))
-    bufs, lens, years, venues, line = zip(*cols)
+    bufs, lens, years, venues, rows = zip(*cols)
     ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + names
     lens = np.concatenate(lens)
     words = _words(lens)
     if len(lens) and (words.max() + 1) * len(lens) > 4 * int(words.sum() + len(lens)):
         return None   # a few long ids would make every key row long
     keys = _keys(b"".join(bufs), np.cumsum(lens + 1) - lens - 1, lens, int(words.max(initial=1)))
-    order = np.lexsort((np.concatenate(line), *keys.T[::-1]))
+    order = np.lexsort((np.concatenate(rows), *keys.T[::-1]))
     keys = keys[order]
     head = np.ones(len(keys), bool)
     head[1:] = (keys[1:] != keys[:-1]).any(1)

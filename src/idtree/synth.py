@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import YEAR_MAX, YEAR_MIN, CitationCorpus, IngestReport, PaperRecord, _clean
 from .metrics import optimal_shape
-from .tree import InfluenceTree, tree_from_parent_map
+from .tree import InfluenceTree
 
 ENUMERATION_CAP = 9
 
@@ -38,15 +38,17 @@ def _levels_tree(levels: list[int]) -> InfluenceTree:
     """Tree whose citers, named v01, v02, ... in preorder, sit at these levels.
 
     Each citer hangs under the last citer placed one level up, or under the
-    root "P" when it is at level 1.
+    root "P" when it is at level 1, and its depth is its level.
     """
     last = ["P"]   # last[l] is the latest node placed at level l
     parent: dict[str, str] = {}
+    depth = {"P": 0}
     for v, level in zip(_node_ids(len(levels)), levels):
         parent[v] = last[level - 1]
+        depth[v] = level
         del last[level:]
         last.append(v)
-    return tree_from_parent_map("P", parent)
+    return InfluenceTree("P", parent, depth)
 
 
 def star_tree(n: int) -> InfluenceTree:
@@ -220,8 +222,7 @@ def parent_matrix_stats(parents: np.ndarray) -> dict[str, np.ndarray]:
     level_counts = np.bincount(flat.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)
     b = level_counts[:, 1:].max(axis=1)
     is_parent = np.zeros((count, n + 1), dtype=bool)
-    for i in range(1, n + 1):
-        is_parent[rows, parents[:, i]] = True
+    is_parent[rows[:, None], parents[:, 1:]] = True
     leaf_mask = ~is_parent[:, 1:]
     idi_values = (depth[:, 1:] * leaf_mask).sum(axis=1)
     return {"depth": d, "breadth": b, "idi": idi_values}

@@ -76,31 +76,6 @@ class InfluenceTree:
         return json.dumps({"root": self.root, "nodes": nodes}, indent=2, sort_keys=True)
 
 
-def tree_from_parent_map(root: str, parent: Mapping[str, str]) -> InfluenceTree:
-    """Build a tree from a parent map, deriving depths; validates reachability."""
-    parent = dict(parent)
-    depth = {root: 0}
-
-    def resolve(v: str) -> int:
-        trail = []
-        while v not in depth:
-            trail.append(v)
-            if v not in parent:
-                raise ValueError(f"node {v!r} not reachable from root")
-            v = parent[v]
-            if len(trail) > len(parent) + 1:
-                raise ValueError("parent map contains a cycle")
-        d = depth[v]
-        for node in reversed(trail):
-            d += 1
-            depth[node] = d
-        return d
-
-    for v in parent:
-        resolve(v)
-    return InfluenceTree(root, parent, depth)
-
-
 @dataclass(frozen=True)
 class BranchInfo:
     """One root-to-leaf path and the shared nodes that fragment it."""

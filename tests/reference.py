@@ -7,20 +7,23 @@ rule 3 and a dict lookup per end for rule 4.  `reference_ingest` returns
 what the array path must return: the report and the arguments of
 `CitationCorpus._fill`.
 
-`tree_from_parent_row` turns one row of `idtree.synth.random_parent_matrix`
-into an `InfluenceTree`, so the tree metrics can be checked against the
-vectorized `parent_matrix_stats`.
+`tree_from_parent_map` builds a tree from a hand-written parent map, deriving
+each depth by walking the parent chain; it is the oracle of the trees that
+`idtree.synth` builds from level sequences.  `tree_from_parent_row` turns one
+row of `idtree.synth.random_parent_matrix` into an `InfluenceTree`, so the tree
+metrics can be checked against the vectorized `parent_matrix_stats`.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from typing import Mapping
 
 import numpy as np
 
 from idtree.corpus import YEAR_MAX, YEAR_MIN, IngestReport, PaperRecord, _edges_on_cycles
 from idtree.synth import _node_ids
-from idtree.tree import InfluenceTree, tree_from_parent_map
+from idtree.tree import InfluenceTree
 
 
 def _coerce_record(item) -> PaperRecord | None:
@@ -125,6 +128,31 @@ def reference_construct(records, edges):
     dirty = [f"{k}={v}" for k, v in report.to_dict().items()
              if v and k.startswith(("dropped_", "malformed_"))]
     return dirty, _arrays(recs, kept)
+
+
+def tree_from_parent_map(root: str, parent: Mapping[str, str]) -> InfluenceTree:
+    """Build a tree from a parent map, deriving depths; validates reachability."""
+    parent = dict(parent)
+    depth = {root: 0}
+
+    def resolve(v: str) -> int:
+        trail = []
+        while v not in depth:
+            trail.append(v)
+            if v not in parent:
+                raise ValueError(f"node {v!r} not reachable from root")
+            v = parent[v]
+            if len(trail) > len(parent) + 1:
+                raise ValueError("parent map contains a cycle")
+        d = depth[v]
+        for node in reversed(trail):
+            d += 1
+            depth[node] = d
+        return d
+
+    for v in parent:
+        resolve(v)
+    return InfluenceTree(root, parent, depth)
 
 
 def tree_from_parent_row(row: np.ndarray) -> InfluenceTree:

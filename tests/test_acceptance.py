@@ -27,8 +27,9 @@ from idtree.synth import (
     random_parent_matrix,
     star_tree,
 )
-from idtree.tree import tree_from_parent_map, tree_stats
+from idtree.tree import tree_stats
 from idtree.experiments import kendall_tau_distance, z_experiment
+from reference import tree_from_parent_map
 
 
 @contextlib.contextmanager

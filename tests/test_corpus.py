@@ -811,6 +811,19 @@ class TestFiles:
         assert report.malformed_papers == 1
         assert len(corpus) == 2
 
+    def test_record_of_a_split_odd_line_wins_over_a_later_line(self, tmp_path):
+        # the per-line reader splits the first line at its \r into the records of a and b;
+        # b's record there, not the later common-shape one, is kept, so b -> a stays
+        edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+        edges.write_text("b\ta\nc\tb\n", encoding="utf-8")
+        meta.write_text('{"id": "a", "year": 2000}\r{"id": "b", "year": 2001}\n\n'
+                        '{"id": "b", "year": 1990}\n{"id": "c", "year": 2002}\n', encoding="utf-8")
+        corpus, report = ingest_files(edges, meta)
+        expected, expected_report = ingest(read_edge_file(edges), read_metadata_file(meta))
+        assert report == expected_report
+        assert (report.malformed_papers, report.edges_kept, corpus.year("b")) == (1, 2, 2001)
+        _assert_same_corpus(corpus, expected)
+
 
 # Id characters that push the cache's separator past its first candidates.
 _ID_CHARS = st.sampled_from("\n\x0b\x0c\r\x00\ud800\udfffa,") | st.characters()

@@ -1,7 +1,8 @@
 """Every module-level import of the package is read somewhere in its module, every
 import is of the package itself, numpy or the standard library, every public name
 it defines is read by the package, its demos or its benchmark, and so is every
-public slot of the corpus outside `corpus.py`; only `corpus.py` builds a corpus with
+public method and property of its classes and every public slot of the corpus
+outside `corpus.py`; only `corpus.py` builds a corpus with
 `CitationCorpus.__new__` and `_fill`."""
 
 import ast
@@ -113,6 +114,40 @@ def test_unread_public_names_finds_what_only_its_definition_reads():
     others = ["from m import used\nused()\n", "import m\nm.Box()\n", "getattr(m, 'looked_up')\n"]
     assert unread_public_names(source, others) == ["SIZE", "walk"]
     assert unread_public_names(source, []) == ["Box", "SIZE", "looked_up", "used", "walk"]
+
+
+def unread_methods(source: str, others: list[str]) -> list[str]:
+    """Public methods and properties of the classes of `source`, as `Class.name`, that
+    neither `source`, outside their own definition, nor any of `others` reads."""
+    module, read = ast.parse(source), set().union(*map(_reads, map(ast.parse, others)))
+    unread = []
+    for cls in module.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        outside = read.union(*map(_reads, (n for n in module.body if n is not cls)),
+                             *map(_reads, cls.bases + cls.keywords + cls.decorator_list))
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+                if node.name not in outside.union(*map(_reads, (n for n in cls.body if n is not node))):
+                    unread.append(f"{cls.name}.{node.name}")
+    return unread
+
+
+@pytest.mark.parametrize("path", [p for p in _READERS if p.parent == SRC], ids=lambda path: path.name)
+def test_every_public_method_is_read(path):
+    # dataclass fields are out of scope: `asdict`, `astuple` and the CSV row mapping read them by reflection
+    others = [p.read_text(encoding="utf-8") for p in _READERS if p != path]
+    assert unread_methods(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_unread_methods_finds_what_only_its_definition_reads():
+    source = ("class Box:\n    size: int = 0\n\n    def __len__(self):\n        return self.size\n\n"
+              "    @property\n    def area(self):\n        return self.area\n\n"
+              "    def fill(self):\n        return self.empty()\n\n    def empty(self):\n        pass\n\n"
+              "    def shown(self):\n        pass\n\n\ndef show(box):\n    return box.shown()\n\n\n"
+              "class Crate(Box):\n    def open(self):\n        pass\n")
+    assert unread_methods(source, ["box.fill()\n", "getattr(crate, 'open')\n"]) == ["Box.area"]
+    assert unread_methods(source, []) == ["Box.area", "Box.fill", "Crate.open"]
 
 
 def unread_slots(source: str, others: list[str]) -> list[str]:

@@ -37,8 +37,8 @@ from idtree.synth import (
     star_tree,
     toy_corpus,
 )
-from idtree.tree import InfluenceTree, tree_from_parent_map, tree_stats
-from reference import tree_from_parent_row
+from idtree.tree import InfluenceTree, tree_stats
+from reference import tree_from_parent_map, tree_from_parent_row
 
 # Expected extremes from exhaustive enumeration over all rooted trees with
 # n non-root nodes (frozen; re-derived by the enumeration oracle below).

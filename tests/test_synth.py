@@ -27,8 +27,8 @@ from idtree.synth import (
     star_tree,
     toy_corpus,
 )
-from idtree.tree import TIE_POLICIES, BranchInfo, build_idg, build_idt, tree_from_parent_map, tree_stats
-from reference import tree_from_parent_row
+from idtree.tree import TIE_POLICIES, BranchInfo, build_idg, build_idt, tree_stats
+from reference import tree_from_parent_map, tree_from_parent_row
 
 # Rooted trees with n non-root nodes up to isomorphism, n = 1..9 (classic
 # combinatorial counts for rooted trees on n+1 nodes).
@@ -93,6 +93,16 @@ class TestShapes:
             assert sum(sizes) == n
             assert len(sizes) == k  # breadth equals depth
             assert all(1 <= s <= k for s in sizes)
+
+    def test_level_sequence_depths_match_the_parent_map_resolver(self):
+        # the builder sets each citer's depth to its level; the resolver walks the parent chains
+        trees = [t for n in range(1, 9) for t in enumerate_trees(n)]
+        for n in range(1, 31):
+            trees += [star_tree(n), chain_tree(n), *(broom_tree(n, k) for k in range(n))]
+            if n != 2:   # no ideal shape exists for n = 2
+                trees.append(ideal_tree(n))
+        for tree in trees:
+            assert tree == tree_from_parent_map("P", tree.parent), tree.to_json()
 
     def test_shape_errors_on_empty(self):
         for builder in (star_tree, chain_tree, broom_tree, ideal_tree):
