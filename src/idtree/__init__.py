@@ -14,8 +14,6 @@ from .corpus import (
     UnknownPaperError,
     ingest,
     ingest_files,
-    read_edge_file,
-    read_metadata_file,
     write_edge_file,
     write_metadata_file,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "optimal_shape",
     "paper_metrics",
     "pearson",
-    "read_edge_file",
-    "read_metadata_file",
     "tot_experiment",
     "tree_stats",
     "write_edge_file",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -85,20 +86,23 @@ def _write_run_config(out: Path, args) -> None:
 
 def _ingest_with_cache(args, *, force: bool = False):
     """Check the input files, make --out, then load the corpus via the
-    content-addressed cache, re-ingesting if stale; an ingest rewrites
-    `ingest_report.json` too, so it always describes the cache."""
+    content-addressed cache, re-ingesting if stale.  Every run writes
+    `ingest_report.json`, on a cache hit from the cache's header, so it always
+    describes the cache; a new cache is moved into place after the report."""
     edges = _require_file(args.edges)
     meta = _require_file(args.meta)
     out = _out_dir(args)
     digest = corpus_mod.file_digest(edges, meta)
-    cache_path = out / CACHE_NAME
-    if not force:
-        cached = corpus_mod.load_cache(cache_path, expect_hash=digest)
-        if cached is not None:
-            return out, cached, None
-    corpus, report = corpus_mod.ingest_files(edges, meta)
-    corpus_mod.save_cache(corpus, cache_path, source_hash=digest)
+    cache_path, new_cache = out / CACHE_NAME, out / f"{CACHE_NAME}.tmp"
+    cached = None if force else corpus_mod.load_cache(cache_path, expect_hash=digest)
+    if cached is None:
+        corpus, report = corpus_mod.ingest_files(edges, meta)
+        corpus_mod.save_cache(corpus, new_cache, source_hash=digest, report=report)
+    else:
+        corpus, report = cached, corpus_mod.cache_report(cache_path)
     (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    if cached is None:
+        os.replace(new_cache, cache_path)
     return out, corpus, report
 
 

@@ -21,17 +21,23 @@ rules 2-7 then run in order as numpy passes over the codes of all edges:
    paper has no edge, so removing it strands no other paper).
 
 Codes come in sorted-id order: records 0..n-1 by id, ids that only edges
-name from n on.  `ingest_files` reads its two files in blocks of 256 KiB.
-Lines of the common shapes take an array lane: an edge line
-``citing<TAB>cited`` with both fields non-empty, a first byte that is
-printable ASCII and not ``#``, and no ``\r``; a metadata line shaped as
-``{"id": S, "year": Y, "venue": S|null}`` or ``{"id": S, "venue": S,
-"year": Y}`` (venue optional), whose strings hold no quote, backslash or
-control character and whose year is a plain integer; one regex match per
-line reads the fields of these, strings of any length.  Their ids become
-sort keys (big-endian words of the UTF-8 bytes, then the length), coded by
-`searchsorted` against the sorted record keys.  Every other line is read
-one by one under the rules of `read_edge_file` and `read_metadata_file`.
+name from n on.  Every input takes one coder.  Each id becomes a key row: W
+big-endian words of its zero-padded UTF-8 bytes, then a length column.  W
+comes from the record ids, so that a few long ones do not widen every row,
+and an id longer than 8·W bytes adds its rank among the long ids, in byte
+order, to its length column as ``rank << 32 | len``; rows then compare as
+the strings do.  Records are deduplicated by sorting their rows, and each
+edge end is coded by `searchsorted` against them.
+
+`ingest_files` reads its two files in blocks of 256 KiB.  Lines of the
+common shapes take an array lane: an edge line ``citing<TAB>cited`` with
+both fields non-empty, a first byte that is printable ASCII and not ``#``,
+and no ``\r``; a metadata line shaped as ``{"id": S, "year": Y, "venue":
+S|null}`` or ``{"id": S, "venue": S, "year": Y}`` (venue optional), whose
+strings hold no quote, backslash or control character and whose year is a
+plain integer; one regex match per line reads the fields of these, strings
+of any length.  Every other line, like every item that `ingest` is handed,
+is read one by one (`_edge_fields`, `_meta_items`), then coded as the rest.
 """
 
 from __future__ import annotations
@@ -44,11 +50,10 @@ import json
 import operator
 import re
 import weakref
-from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
@@ -334,31 +339,16 @@ def _read(records: Iterable, edges: Iterable):
     """Rule 1, while parsing: each id gets an int32 code, the n distinct records 0..n-1
     in sorted-id order and ids that only edges name from n on.  Returns the report so
     far, the records' ids, years and venue codes (-1 for none), the venue names by
-    code, and the codes of both ends of each edge, interleaved; the arrays are int32."""
-    if isinstance(records, _RawFile) and isinstance(edges, _RawFile):
-        return _read_files(records.path, edges.path)
+    code, and the codes of both ends of each edge, interleaved; the arrays are int32.
+    The files of `ingest_files` are read in byte blocks, other inputs item by item."""
     report = IngestReport()
-    recs: dict[str, tuple[int, str | None]] = {}
-    for pid, year, venue in _valid_records(records, report):
-        if pid in recs:
-            report.malformed_papers += 1
-        else:
-            recs[pid] = year, venue
-    ids = sorted(recs)
-    codes = dict(zip(ids, range(len(ids))))
-    venue_codes: dict[str, int] = {}
-    years, venues = array("i"), array("i")
-    for year, venue in map(recs.__getitem__, ids):
-        years.append(year)
-        venues.append(_venue_code(venue_codes, venue))
-    ends = array("i")
-    code, push = codes.setdefault, ends.append
-    for citing, cited in _valid_edges(edges, report):
-        push(code(citing, len(codes)))
-        push(code(cited, len(codes)))
-    report.edges_in = report.malformed_edges + len(ends) // 2
-    return (report, ids, np.frombuffer(years, np.int32), np.frombuffer(venues, np.int32),
-            list(venue_codes), np.frombuffer(ends, np.int32))
+    if isinstance(records, _RawFile) and isinstance(edges, _RawFile):
+        blocks, records, chunks = _blocks(records.path), (), _edge_blocks(edges.path, report)
+    else:
+        ends = chain.from_iterable(_valid_edges(edges, report))
+        blocks, chunks = (), map(_encoded, iter(lambda: list(islice(ends, 1 << 16)), []))
+    *recs, columns, ranks = _records(blocks, records, report)
+    return report, *recs, _codes(chunks, report, columns, ranks)
 
 
 def _sorted_keys(major: np.ndarray, minor: np.ndarray, span: int) -> np.ndarray:
@@ -482,22 +472,6 @@ def _meta_items(lines: Iterable[str]) -> Iterator:
                 yield line
 
 
-def read_edge_file(path) -> Iterator[tuple[str, ...]]:
-    """Yield raw field tuples from a `citing<TAB>cited` file.
-
-    Blank lines and lines starting with ``#`` are skipped.  Any other line
-    is split on tabs and yielded as-is; `ingest` rejects wrong arity.
-    """
-    with open(path, encoding="utf-8-sig") as fh:
-        yield from _edge_fields(fh)
-
-
-def read_metadata_file(path) -> Iterator:
-    """Yield one parsed JSON object per line; undecodable lines yield the raw string."""
-    with open(path, encoding="utf-8-sig") as fh:
-        yield from _meta_items(fh)
-
-
 def write_edge_file(corpus: CitationCorpus, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for citing, cited in corpus.edges():
@@ -521,8 +495,10 @@ class _RawFile:
 
 
 def ingest_files(edge_path, meta_path) -> tuple[CitationCorpus, IngestReport]:
-    """`ingest` over an edge file and a metadata file, read as `read_edge_file` and
-    `read_metadata_file` read them; see the module notes for the array lane."""
+    """`ingest` over an edge file and a metadata file, UTF-8 with an optional BOM.  Each
+    edge line is split on tabs, blank lines and lines starting with ``#`` skipped;
+    each metadata line is parsed as JSON, and one that is not JSON is a malformed
+    record.  See the module notes for the array lane."""
     return ingest(_RawFile(edge_path), _RawFile(meta_path))
 
 
@@ -546,7 +522,7 @@ _MASK = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint64)
 def _blocks(path) -> Iterator[bytes]:
     """The file's bytes in blocks of about 256 KiB, each ending at a newline.
 
-    These are the bytes the per-line readers decode: a leading BOM is dropped,
+    These are the bytes a text reader of the file decodes: a leading BOM is dropped,
     an unterminated last line gets its newline, and a block that is not UTF-8
     raises `UnicodeDecodeError`.  The arrays made per line of a block of short
     edge lines take about 16 times its size, which bounds the block.
@@ -566,15 +542,8 @@ def _blocks(path) -> Iterator[bytes]:
 
 def _utf8(block: bytes) -> bytes:
     if not block.isascii():
-        block.decode()   # raises UnicodeDecodeError as the per-line readers would
+        block.decode()   # raises UnicodeDecodeError as a text reader would
     return block
-
-
-def _lines(block: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block as a byte array, and the start and the newline of each line."""
-    a = np.frombuffer(block, np.uint8)
-    stop = np.flatnonzero(a == 10)
-    return a, np.r_[0, stop[:-1] + 1], stop
 
 
 def _words(lens: np.ndarray) -> np.ndarray:
@@ -582,15 +551,34 @@ def _words(lens: np.ndarray) -> np.ndarray:
     return np.maximum(1, -(-lens // 8))
 
 
-def _keys(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int) -> np.ndarray:
+def _width(lens: np.ndarray) -> int:
+    """The words W of the key rows of ids of `lens` bytes: the W that costs least, at
+    W + 1 words per id plus 16 for each id longer than 8·W bytes, whose rank is Python work."""
+    tally = np.bincount(_words(lens), minlength=2)   # tally[w]: the ids of w words
+    cost = np.arange(1, len(tally) + 1) * len(lens) + 16 * (len(lens) - np.cumsum(tally))
+    return 1 + int(np.argmin(cost[1:]))
+
+
+def _long(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int) -> tuple[np.ndarray, list[bytes]]:
+    """The positions and the bytes of the strings buf[s:s+l] longer than 8·`words` bytes."""
+    at = np.flatnonzero(lens > 8 * words)
+    return at, [buf[s:s + n] for s, n in zip(starts[at].tolist(), lens[at].tolist())]
+
+
+def _keys(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int, ranks: dict[bytes, int]) -> np.ndarray:
     """Sort keys of the strings buf[s:s+l], one row each: `words` big-endian uint64
-    words of the zero-padded bytes, then the length.  Rows compare as the strings
-    do; the length orders strings that differ only in trailing NULs."""
+    words of the zero-padded bytes, then ``rank << 32 | length``.  A string longer
+    than 8·`words` bytes has its rank in `ranks`, or else the next free one, which
+    it keeps there; any other has rank 0.  With the ranks of the records' long ids
+    in byte order from 1, rows compare as the strings do: the length orders strings
+    that differ only in trailing NULs, and the rank those that share their words."""
     data = sliding_window_view(np.frombuffer(buf + bytes(8 * words), np.uint8), 8)
     keys = np.empty((len(starts), words + 1), np.uint64)
     for w in range(words):
         keys[:, w] = data[starts + 8 * w].view(">u8")[:, 0] & _MASK[np.clip(lens - 8 * w, 0, 8)]
     keys[:, words] = lens
+    at, tails = _long(buf, starts, lens, words)
+    keys[at, words] |= np.array([ranks.setdefault(t, len(ranks) + 1) for t in tails], np.uint64) << np.uint64(32)
     return keys
 
 
@@ -620,26 +608,34 @@ def _venue_code(codes: dict[str, int], venue: str | None) -> int:
     return -1 if venue is None else codes.setdefault(venue, len(codes))
 
 
-def _file_records(path, report: IngestReport):
-    """The distinct valid records of a metadata file in sorted-id order: their ids,
-    int32 years and venue codes, the venue names by code, and their key rows given
-    as columns (one array per word of the rows).  Of records sharing an id, the
-    first in the file is kept and the others are malformed.
+def _encoded(texts: Iterable[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The strings' UTF-8 bytes (lone surrogates kept), each ended by a newline, as one
+    buffer with their starts and lengths."""
+    encoded = [text.encode("utf-8", "surrogatepass") for text in texts]
+    lens = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    return b"\n".join([*encoded, b""]), np.cumsum(lens + 1) - lens - 1, lens
+
+
+def _records(blocks: Iterable[bytes], items: Iterable, report: IngestReport):
+    """The distinct valid records of a metadata file's `blocks` (see `_blocks`) and
+    then of `items`, in sorted-id order: their ids, int32 years and venue codes, the
+    venue names by code, their key rows given as columns (one array per word of the
+    rows, see `_keys`), and the ranks of their ids longer than the rows' words, in
+    byte order from 1.  Of records sharing an id, the first is kept and the others
+    are malformed.
     One `_META_LINE.findall` per block gives the fields of each line of a common
-    shape and the text of each other line, which is read as `read_metadata_file`
-    reads it.  None when the key rows would take more than 4 times the words of the ids."""
+    shape and the text of each other line, which `_meta_items` reads."""
     venue_codes: dict[str, int] = {}
     venue_groups: dict[bytes, int] = {}   # a venue group of `_META_LINE` to its code
-    # cols: per block, then for the other lines: ids each ending in \n, lengths, years, venues, match numbers
+    # cols: per block, then for the other records: ids each ending in \n, lengths, years, venues, input order
     cols, odd, count = [], [], 0
-    for block in _blocks(path):
+    for block in blocks:
         # the six groups of each match: shape a has its year first, shape b its venue
         pids, years_a, venues_a, venues_b, years_b, other = list(zip(*_META_LINE.findall(block))) or [()] * 6
         rows = np.arange(count, count + len(pids))   # the file order of each match, one per non-empty line
         count += len(pids)
         for i in compress(range(len(other)), other):
-            items = _meta_items(io.StringIO(other[i].decode(), newline=None))
-            for pid, year, venue in _valid_records(items, report):
+            for pid, year, venue in _valid_records(_meta_items(io.StringIO(other[i].decode(), newline=None)), report):
                 odd.append((pid, year, _venue_code(venue_codes, venue), int(rows[i])))
         years = np.fromstring(b" ".join(filter(None, map(operator.add, years_a, years_b))), np.int64, sep=" ")
         lens = np.fromiter(map(len, pids), np.int64, len(pids))
@@ -654,18 +650,18 @@ def _file_records(path, report: IngestReport):
         cols.append((b"\n".join([*compress(pids, keep_list), b""]), lens[keep], years[ok].astype(np.int32),
                      np.fromiter(map(venue_groups.__getitem__, venues), np.int32, len(venues)), rows[keep]))
         del pids, years_a, venues_a, venues_b, years_b, other, venues   # before the next block's findall
-    names = [o[0] for o in odd]
-    encoded = [pid.encode("utf-8", "surrogatepass") for pid in names]
-    cols.append((b"".join(e + b"\n" for e in encoded), np.fromiter(map(len, encoded), np.int64, len(encoded)),
-                 np.array([o[1] for o in odd], np.int32), np.array([o[2] for o in odd], np.int32),
-                 np.array([o[3] for o in odd], np.int64)))
+    odd.extend((pid, year, _venue_code(venue_codes, venue), row)
+               for row, (pid, year, venue) in enumerate(_valid_records(items, report), count))
+    names, odd_years, odd_codes, odd_rows = list(zip(*odd)) or [()] * 4
+    buf, _, lens = _encoded(names)
+    cols.append((buf, lens, np.array(odd_years, np.int32), np.array(odd_codes, np.int32), np.array(odd_rows, np.int64)))
     bufs, lens, years, venues, rows = zip(*cols)
-    ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + names
-    lens = np.concatenate(lens)
-    words = _words(lens)
-    if len(lens) and (words.max() + 1) * len(lens) > 4 * int(words.sum() + len(lens)):
-        return None   # a few long ids would make every key row long
-    keys = _keys(b"".join(bufs), np.cumsum(lens + 1) - lens - 1, lens, int(words.max(initial=1)))
+    ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + list(names)
+    buf, lens = b"".join(bufs), np.concatenate(lens)
+    starts, words = np.cumsum(lens + 1) - lens - 1, _width(lens)
+    tails = sorted(set(_long(buf, starts, lens, words)[1]))
+    ranks = dict(zip(tails, range(1, len(tails) + 1)))
+    keys = _keys(buf, starts, lens, words, ranks)
     order = np.lexsort((np.concatenate(rows), *keys.T[::-1]))
     keys = keys[order]
     head = np.ones(len(keys), bool)
@@ -673,7 +669,7 @@ def _file_records(path, report: IngestReport):
     report.malformed_papers += len(keys) - int(head.sum())
     pick = order[head]
     return (np.array(ids, object)[pick].tolist(), np.concatenate(years)[pick],   # no int object per row
-            np.concatenate(venues)[pick], list(venue_codes), np.ascontiguousarray(keys[head].T))
+            np.concatenate(venues)[pick], list(venue_codes), np.ascontiguousarray(keys[head].T), ranks)
 
 
 def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
@@ -681,7 +677,9 @@ def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray
     interleaved, as a buffer with their starts and lengths: per block, those of the
     array lane's lines, then those of the odd lines, encoded again."""
     for block in _blocks(path):
-        a, start, stop = _lines(block)
+        a = np.frombuffer(block, np.uint8)
+        stop = np.flatnonzero(a == 10)   # the newline and the start of each line
+        start = np.r_[0, stop[:-1] + 1]
         tabs = np.r_[np.flatnonzero(a == 9), len(a), len(a)]
         first = np.searchsorted(tabs, start)
         tab, lead = tabs[first], a[start]
@@ -694,56 +692,37 @@ def _edge_blocks(path, report: IngestReport) -> Iterator[tuple[bytes, np.ndarray
         odd = np.flatnonzero(~fast).tolist()
         if odd:
             text = b"".join([block[start[i]:stop[i] + 1] for i in odd]).decode()
-            ends = [f.encode() for pair in _valid_edges(_edge_fields(io.StringIO(text, newline=None)), report)
-                    for f in pair]
-            lens = np.fromiter(map(len, ends), np.int64, len(ends))
-            yield b"\n".join(ends), np.cumsum(lens + 1) - lens - 1, lens
+            yield _encoded(chain.from_iterable(_valid_edges(_edge_fields(io.StringIO(text, newline=None)), report)))
 
 
-def _file_edges(path, report: IngestReport, columns: np.ndarray) -> np.ndarray:
-    """The int32 codes of both ends of each valid edge of an edge file, interleaved:
-    a record's row among the key rows given as `columns`, and from the record count
-    on one code per other id.  Raises `CorpusError` when the distinct ids would not
-    fit int32 codes."""
+def _codes(chunks: Iterable[tuple[bytes, np.ndarray, np.ndarray]], report: IngestReport,
+           columns: np.ndarray, ranks: dict[bytes, int]) -> np.ndarray:
+    """The int32 codes of the ids in `chunks` (buffers with the starts and lengths of
+    the ids in them: both ends of each valid edge, interleaved): a record's row among
+    the key rows given as `columns`, whose long ids `ranks` ranks, and from the
+    record count on one code per other id.  Sets the report's `edges_in`.  Raises
+    `CorpusError` when the distinct ids would not fit int32 codes."""
     hay = columns[0] if (columns[0][1:] > columns[0][:-1]).all() else _void(columns.T)
-    ends, unknown, size = [np.empty(0, np.int32)], defaultdict(list), 0
-    for buf, starts, lens in _edge_blocks(path, report):
-        code = _find(columns, hay, _keys(buf, starts, lens, len(columns) - 1))
-        miss = np.flatnonzero(code < 0)
-        words = _words(lens[miss])
-        for w in np.unique(words).tolist():   # keyed by their own length, in groups
-            at = miss[words == w]
-            unknown[w].append((size + at, _keys(buf, starts[at], lens[at], w)))
-        ends.append(code)
-        size += len(code)
-    ends, code = np.concatenate(ends), columns.shape[1]
-    for group in unknown.values():
-        distinct, inverse = np.unique(_void(np.concatenate([k for _, k in group])), return_inverse=True)
-        ends[np.concatenate([at for at, _ in group])] = code + inverse.ravel()
-        code += len(distinct)
-    if code > 2**31:   # the codes written above have wrapped; none is used
-        raise CorpusError(f"{code} distinct ids do not fit int32 codes")
-    return ends
-
-
-def _read_files(meta_path, edge_path):
-    """`_read` over a metadata file and an edge file; line by line if some ids are
-    much longer than the rest."""
-    report = IngestReport()
-    records = _file_records(meta_path, report)
-    if records is None:
-        return _read(read_metadata_file(meta_path), read_edge_file(edge_path))
-    ids, years, venues, venue_names, columns = records
-    ends = _file_edges(edge_path, report, columns)
+    codes, unknown = [np.empty(0, np.int32)], [columns[:, :0].T]   # the rows of the ids no record names
+    for buf, starts, lens in chunks:
+        keys = _keys(buf, starts, lens, len(columns) - 1, ranks)
+        codes.append(_find(columns, hay, keys))
+        unknown.append(keys[codes[-1] < 0])
+        del keys   # before the next chunk's rows
+    ends, n = np.concatenate(codes), columns.shape[1]
+    distinct, inverse = np.unique(_void(np.concatenate(unknown)), return_inverse=True)
+    ends[ends < 0] = n + inverse.ravel()
+    if n + len(distinct) > 2**31:   # the codes written above have wrapped; none is used
+        raise CorpusError(f"{n + len(distinct)} distinct ids do not fit int32 codes")
     report.edges_in = report.malformed_edges + len(ends) // 2
-    return report, ids, years, venues, venue_names, ends
+    return ends
 
 
 # ---------------------------------------------------------------------------
 # Binary cache keyed by a digest of the source files.
 # ---------------------------------------------------------------------------
 
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 
 def file_digest(*paths) -> str:
@@ -760,9 +739,10 @@ def file_digest(*paths) -> str:
     return h.hexdigest()
 
 
-def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
-    """Write the corpus and the digest of its files as six `np.save` arrays: a JSON
-    header (format, digest, separator, id count) as ASCII bytes; the ids and then the
+def save_cache(corpus: CitationCorpus, path, source_hash: str = "", report: IngestReport | None = None) -> None:
+    """Write the corpus, the digest of its files and the report of their ingest (all
+    zero if none is given) as six `np.save` arrays: a JSON header (format, digest,
+    separator, id count, report) as ASCII bytes; the ids and then the
     venue names as one UTF-8 block (lone surrogates kept), each ended by the separator,
     the first code point from U+000A on that no id or name holds; the years, the venue
     codes, and the citing and the cited row of each edge, in (citing, cited) order."""
@@ -770,7 +750,8 @@ def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
     joined = "".join(names)
     used = set(joined) if "\n" in joined else ()
     sep = next(c for c in map(chr, count(10)) if c not in used)
-    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep, "ids": len(corpus)})
+    head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep, "ids": len(corpus),
+                       "report": (report or IngestReport()).to_dict()})
     block = sep.join(names).encode("utf-8", "surrogatepass")
     with open(path, "wb") as fh:
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
@@ -781,7 +762,8 @@ def save_cache(corpus: CitationCorpus, path, source_hash: str = "") -> None:
 def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
     """Load a cached corpus; returns None when missing, stale, damaged or of another format.
 
-    The format and the digest are checked before the name block is read.
+    The format and the digest are checked before the name block is read, and
+    the header's report must hold every counter, each an integer >= 0.
     Nothing in the file is unpickled: the arrays go through the constructor
     `ingest` uses, whose checks refuse any that do not make a clean corpus.
     """
@@ -791,8 +773,9 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
             if head["format"] != CACHE_FORMAT or expect_hash not in (None, head["source_hash"]):
                 return None
             block, *arrays = [np.load(fh, allow_pickle=False) for _ in range(5)]
-        sep, n_ids = head["sep"], head["ids"]
-        if not (isinstance(sep, str) and sep):
+        sep, n_ids, report = head["sep"], head["ids"], head["report"]
+        if not (isinstance(sep, str) and sep and report.keys() == IngestReport().to_dict().keys()
+                and all(type(v) is int and v >= 0 for v in report.values())):
             return None
         ids = block.tobytes().decode("utf-8", "surrogatepass").split(sep)
         if ids.pop() or not 0 <= n_ids <= len(ids):   # a whole block ends with the separator
@@ -803,3 +786,8 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus
+
+
+def cache_report(path) -> IngestReport:
+    """The ingest report in the header of the cache at `path`, which `load_cache` checks."""
+    return IngestReport(**json.loads(np.load(path, allow_pickle=False).tobytes())["report"])

@@ -214,9 +214,12 @@ def parent_matrix_stats(parents: np.ndarray) -> dict[str, np.ndarray]:
     count, width = parents.shape
     n = width - 1
     rows = np.arange(count)
-    depth = np.zeros((count, n + 1), dtype=np.int32)
+    # node-major, so each node's depths are one contiguous row: node i of tree t is cell i * count + t
+    depth = np.zeros((n + 1, count), dtype=np.int32)
+    cells = depth.ravel()
     for i in range(1, n + 1):
-        depth[:, i] = depth[rows, parents[:, i]] + 1
+        depth[i] = cells[parents[:, i] * count + rows] + 1
+    depth = depth.T
     d = depth[:, 1:].max(axis=1)
     flat = depth[:, 1:] + rows[:, None] * (n + 1)
     level_counts = np.bincount(flat.ravel(), minlength=count * (n + 1)).reshape(count, n + 1)

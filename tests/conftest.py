@@ -91,3 +91,25 @@ def format_5_cache():
         return buf.getvalue()
 
     return make
+
+
+@pytest.fixture
+def format_6_cache():
+    """Bytes of the corpus cached in format 6: a JSON header without the ingest report
+    (format, digest, separator, id count), the ids and then the venue names as one
+    UTF-8 block, each ended by the separator, then the years, the venue codes, and
+    the citing and cited rows."""
+
+    def make(corpus, source_hash):
+        names = (*corpus.paper_ids, *corpus.venue_names, "")
+        used = set("".join(names))
+        sep = next(c for c in map(chr, count(10)) if c not in used)
+        head = json.dumps({"format": 6, "source_hash": source_hash, "sep": sep, "ids": len(corpus)})
+        buf = io.BytesIO()
+        for a in (np.frombuffer(head.encode("ascii"), np.uint8),
+                  np.frombuffer(sep.join(names).encode("utf-8", "surrogatepass"), np.uint8),
+                  corpus.years, corpus.venues, corpus.cites, corpus.refs):
+            np.save(buf, a, allow_pickle=False)
+        return buf.getvalue()
+
+    return make

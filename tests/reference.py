@@ -7,6 +7,10 @@ rule 3 and a dict lookup per end for rule 4.  `reference_ingest` returns
 what the array path must return: the report and the arguments of
 `CitationCorpus._fill`.
 
+`read_edge_file` and `read_metadata_file` read the two input files line by
+line, the oracle of `idtree.corpus.ingest_files`' byte-block reader: fed to
+`reference_ingest`, they give what `ingest_files` must return.
+
 `tree_from_parent_map` builds a tree from a hand-written parent map, deriving
 each depth by walking the parent chain; it is the oracle of the trees that
 `idtree.synth` builds from level sequences.  `tree_from_parent_row` turns one
@@ -16,8 +20,9 @@ metrics can be checked against the vectorized `parent_matrix_stats`.
 
 from __future__ import annotations
 
+import json
 from itertools import compress
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -128,6 +133,31 @@ def reference_construct(records, edges):
     dirty = [f"{k}={v}" for k, v in report.to_dict().items()
              if v and k.startswith(("dropped_", "malformed_"))]
     return dirty, _arrays(recs, kept)
+
+
+def read_edge_file(path) -> Iterator[tuple[str, ...]]:
+    """Yield raw field tuples from a `citing<TAB>cited` file.
+
+    Blank lines and lines starting with ``#`` are skipped.  Any other line
+    is split on tabs and yielded as-is; `ingest` rejects wrong arity.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield tuple(line.split("\t"))
+
+
+def read_metadata_file(path) -> Iterator:
+    """Yield one parsed JSON object per line; undecodable lines yield the raw string."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError:
+                    yield line
 
 
 def tree_from_parent_map(root: str, parent: Mapping[str, str]) -> InfluenceTree:

@@ -159,8 +159,9 @@ class TestIngest:
         assert "no papers" in capsys.readouterr().err
 
     def test_metrics_after_ingest_matches_fresh_out(self, tmp_path, toy_files, planted):
-        # after an ingest of the same files (a cache hit) or of other ones (a re-ingest),
-        # --out holds what a fresh --out gets, ingest_report.json included
+        # after an ingest of the same files (a cache hit) or of other ones (a re-ingest), and
+        # after a hit whose --out lost its report or holds another input's, --out holds what
+        # a fresh --out gets, ingest_report.json included
         edges, meta = toy_files
         flags = ("--edges", str(edges), "--meta", str(meta), "--tie", "random", "--seed", "1")
         fresh = tmp_path / "fresh"
@@ -171,11 +172,25 @@ class TestIngest:
 
         assert "ingest_report.json" in outputs(fresh)
         other = planted / "planted-tot"
-        for name, first in (("same", (edges, meta)), ("other", (other / "edges.tsv", other / "meta.jsonl"))):
+        other_flags = ("--edges", str(other / "edges.tsv"), "--meta", str(other / "meta.jsonl"))
+        assert run("ingest", *other_flags, "--out", str(tmp_path / "other-report")) == 0
+        other_report = (tmp_path / "other-report" / "ingest_report.json").read_bytes()
+        assert other_report != outputs(fresh)["ingest_report.json"]
+        for name, first, report in (("same", flags[:4], None), ("other", other_flags, None),
+                                    ("deleted", flags[:4], b""), ("replaced", flags[:4], other_report)):
             used = tmp_path / name
-            assert run("ingest", "--edges", str(first[0]), "--meta", str(first[1]), "--out", str(used)) == 0
+            assert run("ingest", *first, "--out", str(used)) == 0
+            if report is not None:
+                (used / "ingest_report.json").unlink()
+                if report:
+                    (used / "ingest_report.json").write_bytes(report)
             assert run("metrics", *flags, "--out", str(used)) == 0
             assert outputs(used) == outputs(fresh), name
+        # a cache hit after the report and the CSV of a fresh --out were deleted
+        for name in ("ingest_report.json", "metrics.csv"):
+            (fresh / name).unlink()
+        assert run("metrics", *flags, "--out", str(fresh)) == 0
+        assert outputs(fresh) == outputs(tmp_path / "same")
 
 
 class TestUsageErrors:

@@ -24,23 +24,23 @@ from idtree.corpus import (
     YEAR_MIN,
     CitationCorpus,
     CorpusError,
+    IngestReport,
     PaperRecord,
     UnknownPaperError,
     _edges_on_cycles,
+    cache_report,
     derived,
     file_digest,
     ingest,
     ingest_files,
     load_cache,
-    read_edge_file,
-    read_metadata_file,
     save_cache,
     write_edge_file,
     write_metadata_file,
 )
 from idtree.experiments import _editions
 from idtree.synth import gen_random_corpus, toy_corpus
-from reference import reference_construct, reference_ingest
+from reference import read_edge_file, read_metadata_file, reference_construct, reference_ingest
 
 
 def _recs(**years):
@@ -692,8 +692,8 @@ def test_file_ingest_codes_int32_within_its_memory_bound(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("long_id", ["L" * 5000, "abcdefgh" * 40 + "é"])
 def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
-    # one id far longer than the rest (read line by line), and long venues and
-    # unknown ids (kept in the array lane)
+    # one id far longer than the rest (a ranked key row), and long venues and
+    # unknown ids, all in the array lane
     ids = [f"r{i:03d}" for i in range(200)]
     meta_lines = [json.dumps({"id": p, "year": 2000 + i % 3, "venue": "V" * (i % 90)}) for i, p in enumerate(ids)]
     edge_lines = [f"{ids[i]}\t{ids[i // 2]}" for i in range(1, 200)]
@@ -708,14 +708,26 @@ def test_files_with_very_long_strings_match_reference(tmp_path, long_id):
         assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
-@pytest.mark.parametrize("writer", ["write_metadata_file", "benchmark"])
-def test_common_metadata_lines_never_reach_the_per_line_reader(tmp_path, monkeypatch, writer):
+def _key_rows(monkeypatch) -> list:
+    """The record key rows, as columns, of each later ingest."""
+    columns, codes = [], corpus_mod._codes
+    monkeypatch.setattr(corpus_mod, "_codes", lambda chunks, report, cols, ranks: (
+        columns.append(cols), codes(chunks, report, cols, ranks))[1])
+    return columns
+
+
+@pytest.mark.parametrize("writer, long_id", [(writer, long_id) for long_id in (None, "L" * 57)
+                                             for writer in ("write_metadata_file", "benchmark")],
+                         ids=["write_metadata_file", "benchmark", "write_metadata_file-long-id", "benchmark-long-id"])
+def test_common_metadata_lines_never_reach_the_per_line_reader(tmp_path, monkeypatch, writer, long_id):
     # every venue length and year the array lane takes, in the layouts of both writers,
-    # with -0 years written by hand in both key orders
+    # with -0 years written by hand in both key orders; neither one long id nor the
+    # common edge lines send a line to the per-line readers
     venues = [None, "", "V" * 63, "W" * 64, "X" * 200]
     years = [1999, -7, YEAR_MIN, YEAR_MAX]
     records = [PaperRecord(f"p{i:02d}" + "abcdefghijklmnopq"[:i % 18], year, venue)
                for i, (year, venue) in enumerate((y, v) for y in years for v in venues)]
+    records += [PaperRecord(long_id, 2000, "V")] if long_id else []
     zero = [PaperRecord("z0", 0, None), PaperRecord("z1", 0, "V"), PaperRecord("z2", 0, "")]
     zero_lines = ['{"id": "z0", "year": -0, "venue": null}', '{"id": "z1", "venue": "V", "year": -0}',
                   '{"id": "z2", "year": -0, "venue": ""}']
@@ -736,8 +748,96 @@ def test_common_metadata_lines_never_reach_the_per_line_reader(tmp_path, monkeyp
         raise AssertionError(f"read line by line: {list(lines)}")
 
     monkeypatch.setattr(corpus_mod, "_meta_items", per_line)
+    monkeypatch.setattr(corpus_mod, "_edge_fields", per_line)
+    key_rows = _key_rows(monkeypatch)
     corpus, report = ingest_files(edge_path, meta)
     assert report == expected_report and report.papers_kept == len(records) + len(zero)
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
+    # the short ids, of up to 20 bytes, set the words of every row; only the long id has a rank
+    (columns,) = key_rows
+    assert len(columns) == 3 + 1 and set((columns[-1] >> 32).tolist()) == ({0, 1} if long_id else {0})
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17, 64, 100])
+def test_equal_width_ids_keep_their_words_and_take_no_rank(tmp_path, monkeypatch, size):
+    # a file whose ids all have one length keeps one word per 8 bytes, and no rank bits
+    ids = [f"{i:0{size}d}" for i in range(10 if size == 1 else 300)]
+    corpus = CitationCorpus([PaperRecord(pid, 2000 + i % 2) for i, pid in enumerate(ids)],
+                            [(ids[i], ids[i - 1]) for i in range(1, len(ids), 2)])
+    edges, meta = tmp_path / "e.tsv", tmp_path / "m.jsonl"
+    write_edge_file(corpus, edges)
+    write_metadata_file(corpus, meta)
+    key_rows = _key_rows(monkeypatch)
+    assert _layout(ingest_files(edges, meta)[0]) == _layout(corpus)
+    (columns,) = key_rows
+    assert len(columns) == -(-size // 8) + 1 and (columns[-1] == size).all()
+
+
+# Characters of the long ids: shared stems of these give long common prefixes.
+_STEM = st.sampled_from(["a", "b", "\x00", "é", "日", "😀"])
+
+
+def _utf8_cut(text: str, size: int) -> str:
+    """The longest prefix of `text` of at most `size` UTF-8 bytes."""
+    return text.encode("utf-8", "surrogatepass")[:size].decode("utf-8", "ignore")
+
+
+@st.composite
+def long_id_inputs(draw):
+    """Records and edges of 64-400 short ids and 3-17 long ones of up to 300 bytes.
+    The long ids share stems, so many share their first words, and some extend a
+    short id with NULs; short ids of up to 8 bytes cut from a long id and padded
+    with NULs are records too.  Some long records repeat, and some long ids name
+    no record.  Ids with lone surrogates are kept apart, for the iterable inputs."""
+    short = [f"s{i:06d}" for i in range(draw(st.integers(64, 400)))]
+    stems = draw(st.lists(st.text(_STEM, min_size=1, max_size=80), min_size=1, max_size=3))
+    longs = []
+    for _ in range(draw(st.integers(3, 17))):
+        head = draw(st.sampled_from(stems) | st.sampled_from(short).map(lambda pid: pid + "\x00" * 5))
+        tail = draw(st.text(_STEM | st.characters(exclude_characters="\t\n\r"), min_size=1, max_size=60))
+        longs.append(_utf8_cut(head * draw(st.integers(1, 4)) + tail, draw(st.integers(9, 300))))
+    cut = [_utf8_cut(pid, draw(st.integers(0, 7))) for pid in draw(st.lists(st.sampled_from(longs), max_size=6))]
+    cut = [pid + "\x00" * draw(st.integers(0 if pid else 1, 8 - len(pid.encode()))) for pid in cut]
+    ghosts = draw(st.lists(st.sampled_from(longs), max_size=4))   # long ids that name no record
+    odd = [f"sur\ud800{i}" + "x" * draw(st.integers(0, 30)) for i in range(draw(st.integers(0, 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))   # years, venues, repeats and edges
+    ids = short + cut + [pid for pid in longs if pid not in ghosts] + odd
+    ids += rng.choice(ids[len(short):] or short, rng.integers(0, 6)).tolist()   # repeated records
+    records = [PaperRecord(pid, int(year), venue) for pid, year, venue in zip(
+        ids, rng.integers(1999, 2002, len(ids)).tolist(), rng.choice([None, "V"], len(ids)).tolist())]
+    pools = (short, cut + longs + odd)   # each edge end comes from one of the two
+    ends = [pools[side][i % len(pools[side])]
+            for side, i in zip(rng.integers(0, 2, 600).tolist(), rng.integers(0, 1 << 20, 600).tolist())]
+    edges = list(zip(ends[0::2], ends[1::2]))[:rng.integers(0, 301)]
+    return [records[i] for i in rng.permutation(len(records))], edges, odd
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(long_id_inputs(), st.booleans())
+def test_long_ids_match_reference(inputs, ascii_json):
+    # through the files of `ingest_files`, and through `ingest` and the constructor on iterables
+    records, edges, odd = inputs
+    corpus, report = ingest(edges, records)
+    expected_report, expected = reference_ingest(edges, records)
+    assert report == expected_report
+    assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
+    dirty, arrays = reference_construct(records, edges)
+    if dirty:
+        with pytest.raises(CorpusError, match=re.escape(f"({', '.join(dirty)})")):
+            CitationCorpus(records, edges)
+    else:
+        assert _layout(CitationCorpus(records, edges)) == _layout(CitationCorpus._from_arrays(*arrays))
+    # no file holds a lone surrogate raw, so the files leave out the ids that hold one
+    records = [r for r in records if r.id not in odd]
+    edges = [e for e in edges if not set(e) & set(odd)]
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, edge_path = Path(tmp) / "m.jsonl", Path(tmp) / "e.tsv"
+        meta.write_text("".join(json.dumps({"id": r.id, "year": r.year, "venue": r.venue}, ensure_ascii=ascii_json)
+                                + "\n" for r in records), encoding="utf-8")
+        edge_path.write_text("".join(f"{a}\t{b}\n" for a, b in edges), encoding="utf-8")
+        corpus, report = ingest_files(edge_path, meta)
+        expected_report, expected = reference_ingest(list(read_edge_file(edge_path)), list(read_metadata_file(meta)))
+    assert report == expected_report
     assert _layout(corpus) == _layout(CitationCorpus._from_arrays(*expected))
 
 
@@ -906,7 +1006,25 @@ class TestCache:
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None
 
-    @pytest.mark.parametrize("fmt", [3, 4, 5, CACHE_FORMAT])
+    def test_format_6_cache_reads_as_stale(self, tmp_path, toy, format_6_cache):
+        # format 6 held no ingest report, so a cache hit could not restore ingest_report.json
+        cache = tmp_path / "corpus.cache"
+        cache.write_bytes(format_6_cache(toy, "aaa"))
+        assert load_cache(cache, expect_hash="aaa") is None
+        assert load_cache(cache) is None
+        # the same arrays under today's format read back, with an all-zero report
+        save_cache(toy, cache, source_hash="aaa")
+        assert _layout(load_cache(cache, expect_hash="aaa")) == _layout(toy)
+        assert cache_report(cache) == IngestReport()
+
+    def test_cache_keeps_the_ingest_report(self, tmp_path, toy, corpus_files):
+        corpus, report = ingest_files(*corpus_files(toy))
+        cache = tmp_path / "corpus.cache"
+        save_cache(corpus, cache, source_hash="aaa", report=report)
+        assert load_cache(cache, expect_hash="aaa") is not None
+        assert cache_report(cache) == report and report.papers_kept == len(toy)
+
+    @pytest.mark.parametrize("fmt", [3, 4, 5, 6, CACHE_FORMAT])
     def test_planted_pickle_is_never_run(self, tmp_path, planted_pickle, fmt):
         marker = tmp_path / "PWNED"
         cache = tmp_path / "corpus.cache"
@@ -949,11 +1067,20 @@ class TestCache:
         lambda a: a.__setitem__(0, _header(a[0], ids="6")),
         # a cut block, with the one venue unused, would read back without its name
         lambda a: (a.__setitem__(1, a[1][:-1]), a[3].__setitem__(0, -1)),
+        lambda a: a.__setitem__(0, _header(a[0], report=_report(a[0], papers_in=None))),
+        lambda a: a.__setitem__(0, _header(a[0], report={**_report(a[0]), "extra": 0})),
+        lambda a: a.__setitem__(0, _header(a[0], report=_report(a[0], edges_kept=-1))),
+        lambda a: a.__setitem__(0, _header(a[0], report=_report(a[0], dropped_dup=1.0))),
+        lambda a: a.__setitem__(0, _header(a[0], report=_report(a[0], dropped_self=True))),
+        lambda a: a.__setitem__(0, _header(a[0], report=_report(a[0], malformed_edges="0"))),
+        lambda a: a.__setitem__(0, _header(a[0], report=[0] * 12)),
+        lambda a: a.__setitem__(0, _header(a[0], report=None)),
     ], ids=["row-out-of-range", "negative-row", "self-citation", "duplicate", "forward",
             "same-year-cycle", "venue-code-out-of-range", "years-not-int32", "edge-arrays-unequal",
             "ids-unsorted", "ids-not-strings", "other-format", "edges-out-of-order", "ids-too-many",
             "sep-empty", "sep-not-string", "venues-not-strings", "id-count-too-large", "id-count-negative",
-            "id-count-not-int", "names-unterminated"])
+            "id-count-not-int", "names-unterminated", "report-key-missing", "report-key-extra",
+            "report-negative", "report-float", "report-bool", "report-string", "report-not-dict", "report-null"])
     def test_damaged_cache_reads_as_stale(self, tmp_path, toy, damage):
         cache = tmp_path / "corpus.cache"
         save_cache(toy, cache, source_hash="aaa")
@@ -1027,3 +1154,9 @@ def _header(array: np.ndarray, **changes) -> np.ndarray:
     head = json.loads(array.tobytes())
     head.update(changes)
     return np.frombuffer(json.dumps(head).encode("ascii"), np.uint8)
+
+
+def _report(array: np.ndarray, **changes) -> dict:
+    """The header's report with `changes`; a change to None drops the key."""
+    report = {**json.loads(array.tobytes())["report"], **changes}
+    return {k: v for k, v in report.items() if v is not None}
