@@ -87,8 +87,9 @@ def _write_run_config(out: Path, args) -> None:
 def _ingest_with_cache(args, *, force: bool = False):
     """Check the input files, make --out, then load the corpus via the
     content-addressed cache, re-ingesting if stale.  Every run writes
-    `ingest_report.json`, on a cache hit from the cache's header, so it always
-    describes the cache; a new cache is moved into place after the report."""
+    `ingest_report.json`, on a cache hit from the cache's header, so a run that
+    finishes leaves the report of the cache; a new cache is moved into place
+    after the report, so a partly written one is never at `corpus.cache`."""
     edges = _require_file(args.edges)
     meta = _require_file(args.meta)
     out = _out_dir(args)

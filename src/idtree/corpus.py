@@ -23,10 +23,10 @@ rules 2-7 then run in order as numpy passes over the codes of all edges:
 Codes come in sorted-id order: records 0..n-1 by id, ids that only edges
 name from n on.  Every input takes one coder.  Each id becomes a key row: W
 big-endian words of its zero-padded UTF-8 bytes, then a length column.  W
-comes from the record ids, so that a few long ones do not widen every row,
-and an id longer than 8·W bytes adds its rank among the long ids, in byte
-order, to its length column as ``rank << 32 | len``; rows then compare as
-the strings do.  Records are deduplicated by sorting their rows, and each
+comes from the record ids (see `_width`), so that a few long ones do not
+widen every row, and an id longer than 8·W bytes adds its rank among the
+long ids, in byte order, to its length column as ``rank << 32 | len``; rows
+then compare as the strings do.  Records are deduplicated by sorting their rows, and each
 edge end is coded by `searchsorted` against them.
 
 `ingest_files` reads its two files in blocks of 256 KiB.  Lines of the
@@ -552,17 +552,20 @@ def _words(lens: np.ndarray) -> np.ndarray:
 
 
 def _width(lens: np.ndarray) -> int:
-    """The words W of the key rows of ids of `lens` bytes: the W that costs least, at
-    W + 1 words per id plus 16 for each id longer than 8·W bytes, whose rank is Python work."""
-    tally = np.bincount(_words(lens), minlength=2)   # tally[w]: the ids of w words
-    cost = np.arange(1, len(tally) + 1) * len(lens) + 16 * (len(lens) - np.cumsum(tally))
+    """The words W of the key rows of ids of `lens` bytes: the W that holds the fewest
+    words, at W + 1 per id for its row and, for each id longer than 8·W bytes, its own
+    words and 8 more for the bytes object and the dict entry that hold its rank."""
+    words = _words(lens)
+    held = np.bincount(words, words + 8, minlength=2)   # held[w]: the words the ranks of w-word ids hold
+    cost = np.arange(1, len(held) + 1) * len(lens) + held.sum() - np.cumsum(held)
     return 1 + int(np.argmin(cost[1:]))
 
 
-def _long(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int) -> tuple[np.ndarray, list[bytes]]:
-    """The positions and the bytes of the strings buf[s:s+l] longer than 8·`words` bytes."""
+def _long(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int) -> tuple[np.ndarray, Iterator[bytes]]:
+    """The positions of the strings buf[s:s+l] longer than 8·`words` bytes, and their
+    bytes one at a time, so that no list holds them all."""
     at = np.flatnonzero(lens > 8 * words)
-    return at, [buf[s:s + n] for s, n in zip(starts[at].tolist(), lens[at].tolist())]
+    return at, (buf[s:s + n] for s, n in zip(starts[at].tolist(), lens[at].tolist()))
 
 
 def _keys(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int, ranks: dict[bytes, int]) -> np.ndarray:
@@ -578,7 +581,8 @@ def _keys(buf: bytes, starts: np.ndarray, lens: np.ndarray, words: int, ranks: d
         keys[:, w] = data[starts + 8 * w].view(">u8")[:, 0] & _MASK[np.clip(lens - 8 * w, 0, 8)]
     keys[:, words] = lens
     at, tails = _long(buf, starts, lens, words)
-    keys[at, words] |= np.array([ranks.setdefault(t, len(ranks) + 1) for t in tails], np.uint64) << np.uint64(32)
+    rank = np.fromiter((ranks.setdefault(t, len(ranks) + 1) for t in tails), np.uint64, len(at))
+    keys[at, words] |= rank << np.uint64(32)
     return keys
 
 
@@ -662,6 +666,7 @@ def _records(blocks: Iterable[bytes], items: Iterable, report: IngestReport):
     tails = sorted(set(_long(buf, starts, lens, words)[1]))
     ranks = dict(zip(tails, range(1, len(tails) + 1)))
     keys = _keys(buf, starts, lens, words, ranks)
+    del buf   # before the sort
     order = np.lexsort((np.concatenate(rows), *keys.T[::-1]))
     keys = keys[order]
     head = np.ones(len(keys), bool)
@@ -739,19 +744,19 @@ def file_digest(*paths) -> str:
     return h.hexdigest()
 
 
-def save_cache(corpus: CitationCorpus, path, source_hash: str = "", report: IngestReport | None = None) -> None:
-    """Write the corpus, the digest of its files and the report of their ingest (all
-    zero if none is given) as six `np.save` arrays: a JSON header (format, digest,
-    separator, id count, report) as ASCII bytes; the ids and then the
-    venue names as one UTF-8 block (lone surrogates kept), each ended by the separator,
-    the first code point from U+000A on that no id or name holds; the years, the venue
-    codes, and the citing and the cited row of each edge, in (citing, cited) order."""
+def save_cache(corpus: CitationCorpus, path, source_hash: str = "", *, report: IngestReport) -> None:
+    """Write the corpus, the digest of its files and the report of their ingest as
+    six `np.save` arrays: a JSON header (format, digest, separator, id count, report)
+    as ASCII bytes; the ids and then the venue names as one UTF-8 block (lone surrogates
+    kept), each ended by the separator, the first code point from U+000A on that no id
+    or name holds; the years, the venue codes, and the citing and the cited row of each
+    edge, in (citing, cited) order."""
     names = (*corpus.paper_ids, *corpus.venue_names, "")
     joined = "".join(names)
     used = set(joined) if "\n" in joined else ()
     sep = next(c for c in map(chr, count(10)) if c not in used)
     head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep, "ids": len(corpus),
-                       "report": (report or IngestReport()).to_dict()})
+                       "report": report.to_dict()})
     block = sep.join(names).encode("utf-8", "surrogatepass")
     with open(path, "wb") as fh:
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),

@@ -338,7 +338,7 @@ def test_citer_order_matches_lexsort_reference(tmp_path, stream):
     # was built: by ingest, by load_cache and by snapshot
     corpus, _ = ingest(stream[1], stream[0])
     cache = tmp_path / "corpus.cache"
-    save_cache(corpus, cache)
+    save_cache(corpus, cache, report=IngestReport())
     loaded = load_cache(cache)
     assert loaded is not None
     for built in (corpus, loaded, *map(corpus.snapshot, sorted(set(corpus.years.tolist())))):
@@ -352,7 +352,7 @@ def _every_build(tmp_path, stream, seed) -> list[CitationCorpus]:
     edges, meta, cache = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "corpus.cache"
     write_edge_file(corpus, edges)
     write_metadata_file(corpus, meta)
-    save_cache(corpus, cache)
+    save_cache(corpus, cache, report=IngestReport())
     return [corpus, CitationCorpus(map(corpus.record, corpus.paper_ids), corpus.edges()),
             ingest_files(edges, meta)[0], load_cache(cache),
             *map(corpus.snapshot, sorted(set(corpus.years.tolist()))),
@@ -758,9 +758,10 @@ def test_common_metadata_lines_never_reach_the_per_line_reader(tmp_path, monkeyp
     assert len(columns) == 3 + 1 and set((columns[-1] >> 32).tolist()) == ({0, 1} if long_id else {0})
 
 
-@pytest.mark.parametrize("size", [1, 7, 8, 9, 17, 64, 100])
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17, 64, 100, 128, 129, 136, 200])
 def test_equal_width_ids_keep_their_words_and_take_no_rank(tmp_path, monkeypatch, size):
-    # a file whose ids all have one length keeps one word per 8 bytes, and no rank bits
+    # a file whose ids all have one length keeps one word per 8 bytes, and no rank bits,
+    # however long the ids: a ranked id would hold its words again in the rank dict
     ids = [f"{i:0{size}d}" for i in range(10 if size == 1 else 300)]
     corpus = CitationCorpus([PaperRecord(pid, 2000 + i % 2) for i, pid in enumerate(ids)],
                             [(ids[i], ids[i - 1]) for i in range(1, len(ids), 2)])
@@ -934,7 +935,7 @@ class TestCache:
         edges, meta = corpus_files(toy)
         digest = file_digest(edges, meta)
         cache = tmp_path / "corpus.cache"
-        save_cache(toy, cache, source_hash=digest)
+        save_cache(toy, cache, source_hash=digest, report=IngestReport())
         loaded = load_cache(cache, expect_hash=digest)
         assert loaded is not None
         assert loaded.paper_ids == toy.paper_ids
@@ -960,7 +961,7 @@ class TestCache:
     def test_stale_or_missing_cache_returns_none(self, tmp_path, toy):
         cache = tmp_path / "corpus.cache"
         assert load_cache(cache) is None
-        save_cache(toy, cache, source_hash="aaa")
+        save_cache(toy, cache, source_hash="aaa", report=IngestReport())
         assert load_cache(cache, expect_hash="bbb") is None
         cache.write_bytes(b"garbage")
         assert load_cache(cache) is None
@@ -1012,8 +1013,8 @@ class TestCache:
         cache.write_bytes(format_6_cache(toy, "aaa"))
         assert load_cache(cache, expect_hash="aaa") is None
         assert load_cache(cache) is None
-        # the same arrays under today's format read back, with an all-zero report
-        save_cache(toy, cache, source_hash="aaa")
+        # the same arrays under today's format read back, with their report
+        save_cache(toy, cache, source_hash="aaa", report=IngestReport())
         assert _layout(load_cache(cache, expect_hash="aaa")) == _layout(toy)
         assert cache_report(cache) == IngestReport()
 
@@ -1034,7 +1035,7 @@ class TestCache:
 
     def test_truncated_cache_reads_as_stale(self, tmp_path, toy):
         cache = tmp_path / "corpus.cache"
-        save_cache(toy, cache, source_hash="aaa")
+        save_cache(toy, cache, source_hash="aaa", report=IngestReport())
         data = cache.read_bytes()
         for cut in (0, 10, 200, len(data) // 2, len(data) - 1):
             cache.write_bytes(data[:cut])
@@ -1083,7 +1084,7 @@ class TestCache:
             "report-negative", "report-float", "report-bool", "report-string", "report-not-dict", "report-null"])
     def test_damaged_cache_reads_as_stale(self, tmp_path, toy, damage):
         cache = tmp_path / "corpus.cache"
-        save_cache(toy, cache, source_hash="aaa")
+        save_cache(toy, cache, source_hash="aaa", report=IngestReport())
         with open(cache, "rb") as fh:
             arrays = [np.load(fh) for _ in range(6)]
             assert not fh.read()
@@ -1098,7 +1099,7 @@ class TestCache:
         records = [PaperRecord("root", 2000, "V,\"1\x00")] + [PaperRecord(pid, 2001, pid) for pid in odd]
         corpus, _ = ingest([(pid, "root") for pid in odd], records)
         cache = tmp_path / "corpus.cache"
-        save_cache(corpus, cache, source_hash="aaa")
+        save_cache(corpus, cache, source_hash="aaa", report=IngestReport())
         loaded = load_cache(cache, expect_hash="aaa")
         assert loaded is not None
         assert loaded.paper_ids == corpus.paper_ids and set(odd) <= set(loaded.paper_ids)
@@ -1107,7 +1108,7 @@ class TestCache:
 
     def test_empty_corpus_round_trip(self, tmp_path):
         cache = tmp_path / "corpus.cache"
-        save_cache(CitationCorpus([], []), cache, source_hash="aaa")
+        save_cache(CitationCorpus([], []), cache, source_hash="aaa", report=IngestReport())
         with open(cache, "rb") as fh:
             np.load(fh)
             assert np.load(fh).size == 0   # zero ids and names give an empty block
@@ -1126,7 +1127,7 @@ class TestCache:
         corpus = CitationCorpus([PaperRecord(pid, 2000, venue) for pid, venue in zip(ids, venues)],
                                 list(zip(ids[1:], ids[:1] * len(ids))))
         cache = tmp_path / "corpus.cache"
-        save_cache(corpus, cache, source_hash="aaa")
+        save_cache(corpus, cache, source_hash="aaa", report=IngestReport())
         sep = json.loads(np.load(cache).tobytes())["sep"]
         used = set("".join(ids) + "".join(corpus.venue_names))
         assert sep not in used and all(map(used.__contains__, map(chr, range(10, ord(sep)))))
@@ -1141,7 +1142,7 @@ class TestCache:
         for now in (1.0, 2e9):
             monkeypatch.setattr(time, "time", lambda now=now: now)
             cache = tmp_path / f"at-{now}.cache"
-            save_cache(toy, cache, source_hash="aaa")
+            save_cache(toy, cache, source_hash="aaa", report=IngestReport())
             blobs.append(cache.read_bytes())
         assert blobs[0] == blobs[1]
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from idtree import corpus as corpus_mod
 from idtree import experiments as experiments_mod
 from idtree import metrics as metrics_mod
-from idtree.corpus import PaperRecord, ingest, load_cache, save_cache
+from idtree.corpus import IngestReport, PaperRecord, ingest, load_cache, save_cache
 from idtree.experiments import (
     ToTCase,
     ToTReport,
@@ -516,7 +516,7 @@ class TestTableMemo:
         # the CLI's cache-hit commands under min-id read no paper's citers
         corpus = self._corpus()
         awardees = _awardees(corpus, 1991, 1999)
-        save_cache(corpus, tmp_path / "corpus.cache")
+        save_cache(corpus, tmp_path / "corpus.cache", report=IngestReport())
         loaded = load_cache(tmp_path / "corpus.cache")
         assert "citers" not in corpus_mod.derived(loaded)
         metrics_mod.corpus_metrics(loaded)
