@@ -119,7 +119,8 @@ _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def derived(corpus) -> dict:
     """What is derived from `corpus`, kept until it is freed and never pickled: "citers"
     (the sorted keys ``cited * n + citing`` of its edges), "editions", "years" (its
-    `PaperYears`) and, per seed, ("drawn", seed): tied row -> IDI prefix."""
+    `PaperYears`), "scores" (its papers' min-id scores, read by `corpus_metrics`) and,
+    per seed, ("drawn", seed): tied row -> IDI prefix."""
     return _DERIVED.setdefault(corpus, {})
 
 

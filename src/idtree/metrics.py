@@ -12,6 +12,7 @@ breadth are both ceil(sqrt(n)).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, starmap
 
@@ -256,18 +257,24 @@ class PaperYears:
         return n, nid
 
 
-def paper_years(corpus, rows) -> PaperYears:
-    """The corpus's `PaperYears`, covering at least `rows`.
+def _covering(corpus, key: str, rows, build):
+    """The corpus's memo entry `key`, covering at least the papers at `rows`.
 
-    A table built earlier for the same corpus is reused; asked for papers it
-    lacks, it is replaced with one over those and the ones it had.
+    An entry built earlier for the same corpus is reused; asked for papers it
+    lacks, it is replaced with ``build(corpus, covered)`` over those and the
+    ones it had.  Every entry keeps its bool row mask as `covered`.
     """
-    table = derived(corpus).get("years")
-    if table is None or not table.covered[rows].all():
-        covered = np.zeros(len(corpus), bool) if table is None else table.covered.copy()
+    entry = derived(corpus).get(key)
+    if entry is None or not entry.covered[rows].all():
+        covered = np.zeros(len(corpus), bool) if entry is None else entry.covered.copy()
         covered[rows] = True
-        table = derived(corpus)["years"] = PaperYears(corpus, covered)
-    return table
+        entry = derived(corpus)[key] = build(corpus, covered)
+    return entry
+
+
+def paper_years(corpus, rows) -> PaperYears:
+    """The corpus's `PaperYears`, covering at least `rows` (see `_covering`)."""
+    return _covering(corpus, "years", rows, PaperYears)
 
 
 # Candidate pairs tested at once by the triangle search: bounds its scratch
@@ -388,27 +395,18 @@ def _edge_trees(corpus, wanted: np.ndarray):
     return citing[into], dst[into], depth[into], parent, tied
 
 
-def corpus_metrics(
-    corpus,
-    paper_ids=None,
-    *,
-    tie: str = "min-id",
-    seed: int = 0,
-    jobs: int = 1,
-) -> CorpusMetrics:
-    """Metrics for every paper with at least one citation, once each, as columns sorted by id.
+_Scores = namedtuple("_Scores", "covered n idi depth breadth tied")
 
-    All min-id trees are scored at once from `_edge_trees`; IDI sums the
-    depths of the citers nobody picked as parent.  Under ``tie="random"`` a
-    paper with a depth tie takes its IDI from `_drawn`.  `jobs` is ignored;
-    it stays because ``bench/workloads.py`` times a second round with ``jobs=2``.
+
+def _scores(corpus, covered: np.ndarray) -> _Scores:
+    """Min-id n, IDI, depth and breadth of every row, and its depth-tie flag, as read-only arrays.
+
+    Rows outside the bool mask `covered`, which the result keeps, and uncited
+    papers score 0.  All trees come at once from `_edge_trees`; IDI sums the
+    depths of the citers nobody picked as parent.
     """
-    if tie not in TIE_POLICIES:
-        raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     size = len(corpus)
-    wanted = np.zeros(size, bool)
-    wanted[slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)] = True
-    _, paper, level, parent, tied = _edge_trees(corpus, wanted)
+    _, paper, level, parent, tied = _edge_trees(corpus, covered)
     leaf = np.ones(len(paper), bool)
     leaf[parent[parent >= 0]] = False
     n = np.bincount(paper, minlength=size)
@@ -420,14 +418,43 @@ def corpus_metrics(
         width = np.bincount(paper[level == at], minlength=size)
         np.maximum(breadth, width, out=breadth)
         depth[width > 0] = at
-    del paper, level, parent, leaf
+    table = _Scores(covered, n, value, depth, breadth, tied)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def corpus_metrics(
+    corpus,
+    paper_ids=None,
+    *,
+    tie: str = "min-id",
+    seed: int = 0,
+    jobs: int = 1,
+) -> CorpusMetrics:
+    """Metrics for every paper with at least one citation, once each, as columns sorted by id.
+
+    The min-id scores come from the corpus's memo ("scores", built by
+    `_scores` over the papers asked for and extended as `_covering` says),
+    so a later call for any tie policy, seed or subset cuts its rows from
+    it.  Under ``tie="random"`` a paper with a depth tie takes its IDI from
+    `_drawn`.  `jobs` is ignored; it stays because ``bench/workloads.py``
+    times a second call with ``jobs=2``, which is a memo hit.
+    """
+    if tie not in TIE_POLICIES:
+        raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
+    rows = slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)
+    table = _covering(corpus, "scores", rows, _scores)
+    cited = np.zeros(len(corpus), bool)
+    cited[rows] = True
+    cited &= table.n > 0
+    at = np.flatnonzero(cited)
+    n, value = table.n[at], table.idi[at]
     if tie == "random":
-        for row in np.flatnonzero(tied).tolist():   # a tied paper is a wanted, cited one
-            value[row] = _drawn(corpus, row, seed)[-1]
-    cited = n > 0
-    n, value = n[cited], value[cited]
+        for i in np.flatnonzero(table.tied[at]).tolist():
+            value[i] = _drawn(corpus, int(at[i]), seed)[-1]
     hi, nid = _checked_nids(n, value)
-    return CorpusMetrics(list(compress(corpus.paper_ids, cited.tolist())), n, depth[cited], breadth[cited],
+    return CorpusMetrics(list(compress(corpus.paper_ids, cited.tolist())), n, table.depth[at], table.breadth[at],
                          value, hi, nid)
 
 

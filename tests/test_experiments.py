@@ -493,6 +493,40 @@ class TestTableMemo:
                 if corpus.record(p).venue is not None and 1994 <= corpus.year(p) <= 1996]
         assert builds[1:] == [more]
 
+    def test_one_build_across_scoring_calls(self, builds):
+        corpus = self._corpus()
+        first = metrics_mod.corpus_metrics(corpus)
+        for seed in (1, 2):
+            metrics_mod.corpus_metrics(corpus, tie="random", seed=seed)
+        metrics_mod.corpus_metrics(corpus, tie="random", seed=1, jobs=2)
+        subset = metrics_mod.corpus_metrics(corpus, corpus.paper_ids[::7])
+        stats = corpus_stats(corpus)
+        assert builds == [list(corpus.paper_ids)]
+        assert list(stats.reports) == list(first)
+        assert list(subset) == [r for r in first if r.paper_id in set(corpus.paper_ids[::7])]
+
+    def test_subset_builds_only_its_papers(self, builds):
+        corpus = self._corpus()
+        ids = corpus.paper_ids
+        metrics_mod.corpus_metrics(corpus, [ids[40], ids[3], ids[40]])
+        assert builds == [[ids[3], ids[40]]]
+        # a later call that needs more papers rebuilds over both sets, one within them builds nothing
+        metrics_mod.corpus_metrics(corpus, [ids[9], ids[3]], tie="random", seed=1)
+        metrics_mod.corpus_metrics(corpus, [ids[40], ids[9]])
+        assert builds[1:] == [[ids[3], ids[9], ids[40]]]
+
+    @pytest.mark.parametrize("tie", ["min-id", "random"])
+    def test_changed_columns_leave_the_memo_unchanged(self, tie):
+        corpus = self._corpus()
+        result = metrics_mod.corpus_metrics(corpus, tie=tie, seed=1)
+        rows = list(result)
+        for column in (result.n, result.depth, result.breadth, result.idi, result.idi_max, result.nid):
+            column[:] = 0
+        again = metrics_mod.corpus_metrics(corpus, tie=tie, seed=1)
+        assert list(again) == rows
+        assert [c.dtype for c in again.columns()] == [np.int64] * 7 + [np.float64]
+        assert not any(array.flags.writeable for array in metrics_mod.derived(corpus)["scores"])
+
     def test_one_generator_per_tied_paper_across_metrics_and_experiments(self, monkeypatch):
         # corpus_metrics and both experiments read one set of draws per seed and corpus
         alone, corpus = self._corpus(), self._corpus()
@@ -531,9 +565,10 @@ class TestTableMemo:
         blob = pickle.dumps(corpus)
         z_experiment(corpus, (1991, 1999), 2, 6, tie="random", seed=1)
         tot_experiment(corpus, _awardees(corpus, 1991, 1999), pct=0.25, horizon=10, tie="random", seed=1)
-        # one memo holds the table, the draws, the editions and the citer CSR the tied trees read
+        metrics_mod.corpus_metrics(corpus, tie="random", seed=1)
+        # one memo holds both tables, the draws, the editions and the citer CSR the tied trees read
         memo = metrics_mod.derived(corpus)
-        assert memo.keys() == {"years", ("drawn", 1), "editions", "citers"}
+        assert memo.keys() == {"years", "scores", ("drawn", 1), "editions", "citers"}
         # both experiments read one read-only set of editions
         editions = memo["editions"]
         assert experiments_mod._editions(corpus) is editions

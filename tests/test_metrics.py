@@ -311,6 +311,21 @@ def _assert_tie_flags(view, ids):
     assert sorted(drawn) == _tied_ids(view, ids)
 
 
+def _same_year_corpus(n_papers, n_years, density, seed):
+    """An acyclic corpus where most citations stay within a year.
+
+    `gen_random_corpus` cites strictly earlier years only.  Here each paper
+    cites only papers before it in (year, position) order, and ids are
+    shuffled so that this order is not the id order.
+    """
+    rng = np.random.default_rng(seed)
+    years = np.sort(rng.integers(2000, 2000 + n_years, n_papers))
+    ids = [f"q{k:02d}" for k in rng.permutation(n_papers)]
+    citing, cited = np.nonzero(np.tril(rng.random((n_papers, n_papers)) < density, -1))
+    return CitationCorpus([PaperRecord(pid, int(y)) for pid, y in zip(ids, years)],
+                          [(ids[u], ids[v]) for u, v in zip(citing, cited)])
+
+
 def _signature_corpus(shape, n_papers, n_years, density, seed):
     """An acyclic corpus on which the kernel's 64-bit row signatures are weakest.
 
@@ -382,17 +397,8 @@ class TestDispersionKernel:
     @given(n_papers=st.integers(2, 40), n_years=st.integers(1, 3), density=st.floats(0.05, 0.6),
            corpus_seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_same_year_citations_match_per_paper_trees(self, n_papers, n_years, density, corpus_seed, data):
-        # gen_random_corpus cites strictly earlier years only; here most
-        # citations stay within a year, acyclic because each paper cites only
-        # papers before it in (year, position) order, and ids are shuffled so
-        # that this order is not the id order
-        rng = np.random.default_rng(corpus_seed)
-        years = np.sort(rng.integers(2000, 2000 + n_years, n_papers))
-        ids = [f"q{k:02d}" for k in rng.permutation(n_papers)]
-        citing, cited = np.nonzero(np.tril(rng.random((n_papers, n_papers)) < density, -1))
-        corpus = CitationCorpus([PaperRecord(pid, int(y)) for pid, y in zip(ids, years)],
-                                [(ids[u], ids[v]) for u, v in zip(citing, cited)])
-        subset = data.draw(st.lists(st.sampled_from(ids), max_size=12))
+        corpus = _same_year_corpus(n_papers, n_years, density, corpus_seed)
+        subset = data.draw(st.lists(st.sampled_from(corpus.paper_ids), max_size=12))
         snapshot = corpus.snapshot(data.draw(st.integers(2000, 2000 + n_years - 1)))
         for view, requested in ((corpus, None), (snapshot, None), (corpus, subset)):
             ids_scored = view.paper_ids if requested is None else requested
@@ -416,6 +422,29 @@ class TestDispersionKernel:
                 assert list(corpus_metrics(corpus, requested, tie=tie, seed=seed)) == _per_paper(
                     corpus, ids, tie, seed)
             _assert_tie_flags(corpus, ids)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(["random", "same-year", "saturated"]), n_papers=st.integers(2, 120),
+           n_years=st.integers(1, 3), density=st.floats(0.05, 0.6), corpus_seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_scores_do_not_depend_on_earlier_requests(self, shape, n_papers, n_years, density, corpus_seed, data):
+        # the per-corpus score memo keeps a paper's min-id scores from whichever
+        # request built or extended it, so each call must match a fresh corpus
+        if shape == "random":
+            corpus = gen_random_corpus(n_papers, years=(1990, 2005), mean_refs=3, followup=0.5,
+                                       seed=corpus_seed % 10_000)
+        elif shape == "same-year":
+            corpus = _same_year_corpus(min(n_papers, 40), n_years, density, corpus_seed)
+        else:
+            corpus = _signature_corpus(shape, max(n_papers, 72), n_years, density, corpus_seed)
+        subsets = st.lists(st.sampled_from(corpus.paper_ids), max_size=20) if len(corpus) else st.just([])
+        for requested in data.draw(st.lists(st.none() | subsets, min_size=1, max_size=3)):
+            ids = corpus.paper_ids if requested is None else requested
+            for tie, seed in (("min-id", 0), ("random", 1), ("random", 2)):
+                got = list(corpus_metrics(corpus, requested, tie=tie, seed=seed))
+                fresh = pickle.loads(pickle.dumps(corpus))   # the memo is never pickled
+                assert got == list(corpus_metrics(fresh, requested, tie=tie, seed=seed))
+                assert got == _per_paper(corpus, ids, tie, seed)
 
     @settings(max_examples=30, deadline=None)
     @given(shape=st.sampled_from(["random", "saturated", "colliding"]), n_papers=st.integers(2, 150),
