@@ -118,9 +118,9 @@ _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def derived(corpus) -> dict:
     """What is derived from `corpus`, kept until it is freed and never pickled: "citers"
-    (the sorted keys ``cited * n + citing`` of its edges), "editions", "years" (its
-    `PaperYears`), "scores" (its papers' min-id scores, read by `corpus_metrics`) and,
-    per seed, ("drawn", seed): tied row -> IDI prefix."""
+    (the sorted keys ``cited * n + citing`` of its edges), "editions", "years" and "scores"
+    (`metrics._covering` pairs: a row mask and its `PaperYears` or min-id scores) and,
+    per seed, ("drawn", seed): tied row -> IDI prefix, written by `metrics._scored`."""
     return _DERIVED.setdefault(corpus, {})
 
 
@@ -663,6 +663,7 @@ def _records(blocks: Iterable[bytes], items: Iterable, report: IngestReport):
     bufs, lens, years, venues, rows = zip(*cols)
     ids = b"".join(bufs[:-1]).decode().split("\n")[:-1] + list(names)
     buf, lens = b"".join(bufs), np.concatenate(lens)
+    del cols, bufs   # the per-block buffers, before the keys and the sort
     starts, words = np.cumsum(lens + 1) - lens - 1, _width(lens)
     tails = sorted(set(_long(buf, starts, lens, words)[1]))
     ranks = dict(zip(tails, range(1, len(tails) + 1)))
@@ -745,7 +746,7 @@ def file_digest(*paths) -> str:
     return h.hexdigest()
 
 
-def save_cache(corpus: CitationCorpus, path, source_hash: str = "", *, report: IngestReport) -> None:
+def save_cache(corpus: CitationCorpus, path, source_hash: str, *, report: IngestReport) -> None:
     """Write the corpus, the digest of its files and the report of their ingest as
     six `np.save` arrays: a JSON header (format, digest, separator, id count, report)
     as ASCII bytes; the ids and then the venue names as one UTF-8 block (lone surrogates

@@ -316,7 +316,7 @@ def z_experiment(
     rows, edition = rows[keep], edition[keep]
     table = paper_years(corpus, rows)
     c1, nid = table.nids(corpus, rows, years[edition] + _clip(corpus, t1), tie=tie, seed=seed)
-    c2 = table.counts(rows, years[edition] + _clip(corpus, t2))
+    c2 = table.at(rows, years[edition] + _clip(corpus, t2))[0]
     cited = c1 > 0
     rows, edition, c1, c2, nid = rows[cited], edition[cited], c1[cited], c2[cited], nid[cited]
     gain = (c2 - c1) / c1 if gain_mode == "fractional" else (c2 - c1).astype(np.float64)
@@ -433,7 +433,7 @@ def tot_experiment(
     rows, edition = rows[keep], edition[keep]
     cutoff = years[edition] + _clip(corpus, horizon)
     table = paper_years(corpus, rows)
-    counts = table.counts(rows, cutoff)
+    counts = table.at(rows, cutoff)[0]
     # each cohort by citations; `rows` ascend, so the order breaks ties by id
     order = _by_edition(edition, -counts)
     sizes = np.bincount(edition, minlength=len(codes))

@@ -173,16 +173,23 @@ def paper_metrics(
     return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
 
 
-def _drawn(corpus, row: int, seed: int) -> list[int]:
-    """IDI after each citer of the paper at `row` under random ties drawn from `seed`.
+def _scored(corpus, tied: np.ndarray, rows: np.ndarray, n: np.ndarray, value: np.ndarray, tie: str, seed: int):
+    """`_checked_nids` of the citer counts `n` and min-id IDIs `value` of papers `rows` under `tie`.
 
-    Built once per seed and corpus from the paper's full tree by `_sweep`,
-    as `paper_metrics` builds it, so it matches that paper's score.
+    Under random ties, each paper flagged in `tied` with n > 0 gets in `value` the
+    IDI after its n-th citer from its full tree, as `paper_metrics` builds it, kept
+    per seed in the corpus's ("drawn", seed) memo.
     """
-    drawn = derived(corpus).setdefault(("drawn", seed), {})
-    if row not in drawn:
-        drawn[row] = _sweep(build_idg(corpus, corpus.paper_ids[row]), "random", seed)[0]
-    return drawn[row]
+    if tie not in TIE_POLICIES:
+        raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
+    if tie == "random":
+        drawn = derived(corpus).setdefault(("drawn", seed), {})
+        for i in np.flatnonzero(tied[rows] & (n > 0)).tolist():
+            row = int(rows[i])
+            if row not in drawn:
+                drawn[row] = _sweep(build_idg(corpus, corpus.paper_ids[row]), "random", seed)[0]
+            value[i] = drawn[row][n[i] - 1]
+    return _checked_nids(n, value)
 
 
 class PaperYears:
@@ -191,20 +198,18 @@ class PaperYears:
     Papers are the corpus's rows.  Under min-id ties a paper's tree in a
     snapshot is its full tree cut to the citers published by the cutoff: a
     citer's candidate parents are citers it cites, so none is younger than
-    it and its depth and parent stay the same.  Citer v is then a leaf of P's snapshot tree from v's year until
-    the year of its first child, so IDI(P, Y) is a running sum over P's
-    citers in year order: +depth(v) at v's year, -depth(v) at the year of
-    its first child.  Under random ties the papers with a depth tie take
-    the IDI after their n-th citer from their full tree, built once per
-    seed and corpus: the snapshot tree draws the same ties in the same order.
-
-    The table covers the papers it was built for; `paper_years` replaces it
-    with one over the union when asked for more.  It holds no reference to
+    it and its depth and parent stay the same.  Citer v is then a leaf of
+    P's snapshot tree from v's year until the year of its first child, so
+    IDI(P, Y) is a running sum over P's citers in year order: +depth(v) at
+    v's year, -depth(v) at the year of its first child.  Under random ties
+    the papers with a depth tie take the IDI after their n-th citer from
+    their full tree, built once per seed and corpus: the snapshot tree
+    draws the same ties in the same order.  The table holds no reference to
     its corpus, which is passed in where one is needed.
     """
 
     def __init__(self, corpus, covered: np.ndarray):
-        """Tabulate the papers where the bool row mask `covered` is set; the table keeps the mask."""
+        """Tabulate the papers where the bool row mask `covered` is set."""
         n = len(corpus)
         # a citation into P by a citer of year Y has the key
         # P * stride + Y - first_year + 1, strictly inside P's stride;
@@ -231,28 +236,18 @@ class PaperYears:
         delta[first[gone]] -= depth[gone]
         self.idi_sums = np.r_[0, np.cumsum(delta)]
         self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
-        self.covered = covered
 
-    def _at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
-        """Citer counts and min-id IDIs of papers `rows` at cutoff `years`."""
+    def at(self, rows: np.ndarray, years) -> tuple[np.ndarray, np.ndarray]:
+        """Citer counts and min-id IDIs of papers `rows` at cutoff `years` (one per row, or one for all)."""
         cut = np.clip(np.asarray(years, np.int64) - self.first_year + 1, 0, self.stride - 1)
         end = np.searchsorted(self.keys, rows * self.stride + cut, "right")
         start = self.offsets[rows]
         return end - start, self.idi_sums[end] - self.idi_sums[start]
 
-    def counts(self, rows: np.ndarray, years) -> np.ndarray:
-        """Citers of papers `rows` published in or before `years` (one per row, or one for all)."""
-        return self._at(rows, years)[0]
-
     def nids(self, corpus, rows: np.ndarray, years, *, tie: str = "min-id", seed: int = 0):
         """Citer counts and NIDs of papers `rows` at cutoff `years`; NID is NaN where the count is 0."""
-        if tie not in TIE_POLICIES:
-            raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
-        n, value = self._at(rows, years)
-        if tie == "random":
-            for i in np.flatnonzero(self.tied[rows] & (n > 0)).tolist():
-                value[i] = _drawn(corpus, int(rows[i]), seed)[n[i] - 1]
-        nid = _checked_nids(n, value)[1]   # an uncited paper has IDI 0, inside its bounds
+        n, value = self.at(rows, years)
+        nid = _scored(corpus, self.tied, rows, n, value, tie, seed)[1]   # an uncited paper has IDI 0, inside its bounds
         nid[n == 0] = np.nan
         return n, nid
 
@@ -260,16 +255,18 @@ class PaperYears:
 def _covering(corpus, key: str, rows, build):
     """The corpus's memo entry `key`, covering at least the papers at `rows`.
 
-    An entry built earlier for the same corpus is reused; asked for papers it
-    lacks, it is replaced with ``build(corpus, covered)`` over those and the
-    ones it had.  Every entry keeps its bool row mask as `covered`.
+    The memo keeps it as ``(covered, entry)``, with the read-only bool mask of
+    the rows it was built for; asked for rows the mask lacks, it is replaced
+    with ``build(corpus, covered)`` over those and the ones it had.
     """
-    entry = derived(corpus).get(key)
-    if entry is None or not entry.covered[rows].all():
-        covered = np.zeros(len(corpus), bool) if entry is None else entry.covered.copy()
+    memo = derived(corpus)
+    covered = memo[key][0] if key in memo else None
+    if covered is None or not covered[rows].all():
+        covered = np.zeros(len(corpus), bool) if covered is None else covered.copy()
         covered[rows] = True
-        entry = derived(corpus)[key] = build(corpus, covered)
-    return entry
+        covered.flags.writeable = False
+        memo[key] = covered, build(corpus, covered)
+    return memo[key][1]
 
 
 def paper_years(corpus, rows) -> PaperYears:
@@ -395,15 +392,15 @@ def _edge_trees(corpus, wanted: np.ndarray):
     return citing[into], dst[into], depth[into], parent, tied
 
 
-_Scores = namedtuple("_Scores", "covered n idi depth breadth tied")
+_Scores = namedtuple("_Scores", "n idi depth breadth tied")
 
 
 def _scores(corpus, covered: np.ndarray) -> _Scores:
     """Min-id n, IDI, depth and breadth of every row, and its depth-tie flag, as read-only arrays.
 
-    Rows outside the bool mask `covered`, which the result keeps, and uncited
-    papers score 0.  All trees come at once from `_edge_trees`; IDI sums the
-    depths of the citers nobody picked as parent.
+    Rows outside the bool mask `covered` and uncited papers score 0.  All
+    trees come at once from `_edge_trees`; IDI sums the depths of the citers
+    nobody picked as parent.
     """
     size = len(corpus)
     _, paper, level, parent, tied = _edge_trees(corpus, covered)
@@ -418,7 +415,7 @@ def _scores(corpus, covered: np.ndarray) -> _Scores:
         width = np.bincount(paper[level == at], minlength=size)
         np.maximum(breadth, width, out=breadth)
         depth[width > 0] = at
-    table = _Scores(covered, n, value, depth, breadth, tied)
+    table = _Scores(n, value, depth, breadth, tied)
     for array in table:
         array.flags.writeable = False
     return table
@@ -437,12 +434,10 @@ def corpus_metrics(
     The min-id scores come from the corpus's memo ("scores", built by
     `_scores` over the papers asked for and extended as `_covering` says),
     so a later call for any tie policy, seed or subset cuts its rows from
-    it.  Under ``tie="random"`` a paper with a depth tie takes its IDI from
-    `_drawn`.  `jobs` is ignored; it stays because ``bench/workloads.py``
-    times a second call with ``jobs=2``, which is a memo hit.
+    it; `_scored` applies the tie policy.  `jobs` is ignored; it stays
+    because ``bench/workloads.py`` times a second call with ``jobs=2``,
+    which is a memo hit.
     """
-    if tie not in TIE_POLICIES:
-        raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     rows = slice(None) if paper_ids is None else np.fromiter(map(corpus.row, paper_ids), np.int64)
     table = _covering(corpus, "scores", rows, _scores)
     cited = np.zeros(len(corpus), bool)
@@ -450,10 +445,7 @@ def corpus_metrics(
     cited &= table.n > 0
     at = np.flatnonzero(cited)
     n, value = table.n[at], table.idi[at]
-    if tie == "random":
-        for i in np.flatnonzero(table.tied[at]).tolist():
-            value[i] = _drawn(corpus, int(at[i]), seed)[-1]
-    hi, nid = _checked_nids(n, value)
+    hi, nid = _scored(corpus, table.tied, at, n, value, tie, seed)
     return CorpusMetrics(list(compress(corpus.paper_ids, cited.tolist())), n, table.depth[at], table.breadth[at],
                          value, hi, nid)
 

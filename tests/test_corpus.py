@@ -338,7 +338,7 @@ def test_citer_order_matches_lexsort_reference(tmp_path, stream):
     # was built: by ingest, by load_cache and by snapshot
     corpus, _ = ingest(stream[1], stream[0])
     cache = tmp_path / "corpus.cache"
-    save_cache(corpus, cache, report=IngestReport())
+    save_cache(corpus, cache, source_hash="", report=IngestReport())
     loaded = load_cache(cache)
     assert loaded is not None
     for built in (corpus, loaded, *map(corpus.snapshot, sorted(set(corpus.years.tolist())))):
@@ -352,7 +352,7 @@ def _every_build(tmp_path, stream, seed) -> list[CitationCorpus]:
     edges, meta, cache = tmp_path / "e.tsv", tmp_path / "m.jsonl", tmp_path / "corpus.cache"
     write_edge_file(corpus, edges)
     write_metadata_file(corpus, meta)
-    save_cache(corpus, cache, report=IngestReport())
+    save_cache(corpus, cache, source_hash="", report=IngestReport())
     return [corpus, CitationCorpus(map(corpus.record, corpus.paper_ids), corpus.edges()),
             ingest_files(edges, meta)[0], load_cache(cache),
             *map(corpus.snapshot, sorted(set(corpus.years.tolist()))),

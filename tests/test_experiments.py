@@ -525,7 +525,9 @@ class TestTableMemo:
         again = metrics_mod.corpus_metrics(corpus, tie=tie, seed=1)
         assert list(again) == rows
         assert [c.dtype for c in again.columns()] == [np.int64] * 7 + [np.float64]
-        assert not any(array.flags.writeable for array in metrics_mod.derived(corpus)["scores"])
+        mask, table = metrics_mod.derived(corpus)["scores"]
+        assert mask.all()
+        assert not any(array.flags.writeable for array in (mask, *table))
 
     def test_one_generator_per_tied_paper_across_metrics_and_experiments(self, monkeypatch):
         # corpus_metrics and both experiments read one set of draws per seed and corpus
@@ -550,7 +552,7 @@ class TestTableMemo:
         # the CLI's cache-hit commands under min-id read no paper's citers
         corpus = self._corpus()
         awardees = _awardees(corpus, 1991, 1999)
-        save_cache(corpus, tmp_path / "corpus.cache", report=IngestReport())
+        save_cache(corpus, tmp_path / "corpus.cache", source_hash="", report=IngestReport())
         loaded = load_cache(tmp_path / "corpus.cache")
         assert "citers" not in corpus_mod.derived(loaded)
         metrics_mod.corpus_metrics(loaded)

@@ -533,9 +533,10 @@ class TestSnapshotTimeline:
         covered = rows[:0]
         for request in requests:
             table = metrics_mod.paper_years(corpus, request)
-            assert metrics_mod.derived(corpus)["years"] is table
+            mask, entry = metrics_mod.derived(corpus)["years"]
+            assert entry is table and not mask.flags.writeable
             covered = np.union1d(covered, request)
-            assert np.array_equal(np.flatnonzero(table.covered), covered)
+            assert np.array_equal(np.flatnonzero(mask), covered)
         whole = metrics_mod.PaperYears(corpus, np.ones(len(corpus), bool))
         for cutoff in range(1989, 2007):
             for tie in ("min-id", "random"):
@@ -565,9 +566,10 @@ class TestSnapshotTimeline:
         rows = np.arange(len(corpus))
         table = metrics_mod.paper_years(corpus, rows)
         table.nids(corpus, rows, 2005, tie="random", seed=1)
-        assert metrics_mod.derived(corpus)["years"] is table and table.covered.all()
+        mask, entry = metrics_mod.derived(corpus)["years"]
+        assert entry is table and mask.all()
         assert pickle.dumps(corpus) == blob
-        del table
+        del table, mask, entry
         gc.collect()  # so only this corpus can leave the memo below
         entries = len(corpus_mod._DERIVED)
         ref = weakref.ref(corpus)
