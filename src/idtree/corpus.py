@@ -733,8 +733,8 @@ CACHE_FORMAT = 7
 
 
 def file_digest(*paths) -> str:
-    """SHA-256 over the files' bytes, each followed by a NUL; read in 1 MiB blocks
-    into one reused buffer."""
+    """SHA-256 over the files' bytes, each followed by its byte count as 8 little-endian bytes,
+    so the stream splits into the files one way only; read in 1 MiB blocks into one buffer."""
     h = hashlib.sha256()
     buf = bytearray(1 << 20)
     view = memoryview(buf)
@@ -742,7 +742,7 @@ def file_digest(*paths) -> str:
         with open(path, "rb") as fh:
             while size := fh.readinto(buf):
                 h.update(view[:size])
-        h.update(b"\x00")
+            h.update(fh.tell().to_bytes(8, "little"))
     return h.hexdigest()
 
 
@@ -790,7 +790,7 @@ def load_cache(path, expect_hash: str | None = None) -> CitationCorpus | None:
         venue_names = ids[n_ids:]
         del ids[n_ids:]
         corpus = CitationCorpus._from_arrays(ids, venue_names, *arrays)
-    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, CorpusError):
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, MemoryError, CorpusError):
         return None  # whatever a damaged or foreign file makes the parse raise
     return corpus
 

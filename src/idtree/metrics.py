@@ -217,23 +217,21 @@ class PaperYears:
         self.first_year, last = corpus.year_range() if n else (0, 0)
         self.stride = last - self.first_year + 2
         citer, paper, depth, parent, self.tied = _edge_trees(corpus, covered)
-        keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        slot = np.empty(len(keys), np.int64)
-        slot[order] = np.arange(len(keys))
-        # a citation's first child is its child of smallest slot, so of the
-        # earliest year; the sums are read only between runs of equal keys, so
-        # where a delta lands inside its run does not matter
-        child = np.flatnonzero(parent >= 0)
-        never = np.iinfo(np.int64).max
-        first = np.full(len(keys), never)
-        np.minimum.at(first, parent[child], slot[child])
-        gone = np.flatnonzero(first < never)
-        # +depth where a citer comes in, -depth where its first child does; a
-        # citation is the first child of at most one parent, so no slot is hit twice
-        delta = depth[order].astype(np.int64)
-        delta[first[gone]] -= depth[gone]
+        self.keys = paper.astype(np.int64) * self.stride + (corpus.years[citer].astype(np.int64) - self.first_year + 1)
+        del citer, paper
+        order = np.argsort(self.keys)
+        self.keys.sort()
+        depth, up = depth[order], parent[order]
+        del order, parent
+        # in key order, a citation's first child is where it first appears as
+        # a parent, so of the earliest year; the sums are read only between
+        # runs of equal keys, so where a delta lands inside its run does not matter
+        child = np.flatnonzero(up >= 0)
+        first = child[np.unique(up[child], return_index=True)[1]]
+        # +depth where a citer comes in, -depth where its first child does:
+        # the child's depth less one
+        delta = depth.astype(np.int64)
+        delta[first] -= depth[first] - 1
         self.idi_sums = np.r_[0, np.cumsum(delta)]
         self.offsets = np.searchsorted(self.keys, np.arange(n + 1, dtype=np.int64) * self.stride)
 

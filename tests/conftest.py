@@ -113,3 +113,18 @@ def format_6_cache():
         return buf.getvalue()
 
     return make
+
+
+@pytest.fixture
+def oversized_cache():
+    """Rewrite the cache at a path as its header array followed by the header of a
+    10**13-byte array that the file does not hold, which `np.save` cannot write."""
+
+    def make(path):
+        with open(path, "rb") as fh:
+            head = np.load(fh, allow_pickle=False)
+        with open(path, "wb") as fh:
+            np.save(fh, head, allow_pickle=False)
+            np.lib.format.write_array_header_1_0(fh, {"descr": "|u1", "fortran_order": False, "shape": (10**13,)})
+
+    return make

@@ -389,6 +389,34 @@ class TestMetrics:
         assert len(body.splitlines()) == n_before  # p9 cited nothing new... P gains a citer
         assert "P,6," in body
 
+    def test_files_that_hashed_alike_share_no_cache(self, tmp_path, toy_files):
+        # with a NUL after each file, both pairs hashed one stream, so the second run
+        # read the first one's cache and reported its malformed paper, not its own edge
+        edges, meta = (path.read_bytes() for path in toy_files)
+        runs = [(tmp_path / "run", edges, b"x\x00" + meta), (tmp_path / "run", edges + b"\x00x", meta),
+                (tmp_path / "fresh", edges + b"\x00x", meta)]
+        for i, (out, edge_bytes, meta_bytes) in enumerate(runs):
+            paths = tmp_path / f"edges{i}.tsv", tmp_path / f"meta{i}.jsonl"
+            paths[0].write_bytes(edge_bytes)
+            paths[1].write_bytes(meta_bytes)
+            assert run("metrics", "--edges", str(paths[0]), "--meta", str(paths[1]), "--out", str(out)) == 0
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        report = json.loads((fresh / "ingest_report.json").read_text())
+        assert (report["malformed_papers"], report["malformed_edges"]) == (0, 1)
+        for name in ("ingest_report.json", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_oversized_cache_in_out_is_reingested(self, tmp_path, toy_files, oversized_cache):
+        edges, meta = toy_files
+        flags = ("--edges", str(edges), "--meta", str(meta))
+        fresh, out = tmp_path / "fresh", tmp_path / "run"
+        for where in (fresh, out):
+            assert run("metrics", *flags, "--out", str(where)) == 0
+        oversized_cache(out / "corpus.cache")
+        assert run("metrics", *flags, "--out", str(out)) == 0
+        for name in ("corpus.cache", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_format_4_cache_in_out_is_reingested_once(self, tmp_path, toy_files, format_4_cache, monkeypatch):
         # a format-4 cache with the right digest misses, is rewritten as the current format, then hits
         edges, meta = toy_files

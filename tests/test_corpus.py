@@ -955,8 +955,18 @@ class TestCache:
         for i, data in enumerate(parts):
             paths.append(tmp_path / f"f{i}")
             paths[-1].write_bytes(data)
-        expected = hashlib.sha256(b"".join(data + b"\x00" for data in parts)).hexdigest()
+        expected = hashlib.sha256(b"".join(data + len(data).to_bytes(8, "little") for data in parts)).hexdigest()
         assert file_digest(*paths) == expected
+
+    def test_file_digest_separates_the_files(self, tmp_path):
+        # with a NUL after each file, ("a\0b", "") and ("a", "b\0") both hashed "a\0b\0\0"
+        digests = []
+        for i, pair in enumerate([(b"a\x00b", b""), (b"a", b"b\x00")]):
+            paths = [tmp_path / f"f{i}-{j}" for j in range(2)]
+            for path, data in zip(paths, pair):
+                path.write_bytes(data)
+            digests.append(file_digest(*paths))
+        assert digests[0] != digests[1]
 
     def test_stale_or_missing_cache_returns_none(self, tmp_path, toy):
         cache = tmp_path / "corpus.cache"
@@ -1092,6 +1102,13 @@ class TestCache:
         with open(cache, "wb") as fh:
             for a in arrays:
                 np.save(fh, a)
+        assert load_cache(cache, expect_hash="aaa") is None
+
+    def test_oversized_array_reads_as_stale(self, tmp_path, toy, oversized_cache):
+        # loading the name block it claims raises numpy's MemoryError
+        cache = tmp_path / "corpus.cache"
+        save_cache(toy, cache, source_hash="aaa", report=IngestReport())
+        oversized_cache(cache)
         assert load_cache(cache, expect_hash="aaa") is None
 
     def test_odd_ids_round_trip(self, tmp_path):

@@ -336,13 +336,14 @@ PINNED = {
 
 # sha256 of the cache that every run on a fixture writes: only the input files
 # key it, so it is the same for each run and tie policy.  The pins were taken
-# from caches of format CACHE_PINNED_FORMAT; a new cache format retakes them all.
+# from caches of format CACHE_PINNED_FORMAT; a new cache format or input digest
+# retakes them all.
 CACHE_PINNED_FORMAT = 7
 CACHE_PINNED = {
-    "planted-tot": "500627c1f84ba66bf1d75baeca113af3bccb9bb37ec7ef68ebd21d3b6533ea67",
-    "planted-z": "c44b69199ef110d56677dab3955ca38bf7c87cabd2844f66f91e4e3682b0125f",
-    "random": "66da90dfe55be94e59408c5c09c246b719590ea81c6e819b2811f1f9764a07f0",
-    "toy": "f608366279033dded9b7b6e11add1972a2547ac9871ce55407487515754232ee",
+    "planted-tot": "9204fd3cd3df3fb911d09c9a6d1d18cd4777cd29b9fcab0e01d799ddcd1b5a62",
+    "planted-z": "93b4e0455a31e585b97fd65303e9078ddb118ca989536d463648b9cc530e7080",
+    "random": "4d73fd9291c7c72aa7abaf8b593124fa4fb190f223eb91148944c34a3ffd1d71",
+    "toy": "f7eb7c2dca3fc344e4df77f694bfbfc22abb9ea89847981e99df8e057eb9552e",
 }
 
 
