@@ -161,13 +161,11 @@ def fractional_gain_list(
 @dataclass(frozen=True)
 class VenueExperiment:
     """Per-venue z scores: Kendall distance of each measure's ranking at t1
-    from the fractional-gain ranking over (t1, t2)."""
+    from the fractional-gain ranking over (t1, t2), which its `ZReport` holds."""
 
     venue: str
     year: int
     paper_ids: tuple[str, ...]
-    t1: int
-    t2: int
     z_nid: float
     z_cite: float
 
@@ -205,7 +203,7 @@ class ZReport:
     def venues(self) -> tuple[VenueExperiment, ...]:
         ids = list(map(self.ids.__getitem__, self.paper_rows.tolist()))
         return tuple(
-            VenueExperiment(venue, year, tuple(ids[end - m:end]), self.t1, self.t2, z_nid, z_cite)
+            VenueExperiment(venue, year, tuple(ids[end - m:end]), z_nid, z_cite)
             for venue, year, m, end, z_nid, z_cite in zip(
                 self.venue, self.year.tolist(), self.n_papers.tolist(), np.cumsum(self.n_papers).tolist(),
                 self.z_nid.tolist(), self.z_cite.tolist())
@@ -349,7 +347,6 @@ class ToTCase:
     venue: str
     year: int
     cohort_size: int
-    competitor_ids: tuple[str, ...]
     rank_cite: int
     rank_nid: int
 
@@ -416,7 +413,6 @@ def tot_experiment(
     codes, years, rows, edition = _editions(corpus)
     names = corpus.venue_names
     lookup = {(names[c], y): k for k, (c, y) in enumerate(zip(codes.tolist(), years.tolist()))}
-    ids = corpus.paper_ids
     awardees = sorted(set(awardees))
     reasons: dict[int, str] = {}
     found: list[tuple[int, int]] = []   # (edition, row of the awardee)
@@ -454,22 +450,18 @@ def tot_experiment(
     at, own = tops[at], mine[case]
     ahead = (nid[at] < nid[own]) | ((nid[at] == nid[own]) & (rows[at] < rows[own]))
     rank_nid = np.bincount(case[ahead], minlength=len(picks)) + 1
-    bounds = np.r_[0, np.cumsum(np.bincount(case, minlength=len(picks)))].tolist()
-    results = zip(bounds, bounds[1:], rows[mine].tolist(), (~top[mine]).tolist(), sizes[picks].tolist(),
-                  (counts[mine] > 0).tolist(), rank_cite.tolist(), rank_nid.tolist())
-    competitors = rows[at].tolist()
+    results = zip(sizes[picks].tolist(), (counts[mine] > 0).tolist(), rank_cite.tolist(), rank_nid.tolist())
     cases: list[ToTCase] = []
     skipped: list[tuple[str, str]] = []
     for i, (pid, venue, year) in enumerate(awardees):
         if i in reasons:
             skipped.append((pid, reasons[i]))
             continue
-        lo, hi, row, below, size, ok, by_cite, by_nid = next(results)
+        size, ok, by_cite, by_nid = next(results)
         if not ok:
             skipped.append((pid, f"awardee has no citations at horizon {year + horizon}"))
         else:
-            rivals = competitors[lo:hi] + [row] * below
-            cases.append(ToTCase(pid, venue, year, size, tuple(map(ids.__getitem__, rivals)), by_cite, by_nid))
+            cases.append(ToTCase(pid, venue, year, size, by_cite, by_nid))
     return ToTReport(tuple(cases), tuple(skipped), horizon, pct)
 
 

@@ -1,8 +1,8 @@
 """Every module-level import of the package is read somewhere in its module, every
 import is of the package itself, numpy or the standard library, every public name
 it defines is read by the package, its demos or its benchmark, and so is every
-public method and property of its classes and every public slot of the corpus
-outside `corpus.py`; only `corpus.py` builds a corpus with
+public method and property of its classes, every dataclass field and every public
+slot of the corpus outside `corpus.py`; only `corpus.py` builds a corpus with
 `CitationCorpus.__new__` and `_fill`."""
 
 import ast
@@ -135,7 +135,7 @@ def unread_methods(source: str, others: list[str]) -> list[str]:
 
 @pytest.mark.parametrize("path", [p for p in _READERS if p.parent == SRC], ids=lambda path: path.name)
 def test_every_public_method_is_read(path):
-    # dataclass fields are out of scope: `asdict`, `astuple` and the CSV row mapping read them by reflection
+    # dataclass fields have their own check, `test_every_result_field_is_read`
     others = [p.read_text(encoding="utf-8") for p in _READERS if p != path]
     assert unread_methods(path.read_text(encoding="utf-8"), others) == []
 
@@ -148,6 +148,61 @@ def test_unread_methods_finds_what_only_its_definition_reads():
               "class Crate(Box):\n    def open(self):\n        pass\n")
     assert unread_methods(source, ["box.fill()\n", "getattr(crate, 'open')\n"]) == ["Box.area"]
     assert unread_methods(source, []) == ["Box.area", "Box.fill", "Crate.open"]
+
+
+def _named(node: ast.AST, name: str) -> bool:
+    """Whether `node` is the name `name`, bare or as an attribute."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls in `tree` of a function named `name`."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _named(node.func, name)]
+
+
+def unread_fields(source: str, others: list[str]) -> list[str]:
+    """Fields of the dataclasses of `source`, as `Class.field`, that neither `source` nor
+    any of `others` reads as an attribute.
+
+    Name-based, like the checks above: a field counts as read when an attribute of its
+    name is read anywhere, so a field that shares its name with a read one goes unseen.
+    A class whose body calls `asdict` or `astuple`, or that `starmap` builds, is skipped,
+    because those read every field by reflection."""
+    module = ast.parse(source)
+    trees = [module, *map(ast.parse, others)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    starmapped = {getattr(call.args[0], "id", None) for tree in trees for call in _calls(tree, "starmap") if call.args}
+    unread = []
+    for cls in module.body:
+        if (not isinstance(cls, ast.ClassDef) or cls.name in starmapped
+                or not any(_named(d.func if isinstance(d, ast.Call) else d, "dataclass") for d in cls.decorator_list)
+                or _calls(cls, "asdict") or _calls(cls, "astuple")):
+            continue
+        unread.extend(f"{cls.name}.{node.target.id}" for node in cls.body
+                      if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                      and node.target.id not in read)
+    return unread
+
+
+@pytest.mark.parametrize("path", [p for p in _READERS if p.parent == SRC], ids=lambda path: path.name)
+def test_every_result_field_is_read(path):
+    others = [p.read_text(encoding="utf-8") for p in _READERS if p != path]
+    assert unread_fields(path.read_text(encoding="utf-8"), others) == []
+
+
+def test_unread_fields_finds_what_no_attribute_reads():
+    source = ("from dataclasses import asdict, dataclass\nimport dataclasses\nfrom itertools import starmap\n\n"
+              "@dataclass(frozen=True)\nclass Case:\n    rank: int\n    rivals: tuple = ()\n\n"
+              "    def best(self):\n        return self.rank == 1\n\n"
+              "@dataclasses.dataclass\nclass Counts:\n    kept: int\n    lost: int\n\n"
+              "    def as_dict(self):\n        return asdict(self)\n\n"
+              "@dataclass\nclass Row:\n    name: str\n\n"
+              "class Plain:\n    size: int\n\n"
+              "rows = list(starmap(Row, [('a',)]))\n")
+    assert unread_fields(source, ["case.rivals\n"]) == []
+    assert unread_fields(source, ["getattr(case, 'rivals')\n", "case.rivals = ()\n"]) == ["Case.rivals"]
+    assert unread_fields(source.replace("starmap(Row", "map(Row"), []) == ["Case.rivals", "Row.name"]
 
 
 def unread_slots(source: str, others: list[str]) -> list[str]:

@@ -438,6 +438,12 @@ class TestDispersionKernel:
             corpus = _same_year_corpus(min(n_papers, 40), n_years, density, corpus_seed)
         else:
             corpus = _signature_corpus(shape, max(n_papers, 72), n_years, density, corpus_seed)
+        # the score table is the year table read past the last year, with the same tie flags
+        every = np.ones(len(corpus), bool)
+        scores, years = metrics_mod._scores(corpus, every), metrics_mod.PaperYears(corpus, every)
+        n, value = years.at(np.arange(len(corpus)), int(corpus.years.max(initial=0)) + 1)
+        assert np.array_equal(scores.n, n) and np.array_equal(scores.idi, value)
+        assert np.array_equal(scores.tied, years.tied)
         subsets = st.lists(st.sampled_from(corpus.paper_ids), max_size=20) if len(corpus) else st.just([])
         for requested in data.draw(st.lists(st.none() | subsets, min_size=1, max_size=3)):
             ids = corpus.paper_ids if requested is None else requested
