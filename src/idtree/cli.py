@@ -11,7 +11,10 @@ Subcommands wire the library into reproducible file-to-file runs:
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Commands that read a
 corpus keep a cache next to their outputs, keyed by a digest of the input
-files, so repeated experiments skip re-parsing.
+files, so repeated experiments skip re-parsing.  Each command loads, then
+computes, then writes: the library checks its own arguments, and ``--out`` is
+made and written only once that work has returned, so a run refused for its
+inputs or flags leaves ``--out`` as it was.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__
 from . import corpus as corpus_mod
 from . import experiments as exp
 from . import metrics as metrics_mod
@@ -60,72 +64,65 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _require_corpus_nonempty(corpus) -> None:
-    if len(corpus) == 0:
+def _load(args, *, force: bool = False):
+    """Check the input files and read the corpus from the cache in --out when
+    it holds these files' digest, else ingest them in memory.  Writes nothing.
+    Returns the corpus, its ingest report (from the cache's header on a hit) and
+    the digest to cache a new corpus under, None on a hit."""
+    edges, meta = _require_file(args.edges), _require_file(args.meta)
+    digest = corpus_mod.file_digest(edges, meta)
+    cache_path = Path(args.out) / CACHE_NAME
+    cached = None if force else corpus_mod.load_cache(cache_path, expect_hash=digest)
+    if cached is not None:
+        return cached, corpus_mod.cache_report(cache_path), None
+    return *corpus_mod.ingest_files(edges, meta), digest
+
+
+def _write_out(args, corpus=None, report=None, digest=None) -> Path:
+    """Make --out and write run_config.json, then for a corpus command the ingest
+    report and a new cache, if any, moved into place after the report so that a
+    partly written one is never at `corpus.cache`.  Called once a command's work
+    has succeeded; an empty corpus is refused before any file is written."""
+    if corpus is not None and len(corpus) == 0:
         raise CorpusError("no papers survived preprocessing; refusing to continue")
-
-
-def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out, args)
-    return out
-
-
-def _write_run_config(out: Path, args) -> None:
     # Every knob, including the seed all randomness flows through, so a run
     # can be replayed from its output directory alone.
-    from . import __version__
-
     config = {k: v for k, v in vars(args).items() if k != "func"}
     config["version"] = __version__
     (out / "run_config.json").write_text(
         json.dumps(config, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8"
     )
-
-
-def _ingest_with_cache(args, *, force: bool = False):
-    """Check the input files, make --out, then load the corpus via the
-    content-addressed cache, re-ingesting if stale.  Every run writes
-    `ingest_report.json`, on a cache hit from the cache's header, so a run that
-    finishes leaves the report of the cache; a new cache is moved into place
-    after the report, so a partly written one is never at `corpus.cache`."""
-    edges = _require_file(args.edges)
-    meta = _require_file(args.meta)
-    out = _out_dir(args)
-    digest = corpus_mod.file_digest(edges, meta)
-    cache_path, new_cache = out / CACHE_NAME, out / f"{CACHE_NAME}.tmp"
-    cached = None if force else corpus_mod.load_cache(cache_path, expect_hash=digest)
-    if cached is None:
-        corpus, report = corpus_mod.ingest_files(edges, meta)
-        corpus_mod.save_cache(corpus, new_cache, source_hash=digest, report=report)
-    else:
-        corpus, report = cached, corpus_mod.cache_report(cache_path)
-    (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    if cached is None:
-        os.replace(new_cache, cache_path)
-    return out, corpus, report
+    if report is not None:
+        new_cache = out / f"{CACHE_NAME}.tmp"
+        if digest is not None:
+            corpus_mod.save_cache(corpus, new_cache, source_hash=digest, report=report)
+        (out / "ingest_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        if digest is not None:
+            os.replace(new_cache, out / CACHE_NAME)
+    return out
 
 
 def cmd_ingest(args) -> int:
-    out, corpus, report = _ingest_with_cache(args, force=True)
+    corpus, report, digest = _load(args, force=True)
     print(report.to_json())
-    _require_corpus_nonempty(corpus)
+    out = _write_out(args, corpus, report, digest)
     print(f"corpus cached at {out / CACHE_NAME}: {len(corpus)} papers, {corpus.n_edges} edges")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    try:   # before --out is made; each id once, in id order, whether scored or rejected
+    try:   # before any input is read; each id once, in id order, whether scored or rejected
         ids = sorted(set(next(csv.reader([args.ids or ""], skipinitialspace=True))) - {""})
     except csv.Error as err:   # an unquoted line break, or an id past the csv field limit
         raise UsageError(f"--ids is not one CSV record; quote an id that holds a line break ({err})") from None
-    out, corpus, _ = _ingest_with_cache(args)
-    _require_corpus_nonempty(corpus)
+    corpus, *cache = _load(args)
     # no --ids scores every paper; an --ids that names no id, none
     requested = None if args.ids is None else [pid for pid in ids if corpus.has_paper(pid)]
     errors = [(pid, "unknown paper id") for pid in ids if not corpus.has_paper(pid)]
     reports = metrics_mod.corpus_metrics(corpus, requested, tie=args.tie, seed=args.seed)
+    out = _write_out(args, corpus, *cache)
     metrics_mod.write_metrics_csv(reports, out / "metrics.csv")
     if errors:
         corpus_mod.write_csv(out / "metrics_errors.csv", ("paper_id", "error"), errors)
@@ -137,9 +134,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    out, corpus, _ = _ingest_with_cache(args)
-    _require_corpus_nonempty(corpus)
+    corpus, *cache = _load(args)
     stats = exp.corpus_stats(corpus, tie=args.tie, seed=args.seed)
+    out = _write_out(args, corpus, *cache)
     exp.write_histogram_csv(stats.depth_hist, out / "depth_hist.csv", "depth")
     exp.write_histogram_csv(stats.breadth_hist, out / "breadth_hist.csv", "breadth")
     exp.write_scatter_csv(stats.reports, out / "scatter.csv")
@@ -156,14 +153,14 @@ def cmd_stats(args) -> int:
 
 
 def cmd_eval_z(args) -> int:
-    out, corpus, _ = _ingest_with_cache(args)
-    _require_corpus_nonempty(corpus)
+    corpus, *cache = _load(args)
     report = exp.z_experiment(
         corpus, args.years, args.t1, args.t2, tie=args.tie, seed=args.seed, gain_mode=args.gain
     )
+    out = _write_out(args, corpus, *cache)
     exp.write_venues_csv(report, out / "venues.csv")
     exp.write_summary_json(report.to_summary_dict(), out / "z_summary.json")
-    if not report:
+    if not report:   # the empty table and summary are this run's result, written before the exit 2
         raise CorpusError(
             f"no venue in {args.years[0]}:{args.years[1]} produced a z score "
             f"({len(report.skipped)} skipped)"
@@ -200,11 +197,11 @@ def _read_awardees(path: Path) -> list[tuple[str, str, int]]:
 
 def cmd_eval_tot(args) -> int:
     awardees = _read_awardees(_require_file(args.awardees))
-    out, corpus, _ = _ingest_with_cache(args)
-    _require_corpus_nonempty(corpus)
+    corpus, *cache = _load(args)
     report = exp.tot_experiment(
         corpus, awardees, pct=args.pct, horizon=args.t2, tie=args.tie, seed=args.seed
     )
+    out = _write_out(args, corpus, *cache)
     exp.write_tot_csv(report, out / "tot_cases.csv")
     exp.write_summary_json(report.to_summary_dict(), out / "tot_summary.json")
     if not report.cases:
@@ -216,7 +213,6 @@ def cmd_eval_tot(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # build first, so that a bad value leaves no --out behind
     awardees = tree = None
     if args.kind == "toy":
         corpus = synth.toy_corpus()
@@ -234,7 +230,7 @@ def cmd_synth(args) -> int:
                     "broom": lambda n: synth.broom_tree(n, args.k)}
         tree = builders[args.kind](args.n)
         corpus = synth.corpus_for_tree(tree)
-    out = _out_dir(args)
+    out = _write_out(args)
     # a kind without awardees or a tree removes the file an earlier run left
     if awardees is not None:
         corpus_mod.write_csv(out / "awardees.csv", ("paper_id", "venue", "year"), awardees)
@@ -320,28 +316,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _check_ranges(args) -> None:
-    """Refuse out-of-range seeds, horizons and fractions before a command creates --out."""
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
-    t1, t2 = getattr(args, "t1", None), getattr(args, "t2", None)
-    if t1 is not None and t2 is not None and t1 >= t2:
-        raise UsageError(f"--t1 must be smaller than --t2 (got {t1} >= {t2})")
-    if t1 is not None and t1 < 0:
-        raise UsageError(f"t1 must be >= 0, got {t1}")
-    if t2 is not None and t2 < 0:   # only eval-tot has --t2 without --t1: its horizon
-        raise UsageError(f"horizon must be >= 0, got {t2}")
-    pct = getattr(args, "pct", None)
-    if pct is not None and not 0 < pct <= 1:
-        raise UsageError(f"pct must be in (0, 1], got {pct}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_ranges(args)
+        if getattr(args, "seed", 0) < 0:   # shared by commands whose library call may never read it
+            raise UsageError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (CorpusError, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)

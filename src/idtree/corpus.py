@@ -754,12 +754,16 @@ def save_cache(corpus: CitationCorpus, path, source_hash: str, *, report: Ingest
     or name holds; the years, the venue codes, and the citing and the cited row of each
     edge, in (citing, cited) order."""
     names = (*corpus.paper_ids, *corpus.venue_names, "")
-    joined = "".join(names)
-    used = set(joined) if "\n" in joined else ()
+    text = "\n".join(names)
+    used = set(text) if text.count("\n") >= len(names) else ()   # a name holds a line break
     sep = next(c for c in map(chr, count(10)) if c not in used)
+    if sep != "\n":
+        text = sep.join(names)
+    del names   # each copy goes before the next: commands save after their work, beside its results
     head = json.dumps({"format": CACHE_FORMAT, "source_hash": source_hash, "sep": sep, "ids": len(corpus),
                        "report": report.to_dict()})
-    block = sep.join(names).encode("utf-8", "surrogatepass")
+    block = text.encode("utf-8", "surrogatepass")
+    del text
     with open(path, "wb") as fh:
         for a in (np.frombuffer(head.encode("ascii"), np.uint8), np.frombuffer(block, np.uint8),
                   corpus.years, corpus.venues, corpus.cites, corpus.refs):

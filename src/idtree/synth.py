@@ -329,6 +329,8 @@ def make_z_benchmark(seed: int = 0, t1: int = 5, t2: int = 10) -> CitationCorpus
     receives only 5.  A shape-aware ranking therefore matches the
     future-gain ranking, while a citation ranking is noise.
     """
+    if t1 >= t2:
+        raise ValueError(f"need t1 < t2, got {t1} >= {t2}")
     rng = np.random.default_rng(seed)
     good_shape = ideal_tree(9)
     poor_shape = broom_tree(9, k=t1 - 1)

@@ -156,7 +156,12 @@ class TestIngest:
         rc = run("ingest", "--edges", str(edges), "--meta", str(meta),
                  "--out", str(tmp_path / "x"))
         assert rc == 2
-        assert "no papers" in capsys.readouterr().err
+        # the report on stdout says why nothing survived, and nothing is written
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert (report["papers_in"], report["dropped_isolated"], report["papers_kept"]) == (2, 2, 0)
+        assert "no papers" in captured.err
+        assert not (tmp_path / "x").exists()
 
     def test_metrics_after_ingest_matches_fresh_out(self, tmp_path, toy_files, planted):
         # after an ingest of the same files (a cache hit) or of other ones (a re-ingest), and
@@ -232,9 +237,11 @@ class TestUsageErrors:
         ("synth", ["--kind", "random", "--bias", "2"], "bias must be in [0, 1]"),
         ("synth", ["--kind", "random", "--years", "0:2147483648"], "years must be an int32 range"),
         ("synth", ["--kind", "planted-z", "--t1", "1", "--t2", "3"], "shape depth exceeds t1"),
+        ("synth", ["--kind", "planted-z", "--t1", "5", "--t2", "5"], "need t1 < t2"),
     ], ids=["tot-pct-0", "tot-pct-nan", "tot-negative-t2", "z-negative-t1", "z-empty-years",
             "metrics-negative-seed", "metrics-ids-line-break", "z-negative-seed", "ideal-n-2", "star-n-0",
-            "broom-k-9", "random-n-0", "random-bias-2", "random-years-past-int32", "planted-z-t1-1"])
+            "broom-k-9", "random-n-0", "random-bias-2", "random-years-past-int32", "planted-z-t1-1",
+            "planted-z-t1-equals-t2"])
     def test_bad_value_is_usage_error(self, planted, tmp_path, capsys, command, flags, message):
         # the library's range checks reach the user as usage errors, before --out is made
         argv = [command, *flags, "--out", str(tmp_path / "x")]
@@ -267,6 +274,30 @@ class TestUsageErrors:
         assert run("ingest", "--edges", str(edges), "--meta", str(meta), "--out", str(tmp_path / "x")) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x" / "corpus.cache").exists()
+
+
+class TestFailingRun:
+    @pytest.mark.parametrize("case", ["data-error", "range-error", "no-paper"])
+    def test_out_left_as_it_was(self, tmp_path, toy_files, planted, case):
+        # after a run that succeeded, a run that fails into the same --out writes nothing:
+        # no run_config.json naming its flags beside the first run's outputs, no report, no cache
+        out = tmp_path / "out"
+        edges, meta = map(str, toy_files)
+        if case == "range-error":
+            tot = planted / "planted-tot"
+            first = ["eval-tot", "--edges", str(tot / "edges.tsv"), "--meta", str(tot / "meta.jsonl"),
+                     "--awardees", str(tot / "awardees.csv"), "--out", str(out)]
+            failing, code = [*first, "--pct", "0"], 1
+        else:
+            bad = tmp_path / "bad.tsv"
+            bad.write_bytes(b"p1\tP\n\xff\xfe\n" if case == "data-error" else b"")   # no edge: every paper isolated
+            first = ["metrics", "--edges", edges, "--meta", meta, "--out", str(out)]
+            failing, code = ["metrics", "--edges", str(bad), "--meta", meta, "--out", str(out),
+                             "--tie", "random"], 2
+        assert run(*first) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(*failing) == code
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestMetrics:

@@ -3,7 +3,8 @@ import is of the package itself, numpy or the standard library, every public nam
 it defines is read by the package, its demos or its benchmark, and so is every
 public method and property of its classes, every dataclass field and every public
 slot of the corpus outside `corpus.py`; only `corpus.py` builds a corpus with
-`CitationCorpus.__new__` and `_fill`."""
+`CitationCorpus.__new__` and `_fill`, and the command line states no range rule
+that the library owns."""
 
 import ast
 import sys
@@ -250,3 +251,52 @@ def test_private_corpus_builds_finds_each_spelling():
     source = ("c = CitationCorpus.__new__(CitationCorpus)\nc._fill(1)\nfrom .corpus import _fill as f\n"
               "fill = _fill\nok = CitationCorpus._from_arrays(1)\n'_fill'\n")
     assert private_corpus_builds(source) == ["1: CitationCorpus.__new__", "2: _fill", "3: _fill", "4: _fill"]
+
+
+def cli_range_rules(source: str) -> list[str]:
+    """Each `raise UsageError` of `source`, as `line: function`, that neither turns text the
+    command line could not parse into a usage error nor is the `--seed` rule.  Parsing is
+    argparse's `error`, a function passed as an argument's `type=`, and an `except` handler;
+    the `--seed` rule is the body of an `if` whose test reads `seed`, as `_reads` finds it."""
+    module = ast.parse(source)
+    parsers = {kw.value.id for node in ast.walk(module) if isinstance(node, ast.Call)
+               for kw in node.keywords if kw.arg == "type" and isinstance(kw.value, ast.Name)}
+    found = []
+
+    def visit(node, function, parsing):
+        if isinstance(node, ast.Raise) and node.exc is not None and not parsing:
+            if _named(getattr(node.exc, "func", node.exc), "UsageError"):
+                found.append(f"{node.lineno}: {function}")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function, parsing = node.name, node.name in parsers or node.name == "error"
+        elif isinstance(node, ast.If) and "seed" in _reads(node.test):
+            for child in node.body:
+                visit(child, function, True)
+            for child in [node.test, *node.orelse]:
+                visit(child, function, parsing)
+            return
+        parsing = parsing or isinstance(node, ast.ExceptHandler)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, parsing)
+
+    visit(module, "<module>", False)
+    return found
+
+
+def test_cli_states_no_range_rule():
+    # the library checks its own arguments; the command line keeps only --seed >= 0,
+    # a flag shared by commands whose library call may never read it
+    assert cli_range_rules((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_cli_range_rules_finds_each_rule_outside_parsing():
+    source = ("class P(ArgumentParser):\n    def error(self, message):\n        raise UsageError(message)\n\n"
+              "def years(text):\n    if text == '':\n        raise UsageError('empty')\n\n"
+              "def ids(text):\n    try:\n        return parse(text)\n    except Error:\n"
+              "        raise UsageError('not a record') from None\n\n"
+              "def main(args):\n    p.add_argument('--years', type=years)\n"
+              "    if args.seed < 0:\n        raise UsageError('seed')\n"
+              "    elif args.t1 >= args.t2:\n        raise UsageError('t1')\n"
+              "    if args.pct <= 0:\n        raise cli.UsageError('pct')\n    raise ValueError('other')\n")
+    assert cli_range_rules(source) == ["20: main", "22: main"]
+    assert cli_range_rules(source.replace("type=years", "type=int")) == ["7: years", "20: main", "22: main"]

@@ -357,6 +357,12 @@ class TestPlantedBenchmarks:
         with pytest.raises(ValueError):
             make_z_benchmark(t1=2, t2=5)  # the ideal tree of 9 citers is 3 deep
 
+    @pytest.mark.parametrize("t1, t2", [(5, 5), (5, 2)])
+    def test_z_benchmark_horizon_guard(self, t1, t2):
+        # t1 == t2 leaves no gain window; t1 > t2 would plant gains that come before t1
+        with pytest.raises(ValueError, match=f"need t1 < t2, got {t1} >= {t2}"):
+            make_z_benchmark(t1=t1, t2=t2)
+
     @pytest.mark.parametrize("seed, t1, t2", [(0, 5, 10), (1, 3, 4), (2, 4, 9), (3, 9, 12)])
     def test_z_benchmark_rebuilds_each_planted_tree(self, seed, t1, t2):
         corpus = make_z_benchmark(seed=seed, t1=t1, t2=t2)
