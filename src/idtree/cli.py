@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
@@ -157,6 +158,8 @@ def cmd_eval_z(args) -> int:
     report = exp.z_experiment(
         corpus, args.years, args.t1, args.t2, tie=args.tie, seed=args.seed, gain_mode=args.gain
     )
+    # a venue from a lone-surrogate JSON escape fits no UTF-8 file: refused before --out is made
+    "".join(report.venue).encode("utf-8")
     out = _write_out(args, corpus, *cache)
     exp.write_venues_csv(report, out / "venues.csv")
     exp.write_summary_json(report.to_summary_dict(), out / "z_summary.json")
@@ -322,6 +325,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:   # shared by commands whose library call may never read it
             raise UsageError(f"seed must be >= 0, got {args.seed}")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):   # refused before any input is read
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
         return args.func(args)
     except (CorpusError, OSError, UnicodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -428,32 +428,66 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def _texts(column: np.ndarray) -> list[str]:
-    """Each value as `csv.writer` writes it (`repr` of a float, `str` of an int),
-    formatted once per distinct bit pattern."""
-    column = np.ascontiguousarray(column)
-    distinct, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-    texts = list(map(repr if column.dtype.kind == "f" else str, distinct.view(column.dtype).tolist()))
-    return np.array(texts, object)[inverse.ravel()].tolist()
+def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each value's rank among the distinct values, a row holding each value, and their count."""
+    distinct, code = np.unique(values, return_inverse=True)
+    rows = np.empty(len(distinct), np.intp)
+    rows[code] = np.arange(len(values))
+    return code, rows, len(distinct)
+
+
+def _row_codes(columns: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A dense code per row, shared by two rows exactly when every column holds
+    the same bits in both, and a row holding each code.
+
+    Integer columns combine by radix, each offset by its minimum, or coded by
+    `np.unique` when it spans 2**31 or more; the code is made dense again
+    before a product could pass 2**62.  A float column joins only where its
+    bits differ from those at its code's row: a metrics table's `nid` follows
+    from its integer columns, so there it never does."""
+    code, count, floats = np.zeros(len(columns[0]), np.int64), 1, []
+    for column in {id(c): c for c in columns}.values():   # `CorpusMetrics.columns` holds `n` twice
+        if column.dtype.kind == "f":
+            floats.append(column.view(f"u{column.itemsize}"))
+            continue
+        lo, hi = int(column.min()), int(column.max())
+        digits, span = (column - lo, hi - lo + 1) if hi - lo < 2**31 else _dense(column)[::2]
+        if count * span > 2**62:
+            code, _, count = _dense(code)
+        code, count = code * span + digits, count * span
+    code, rows, _ = _dense(code)
+    for bits in floats:
+        if (bits[rows][code] != bits).any():
+            digits, _, span = _dense(bits)
+            code, rows, _ = _dense(code * span + digits)   # below n**2 <= 2**62
+    return code, rows
 
 
 def write_csv_columns(path, header: Sequence[str], ids: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write the bytes `write_csv` writes for rows of an id and numeric columns, a
-    column at a time (in runs of 16,384 rows, to bound the text held at once).
-    Only ids holding a comma, quote or line break need `csv.writer`, which
-    leaves every other field as it is."""
+    """Write the bytes `write_csv` writes for rows of an id and one or more
+    numeric columns: each line is its id and the tail its row code names
+    (`_row_codes`), every distinct tail formatted once, `str` of each value as
+    `csv.writer` writes it.  Lines are joined in runs of 16,384 rows, to bound
+    the text held at once.  Only ids holding a comma, quote or line break need
+    `csv.writer`, which leaves every other field as it is."""
     lines: list[str] = []
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
-    ids = list(ids)
-    if re.search('[,"\r\n]', "".join(ids)):
+    if any(map("".join(ids).__contains__, ',"\r\n')):
         writer.writerows(zip(ids, repeat("")))
         ids = [line[:-2] for line in lines[1:]]   # quoted as in a row of several fields; the ",\n" is cut
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(lines[0])
+        if not ids:
+            return
+        code, rows = _row_codes(columns)
+        texts = (map(str, c[rows].tolist()) for c in columns)
+        tails = np.array([f",{','.join(fields)}\n" for fields in zip(*texts)], object)
         for start in range(0, len(ids), 1 << 14):
-            run = slice(start, start + (1 << 14))
-            fh.write("\n".join(map(",".join, zip(ids[run], *(_texts(c[run]) for c in columns)))) + "\n")
+            run = ids[start:start + (1 << 14)]
+            parts = [""] * (2 * len(run))
+            parts[::2], parts[1::2] = run, tails[code[start:start + len(run)]].tolist()
+            fh.write("".join(parts))
 
 
 def _edge_fields(lines: Iterable[str]) -> Iterator[tuple[str, ...]]:
@@ -474,9 +508,14 @@ def _meta_items(lines: Iterable[str]) -> Iterator:
 
 
 def write_edge_file(corpus: CitationCorpus, path) -> None:
+    """Write each edge as ``citing<TAB>cited``, in sorted order, in runs of
+    65,536 edges to bound the text held at once."""
     with open(path, "w", encoding="utf-8") as fh:
-        for citing, cited in corpus.edges():
-            fh.write(f"{citing}\t{cited}\n")
+        for start in range(0, corpus.n_edges, 1 << 16):
+            citing, cited = (corpus._names(rows[start:start + (1 << 16)]) for rows in (corpus.cites, corpus.refs))
+            parts = ["", "\t", "", "\n"] * len(citing)
+            parts[::4], parts[2::4] = citing, cited
+            fh.write("".join(parts))
 
 
 def write_metadata_file(corpus: CitationCorpus, path) -> None:

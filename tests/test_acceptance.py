@@ -57,6 +57,11 @@ CRITERION_6_PINNED = {
     "edges.tsv": "68a94a434ab796e098b2f70c629997efe51e2fde204908d30ec50b2c7e0a7d92",
     "meta.jsonl": "7231b6b7b45f7e056c6170281d6687171b5a8dca47826ffbd11f675aab77edde",
 }
+# tie flags -> sha256 of the `metrics.csv` that `idtree metrics` writes for that corpus
+CRITERION_6_METRICS_PINNED = {
+    (): "c5b1e24cffaa03b77194fe92ce3fa8661a00d12973b9d4bd67080a872c2aaf43",
+    ("--tie", "random", "--seed", "11"): "c3aad2f78651c649d57b03a37d842954a3f98c7fb3e13628b4a310d971e551e1",
+}
 
 
 def test_criterion_1_toy_reproduction(tmp_path):
@@ -209,7 +214,7 @@ def test_criterion_5_kendall_against_brute_force():
 
 def test_criterion_6_pipeline_determinism(tmp_path):
     """Regenerating a seeded 10^5-paper corpus reproduces its bytes, and
-    two full runs over it are byte-identical."""
+    its metrics tables are the pinned bytes under both tie policies."""
     with criterion(6, "pipeline determinism"):
         fixture = tmp_path / "fx"
         assert run_cli("synth", *CRITERION_6_SYNTH, "--out", str(fixture)) == 0
@@ -222,16 +227,16 @@ def test_criterion_6_pipeline_determinism(tmp_path):
         assert {name: hashlib.sha256((fixture / name).read_bytes()).hexdigest()
                 for name in CRITERION_6_PINNED} == CRITERION_6_PINNED
 
-        outputs = []
-        for name in ("run-a", "run-b"):
+        # each tie policy's table is the pinned one, so two runs under random ties are byte-identical
+        random_ties = ("--tie", "random", "--seed", "11")
+        for name, flags in (("min-id", ()), ("random-a", random_ties), ("random-b", random_ties)):
             out = tmp_path / name
             assert run_cli(
                 "metrics", "--edges", str(fixture / "edges.tsv"),
-                "--meta", str(fixture / "meta.jsonl"), "--out", str(out),
-                "--tie", "random", "--seed", "11",
+                "--meta", str(fixture / "meta.jsonl"), "--out", str(out), *flags,
             ) == 0
-            outputs.append((out / "metrics.csv").read_bytes())
-        assert outputs[0] == outputs[1], "runs differ"
+            digest = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+            assert digest == CRITERION_6_METRICS_PINNED[flags], name
 
 
 def test_criterion_7_directional_z_score():

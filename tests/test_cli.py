@@ -299,6 +299,18 @@ class TestFailingRun:
         assert run(*failing) == code
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command", ["metrics", "eval-z", "synth"])
+    def test_out_naming_a_file_is_refused_first(self, tmp_path, toy_files, monkeypatch, capsys, command):
+        # refused before any input is read or corpus is made, with mkdir's exit code and message
+        monkeypatch.setattr(corpus_mod, "file_digest", lambda *paths: pytest.fail("the input was read"))
+        monkeypatch.setattr("idtree.synth.toy_corpus", lambda: pytest.fail("the corpus was made"))
+        out = tmp_path / "out"
+        out.write_text("a file")
+        inputs = ["--kind", "toy"] if command == "synth" else ["--edges", str(toy_files[0]), "--meta", str(toy_files[1])]
+        assert run(command, *inputs, "--out", str(out)) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert out.read_text() == "a file"
+
 
 class TestMetrics:
     def test_toy_row_with_fidelity_tie(self, tmp_path, toy_files):
@@ -555,6 +567,17 @@ class TestEvalZ:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "can't encode" in err
+        assert not (tmp_path / "run").exists()
+        # eval-tot writes only venues that its awardees file names, and reading that file
+        # as UTF-8 refuses such a name before the corpus is read
+        awardees = tmp_path / "awardees.csv"
+        awardees.write_bytes("paper_id,venue,year\na1,V\ud800,2000\n".encode("utf-8", "surrogatepass"))
+        rc = run("eval-tot", "--edges", str(edges), "--meta", str(meta), "--awardees", str(awardees),
+                 "--out", str(tmp_path / "tot"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode" in err
+        assert not (tmp_path / "tot").exists()
 
 
 def _year_span(fixture: Path) -> int:

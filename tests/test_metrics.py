@@ -268,26 +268,50 @@ class TestReports:
 
 _CSV_IDS = st.text(alphabet=st.sampled_from(list('ab,"\n\r é日 \t')), min_size=1, max_size=6)
 _NIDS = st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 1 / 3, 2 / 3, 0.5, 1e-17, 0.1, 5e-324])
+# small values, values spanning 2**31 or more, and int64's extremes
+_INTS = st.integers(-3, 2**40) | st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, 2**63 - 1])
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_column_writer_matches_csv_writer(tmp_path_factory, data):
-    # the column writer against csv.writer over the same rows, for both writers that use it
-    size = data.draw(st.integers(0, 12))
-    ids = sorted(data.draw(st.lists(_CSV_IDS, min_size=size, max_size=size, unique=True)))
-    ints = [np.array(data.draw(st.lists(st.integers(-3, 2**40), min_size=size, max_size=size)), np.int64)
-            for _ in range(5)]
-    nid = np.array(data.draw(st.lists(_NIDS | st.floats(0, 1), min_size=size, max_size=size)), np.float64)
-    result = metrics_mod.CorpusMetrics(ids, *ints, nid)
-    out = tmp_path_factory.mktemp("csv")
+def _assert_column_writers_match(out, result):
+    """Both writers that use the column writer, against csv.writer over the same rows."""
     write_metrics_csv(result, out / "metrics.csv")
     write_csv(out / "rows.csv", metrics_mod.CSV_HEADER, map(dataclasses.astuple, result))
     assert (out / "metrics.csv").read_bytes() == (out / "rows.csv").read_bytes()
     write_scatter_csv(result, out / "scatter.csv")
     write_csv(out / "scatter_rows.csv", ("paper_id", "n", "d", "b", "idi", "nid"),
-              zip(ids, *(c.tolist() for c in (*ints[:4], nid))))
+              zip(result.paper_ids, *(c.tolist() for c in (result.n, result.depth, result.breadth,
+                                                           result.idi, result.nid))))
     assert (out / "scatter.csv").read_bytes() == (out / "scatter_rows.csv").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_writer_matches_csv_writer(tmp_path_factory, data):
+    # each row takes its (n, d, b, idi), its idi_max and its nid from three pools: small
+    # pools repeat tails, and give rows equal in (n, d, b, idi) that differ in the rest
+    size = data.draw(st.integers(0, 12))
+    ids = sorted(data.draw(st.lists(_CSV_IDS, min_size=size, max_size=size, unique=True)))
+    pools = [data.draw(st.lists(values, min_size=1, max_size=max(size, 1)))
+             for values in (st.tuples(*[_INTS] * 4), _INTS, _NIDS | st.floats())]
+    picks = data.draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), min_size=size, max_size=size))
+    keys, hi, nid = zip(*picks) if picks else ((), (), ())
+    result = metrics_mod.CorpusMetrics(ids, *np.array(keys, np.int64).reshape(size, 4).T,
+                                       np.array(hi, np.int64), np.array(nid, np.float64))
+    _assert_column_writers_match(tmp_path_factory.mktemp("csv"), result)
+
+
+def test_column_writer_over_several_runs(tmp_path):
+    # quoted ids on both sides of the first 16,384-row run boundary; 0.0 beside -0.0, int64's
+    # extremes, and rows equal in (n, d, b, idi) that differ in idi_max or nid
+    size = (1 << 14) + 100
+    ids = [f"p{i:06d}" for i in range(size)]
+    ids[(1 << 14) - 2:(1 << 14) + 2] = ['a,b', 'c"d', "e\nf", 'g\rh,"']
+    rng = np.random.default_rng(7)
+    n, depth, idi = (rng.integers(1, 4, size) for _ in range(3))
+    breadth = rng.choice(np.array([1, 2, -2**63, 2**63 - 1]), size)
+    hi = rng.choice(np.array([9, 10, 2**40]), size)
+    nid = rng.choice(np.array([0.0, -0.0, 0.5, 1 / 3]), size)
+    _assert_column_writers_match(tmp_path, metrics_mod.CorpusMetrics(ids, n, depth, breadth, idi, hi, nid))
 
 
 def _per_paper(view, ids, tie, seed):
