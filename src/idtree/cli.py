@@ -53,8 +53,6 @@ def _parse_years(text: str) -> tuple[int, int]:
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"--years expects LO:HI, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"--years range is empty: {text!r}")
     return lo, hi
 
 

@@ -302,6 +302,8 @@ def z_experiment(
     as `rank_by_measure` and `fractional_gain_list` rank one venue, and
     `_segment_inversions` counts the discordant pairs of every venue at once.
     """
+    if year_range[0] > year_range[1]:
+        raise ValueError(f"year range is empty: {year_range[0]} > {year_range[1]}")
     if t1 < 0:
         raise ValueError(f"t1 must be >= 0, got {t1}")
     if t1 >= t2:
@@ -381,14 +383,6 @@ class ToTReport:
         return out
 
 
-def _runs(offsets: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index ranges offsets[k]:offsets[k + 1] for k in `picks`, concatenated, and each index's pick number."""
-    lo = offsets[picks]
-    sizes = offsets[picks + 1] - lo
-    pick = np.repeat(np.arange(len(picks)), sizes)
-    return np.arange(len(pick)) - np.repeat(np.cumsum(sizes) - sizes - lo, sizes), pick
-
-
 def tot_experiment(
     corpus: CitationCorpus,
     awardees: Iterable[tuple[str, str, int]],
@@ -400,11 +394,12 @@ def tot_experiment(
 ) -> ToTReport:
     """Rank each awardee among the top-cited slice of its venue cohort.
 
-    The competitor set is the top ceil(pct * cohort) papers by citation
-    count `horizon` years after publication, with the awardee force-included
-    if it fell below the cut.  Ranks are computed by citations (descending)
-    and by NID (ascending) at the same horizon, for all awardees at once
-    from `metrics.paper_years`.
+    The competitors are the cited papers among the top ceil(pct * cohort)
+    by citation count `horizon` years after publication, so an uncited paper
+    never competes; an awardee below the cut is added.  Each rank is 1 + the
+    competitors ahead of the awardee by citations (descending) and by NID
+    (ascending) at the same horizon, ties broken by id: one sort of every
+    cohort per measure, from `metrics.paper_years`.
     """
     if not 0 < pct <= 1:
         raise ValueError(f"pct must be in (0, 1], got {pct}")
@@ -442,14 +437,15 @@ def tot_experiment(
     rank_cite = np.minimum(rank[mine], top_k[picks]) + 1
     rival = top.copy()
     rival[mine] = True
-    nid = np.full(len(rows), np.nan)
-    nid[rival] = table.nids(corpus, rows[rival], cutoff[rival], tie=tie, seed=seed)[1]
-    # each case's competitors, in citation order
-    tops = order[top[order]]
-    at, case = _runs(np.r_[0, np.cumsum(np.bincount(edition[tops], minlength=len(codes)))], picks)
-    at, own = tops[at], mine[case]
-    ahead = (nid[at] < nid[own]) | ((nid[at] == nid[own]) & (rows[at] < rows[own]))
-    rank_nid = np.bincount(case[ahead], minlength=len(picks)) + 1
+    at = np.flatnonzero(rival)
+    nid = table.nids(corpus, rows[at], cutoff[at], tie=tie, seed=seed)[1]
+    # the competitors and awardees of each cohort by NID, ties by id as `rows` ascend;
+    # a running count of the competitors placed before each, less the count before its cohort
+    order = at[_by_edition(edition[at], nid)]
+    passed = np.empty(len(rows), np.int64)
+    passed[order] = np.cumsum(top[order]) - top[order]
+    competitors = np.bincount(edition[top], minlength=len(codes))
+    rank_nid = passed[mine] - (np.cumsum(competitors) - competitors)[picks] + 1
     results = zip(sizes[picks].tolist(), (counts[mine] > 0).tolist(), rank_cite.tolist(), rank_nid.tolist())
     cases: list[ToTCase] = []
     skipped: list[tuple[str, str]] = []

@@ -226,7 +226,7 @@ class TestUsageErrors:
         ("eval-tot", ["--pct", "nan"], "pct must be in (0, 1], got nan"),
         ("eval-tot", ["--t2", "-1"], "horizon must be >= 0, got -1"),
         ("eval-z", ["--t1", "-3", "--t2", "2"], "t1 must be >= 0, got -3"),
-        ("eval-z", ["--years", "2001:2000"], "--years range is empty: '2001:2000'"),
+        ("eval-z", ["--years", "2001:2000"], "year range is empty: 2001 > 2000"),
         ("metrics", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
         ("metrics", ["--ids", "P\np1"], "--ids is not one CSV record"),
         ("eval-z", ["--tie", "random", "--seed", "-1"], "seed must be >= 0, got -1"),

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import pickle
+import tracemalloc
 import weakref
 from collections import defaultdict
 
@@ -658,8 +659,53 @@ class TestZExperiment:
         with pytest.raises(ValueError, match="t1 must be >= 0, got -3"):
             z_experiment(make_z_benchmark(seed=0), t1=-3, t2=2)
 
+    def test_empty_year_range_rejected(self):
+        with pytest.raises(ValueError, match="year range is empty: 2001 > 2000"):
+            z_experiment(make_z_benchmark(seed=0), year_range=(2001, 2000))
+
+
+def _all_awardee_cohort(size, venue="BIG-2000"):
+    """One cohort of `size` papers, each cited by 1-5 papers and each an awardee.
+
+    The later citers of every fourth paper also cite its first citer, and the
+    other papers' citers form stars, so most NIDs tie and ids decide the ranks.
+    """
+    records, edges = [], []
+    for i in range(size):
+        pid = f"a{i:04d}"
+        records.append(PaperRecord(pid, 2000, venue))
+        for j in range(1 + i * 7 % 5):
+            cid = f"{pid}.c{j}"
+            records.append(PaperRecord(cid, 2001 + j))
+            edges.append((cid, pid))
+            if i % 4 == 0 and j:
+                edges.append((cid, f"{pid}.c0"))
+    return ingest(edges, records)[0], [(f"a{i:04d}", venue, 2000) for i in range(size)]
+
 
 class TestToTExperiment:
+    @pytest.mark.parametrize("pct,horizon", [(0.3, 10), (1.0, 2)])
+    def test_all_awardee_cohort_matches_oracle(self, pct, horizon):
+        corpus, awardees = _all_awardee_cohort(80)
+        nids = [metrics_mod.paper_metrics(corpus, pid).nid for pid, _, _ in awardees]
+        assert 1 < len(set(nids)) < len(nids) / 10
+        want = _per_awardee_tot(corpus, awardees, pct, horizon, "min-id", 0)
+        assert tot_experiment(corpus, awardees, pct=pct, horizon=horizon) == want
+        assert len(want.cases) > 40
+
+    def test_award_ranking_memory_is_linear_in_the_cohort(self):
+        corpus, awardees = _all_awardee_cohort(3000)
+        tot_experiment(corpus, awardees, pct=1.0)   # builds the year table
+        tracemalloc.start()
+        try:
+            report = tot_experiment(corpus, awardees, pct=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.cases) == 3000
+        # 1.3 MiB; pairing each case with each competitor of its cohort took 370 MiB
+        assert peak < 4 * 2**20
+
     def test_planted_benchmark_ranks(self):
         corpus, awardees = make_tot_benchmark()
         report = tot_experiment(corpus, awardees)
