@@ -12,7 +12,7 @@ breadth are both ceil(sqrt(n)).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import compress, starmap
 
@@ -115,8 +115,8 @@ class CorpusMetrics:
         return starmap(MetricsReport, zip(self.paper_ids, *(c.tolist() for c in self.columns())))
 
 
-def _sweep(idg, tie: str, seed: int) -> tuple[list[int], list[int]]:
-    """IDI after each citer of `idg`'s tree is attached, and the citer count of each level.
+def _sweep(idg, tie: str, seed: int) -> tuple[InfluenceTree, list[int]]:
+    """`idg`'s tree and the IDI after each of its citers is attached.
 
     The tree gets a stable per-paper seed, identical across runs, orders
     and processes; `build_idt` only turns it into a generator on the first
@@ -127,18 +127,13 @@ def _sweep(idg, tie: str, seed: int) -> tuple[list[int], list[int]]:
     """
     tree = build_idt(idg, tie=tie, rng=[seed, *idg.root.encode("utf-8")])
     prefix: list[int] = []
-    levels: list[int] = []
     parents: set[str] = set()
     value = 0
     for v, p in tree.parent.items():
-        d = tree.depth[v]
-        if d > len(levels):
-            levels.append(0)
-        levels[d - 1] += 1
-        value += d if p in parents else 1
+        value += tree.depth[v] if p in parents else 1
         parents.add(p)
         prefix.append(value)
-    return prefix, levels
+    return tree, prefix
 
 
 def _checked_nids(n: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,10 +162,11 @@ def paper_metrics(
     n = idg.n
     if n == 0:
         return None
-    prefix, levels = _sweep(idg, tie, seed)
+    tree, prefix = _sweep(idg, tie, seed)
     value = prefix[-1]
     hi, nid = _checked_nids(np.array([n]), np.array([value]))
-    return MetricsReport(paper_id, n, len(levels), max(levels), value, n, int(hi[0]), value - n, float(nid[0]))
+    level = Counter(tree.depth.values())   # nodes per level; the root's level 0 is never the widest
+    return MetricsReport(paper_id, n, max(level), max(level.values()), value, n, int(hi[0]), value - n, float(nid[0]))
 
 
 def _scored(corpus, tied: np.ndarray, rows: np.ndarray, n: np.ndarray, value: np.ndarray, tie: str, seed: int):
@@ -187,7 +183,7 @@ def _scored(corpus, tied: np.ndarray, rows: np.ndarray, n: np.ndarray, value: np
         for i in np.flatnonzero(tied[rows] & (n > 0)).tolist():
             row = int(rows[i])
             if row not in drawn:
-                drawn[row] = _sweep(build_idg(corpus, corpus.paper_ids[row]), "random", seed)[0]
+                drawn[row] = _sweep(build_idg(corpus, corpus.paper_ids[row]), "random", seed)[1]
             value[i] = drawn[row][n[i] - 1]
     return _checked_nids(n, value)
 

@@ -118,33 +118,6 @@ def build_idg(corpus, paper_id: str) -> InfluenceGraph:
     return InfluenceGraph(paper_id, citers, cited_within, years)
 
 
-def _topological_order(idg: InfluenceGraph) -> list[str]:
-    """Citers in (year, id) order, constrained so cited citers come first.
-
-    Chronological order already respects citation direction except inside a
-    single year; the heap form keeps the chronological tie-break while
-    guaranteeing every candidate parent is placed before its dependents.
-    """
-    remaining = {v: len(idg.cited_within[v]) for v in idg.citers}
-    dependents: dict[str, list[str]] = defaultdict(list)
-    for v in idg.citers:
-        for u in idg.cited_within[v]:
-            dependents[u].append(v)
-    heap = [(idg.years[v], v) for v in idg.citers if remaining[v] == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        _, v = heapq.heappop(heap)
-        order.append(v)
-        for w in dependents[v]:
-            remaining[w] -= 1
-            if remaining[w] == 0:
-                heapq.heappush(heap, (idg.years[w], w))
-    if len(order) != len(idg.citers):
-        raise CorpusError(f"citer subgraph of {idg.root!r} contains a cycle")
-    return order
-
-
 def build_idt(
     idg: InfluenceGraph,
     tie: str = "min-id",
@@ -153,18 +126,29 @@ def build_idt(
     """Build the dispersion tree of an influence graph.
 
     Each citer is attached beneath the deepest of the citers it cites, or
-    beneath the root when it cites none.  `tie` picks among equally deep
-    candidates: ``"min-id"`` (deterministic) or ``"random"``, drawing from
-    ``np.random.default_rng(rng)``, which is made on the first actual tie
-    so seeded runs stay reproducible.
+    beneath the root when it cites none.  Citers attach in (year, id)
+    order, but each waits until every citer it cites is attached; `parent`
+    keeps that order.  `tie` picks among equally deep candidates:
+    ``"min-id"`` (deterministic) or ``"random"``: each citer with k >= 2
+    of them draws an index ``integers(0, k)`` into them, sorted by id, in
+    attach order, from ``np.random.default_rng(rng)``, made on the first
+    actual tie so seeded runs stay reproducible.
     """
     if tie not in TIE_POLICIES:
         raise ValueError(f"tie must be one of {TIE_POLICIES}, got {tie!r}")
     gen: np.random.Generator | None = None
+    waiting = {v: len(idg.cited_within[v]) for v in idg.citers}
+    dependents: dict[str, list[str]] = defaultdict(list)
+    for v in idg.citers:
+        for u in idg.cited_within[v]:
+            dependents[u].append(v)
+    ready = [(idg.years[v], v) for v in idg.citers if not waiting[v]]
+    heapq.heapify(ready)
 
     parent: dict[str, str] = {}
     depth: dict[str, int] = {idg.root: 0}
-    for v in _topological_order(idg):
+    while ready:
+        _, v = heapq.heappop(ready)
         cand = idg.cited_within[v]
         if not cand:
             p = idg.root
@@ -181,6 +165,12 @@ def build_idt(
                 p = top[int(gen.integers(0, len(top)))]
         parent[v] = p
         depth[v] = depth[p] + 1
+        for w in dependents.get(v, ()):
+            waiting[w] -= 1
+            if not waiting[w]:
+                heapq.heappush(ready, (idg.years[w], w))
+    if len(parent) != idg.n:   # a cycle keeps its citers, and the citers citing them, waiting
+        raise CorpusError(f"citer subgraph of {idg.root!r} contains a cycle")
     return InfluenceTree(idg.root, parent, depth)
 
 

@@ -16,6 +16,9 @@ each depth by walking the parent chain; it is the oracle of the trees that
 `idtree.synth` builds from level sequences.  `tree_from_parent_row` turns one
 row of `idtree.synth.random_parent_matrix` into an `InfluenceTree`, so the tree
 metrics can be checked against the vectorized `parent_matrix_stats`.
+
+`reference_tree` is the oracle of `idtree.tree.build_idt`'s attach and draw
+order: it rescans the unattached citers for the next one each time.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from idtree.corpus import YEAR_MAX, YEAR_MIN, IngestReport, PaperRecord, _edges_on_cycles
 from idtree.synth import _node_ids
-from idtree.tree import InfluenceTree
+from idtree.tree import InfluenceGraph, InfluenceTree
 
 
 def _coerce_record(item) -> PaperRecord | None:
@@ -193,3 +196,29 @@ def tree_from_parent_row(row: np.ndarray) -> InfluenceTree:
     ids = ["P"] + _node_ids(n)
     parent = {ids[i]: ids[int(row[i])] for i in range(1, n + 1)}
     return tree_from_parent_map("P", parent)
+
+
+def reference_tree(idg: InfluenceGraph, tie: str, seed: int) -> InfluenceTree:
+    """The dispersion tree of `idg` as the metrics build it, its `parent` in attach order.
+
+    Each step attaches the smallest (year, id) citer whose cited citers are
+    all attached, beneath its deepest cited citer (the root when it cites
+    none).  Ties go to the smallest id, or under ``"random"`` to one draw of
+    ``integers(0, k)`` over the k tied ids in id order, from a generator
+    seeded with ``[seed, *UTF-8 bytes of the root id]`` at the first tie.
+    """
+    gen = None
+    parent: dict[str, str] = {}
+    depth = {idg.root: 0}
+    while len(parent) < idg.n:
+        _, v = min((idg.years[v], v) for v in idg.citers
+                   if v not in parent and all(u in parent for u in idg.cited_within[v]))
+        best = max((depth[u] for u in idg.cited_within[v]), default=0)
+        top = sorted(u for u in idg.cited_within[v] if depth[u] == best) or [idg.root]
+        if tie == "random" and len(top) > 1:
+            gen = gen or np.random.default_rng([seed, *idg.root.encode("utf-8")])
+            parent[v] = top[int(gen.integers(0, len(top)))]
+        else:
+            parent[v] = top[0]
+        depth[v] = depth[parent[v]] + 1
+    return InfluenceTree(idg.root, parent, depth)

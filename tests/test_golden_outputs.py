@@ -20,6 +20,7 @@ import pytest
 
 from idtree.cli import CACHE_NAME, main
 from idtree.corpus import CACHE_FORMAT, load_cache
+from test_metrics import _same_year_corpus
 
 # fixture -> (synth flags, eval-z flags, eval-tot flags)
 FIXTURES = {
@@ -445,3 +446,17 @@ def test_tie_sensitive_eval_z_matches_pinned_digests(root, tie):
     assert main(["eval-z", *_corpus_flags(root, "random", tie), *TIE_Z_FLAGS, "--out", str(out)]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in RUNS["eval-z"]} == TIE_Z_PINNED[tie]
+
+
+# sha256 of the metrics.csv that `idtree metrics --tie random --seed 1` writes
+# for a corpus whose citers cite each other within a year: its random ties are
+# drawn in attach order, where a citer waits for every citer it cites
+SAME_YEAR_RANDOM_PINNED = "74872e569b559e64d508cede837d8b1884da0bdb70429891fe29232e77f56836"
+
+
+def test_same_year_random_ties_match_pinned_digest(tmp_path, corpus_files):
+    edges, meta = corpus_files(_same_year_corpus(120, 2, 0.2, 0))
+    out = tmp_path / "out"
+    assert main(["metrics", "--edges", str(edges), "--meta", str(meta), "--tie", "random", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == SAME_YEAR_RANDOM_PINNED

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from idtree.corpus import PaperRecord, ingest
+from idtree.corpus import CorpusError, PaperRecord, ingest
 from idtree.metrics import idi
 from idtree.synth import (
     broom_tree,
@@ -17,12 +17,15 @@ from idtree.synth import (
     star_tree,
 )
 from idtree.tree import (
+    TIE_POLICIES,
+    InfluenceGraph,
     InfluenceTree,
     build_idg,
     build_idt,
     tree_stats,
 )
-from reference import tree_from_parent_map
+from reference import reference_tree, tree_from_parent_map
+from test_metrics import _same_year_corpus
 
 # rng stream used by the metrics pipeline for paper "P" at seed 1; its first
 # draw resolves the toy tree's only depth tie to p2, the layout in which
@@ -148,6 +151,28 @@ class TestBuildTree:
     def test_unknown_tie_policy_rejected(self, toy):
         with pytest.raises(ValueError):
             build_idt(build_idg(toy, "P"), tie="coin-flip")
+
+    def test_cycle_among_citers_refused(self):
+        # ingest drops same-year citation cycles, so only a hand-built graph has one
+        idg = InfluenceGraph("P", ("a", "b", "c"),
+                             {"a": frozenset({"b"}), "b": frozenset({"a"}), "c": frozenset()},
+                             {"P": 2000, "a": 2001, "b": 2001, "c": 2001})
+        with pytest.raises(CorpusError, match="'P' contains a cycle"):
+            build_idt(idg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_papers=st.integers(2, 40), n_years=st.integers(1, 3), density=st.floats(0.05, 0.6),
+           corpus_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 3))
+    def test_attach_and_draw_order_match_reference(self, n_papers, n_years, density, corpus_seed, seed):
+        # citers cite each other within a year, so many wait for a later id
+        corpus = _same_year_corpus(n_papers, n_years, density, corpus_seed)
+        for pid in corpus.paper_ids:
+            idg = build_idg(corpus, pid)
+            for tie in TIE_POLICIES:
+                tree = build_idt(idg, tie=tie, rng=[seed, *pid.encode("utf-8")])
+                expected = reference_tree(idg, tie, seed)
+                assert list(tree.parent.items()) == list(expected.parent.items())
+                assert tree.depth == expected.depth
 
 
 class TestStructuralBounds:
